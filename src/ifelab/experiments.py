@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import io
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -22,14 +23,16 @@ from .problems import ProblemSpec, validate
 
 CSV_HEADER = "N,h,dofs,L2_err,L2_rate,H1_err,H1_rate,cg_iters,seconds"
 
-_validated: set = set()
+# specs that passed validate(), keyed by identity: dataclasses.replace makes
+# a new spec under the same name, and that one must be validated too
+_validated: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _ensure_validated(prob: ProblemSpec):
     """Problems must pass their consistency oracles before any study."""
-    if prob.name not in _validated:
+    if _validated.get(id(prob)) is not prob:
         validate(prob)
-        _validated.add(prob.name)
+        _validated[id(prob)] = prob
 
 
 def error_norms(ctx: Context, dofs: np.ndarray,

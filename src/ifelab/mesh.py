@@ -74,28 +74,27 @@ class UnfittedMesh:
 
 
 def _connect(nodes: np.ndarray, elements: np.ndarray):
-    """Edge table, element adjacency and outward normals from connectivity."""
+    """Edge table, element adjacency and outward normals from connectivity.
+
+    Edges are numbered in order of first appearance in an element-major walk
+    over the local edges (v_i, v_{i+1}), keep the orientation of that first
+    appearance, and list the first element that has them as T1 and the last
+    as T2.
+    """
     n_elem, nv = elements.shape
-    edge_ids: dict = {}
-    edges = []
-    edge_elems = []
-    elem_edges = np.empty((n_elem, nv), dtype=np.int64)
-    for e in range(n_elem):
-        conn = elements[e]
-        for i in range(nv):
-            a, b = int(conn[i]), int(conn[(i + 1) % nv])
-            key = (a, b) if a < b else (b, a)
-            eid = edge_ids.get(key)
-            if eid is None:
-                eid = len(edges)
-                edge_ids[key] = eid
-                edges.append((a, b))
-                edge_elems.append([e, -1])
-            else:
-                edge_elems[eid][1] = e
-            elem_edges[e, i] = eid
-    edges = np.array(edges, dtype=np.int64)
-    edge_elems = np.array(edge_elems, dtype=np.int64)
+    a = elements.ravel()
+    b = np.roll(elements, -1, axis=1).ravel()
+    keys = np.minimum(a, b) * len(nodes) + np.maximum(a, b)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, last_rev = np.unique(keys[::-1], return_index=True)
+    last = keys.size - 1 - last_rev
+    order = np.argsort(first)
+    eid = np.empty_like(order)
+    eid[order] = np.arange(order.size)
+    first, last = first[order], last[order]
+    edges = np.column_stack([a[first], b[first]])
+    edge_elems = np.column_stack([first // nv, np.where(last > first, last // nv, -1)])
+    elem_edges = eid[inverse].reshape(n_elem, nv)
 
     vec = nodes[edges[:, 1]] - nodes[edges[:, 0]]
     lengths = np.linalg.norm(vec, axis=1)
@@ -109,29 +108,30 @@ def _connect(nodes: np.ndarray, elements: np.ndarray):
     return edges, edge_elems, elem_edges, normals, lengths, boundary
 
 
+def _grid(N: int, box):
+    """Nodes of the (N+1) x (N+1) grid, x fastest, and the lower-left node
+    id of each cell, row by row."""
+    x0, x1, y0, y1 = box
+    X, Y = np.meshgrid(np.linspace(x0, x1, N + 1), np.linspace(y0, y1, N + 1),
+                       indexing="xy")
+    nodes = np.column_stack([X.ravel(), Y.ravel()])
+    j, i = np.divmod(np.arange(N * N, dtype=np.int64), N)
+    return nodes, j * (N + 1) + i
+
+
 def build_uniform_tri(N: int, box=(-1.0, 1.0, -1.0, 1.0)) -> UnfittedMesh:
     """N x N grid of congruent cells, each split along its top-left/bottom-right
     diagonal; 2*N^2 right triangles, 3*N^2 + 2*N edges."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    x0, x1, y0, y1 = box
-    xs = np.linspace(x0, x1, N + 1)
-    ys = np.linspace(y0, y1, N + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(i, j):
-        return j * (N + 1) + i
-
-    elements = []
-    for j in range(N):
-        for i in range(N):
-            p00, p10 = nid(i, j), nid(i + 1, j)
-            p01, p11 = nid(i, j + 1), nid(i + 1, j + 1)
-            elements.append((p00, p10, p01))   # below the p10-p01 diagonal
-            elements.append((p10, p11, p01))   # above it
-    elements = np.array(elements, dtype=np.int64)
+    nodes, p00 = _grid(N, box)
+    p10, p01 = p00 + 1, p00 + N + 1
+    p11 = p01 + 1
+    # below the p10-p01 diagonal, then above it
+    elements = np.stack([np.column_stack([p00, p10, p01]),
+                         np.column_stack([p10, p11, p01])], axis=1).reshape(-1, 3)
     edges, edge_elems, elem_edges, normals, lengths, boundary = _connect(nodes, elements)
+    x0, x1, y0, y1 = box
     hx = (x1 - x0) / N
     hy = (y1 - y0) / N
     return UnfittedMesh("tri", nodes, elements, edges, edge_elems, elem_edges,
@@ -143,21 +143,11 @@ def build_uniform_rect(N: int, box=(-1.0, 1.0, -1.0, 1.0)) -> UnfittedMesh:
     """N x N congruent axis-aligned rectangles, 2*N*(N+1) edges."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    x0, x1, y0, y1 = box
-    xs = np.linspace(x0, x1, N + 1)
-    ys = np.linspace(y0, y1, N + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-
-    def nid(i, j):
-        return j * (N + 1) + i
-
-    elements = []
-    for j in range(N):
-        for i in range(N):
-            elements.append((nid(i, j), nid(i + 1, j), nid(i + 1, j + 1), nid(i, j + 1)))
-    elements = np.array(elements, dtype=np.int64)
+    nodes, p00 = _grid(N, box)
+    p01 = p00 + N + 1
+    elements = np.column_stack([p00, p00 + 1, p01 + 1, p01])
     edges, edge_elems, elem_edges, normals, lengths, boundary = _connect(nodes, elements)
+    x0, x1, y0, y1 = box
     hx = (x1 - x0) / N
     hy = (y1 - y0) / N
     return UnfittedMesh("rect", nodes, elements, edges, edge_elems, elem_edges,

@@ -287,7 +287,7 @@ class TestSolver:
                                np.arange(n), np.array([], dtype=int),
                                np.array([]), n)
         x, it = solve_spd(sys_)
-        assert it == 1
+        assert it == 0
         assert np.allclose(x, b, atol=1e-15)
 
     def test_two_by_two_analytic(self):
@@ -304,6 +304,15 @@ class TestSolver:
         with pytest.raises(SolverError, match="not SPD"):
             solve_spd(sys_)
 
+    def test_indefinite_with_positive_energy_detected(self):
+        """x.Ax = 6 > 0 at the solution x = (1, 1), so no curvature test on
+        the solve would notice; the pivot signs do."""
+        A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        sys_ = AssembledSystem(A, np.array([3.0, 3.0]), np.arange(2),
+                               np.array([], dtype=int), np.array([]), 2)
+        with pytest.raises(SolverError, match="not SPD"):
+            solve_spd(sys_)
+
     def test_rtol_validation(self):
         A = sp.identity(2, format="csr")
         sys_ = AssembledSystem(A, np.ones(2), np.arange(2),
@@ -312,15 +321,14 @@ class TestSolver:
             solve_spd(sys_, rtol=0.0)
 
     def test_nonconvergence_reports_achieved_residual(self):
-        rng = np.random.default_rng(0)
-        M = rng.standard_normal((30, 30))
-        A = sp.csr_matrix(M @ M.T + 30 * np.eye(30))
-        sys_ = AssembledSystem(A, rng.standard_normal(30), np.arange(30),
-                               np.array([], dtype=int), np.array([]), 30)
+        """A singular matrix with a positive diagonal raises SolverError
+        carrying a residual, not the factorization's bare RuntimeError."""
+        A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        sys_ = AssembledSystem(A, np.array([1.0, 2.0]), np.arange(2),
+                               np.array([], dtype=int), np.array([]), 2)
         with pytest.raises(SolverError) as exc:
-            solve_spd(sys_, rtol=1e-14, maxit=2)
+            solve_spd(sys_)
         assert exc.value.residual is not None and exc.value.residual > 0
-        assert exc.value.iterations == 2
 
     def test_example1_n64_residual_recheck(self):
         prob = example1(10.0, 1000.0)
@@ -329,7 +337,7 @@ class TestSolver:
         x, it = solve_spd(sys_, rtol=1e-12)
         res = np.linalg.norm(sys_.rhs - sys_.matrix @ x) / np.linalg.norm(sys_.rhs)
         assert res <= 1e-11
-        assert 0 < it < 200 * np.sqrt(len(sys_.rhs)) + 10000
+        assert it == 0
 
 
 class TestRotatedBilinearSolve:
@@ -374,7 +382,7 @@ class TestBoundaryInterfaceEdges:
         assert boundary_iface, "expected interface edges on the domain boundary"
         sys_ = assemble(ctx, "new")
         x, it = solve_spd(sys_)
-        assert it > 0
+        assert it == 0
         res = np.linalg.norm(sys_.rhs - sys_.matrix @ x)
         assert res <= 1e-11 * np.linalg.norm(sys_.rhs)
 
@@ -394,7 +402,7 @@ class TestNonhomogeneousJumps:
         ctx = build_context(prob, build_uniform_tri(8), "cr")
         dofs, correction, iters = solve(ctx, "new")
         assert correction is not None and len(correction) == len(ctx.layout.cuts)
-        assert iters > 0
+        assert iters == 0
 
     def test_homogeneous_problem_has_no_correction(self):
         prob = example3()

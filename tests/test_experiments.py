@@ -1,5 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
+from ifelab import experiments
 
 from ifelab.assembly import build_context
 from ifelab.experiments import (
@@ -13,7 +17,7 @@ from ifelab.experiments import (
 from ifelab.geometry import LevelSet
 from ifelab.ife_space import interpolate_ife
 from ifelab.mesh import build_uniform_tri
-from ifelab.problems import ProblemSpec, example3
+from ifelab.problems import ProblemSpec, ValidationError, example1, example3
 
 
 def quadratic_far_problem():
@@ -143,6 +147,27 @@ class TestRunConvergence:
         t = interpolation_convergence(example3(), "cr", [8, 16])
         assert all(r.l2 <= 1e-10 for r in t.rows)
         assert all(r.iters == 0 for r in t.rows)
+
+    def test_renamed_copy_validated_after_original(self):
+        """A spec derived from a validated one keeps its name but not its
+        validation: a wrong source term is caught, not solved."""
+        prob = example1()
+        run_convergence(prob, "new", "cr", [8])
+        wrong = dataclasses.replace(prob, f_plus=lambda x: prob.f_plus(x) + 1.0)
+        assert wrong.name == prob.name
+        with pytest.raises(ValidationError):
+            run_convergence(wrong, "new", "cr", [8])
+
+    def test_same_spec_validated_once(self, monkeypatch):
+        calls = []
+        real = experiments.validate
+        monkeypatch.setattr(experiments, "validate",
+                            lambda p: calls.append(p) or real(p))
+        prob = example3()
+        run_convergence(prob, "new", "cr", [4])
+        run_convergence(prob, "plain", "cr", [4])
+        interpolation_convergence(prob, "cr", [4])
+        assert calls == [prob]
 
 
 class TestBasisStress:

@@ -6,6 +6,77 @@ from ifelab.geometry import INTERFACE, LevelSet
 from ifelab.mesh import build_uniform_rect, build_uniform_tri, interface_edges
 
 
+def reference_elements(kind, N):
+    """Element table built cell by cell, row by row."""
+    def nid(i, j):
+        return j * (N + 1) + i
+
+    elements = []
+    for j in range(N):
+        for i in range(N):
+            p00, p10 = nid(i, j), nid(i + 1, j)
+            p01, p11 = nid(i, j + 1), nid(i + 1, j + 1)
+            if kind == "tri":
+                elements.append((p00, p10, p01))
+                elements.append((p10, p11, p01))
+            else:
+                elements.append((p00, p10, p11, p01))
+    return np.array(elements, dtype=np.int64)
+
+
+def reference_connect(nodes, elements):
+    """Edge tables by a dictionary walk over each element's local edges."""
+    n_elem, nv = elements.shape
+    edge_ids: dict = {}
+    edges = []
+    edge_elems = []
+    elem_edges = np.empty((n_elem, nv), dtype=np.int64)
+    for e in range(n_elem):
+        conn = elements[e]
+        for i in range(nv):
+            a, b = int(conn[i]), int(conn[(i + 1) % nv])
+            key = (a, b) if a < b else (b, a)
+            eid = edge_ids.get(key)
+            if eid is None:
+                eid = len(edges)
+                edge_ids[key] = eid
+                edges.append((a, b))
+                edge_elems.append([e, -1])
+            else:
+                edge_elems[eid][1] = e
+            elem_edges[e, i] = eid
+    edges = np.array(edges, dtype=np.int64)
+    edge_elems = np.array(edge_elems, dtype=np.int64)
+
+    vec = nodes[edges[:, 1]] - nodes[edges[:, 0]]
+    lengths = np.linalg.norm(vec, axis=1)
+    normals = np.column_stack([vec[:, 1], -vec[:, 0]]) / lengths[:, None]
+    c1 = nodes[elements[edge_elems[:, 0]]].mean(axis=1)
+    mid = 0.5 * (nodes[edges[:, 0]] + nodes[edges[:, 1]])
+    flip = np.einsum("ij,ij->i", normals, mid - c1) < 0
+    normals[flip] *= -1.0
+    boundary = edge_elems[:, 1] < 0
+    return edges, edge_elems, elem_edges, normals, lengths, boundary
+
+
+@pytest.mark.parametrize("kind,build", [("tri", build_uniform_tri),
+                                        ("rect", build_uniform_rect)])
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 16])
+def test_tables_match_reference_walk(kind, build, N):
+    """The vectorised tables equal the element-by-element construction bit
+    for bit: same edge numbering, orientation, adjacency and normals."""
+    m = build(N)
+    elements = reference_elements(kind, N)
+    assert m.elements.dtype == elements.dtype
+    assert np.array_equal(m.elements, elements)
+    names = ("edges", "edge_elems", "elem_edges", "edge_normals", "edge_lengths",
+             "boundary_edges")
+    for name, want in zip(names, reference_connect(m.nodes, elements)):
+        got = getattr(m, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
 class TestTriMesh:
     def test_counts_n1(self):
         m = build_uniform_tri(1, (0, 1, 0, 1))
