@@ -92,7 +92,6 @@ class Context:
     mesh: UnfittedMesh
     layout: CutLayout
     kind: str
-    bases: Dict[int, LocalIFEBasis]
     elem_ctx: Dict[int, ElementCtx]
     classes: List[ClassCtx]
     volume_degree: int = 6
@@ -154,25 +153,21 @@ def _build_class_ctx(mesh, ids, kind, degree) -> ClassCtx:
 
 def build_context(prob, mesh: UnfittedMesh, kind: str,
                   layout: Optional[CutLayout] = None,
-                  volume_degree: int = 6, edge_npts: int = 5,
-                  cr_path: str = "closed_form") -> Context:
+                  volume_degree: int = 6, edge_npts: int = 5) -> Context:
     """Classify the mesh against the problem's interface and cache local data.
 
-    cr_path selects the triangle basis construction ('closed_form' or
-    'dense'); rectangles always use the dense solve.
+    Triangles take the closed-form immersed basis, rectangles the dense solve.
     """
     if layout is None:
         layout = build_layout(mesh, prob.levelset)
-    bases: Dict[int, LocalIFEBasis] = {}
     elem_ctx: Dict[int, ElementCtx] = {}
     for e, cut in layout.cuts.items():
         bp = float(prob.beta_plus(cut.x_p))
         bm = float(prob.beta_minus(cut.x_p))
-        if kind == CR and cr_path == "closed_form":
+        if kind == CR:
             basis = ife_local_basis_cr_sm(cut, bp, bm)
         else:
             basis = ife_local_basis_direct(cut, kind, bp, bm, kappa=mesh.kappa)
-        bases[e] = basis
         elem_ctx[e] = _build_element_ctx(prob, cut, basis, volume_degree)
 
     classes = []
@@ -180,7 +175,7 @@ def build_context(prob, mesh: UnfittedMesh, kind: str,
         ids = ids[layout.classes[ids] != INTERFACE]
         if ids.size:
             classes.append(_build_class_ctx(mesh, ids, kind, volume_degree))
-    return Context(prob, mesh, layout, kind, bases, elem_ctx, classes,
+    return Context(prob, mesh, layout, kind, elem_ctx, classes,
                    volume_degree, edge_npts)
 
 
@@ -190,194 +185,136 @@ def build_context(prob, mesh: UnfittedMesh, kind: str,
 
 @dataclass
 class LiftingBlock:
-    """Per-edge data for the jump lifting and the consistency term.
+    """Trace table and lifting data of one interface edge.
 
-    T_mat[k, a] = int_e {beta w_k . n_e} [phi_a]  (moments of basis jumps)
+    The edge quadrature is built once, concatenated over the sub-segments the
+    interface crossing splits the edge into; every edge term is a product
+    against these arrays (W = diag(wq), avg = 1/2, or 1 on a boundary edge):
+
+    pts, wq     (nq, 2) points and (nq,) weights
+    sides, beta (n_elem, nq) chord side of each adjacent element and its
+                coefficient at every point (one side per sub-segment)
+    psi         (dim, nq) weighted normal traces avg beta w_k . n_e of the
+                gradient-space fields w_k = grad(phi_k) of both elements
+    jump        (n_union, nq) basis jumps [phi_a] of the union DOFs
+    T_mat[k, a] = int_e {beta w_k . n_e} [phi_a] = psi W jump^T
+    J           = int_e [phi_a][phi_b] = jump W jump^T
+    P           = int_e psi_k psi_l = psi W psi^T
     D_mat[k, a] = coefficient of w_k in grad(phi_a) on its element
-    M           = int beta w_k . w_l over the adjacent elements
+    M, G        = beta-weighted and unweighted int w_k . w_l over the
+                adjacent elements (block diagonal)
+    beta_gamma  max beta+-(x_gamma) at the interface crossing, the scale of
+                the default ppifem penalty
     """
 
     edge_id: int
     elements: Tuple[int, ...]
     union_dofs: np.ndarray
+    pts: np.ndarray
+    wq: np.ndarray
+    sides: np.ndarray
+    beta: np.ndarray
+    psi: np.ndarray
+    jump: np.ndarray
     T_mat: np.ndarray
     D_mat: np.ndarray
     M: np.ndarray
     G: np.ndarray
-    J: np.ndarray            # int_e [phi_a][phi_b]
-    P: np.ndarray            # int_e psi_k psi_l (trace Gram of the moments)
+    J: np.ndarray
+    P: np.ndarray
     length: float
     x_gamma: np.ndarray
+    beta_gamma: Optional[float]
 
     def lift(self, moments: np.ndarray) -> np.ndarray:
         """Gradient-space coefficients of the lifted trace with given moments."""
         return np.linalg.solve(self.M, moments)
 
 
-def _edge_trace_data(ctx: Context, eid: int):
-    """Gauss points per sub-segment of an interface edge with side flags."""
-    mesh = ctx.mesh
-    a = mesh.nodes[mesh.edges[eid, 0]]
-    b = mesh.nodes[mesh.edges[eid, 1]]
-    split = ctx.layout.edge_splits.get(int(eid))
-    rule = segment_rule(ctx.edge_npts)
-    segs = [(a, b)] if split is None else [(a, split), (split, b)]
-    out = []
-    for p, q in segs:
-        seg_len = float(np.linalg.norm(q - p))
-        if seg_len == 0.0:
-            continue
-        pts = p + rule.points * (q - p)
-        out.append((pts, rule.weights * seg_len))
-    return out
+def _piecewise(pieces, sides: np.ndarray, pts: np.ndarray, grad: bool) -> np.ndarray:
+    """Values (or gradients) at pts of the (plus, minus) piece given by sides."""
+    if grad:
+        return np.where((sides > 0)[:, None], pieces[0].grad(pts), pieces[1].grad(pts))
+    return np.where(sides > 0, pieces[0].value(pts), pieces[1].value(pts))
 
 
-def build_lifting_block(ctx: Context, eid: int, w_fields=None) -> LiftingBlock:
-    """Assemble the lifting data of one interface edge.
+def build_lifting_block(ctx: Context, eid: int) -> LiftingBlock:
+    """Build the trace table of one interface edge and its lifting data.
 
-    w_fields optionally overrides the gradient-space basis per element as a
-    list of (plus_eval, minus_eval) pairs mapping points to vectors; the
-    default is the gradients of the element's immersed basis functions.
+    This is the only pass over the edge: the quadrature is laid out once, the
+    chord side of each adjacent element is decided once per sub-segment, beta
+    is evaluated once, and T_mat, J, P, lift_trace and the jump-correction
+    action are all products against the stored arrays.
     """
     mesh = ctx.mesh
     adj = [int(t) for t in mesh.edge_elems[eid] if t >= 0]
-    boundary = len(adj) == 1
-    avg = 1.0 if boundary else 0.5
     n_e = mesh.edge_normals[eid]
-    segs = _edge_trace_data(ctx, eid)
-
-    elems = []
     for t in adj:
         if t not in ctx.elem_ctx:
             raise AssemblyError(f"edge {eid}: element {t} carries no cut data")
-        elems.append((t, ctx.elem_ctx[t]))
+    ecs = [ctx.elem_ctx[t] for t in adj]
 
-    # union of the adjacent elements' DOFs
     union: List[int] = []
-    pos: Dict[int, int] = {}
-    owners = []
-    for sgn, (t, ec) in zip((1.0, -1.0), elems):
-        dofs = mesh.elem_edges[t]
-        loc = []
-        for d in dofs:
-            d = int(d)
-            if d not in pos:
-                pos[d] = len(union)
-                union.append(d)
-            loc.append(pos[d])
-        owners.append((sgn, t, ec, np.array(loc)))
-    n_union = len(union)
+    for t in adj:
+        union += [int(d) for d in mesh.elem_edges[t] if int(d) not in union]
+    locs = [[union.index(int(d)) for d in mesh.elem_edges[t]] for t in adj]
 
-    blocks = []
-    dim = 0
-    for _, t, ec, _ in owners:
-        if w_fields is None:
-            m = ec.basis.n_dofs
-            fields = [(ec.basis.funcs[k][0].grad, ec.basis.funcs[k][1].grad)
-                      for k in range(m - 1)]
-        else:
-            fields = w_fields[t]
-        blocks.append(fields)
-        dim += len(fields)
+    x_gamma = ctx.layout.edge_splits.get(int(eid))
+    ends = [mesh.nodes[mesh.edges[eid, 0]], mesh.nodes[mesh.edges[eid, 1]]]
+    if x_gamma is not None:
+        ends.insert(1, x_gamma)
+    rule = segment_rule(ctx.edge_npts)
+    seg_pts, seg_wts = [], []
+    for p, q in zip(ends, ends[1:]):
+        seg_len = float(np.linalg.norm(q - p))
+        if seg_len > 0.0:
+            seg_pts.append(p + rule.points * (q - p))
+            seg_wts.append(rule.weights * seg_len)
+    pts = np.concatenate(seg_pts)
+    wq = np.concatenate(seg_wts)
+    mids = np.array([seg.mean(axis=0) for seg in seg_pts])
+    sides = np.array([np.repeat(ctx.layout.cuts[t].side_of(mids), len(rule.weights))
+                      for t in adj])
+    xs = pts if x_gamma is None else np.vstack([pts, x_gamma])
+    bp, bm = ctx.prob.beta_plus(xs), ctx.prob.beta_minus(xs)
+    beta = np.where(sides > 0, bp[:len(wq)], bm[:len(wq)])
+    beta_gamma = None if x_gamma is None else max(float(bp[-1]), float(bm[-1]))
 
-    # M: block-diagonal volume Gram of the w fields
+    dim = sum(ec.basis.n_dofs - 1 for ec in ecs)
+    avg = 1.0 if len(adj) == 1 else 0.5
     M = np.zeros((dim, dim))
     G = np.zeros((dim, dim))
+    D_mat = np.zeros((dim, len(union)))
+    psi = np.zeros((dim, len(wq)))
+    jump = np.zeros((len(union), len(wq)))
     off = 0
-    for (_, t, ec, _), fields in zip(owners, blocks):
-        nb = len(fields)
-        if w_fields is None:
-            M[off:off + nb, off:off + nb] = ec.M
-            G[off:off + nb, off:off + nb] = ec.G
-        else:
-            for k in range(nb):
-                for l in range(k, nb):
-                    vp = np.einsum("qi,qi->q", np.asarray(fields[k][0](ec.qp), float),
-                                   np.asarray(fields[l][0](ec.qp), float))
-                    vm = np.einsum("qi,qi->q", np.asarray(fields[k][1](ec.qm), float),
-                                   np.asarray(fields[l][1](ec.qm), float))
-                    M[off + k, off + l] = M[off + l, off + k] = \
-                        ec.wp @ (ec.beta_p * vp) + ec.wm @ (ec.beta_m * vm)
-                    G[off + k, off + l] = G[off + l, off + k] = ec.wp @ vp + ec.wm @ vm
+    for sgn, ec, loc, side, beta_t in zip((1.0, -1.0), ecs, locs, sides, beta):
+        funcs = ec.basis.funcs
+        nb = len(funcs) - 1
+        M[off:off + nb, off:off + nb] = ec.M
+        G[off:off + nb, off:off + nb] = ec.G
+        D_mat[off:off + nb, loc] = ec.C.T
+        for k in range(nb):
+            psi[off + k] = avg * beta_t * (_piecewise(funcs[k], side, pts, True) @ n_e)
+        for a in range(len(funcs)):
+            jump[loc[a]] += sgn * _piecewise(funcs[a], side, pts, False)
         off += nb
 
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e12:
         raise AssemblyError(f"lifting Gram matrix ill-conditioned on edge {eid} "
                             f"(cond={cond:.2e})")
-
-    # traces along the edge: psi_k = avg * beta * (w_k . n_e), jump values of
-    # basis functions, and the PPIFEM jump products
-    T_mat = np.zeros((dim, n_union))
-    D_mat = np.zeros((dim, n_union))
-    J = np.zeros((n_union, n_union))
-    psi_chunks = []
-    jump_chunks = []
-    wq_chunks = []
-    for pts, wts in segs:
-        psi = np.zeros((dim, len(wts)))
-        off = 0
-        for (sgn, t, ec, loc), fields in zip(owners, blocks):
-            cut = ctx.layout.cuts[t]
-            side = int(cut.side_of(pts.mean(axis=0)))
-            beta = (ctx.prob.beta_plus(pts) if side > 0 else ctx.prob.beta_minus(pts))
-            for k, f in enumerate(fields):
-                w = np.asarray(f[0](pts) if side > 0 else f[1](pts), float)
-                psi[off + k] = avg * beta * (w @ n_e)
-            off += len(fields)
-        jump = np.zeros((n_union, len(wts)))
-        for sgn, t, ec, loc in owners:
-            cut = ctx.layout.cuts[t]
-            side = int(cut.side_of(pts.mean(axis=0)))
-            for a in range(ec.basis.n_dofs):
-                piece = ec.basis.funcs[a][0 if side > 0 else 1]
-                jump[loc[a]] += sgn * piece.value(pts)
-        T_mat += psi @ (wts[:, None] * jump.T)
-        J += jump @ (wts[:, None] * jump.T)
-        psi_chunks.append(psi)
-        jump_chunks.append(jump)
-        wq_chunks.append(wts)
-
-    P = np.zeros((dim, dim))
-    for psi, wts in zip(psi_chunks, wq_chunks):
-        P += psi @ (wts[:, None] * psi.T)
-
-    off = 0
-    for (sgn, t, ec, loc), fields in zip(owners, blocks):
-        if w_fields is None:
-            for a in range(ec.basis.n_dofs):
-                D_mat[off:off + len(fields), loc[a]] += ec.C[a]
-        off += len(fields)
-
-    x_gamma = ctx.layout.edge_splits.get(int(eid))
-    return LiftingBlock(int(eid), tuple(t for t, _ in elems), np.array(union),
-                        T_mat, D_mat, M, G, J, P,
-                        float(mesh.edge_lengths[eid]), x_gamma)
+    psi_w = psi * wq
+    return LiftingBlock(int(eid), tuple(adj), np.array(union), pts, wq, sides, beta,
+                        psi, jump, psi_w @ jump.T, D_mat, M, G,
+                        (jump * wq) @ jump.T, psi_w @ psi.T,
+                        float(mesh.edge_lengths[eid]), x_gamma, beta_gamma)
 
 
 def lift_trace(ctx: Context, block: LiftingBlock, trace: Callable) -> np.ndarray:
     """Lift a scalar edge trace: returns gradient-space coefficients solving
     int beta r_e . w = int_e {beta w . n_e} trace for every w."""
-    mesh = ctx.mesh
-    n_e = mesh.edge_normals[block.edge_id]
-    segs = _edge_trace_data(ctx, block.edge_id)
-    dim = block.M.shape[0]
-    b = np.zeros(dim)
-    avg = 1.0 if len(block.elements) == 1 else 0.5
-    for pts, wts in segs:
-        tv = np.asarray(trace(pts), float)
-        off = 0
-        for t in block.elements:
-            ec = ctx.elem_ctx[t]
-            cut = ctx.layout.cuts[t]
-            side = int(cut.side_of(pts.mean(axis=0)))
-            beta = (ctx.prob.beta_plus(pts) if side > 0 else ctx.prob.beta_minus(pts))
-            nb = ec.basis.n_dofs - 1
-            for k in range(nb):
-                w = ec.basis.funcs[k][0 if side > 0 else 1].grad(pts)
-                b[off + k] += wts @ (avg * beta * (w @ n_e) * tv)
-            off += nb
-    return block.lift(b)
+    return block.lift(block.psi @ (block.wq * np.asarray(trace(block.pts), float)))
 
 
 def lifted_field(ctx: Context, block: LiftingBlock, coeffs: np.ndarray,
@@ -445,22 +382,32 @@ def _volume_triplets(ctx: Context):
     return rows, cols, data
 
 
+def _edge_form(block: LiftingBlock, method: str, eta: Optional[float],
+               moments, fluxes, jumps):
+    """Interface-edge terms of one method against every union basis function.
+
+    The trial field u enters through moments = psi W [u], fluxes =
+    [phi] W {beta grad(u) . n_e} and jumps = [phi] W [u]. The consistency
+    term is -(fluxes + D^T moments); the stabilization is 4 T^T M^-1 moments
+    for 'new' and (eta_e/|e|) jumps for 'ppifem', with eta_e defaulting to
+    10 beta_gamma = 10 max beta+-(x_gamma).
+    """
+    out = -(fluxes + block.D_mat.T @ moments)
+    if method == "new":
+        return out + 4.0 * block.T_mat.T @ np.linalg.solve(block.M, moments)
+    if eta is None:
+        eta = 10.0 * block.beta_gamma
+    return out + (eta / block.length) * jumps
+
+
 def _edge_local_matrices(ctx: Context, method: str, eta: Optional[float]):
     """Consistency + stabilization contributions per interface edge."""
     out = []
     for eid in ctx.layout.interface_edges:
         block = build_lifting_block(ctx, int(eid))
-        B = -(block.D_mat.T @ block.T_mat + block.T_mat.T @ block.D_mat)
-        if method == "new":
-            S = 4.0 * block.T_mat.T @ np.linalg.solve(block.M, block.T_mat)
-        else:  # ppifem
-            eta_e = eta
-            if eta_e is None:
-                xg = block.x_gamma
-                eta_e = 10.0 * max(float(ctx.prob.beta_plus(xg)),
-                                   float(ctx.prob.beta_minus(xg)))
-            S = (eta_e / block.length) * block.J
-        out.append((block.union_dofs, B + S, block))
+        mat = _edge_form(block, method, eta, block.T_mat,
+                         block.T_mat.T @ block.D_mat, block.J)
+        out.append((block.union_dofs, mat, block))
     return out
 
 
@@ -578,67 +525,20 @@ def _subtract_correction_action(ctx: Context, b, method, eta, correction, edge_b
     if edge_blocks is None:
         edge_blocks = [build_lifting_block(ctx, int(eid))
                        for eid in ctx.layout.interface_edges]
-    n_e_all = ctx.mesh.edge_normals
     for block in edge_blocks:
-        eid = block.edge_id
-        n_e = n_e_all[eid]
-        segs = _edge_trace_data(ctx, eid)
+        # jump of uJ and average of its weighted normal derivative
+        n_e = mesh.edge_normals[block.edge_id]
         avg = 1.0 if len(block.elements) == 1 else 0.5
-        dim = block.M.shape[0]
-        n_union = len(block.union_dofs)
-        tJ = np.zeros(dim)       # moments of [uJ]
-        bJ = np.zeros(n_union)   # int {beta grad(uJ) . n} [phi_a]
-        jJ = np.zeros(n_union)   # int [uJ][phi_a]
-        for pts, wts in segs:
-            # jump of uJ and average of its weighted normal derivative
-            juJ = np.zeros(len(wts))
-            avgJ = np.zeros(len(wts))
-            for sgn, t in zip((1.0, -1.0), block.elements):
-                cut = ctx.layout.cuts[t]
-                side = int(cut.side_of(pts.mean(axis=0)))
-                beta = (ctx.prob.beta_plus(pts) if side > 0
-                        else ctx.prob.beta_minus(pts))
-                jp, jm = correction.get(t, (None, None))
-                if jp is None:
-                    continue
-                piece = jp if side > 0 else jm
-                juJ += sgn * piece.value(pts)
-                avgJ += avg * beta * (piece.grad(pts) @ n_e)
-            # psi moments of [uJ]
-            off = 0
-            for t in block.elements:
-                ec = ctx.elem_ctx[t]
-                cut = ctx.layout.cuts[t]
-                side = int(cut.side_of(pts.mean(axis=0)))
-                beta = (ctx.prob.beta_plus(pts) if side > 0
-                        else ctx.prob.beta_minus(pts))
-                nb = ec.basis.n_dofs - 1
-                for k in range(nb):
-                    w = ec.basis.funcs[k][0 if side > 0 else 1].grad(pts)
-                    tJ[off + k] += wts @ (avg * beta * (w @ n_e) * juJ)
-                off += nb
-            # basis jumps against [uJ] and against avgJ
-            for sgn, t in zip((1.0, -1.0), block.elements):
-                ec = ctx.elem_ctx[t]
-                cut = ctx.layout.cuts[t]
-                side = int(cut.side_of(pts.mean(axis=0)))
-                loc = [int(np.nonzero(block.union_dofs == d)[0][0])
-                       for d in mesh.elem_edges[t]]
-                for a in range(ec.basis.n_dofs):
-                    pv = ec.basis.funcs[a][0 if side > 0 else 1].value(pts)
-                    bJ[loc[a]] += wts @ (avgJ * sgn * pv)
-                    jJ[loc[a]] += wts @ (juJ * sgn * pv)
-
-        contrib = -(bJ + block.D_mat.T @ tJ)  # b_h(uJ, phi)
-        if method == "new":
-            contrib += 4.0 * block.T_mat.T @ np.linalg.solve(block.M, tJ)
-        else:
-            eta_e = eta
-            if eta_e is None:
-                xg = block.x_gamma
-                eta_e = 10.0 * max(float(ctx.prob.beta_plus(xg)),
-                                   float(ctx.prob.beta_minus(xg)))
-            contrib += (eta_e / block.length) * jJ
+        juJ = np.zeros(len(block.wq))
+        avgJ = np.zeros(len(block.wq))
+        for sgn, t, side, beta in zip((1.0, -1.0), block.elements, block.sides, block.beta):
+            if t not in correction:
+                continue
+            juJ += sgn * _piecewise(correction[t], side, block.pts, False)
+            avgJ += avg * beta * (_piecewise(correction[t], side, block.pts, True) @ n_e)
+        wjuJ = block.wq * juJ
+        contrib = _edge_form(block, method, eta, block.psi @ wjuJ,
+                             block.jump @ (block.wq * avgJ), block.jump @ wjuJ)
         b[block.union_dofs] -= contrib
 
 
@@ -646,7 +546,7 @@ def build_jump_correction(ctx: Context) -> Dict[int, tuple]:
     """Per-element correction fields for nonhomogeneous interface jumps."""
     out = {}
     for e, cut in ctx.layout.cuts.items():
-        basis = ctx.bases[e]
+        basis = ctx.elem_ctx[e].basis
         out[e] = jump_correction_local(cut, ctx.kind, basis.beta_c_plus,
                                        basis.beta_c_minus, ctx.prob.g_D,
                                        ctx.prob.g_N, kappa=ctx.mesh.kappa)

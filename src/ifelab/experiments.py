@@ -13,6 +13,8 @@ from .assembly import Context, build_context, solve
 from .geometry import cut_from_chord
 from .ife_space import (
     CR,
+    _split_edges,
+    edge_mean_of,
     ife_local_basis_cr_sm,
     ife_local_basis_direct,
     interpolate_ife,
@@ -299,14 +301,9 @@ def _triangle_max_angle(tri):
 
 
 def _delta_residual(basis, npts: int = 5) -> float:
-    from .ife_space import edge_mean_of
-    cut = basis.cut
-    verts = cut.vertices
+    verts = basis.cut.vertices
     nv = len(verts)
-    splits = {}
-    if cut.loc_d[0] == "edge":
-        splits[cut.loc_d[1]] = cut.D
-    splits[cut.loc_e[1]] = cut.E
+    splits = _split_edges(basis.cut)
     worst = 0.0
     for i in range(basis.n_dofs):
         for j in range(nv):

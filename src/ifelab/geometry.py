@@ -193,11 +193,6 @@ class CutElement:
         return np.where(s >= 0.0, 1, -1)
 
 
-def side_of_cut(x, cut: CutElement):
-    """Side of the chord line through a cut element; points on it count as +."""
-    return cut.side_of(x)
-
-
 def element_size(vertices: np.ndarray) -> float:
     v = np.asarray(vertices, float)
     d = v[:, None, :] - v[None, :, :]

@@ -64,11 +64,6 @@ class LocalPoly:
         return LocalPoly(a, self.b + gx, self.c + gy, self.d, self.center, self.kappa)
 
 
-def d_functional(p: LocalPoly) -> float:
-    """Half the second x1-derivative: the rotated-bilinear curvature coefficient."""
-    return float(p.d)
-
-
 def poly_combine(coeffs, polys: List[LocalPoly]) -> LocalPoly:
     a = sum(c * p.a for c, p in zip(coeffs, polys))
     b = sum(c * p.b for c, p in zip(coeffs, polys))
@@ -283,16 +278,16 @@ def _common_vertex(e1: int, e2: int, nv: int) -> int:
     return common.pop()
 
 
-def ife_local_basis_cr_sm(cut: CutElement, beta_c_plus: float,
-                          beta_c_minus: float) -> LocalIFEBasis:
-    """Closed-form construction on triangles via a rank-one update.
+def _sm_preamble(cut: CutElement):
+    """Geometry shared by the closed form and its stress checks.
 
-    The piece on the sub-triangle cut off by the chord is the other piece
-    plus a multiple of the chord's normal coordinate; the remaining 2x2
-    system is inverted in closed form. Valid on arbitrary triangles.
+    Returns (e1, e2, e3, A3, lt, gamma, k, delta, sigma_iso): e1 and e2 are
+    the local edges carrying D and E, e3 the uncut edge, A3 the vertex common
+    to e1 and e2, lt the standard basis functions of (e1, e2, e3),
+    gamma_i = grad(lt_i) . n_h, k_i = |A3 - D| / |e1| and |A3 - E| / |e2|,
+    delta = (L_A3 / 2) k with L_A3 the signed distance of A3 from the chord,
+    and sigma_iso the side of A3.
     """
-    if beta_c_plus <= 0 or beta_c_minus <= 0:
-        raise ValueError("coefficients must be positive")
     verts = cut.vertices
     if len(verts) != 3:
         raise ValueError("closed-form path is for triangles")
@@ -307,8 +302,7 @@ def ife_local_basis_cr_sm(cut: CutElement, beta_c_plus: float,
         e1 = cands[0]
     e2 = je
     e3 = ({0, 1, 2} - {e1, e2}).pop()
-    a3 = _common_vertex(e1, e2, 3)
-    A3 = verts[a3]
+    A3 = verts[_common_vertex(e1, e2, 3)]
 
     lam = standard_local_basis(verts, CR)
     lt = [lam[e1], lam[e2], lam[e3]]
@@ -316,11 +310,24 @@ def ife_local_basis_cr_sm(cut: CutElement, beta_c_plus: float,
     gamma = np.array([lt[0].grad(A3) @ n_h, lt[1].grad(A3) @ n_h])
     L_A3 = float(n_h @ (A3 - cut.D))
     edge_len = [np.linalg.norm(verts[(i + 1) % 3] - verts[i]) for i in range(3)]
-    delta = 0.5 * L_A3 * np.array([
-        np.linalg.norm(A3 - cut.D) / edge_len[e1],
-        np.linalg.norm(A3 - cut.E) / edge_len[e2]])
+    k = np.array([np.linalg.norm(A3 - cut.D) / edge_len[e1],
+                  np.linalg.norm(A3 - cut.E) / edge_len[e2]])
+    delta = 0.5 * L_A3 * k
+    return e1, e2, e3, A3, lt, gamma, k, delta, int(cut.side_of(A3))
 
-    sigma_iso = int(cut.side_of(A3))
+
+def ife_local_basis_cr_sm(cut: CutElement, beta_c_plus: float,
+                          beta_c_minus: float) -> LocalIFEBasis:
+    """Closed-form construction on triangles via a rank-one update.
+
+    The piece on the sub-triangle cut off by the chord is the other piece
+    plus a multiple of the chord's normal coordinate; the remaining 2x2
+    system is inverted in closed form. Valid on arbitrary triangles.
+    """
+    if beta_c_plus <= 0 or beta_c_minus <= 0:
+        raise ValueError("coefficients must be positive")
+    e1, e2, e3, A3, lt, gamma, _, delta, sigma_iso = _sm_preamble(cut)
+    n_h = cut.n_h
     beta_iso = beta_c_plus if sigma_iso > 0 else beta_c_minus
     beta_quad = beta_c_minus if sigma_iso > 0 else beta_c_plus
     rprime = beta_quad / beta_iso - 1.0
@@ -351,34 +358,18 @@ def ife_local_basis_cr_sm(cut: CutElement, beta_c_plus: float,
 
 
 def sm_geometry_checks(cut: CutElement, beta_c_plus: float, beta_c_minus: float):
-    """(gamma.delta, k1*k2, coercivity-style lower-bound margin) for stress tests."""
-    verts = cut.vertices
-    je = cut.loc_e[1]
-    if cut.loc_d[0] == "edge":
-        e1 = cut.loc_d[1]
-    else:
-        iv = cut.loc_d[1]
-        e1 = sorted({(iv - 1) % 3, iv} - {je})[0]
-    e2 = je
-    a3 = _common_vertex(e1, e2, 3)
-    A3 = verts[a3]
-    lam = standard_local_basis(verts, CR)
-    gamma = np.array([lam[e1].grad(A3) @ cut.n_h, lam[e2].grad(A3) @ cut.n_h])
-    L_A3 = float(cut.n_h @ (A3 - cut.D))
-    edge_len = [np.linalg.norm(verts[(i + 1) % 3] - verts[i]) for i in range(3)]
-    delta = 0.5 * L_A3 * np.array([
-        np.linalg.norm(A3 - cut.D) / edge_len[e1],
-        np.linalg.norm(A3 - cut.E) / edge_len[e2]])
-    k1 = np.linalg.norm(A3 - cut.D) / edge_len[e1]
-    k2 = np.linalg.norm(A3 - cut.E) / edge_len[e2]
-    gd = float(gamma @ delta)
+    """(gamma.delta, k1*k2, coercivity-style lower-bound margin) for stress tests.
 
-    sigma_iso = int(cut.side_of(A3))
+    gamma.delta comes from basis gradients and k1*k2 from edge-length ratios
+    alone, so their agreement checks the closed form's geometry.
+    """
+    *_, gamma, k, delta, sigma_iso = _sm_preamble(cut)
+    gd = float(gamma @ delta)
     beta_iso = beta_c_plus if sigma_iso > 0 else beta_c_minus
     beta_quad = beta_c_minus if sigma_iso > 0 else beta_c_plus
     ratio = beta_quad / beta_iso
     margin = (1.0 + (ratio - 1.0) * gd) - min(1.0, ratio)
-    return gd, k1 * k2, margin
+    return gd, k[0] * k[1], margin
 
 
 def edge_mean_of(func: Callable, a, b, split=None, npts: int = 5) -> float:

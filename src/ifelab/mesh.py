@@ -12,21 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cutting
-from .geometry import LevelSet
-
-
-@dataclass
-class DofMap:
-    """Edge-mean degrees of freedom: one per edge, boundary edges constrained."""
-
-    n_dofs: int
-    boundary: np.ndarray  # bool mask over dofs
-
-    @property
-    def free(self) -> np.ndarray:
-        return ~self.boundary
-
 
 @dataclass
 class UnfittedMesh:
@@ -51,10 +36,6 @@ class UnfittedMesh:
     @property
     def n_edges(self) -> int:
         return self.edges.shape[0]
-
-    @property
-    def dof_map(self) -> DofMap:
-        return DofMap(self.n_edges, self.boundary_edges.copy())
 
     def element_vertices(self, e: int) -> np.ndarray:
         return self.nodes[self.elements[e]]
@@ -153,8 +134,3 @@ def build_uniform_rect(N: int, box=(-1.0, 1.0, -1.0, 1.0)) -> UnfittedMesh:
     return UnfittedMesh("rect", nodes, elements, edges, edge_elems, elem_edges,
                         normals, lengths, boundary, N, tuple(box),
                         h=float(np.hypot(hx, hy)), kappa=hx / hy)
-
-
-def interface_edges(mesh: UnfittedMesh, ls: LevelSet) -> np.ndarray:
-    """Edge ids whose open segment carries a non-snapped interface crossing."""
-    return cutting.build_layout(mesh, ls).interface_edges

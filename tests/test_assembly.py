@@ -18,9 +18,9 @@ from ifelab.assembly import (
 )
 from ifelab.geometry import LevelSet
 from ifelab.ife_space import standard_local_basis
-from ifelab.mesh import build_uniform_tri
+from ifelab.mesh import build_uniform_rect, build_uniform_tri
 from ifelab.problems import example1, example3, example4
-from ifelab.quadrature import polygon_area, triangle_points_weights
+from ifelab.quadrature import polygon_area, segment_rule, triangle_points_weights
 
 
 def far_levelset():
@@ -218,51 +218,45 @@ class TestLifting:
         trace = lambda p: p[..., 0] - 0.3 * p[..., 1]
         eid = self.edges[1]
         block = build_lifting_block(self.ctx, eid)
-        w_fields = {}
+        n_e = self.mesh.edge_normals[eid]
+        # per element, the constant fields (plus piece, minus piece): the
+        # chord tangent, and the chord normal scaled so beta w . n_h is
+        # continuous across the chord
+        fields = {}
         for t in block.elements:
             cut = self.ctx.layout.cuts[t]
-            basis = self.ctx.bases[t]
-            t_h, n_h = cut.t_h.copy(), cut.n_h.copy()
+            basis = self.ctx.elem_ctx[t].basis
             bp, bm = basis.beta_c_plus, basis.beta_c_minus
-            const = lambda vec: (lambda p, v=vec: np.broadcast_to(
-                v, np.asarray(p, float).shape).copy())
-            w_fields[t] = [(const(t_h), const(t_h)),
-                           (const(bm * n_h), const(bp * n_h))]
-        block_o = build_lifting_block(self.ctx, eid, w_fields=w_fields)
-        offdiag = block_o.M - np.diag(np.diag(block_o.M))
-        assert np.abs(offdiag).max() <= 1e-12 * np.abs(block_o.M).max()
+            fields[t] = [(cut.t_h, cut.t_h), (bm * cut.n_h, bp * cut.n_h)]
+
+        # Gram and edge moments of those fields by direct quadrature
+        dim = 2 * len(block.elements)
+        M_o = np.zeros((dim, dim))
+        b_o = np.zeros(dim)
+        for i, t in enumerate(block.elements):
+            ec = self.ctx.elem_ctx[t]
+            side = self.ctx.layout.cuts[t].side_of(block.pts)
+            beta = np.where(side > 0, self.prob.beta_plus(block.pts),
+                            self.prob.beta_minus(block.pts))
+            for k, (wk_p, wk_m) in enumerate(fields[t]):
+                for l, (wl_p, wl_m) in enumerate(fields[t]):
+                    M_o[2 * i + k, 2 * i + l] = (ec.wp @ ec.beta_p) * (wk_p @ wl_p) \
+                        + (ec.wm @ ec.beta_m) * (wk_m @ wl_m)
+                w = np.where((side > 0)[:, None], wk_p, wk_m)
+                b_o[2 * i + k] = block.wq @ (0.5 * beta * (w @ n_e) * trace(block.pts))
+        offdiag = M_o - np.diag(np.diag(M_o))
+        assert np.abs(offdiag).max() <= 1e-12 * np.abs(M_o).max()
 
         c_grad = lift_trace(self.ctx, block, trace)
-        # moments in the orthogonal basis by direct quadrature
-        from ifelab.assembly import _edge_trace_data
-        segs = _edge_trace_data(self.ctx, eid)
-        n_e = self.mesh.edge_normals[eid]
-        b_o = np.zeros(block_o.M.shape[0])
-        off = 0
-        for t in block_o.elements:
-            cut = self.ctx.layout.cuts[t]
-            for k, f in enumerate(w_fields[t]):
-                for pts, wts in segs:
-                    side = int(cut.side_of(pts.mean(axis=0)))
-                    beta = (self.prob.beta_plus(pts) if side > 0
-                            else self.prob.beta_minus(pts))
-                    w = np.asarray(f[0](pts) if side > 0 else f[1](pts), float)
-                    b_o[off + k] += wts @ (0.5 * beta * (w @ n_e) * trace(pts))
-            off += 2
-        c_o = block_o.lift(b_o)
-        for t in block.elements:
+        c_o = np.linalg.solve(M_o, b_o)
+        for i, t in enumerate(block.elements):
             ec = self.ctx.elem_ctx[t]
-            cut = self.ctx.layout.cuts[t]
             pts = np.vstack([ec.qp, ec.qm])
             f_grad = lifted_field(self.ctx, block, c_grad, t, pts)
-            idx = block_o.elements.index(t)
-            off = 2 * idx
-            side = cut.side_of(pts)
+            side = self.ctx.layout.cuts[t].side_of(pts)
             f_orth = np.zeros_like(f_grad)
-            for k, f in enumerate(w_fields[t]):
-                wp = np.asarray(f[0](pts), float)
-                wm = np.asarray(f[1](pts), float)
-                f_orth += c_o[off + k] * np.where((side > 0)[..., None], wp, wm)
+            for k, (wp, wm) in enumerate(fields[t]):
+                f_orth += c_o[2 * i + k] * np.where((side > 0)[:, None], wp, wm)
             scale = max(1.0, np.abs(f_grad).max())
             assert np.abs(f_grad - f_orth).max() <= 1e-11 * scale
 
@@ -409,3 +403,83 @@ class TestNonhomogeneousJumps:
         ctx = build_context(prob, build_uniform_tri(8), "cr")
         dofs, correction, _ = solve(ctx, "new")
         assert correction is None
+
+
+def reference_edge_correction(ctx, method, correction):
+    """Edge half of the jump-correction action, walked sub-segment by
+    sub-segment and basis function by basis function, re-deciding sides and
+    re-evaluating beta at every step; the returned vector is subtracted from
+    the load."""
+    mesh = ctx.mesh
+    rule = segment_rule(ctx.edge_npts)
+    out = np.zeros(mesh.n_edges)
+    for eid in ctx.layout.interface_edges:
+        eid = int(eid)
+        block = build_lifting_block(ctx, eid)
+        n_e = mesh.edge_normals[eid]
+        a, b = mesh.nodes[mesh.edges[eid]]
+        split = ctx.layout.edge_splits.get(eid)
+        segs = [(a, b)] if split is None else [(a, split), (split, b)]
+        avg = 1.0 if len(block.elements) == 1 else 0.5
+        tJ = np.zeros(block.M.shape[0])       # moments of [uJ]
+        bJ = np.zeros(len(block.union_dofs))  # int {beta grad(uJ) . n} [phi_a]
+        jJ = np.zeros(len(block.union_dofs))  # int [uJ][phi_a]
+        for p, q in segs:
+            seg_len = float(np.linalg.norm(q - p))
+            if seg_len == 0.0:
+                continue
+            pts = p + rule.points * (q - p)
+            wts = rule.weights * seg_len
+            juJ = np.zeros(len(wts))
+            avgJ = np.zeros(len(wts))
+            for sgn, t in zip((1.0, -1.0), block.elements):
+                side = int(ctx.layout.cuts[t].side_of(pts.mean(axis=0)))
+                beta = ctx.prob.beta_plus(pts) if side > 0 else ctx.prob.beta_minus(pts)
+                piece = correction[t][0 if side > 0 else 1]
+                juJ += sgn * piece.value(pts)
+                avgJ += avg * beta * (piece.grad(pts) @ n_e)
+            off = 0
+            for t in block.elements:
+                basis = ctx.elem_ctx[t].basis
+                side = int(ctx.layout.cuts[t].side_of(pts.mean(axis=0)))
+                beta = ctx.prob.beta_plus(pts) if side > 0 else ctx.prob.beta_minus(pts)
+                for k in range(basis.n_dofs - 1):
+                    w = basis.funcs[k][0 if side > 0 else 1].grad(pts)
+                    tJ[off + k] += wts @ (avg * beta * (w @ n_e) * juJ)
+                off += basis.n_dofs - 1
+            for sgn, t in zip((1.0, -1.0), block.elements):
+                basis = ctx.elem_ctx[t].basis
+                side = int(ctx.layout.cuts[t].side_of(pts.mean(axis=0)))
+                loc = [int(np.nonzero(block.union_dofs == d)[0][0])
+                       for d in mesh.elem_edges[t]]
+                for i in range(basis.n_dofs):
+                    pv = basis.funcs[i][0 if side > 0 else 1].value(pts)
+                    bJ[loc[i]] += wts @ (avgJ * sgn * pv)
+                    jJ[loc[i]] += wts @ (juJ * sgn * pv)
+        contrib = -(bJ + block.D_mat.T @ tJ)
+        if method == "new":
+            contrib += 4.0 * block.T_mat.T @ np.linalg.solve(block.M, tJ)
+        else:
+            xg = block.x_gamma
+            eta = 10.0 * max(float(ctx.prob.beta_plus(xg)), float(ctx.prob.beta_minus(xg)))
+            contrib += (eta / block.length) * jJ
+        out[block.union_dofs] += contrib
+    return out
+
+
+class TestCorrectionAction:
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    @pytest.mark.parametrize("N", [8, 16])
+    @pytest.mark.parametrize("method", ["new", "ppifem"])
+    def test_matches_reference_walk(self, kind, N, method):
+        """The edge terms of the jump correction, formed against the stored
+        trace table, match the per-point reference walk."""
+        prob = example4()
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        ctx = build_context(prob, build(N, prob.domain), kind)
+        correction = build_jump_correction(ctx)
+        b = assemble_rhs(ctx, method, correction=correction)
+        # "plain" subtracts only the volume part of the correction action
+        ref = (assemble_rhs(ctx, "plain", correction=correction)
+               - reference_edge_correction(ctx, method, correction))
+        assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -12,7 +12,6 @@ from ifelab.geometry import (
     classify_element,
     cut_from_chord,
     edge_cut,
-    side_of_cut,
 )
 from ifelab.quadrature import polygon_area
 
@@ -166,13 +165,13 @@ class TestSideOfCut:
         self.cut = build_cut(0, [(0, 0), (1, 0), (0, 1)], ls)
 
     def test_plus_side(self):
-        assert side_of_cut((0.75, 0.1), self.cut) == 1
+        assert self.cut.side_of((0.75, 0.1)) == 1
 
     def test_minus_side(self):
-        assert side_of_cut((0.25, 0.25), self.cut) == -1
+        assert self.cut.side_of((0.25, 0.25)) == -1
 
     def test_on_chord_ties_to_plus(self):
-        assert side_of_cut((0.5, 0.25), self.cut) == 1
+        assert self.cut.side_of((0.5, 0.25)) == 1
 
 
 def _rot(a):

@@ -7,7 +7,6 @@ from ifelab.ife_space import (
     CR,
     RQ1,
     LocalPoly,
-    d_functional,
     edge_mean_of,
     ife_local_basis_cr_sm,
     ife_local_basis_direct,
@@ -93,13 +92,13 @@ class TestStandardBasis:
 
 class TestDFunctional:
     def test_pure_bubble(self):
-        assert d_functional(LocalPoly(0, 0, 0, 1.0, kappa=2.0)) == 1.0
+        assert LocalPoly(0, 0, 0, 1.0, kappa=2.0).d == 1.0
 
     def test_linear(self):
-        assert d_functional(LocalPoly(3.0, 2.0, 0.0)) == 0.0
+        assert LocalPoly(3.0, 2.0, 0.0).d == 0.0
 
     def test_scaled(self):
-        assert d_functional(LocalPoly(0, 0, 1.0, 5.0, kappa=0.7)) == 5.0
+        assert LocalPoly(0, 0, 1.0, 5.0, kappa=0.7).d == 5.0
 
 
 class TestDirectBasis:

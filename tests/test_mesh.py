@@ -3,7 +3,7 @@ import pytest
 
 from ifelab.cutting import build_layout
 from ifelab.geometry import INTERFACE, LevelSet
-from ifelab.mesh import build_uniform_rect, build_uniform_tri, interface_edges
+from ifelab.mesh import build_uniform_rect, build_uniform_tri
 
 
 def reference_elements(kind, N):
@@ -154,11 +154,17 @@ class TestRectMesh:
 
 class TestDofMap:
     def test_one_dof_per_edge_boundary_constrained(self):
+        """The constrained set is exactly the edges on the box boundary,
+        which are the edges with a single adjacent element."""
         for m in (build_uniform_tri(3), build_uniform_rect(3)):
-            dm = m.dof_map
-            assert dm.n_dofs == m.n_edges
-            assert np.array_equal(dm.boundary, m.boundary_edges)
-            assert np.array_equal(dm.free, ~m.boundary_edges)
+            x0, x1, y0, y1 = m.box
+            ends = m.nodes[m.edges]  # (n_edges, 2 endpoints, 2)
+            on_box = np.zeros(m.n_edges, dtype=bool)
+            for axis, bound in ((0, x0), (0, x1), (1, y0), (1, y1)):
+                on_box |= np.all(ends[..., axis] == bound, axis=1)
+            assert m.boundary_edges.shape == (m.n_edges,)
+            assert np.array_equal(m.boundary_edges, on_box)
+            assert np.array_equal(m.boundary_edges, m.edge_elems[:, 1] < 0)
 
 
 class TestInterfaceEdges:
@@ -175,8 +181,9 @@ class TestInterfaceEdges:
         ls = LevelSet(phi=lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 - 100.0,
                       grad=lambda x: 2.0 * np.asarray(x, float))
         m = build_uniform_tri(4)
-        assert interface_edges(m, ls).size == 0
-        assert build_layout(m, ls).interface_elements.size == 0
+        layout = build_layout(m, ls)
+        assert layout.interface_edges.size == 0
+        assert layout.interface_elements.size == 0
 
     def test_straight_diagonal_interface(self, diagonal_ls):
         # interface along x1 = x2 crosses one diagonal edge per diagonal cell
