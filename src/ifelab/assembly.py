@@ -29,6 +29,7 @@ from .geometry import INTERFACE
 from .ife_space import (
     CR,
     LocalIFEBasis,
+    edge_means,
     ife_local_basis_cr_sm,
     ife_local_basis_direct,
     jump_correction_local,
@@ -447,28 +448,10 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
     boundary = mesh.boundary_edges
     free = np.nonzero(~boundary)[0]
     constrained = np.nonzero(boundary)[0]
-    g_c = _boundary_edge_means(ctx)
+    g_c = edge_means(ctx.prob.g_boundary, mesh, ctx.layout.edge_splits, constrained,
+                     ctx.edge_npts)
     rhs = b[free] - A[free][:, constrained] @ g_c
     return AssembledSystem(A[free][:, free], rhs, free, constrained, g_c, n)
-
-
-def _boundary_edge_means(ctx: Context) -> np.ndarray:
-    mesh = ctx.mesh
-    ids = np.nonzero(mesh.boundary_edges)[0]
-    rule = segment_rule(ctx.edge_npts)
-    a = mesh.nodes[mesh.edges[ids, 0]]
-    b = mesh.nodes[mesh.edges[ids, 1]]
-    vals = np.zeros(len(ids))
-    split_ids = [i for i, e in enumerate(ids) if int(e) in ctx.layout.edge_splits]
-    plain = np.array([i for i in range(len(ids)) if i not in set(split_ids)], dtype=int)
-    if plain.size:
-        pts = a[plain, None, :] + rule.points[None, :, :] * (b - a)[plain, None, :]
-        vals[plain] = np.asarray(ctx.prob.g_boundary(pts), float) @ rule.weights
-    for i in split_ids:
-        from .ife_space import edge_mean_of
-        vals[i] = edge_mean_of(ctx.prob.g_boundary, a[i], b[i],
-                               split=ctx.layout.edge_splits[int(ids[i])])
-    return vals
 
 
 def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,

@@ -1,4 +1,8 @@
-"""Whole-mesh interface layout: shared edge crossings, element classes, cuts."""
+"""Whole-mesh interface layout: shared edge crossings, element classes, cuts.
+
+``build_layout`` is the only place that decides whether an element is cut
+and by which chord.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -11,11 +15,10 @@ from .geometry import (
     INTERIOR_MINUS,
     INTERIOR_PLUS,
     CutElement,
-    EdgeCrossing,
     GeometryError,
     LevelSet,
-    _element_cut_config,
-    build_cut_from_points,
+    MeshResolutionError,
+    chord_cut,
     edge_cuts_batch,
     on_interface_vertices,
 )
@@ -39,7 +42,47 @@ class CutLayout:
         return np.nonzero(self.classes == INTERFACE)[0]
 
 
+def _element_cut_config(e: int, nv: int, open_edges, on_gamma):
+    """Decide the chord of element e from its boundary's contacts with the interface.
+
+    open_edges: local edges with an open (unsnapped) crossing; on_gamma: set of
+    local vertices on the interface, flagged directly or snapped onto.
+    Returns None for a non-interface element, else (loc_d, loc_e). The
+    interface enters the element interior through two open-edge crossings,
+    or through one paired with a vertex not on that edge; a vertex-only touch
+    leaves the element uncut.
+    """
+    if len(open_edges) > 2:
+        raise MeshResolutionError(
+            f"element {e} has more than two cut edges; mesh too coarse for interface")
+    if len(open_edges) == 2:
+        if on_gamma:
+            raise MeshResolutionError(
+                f"element {e}: boundary meets the interface at more than two points")
+        return ("edge", open_edges[0]), ("edge", open_edges[1])
+    if len(open_edges) == 1:
+        if not on_gamma:
+            raise GeometryError(
+                f"element {e}: single-edge crossing without a matching vertex touch")
+        if len(on_gamma) > 1:
+            raise MeshResolutionError(
+                f"element {e}: boundary meets the interface at more than two points")
+        ie = open_edges[0]
+        iv = on_gamma.pop()
+        if iv in (ie, (ie + 1) % nv):
+            raise MeshResolutionError(
+                f"element {e}: edge closure meets the interface twice; mesh too coarse")
+        return ("vertex", iv), ("edge", ie)
+    return None
+
+
 def build_layout(mesh, ls: LevelSet) -> CutLayout:
+    """Classify every element of the mesh against ls and cut the interface elements.
+
+    Non-interface elements take the sign of phi at their centroid (the sum
+    over their vertices on a tie). Each cut is oriented so that n_h points
+    toward phi > 0.
+    """
     nodes = mesh.nodes
     p0 = nodes[mesh.edges[:, 0]]
     p1 = nodes[mesh.edges[:, 1]]
@@ -52,13 +95,9 @@ def build_layout(mesh, ls: LevelSet) -> CutLayout:
 
     # candidates: any element touching a cut edge or an on-interface node
     touched = np.zeros(mesh.n_elements, dtype=bool)
-    if np.any(has_cut):
-        for eid in np.nonzero(has_cut)[0]:
-            for t_adj in mesh.edge_elems[eid]:
-                if t_adj >= 0:
-                    touched[t_adj] = True
-    if np.any(vertex_flags):
-        touched |= vertex_flags[mesh.elements].any(axis=1)
+    adjacent = mesh.edge_elems[has_cut].ravel()
+    touched[adjacent[adjacent >= 0]] = True
+    touched |= vertex_flags[mesh.elements].any(axis=1)
 
     phi_centroid = np.asarray(ls.phi(mesh.element_centroids()), float)
     phi_nodes = np.asarray(ls.phi(nodes), float)
@@ -70,39 +109,31 @@ def build_layout(mesh, ls: LevelSet) -> CutLayout:
 
     cuts: Dict[int, CutElement] = {}
     nv = mesh.elements.shape[1]
-    for e in np.nonzero(touched)[0]:
-        verts = nodes[mesh.elements[e]]
-        crossings = []
-        for i in range(nv):
-            eid = int(mesh.elem_edges[e, i])
-            if not has_cut[eid]:
-                crossings.append(None)
-                continue
-            # translate the stored crossing into this element's edge orientation
-            a = int(mesh.elements[e, i])
-            same = a == int(mesh.edges[eid, 0])
-            if snapped[eid]:
-                ep = int(endpoint[eid])
-                crossings.append(EdgeCrossing(points[eid], float(ep), True,
-                                              ep if same else 1 - ep))
-            else:
-                tt = float(t[eid]) if same else 1.0 - float(t[eid])
-                crossings.append(EdgeCrossing(points[eid], tt, False, None))
-        von = vertex_flags[mesh.elements[e]]
-        try:
-            cfg = _element_cut_config(verts, crossings, von)
-        except GeometryError as err:
-            raise type(err)(f"element {e}: {err}") from err
+    for e in map(int, np.nonzero(touched)[0]):
+        vids = mesh.elements[e]
+        gids = mesh.elem_edges[e]
+        open_edges = [i for i in range(nv) if open_cut[gids[i]]]
+        on_gamma = {i for i in range(nv) if vertex_flags[vids[i]]}
+        # a snapped crossing touches the local vertex that carries its endpoint
+        on_gamma |= {i if vids[i] == mesh.edges[gids[i], endpoint[gids[i]]] else (i + 1) % nv
+                     for i in range(nv) if snapped[gids[i]]}
+        cfg = _element_cut_config(e, nv, open_edges, on_gamma)
         if cfg is None:
             continue
-        loc_d, D, loc_e, E = cfg
-        cut = build_cut_from_points(int(e), verts, loc_d, D, loc_e, E, ls)
-        gids = []
-        if loc_d[0] == "edge":
-            gids.append(int(mesh.elem_edges[e, loc_d[1]]))
-        gids.append(int(mesh.elem_edges[e, loc_e[1]]))
-        cut.cut_edges = tuple(gids)
-        cuts[int(e)] = cut
+        loc_d, loc_e = cfg
+        verts = nodes[vids]
+        D = verts[loc_d[1]].copy() if loc_d[0] == "vertex" else points[gids[loc_d[1]]]
+        E = points[gids[loc_e[1]]]
+
+        def probe(n, h):
+            # D and E lie on the interface, so a small step off both resolves
+            # the side even where the chord midpoint sits O(h^2) off it
+            eps = 1e-3 * h
+            return float(ls.phi(D + eps * n)) + float(ls.phi(E + eps * n))
+
+        cut = chord_cut(e, verts, loc_d, D, loc_e, E, plus_side=probe)
+        cut.cut_edges = tuple(int(gids[i]) for kind, i in cfg if kind == "edge")
+        cuts[e] = cut
         classes[e] = INTERFACE
 
     iface_edges = np.sort(np.nonzero(open_cut)[0])

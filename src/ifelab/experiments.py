@@ -215,7 +215,7 @@ def interpolation_convergence(prob: ProblemSpec, kind: str, N_list) -> Convergen
         t0 = time.perf_counter()
         mesh = _build_mesh(kind, N, prob.domain)
         ctx = build_context(prob, mesh, kind)
-        dofs = interpolate_ife(prob, mesh, ctx.layout, kind)
+        dofs = interpolate_ife(prob, mesh, ctx.layout)
         l2, h1 = error_norms(ctx, dofs)
         table.add(N, mesh.h, int(mesh.n_edges), l2, h1, 0, time.perf_counter() - t0)
     return table

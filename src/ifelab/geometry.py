@@ -1,4 +1,4 @@
-"""Level-set interface geometry: edge crossings, element classification, cuts.
+"""Level-set interface geometry: edge crossings and the chord of a cut element.
 
 An interface element carries a straight chord between the two points where
 the interface meets its boundary. Chord endpoints normally sit in the
@@ -7,16 +7,18 @@ vertex when the interface passes exactly through a mesh node (this happens
 for the built-in circle problems whenever the node grid hits the circle, and
 for straight interfaces through grid diagonals), in which case the chord
 runs from that vertex to the single cut edge.
+
+This module locates crossings on a batch of edges (``edge_cuts_batch``),
+flags on-interface vertices, and builds a ``CutElement`` from a chord
+(``chord_cut``). Which elements are cut, and by which chord, is decided for
+the whole mesh in ``cutting.build_layout``.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 SNAP_REL = 1e-10           # endpoint snap threshold, relative to edge length
 VERTEX_TOL_REL = 1e-12     # |phi(v)| <= tol * h * |grad phi(v)| marks an on-interface vertex
@@ -53,16 +55,6 @@ class LevelSet:
         return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
-@dataclass(frozen=True)
-class EdgeCrossing:
-    """Result of intersecting one edge with the interface."""
-
-    point: np.ndarray
-    t: float                 # parameter along p0 -> p1
-    snapped: bool
-    endpoint: Optional[int]  # 0 or 1 when snapped
-
-
 def _sign_change_spans(values: np.ndarray):
     """Count strict sign changes per row, ignoring zeros.
 
@@ -88,14 +80,16 @@ def _sign_change_spans(values: np.ndarray):
     return counts, lo, hi
 
 
-def edge_cuts_batch(p0: np.ndarray, p1: np.ndarray, ls: LevelSet, tol: float = 1e-12):
+def edge_cuts_batch(p0: np.ndarray, p1: np.ndarray, ls: LevelSet):
     """Vectorized interface crossing for a batch of straight edges.
 
-    Returns (has_cut, t, snapped, endpoint). Raises MeshResolutionError when a
-    16-point sampling of any edge shows more than one sign change.
+    Returns (has_cut, t, snapped, endpoint): whether each edge p0 -> p1 has
+    one crossing, its parameter t along the edge, and whether it lies within
+    SNAP_REL of an endpoint (then snapped, with endpoint 0 or 1), in which
+    case callers treat it as a touch of that vertex. Raises
+    MeshResolutionError when a 16-point sampling of any edge shows more than
+    one sign change.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     p0 = np.atleast_2d(np.asarray(p0, float))
     p1 = np.atleast_2d(np.asarray(p1, float))
     n = p0.shape[0]
@@ -137,27 +131,6 @@ def edge_cuts_batch(p0: np.ndarray, p1: np.ndarray, ls: LevelSet, tol: float = 1
     snapped = has_cut & ((t < SNAP_REL) | (t > 1.0 - SNAP_REL))
     endpoint = np.where(t < 0.5, 0, 1)
     return has_cut, t, snapped, endpoint
-
-
-def edge_cut(p0, p1, ls: LevelSet, tol: float = 1e-12) -> Optional[EdgeCrossing]:
-    """Locate the unique interface crossing on segment [p0, p1], if any.
-
-    Crossings within 1e-10 of an endpoint (relative to edge length) are
-    snapped to it and reported; callers treat snapped crossings as vertex
-    touches rather than open-edge cuts.
-    """
-    p0 = np.asarray(p0, float)
-    p1 = np.asarray(p1, float)
-    has_cut, t, snapped, endpoint = edge_cuts_batch(p0[None], p1[None], ls, tol)
-    if not has_cut[0]:
-        return None
-    tt = float(t[0])
-    if snapped[0]:
-        ep = int(endpoint[0])
-        point = (p0 if ep == 0 else p1).copy()
-        logger.debug("edge cut snapped to endpoint %d at %s", ep, point)
-        return EdgeCrossing(point, float(ep), True, ep)
-    return EdgeCrossing(p0 + tt * (p1 - p0), tt, False, None)
 
 
 def on_interface_vertices(vertices: np.ndarray, ls: LevelSet, h: float) -> np.ndarray:
@@ -232,13 +205,13 @@ def _split_by_chord(vertices, loc_d, D, loc_e, E, n_h):
     return poly2, poly1
 
 
-def build_cut_from_points(elem_id, vertices, loc_d, D, loc_e, E, ls: LevelSet) -> CutElement:
-    """Assemble a CutElement from already-located chord endpoints.
+def chord_cut(elem_id, vertices, loc_d, D, loc_e, E, plus_side=None) -> CutElement:
+    """Build the CutElement of the chord D-E; the one constructor of a cut.
 
-    Orientation: n_h points toward phi > 0, checked by stepping off the chord
-    endpoints (which lie on the interface itself, so a small step resolves the
-    sign even on coarse meshes where the chord midpoint sits O(h^2) off the
-    interface).
+    loc_d/loc_e are ('edge', i) or ('vertex', i), the local position of each
+    endpoint. n_h starts as the chord direction rotated by -pi/2 and is
+    flipped when ``plus_side(n_h, h_T)`` is negative, so plus_side returns a
+    value whose sign says whether a candidate normal points to the plus side.
     """
     vertices = np.asarray(vertices, float)
     D = np.asarray(D, float)
@@ -250,9 +223,7 @@ def build_cut_from_points(elem_id, vertices, loc_d, D, loc_e, E, ls: LevelSet) -
         raise GeometryError(f"degenerate chord |DE|={lc:.3e} in element {elem_id}")
     u = chord / lc
     n_h = np.array([u[1], -u[0]])
-    eps = 1e-3 * h_T
-    probe = float(ls.phi(D + eps * n_h)) + float(ls.phi(E + eps * n_h))
-    if probe < 0:
+    if plus_side is not None and plus_side(n_h, h_T) < 0:
         n_h = -n_h
     t_h = np.array([-n_h[1], n_h[0]])  # rotation of n_h by +pi/2
     poly_plus, poly_minus = _split_by_chord(vertices, loc_d, D, loc_e, E, n_h)
@@ -263,11 +234,11 @@ def build_cut_from_points(elem_id, vertices, loc_d, D, loc_e, E, ls: LevelSet) -
 
 
 def cut_from_chord(vertices, loc_d, t_d, loc_e, t_e, plus_toward=None, elem_id=0) -> CutElement:
-    """Build a CutElement from a prescribed chord (no level set); test helper.
+    """Build a CutElement from a prescribed chord, without a level set.
 
     loc_d/loc_e are ('edge', i) with parameter t along edge i, or ('vertex', i).
-    plus_toward: a point declared to be on the plus side (defaults to the
-    sub-polygon not containing vertex 0... first sub-polygon).
+    plus_toward: a point declared to be on the plus side. Without it, n_h is
+    the chord direction D->E rotated by -pi/2.
     """
     vertices = np.asarray(vertices, float)
     nv = len(vertices)
@@ -281,96 +252,9 @@ def cut_from_chord(vertices, loc_d, t_d, loc_e, t_e, plus_toward=None, elem_id=0
 
     D = locate(loc_d, t_d)
     E = locate(loc_e, t_e)
-    h_T = element_size(vertices)
-    chord = E - D
-    lc = np.linalg.norm(chord)
-    if lc < 1e-12 * h_T:
-        raise GeometryError("degenerate chord")
-    u = chord / lc
-    n_h = np.array([u[1], -u[0]])
-    if plus_toward is not None:
-        if (np.asarray(plus_toward, float) - D) @ n_h < 0:
-            n_h = -n_h
-    t_h = np.array([-n_h[1], n_h[0]])
-    poly_plus, poly_minus = _split_by_chord(vertices, loc_d, D, loc_e, E, n_h)
-    return CutElement(
-        elem_id=elem_id, vertices=vertices, D=D, E=E, n_h=n_h, t_h=t_h,
-        x_p=0.5 * (D + E), poly_plus=poly_plus, poly_minus=poly_minus,
-        loc_d=loc_d, loc_e=loc_e, h_T=h_T)
 
+    def plus_side(n, h):
+        return (np.asarray(plus_toward, float) - D) @ n
 
-def _element_cut_config(vertices, crossings, vertex_on_gamma):
-    """Decide the cut configuration from per-edge crossings and vertex flags.
-
-    Returns None for a non-interface element, else (loc_d, D, loc_e, E).
-    crossings: list indexed by local edge of Optional[EdgeCrossing].
-    """
-    nv = len(vertices)
-    open_cuts = [(i, c) for i, c in enumerate(crossings) if c is not None and not c.snapped]
-    snapped_vertices = set()
-    for i, c in enumerate(crossings):
-        if c is not None and c.snapped:
-            snapped_vertices.add((i + c.endpoint) % nv)
-    for i in range(nv):
-        if vertex_on_gamma[i]:
-            snapped_vertices.add(i)
-
-    if len(open_cuts) > 2:
-        raise MeshResolutionError(
-            "element has more than two cut edges; mesh too coarse for interface")
-    if len(open_cuts) == 2:
-        if snapped_vertices:
-            raise MeshResolutionError(
-                "element boundary meets the interface at more than two points")
-        (i1, c1), (i2, c2) = open_cuts
-        return ("edge", i1), c1.point, ("edge", i2), c2.point
-    if len(open_cuts) == 1:
-        if not snapped_vertices:
-            raise GeometryError(
-                "single-edge crossing without a matching vertex touch")
-        if len(snapped_vertices) > 1:
-            raise MeshResolutionError(
-                "element boundary meets the interface at more than two points")
-        (ie, ce) = open_cuts[0]
-        iv = snapped_vertices.pop()
-        if iv in (ie, (ie + 1) % nv):
-            raise MeshResolutionError(
-                "edge closure meets the interface twice; mesh too coarse")
-        return ("vertex", iv), vertices[iv].copy(), ("edge", ie), ce.point
-    return None
-
-
-def classify_element(vertices, ls: LevelSet, tol: float = 1e-12) -> int:
-    """Classify an element as INTERFACE, INTERIOR_PLUS or INTERIOR_MINUS.
-
-    Interface status requires the interface to enter the element interior:
-    either two open-edge crossings, or one open-edge crossing paired with a
-    vertex lying on the interface. Vertex-only touches (and interfaces running
-    along edges) leave the element interior, decided by the centroid sign.
-    """
-    vertices = np.asarray(vertices, float)
-    nv = len(vertices)
-    h = element_size(vertices)
-    crossings = [edge_cut(vertices[i], vertices[(i + 1) % nv], ls, tol) for i in range(nv)]
-    von = on_interface_vertices(vertices, ls, h)
-    cfg = _element_cut_config(vertices, crossings, von)
-    if cfg is not None:
-        return INTERFACE
-    s = float(ls.phi(vertices.mean(axis=0)))
-    if s == 0.0:
-        s = float(np.sum(np.asarray(ls.phi(vertices), float)))
-    return INTERIOR_PLUS if s >= 0 else INTERIOR_MINUS
-
-
-def build_cut(elem_id, vertices, ls: LevelSet, tol: float = 1e-12) -> CutElement:
-    """Locate the chord of an interface element and build its CutElement."""
-    vertices = np.asarray(vertices, float)
-    nv = len(vertices)
-    h = element_size(vertices)
-    crossings = [edge_cut(vertices[i], vertices[(i + 1) % nv], ls, tol) for i in range(nv)]
-    von = on_interface_vertices(vertices, ls, h)
-    cfg = _element_cut_config(vertices, crossings, von)
-    if cfg is None:
-        raise GeometryError(f"element {elem_id} is not an interface element")
-    loc_d, D, loc_e, E = cfg
-    return build_cut_from_points(elem_id, vertices, loc_d, D, loc_e, E, ls)
+    return chord_cut(elem_id, vertices, loc_d, D, loc_e, E,
+                     None if plus_toward is None else plus_side)

@@ -389,21 +389,37 @@ def edge_mean_of(func: Callable, a, b, split=None, npts: int = 5) -> float:
     return total / np.linalg.norm(b - a)
 
 
-def interpolate_ife(prob, mesh, layout, kind: str) -> np.ndarray:
+def edge_means(func: Callable, mesh, edge_splits, ids, npts: int = 5) -> np.ndarray:
+    """Means of a scalar function along the mesh edges ids.
+
+    An edge in edge_splits is integrated as the two sub-segments that meet at
+    its interface crossing; func is called once, on the points of every
+    sub-segment.
+    """
+    ids = np.asarray(ids, dtype=int)
+    a = mesh.nodes[mesh.edges[ids, 0]]
+    b = mesh.nodes[mesh.edges[ids, 1]]
+    split = np.isin(ids, list(edge_splits))
+    whole = np.nonzero(~split)[0]
+    cut = np.nonzero(split)[0]
+    x = np.array([edge_splits[int(e)] for e in ids[cut]]).reshape(-1, 2)
+    p = np.concatenate([a[whole], a[cut], x])
+    q = np.concatenate([b[whole], x, b[cut]])
+    rule = segment_rule(npts)
+    pts = p[:, None, :] + rule.points[None, :, :] * (q - p)[:, None, :]
+    seg = np.asarray(func(pts), float) @ rule.weights
+    out = np.empty(len(ids))
+    out[whole] = seg[:len(whole)]
+    # a split edge's mean is the length-weighted sum of its two halves' means
+    halves = (seg[len(whole):] * np.linalg.norm(q - p, axis=1)[len(whole):]).reshape(2, -1)
+    out[cut] = (halves[0] + halves[1]) / np.linalg.norm(b[cut] - a[cut], axis=1)
+    return out
+
+
+def interpolate_ife(prob, mesh, layout) -> np.ndarray:
     """Edge-mean interpolant of the exact solution.
 
     Cut edges are integrated piecewise at the exact interface crossing; the
     solution piece is selected by the exact level-set sign.
     """
-    dofs = np.zeros(mesh.n_edges)
-    rule = segment_rule(5)
-    p0 = mesh.nodes[mesh.edges[:, 0]]
-    p1 = mesh.nodes[mesh.edges[:, 1]]
-    split_ids = set(layout.edge_splits.keys())
-    plain = np.array([e for e in range(mesh.n_edges) if e not in split_ids], dtype=int)
-    pts = p0[plain, None, :] + rule.points[None, :, :] * (p1 - p0)[plain, None, :]
-    vals = prob.u_exact(pts)
-    dofs[plain] = vals @ rule.weights
-    for e in split_ids:
-        dofs[e] = edge_mean_of(prob.u_exact, p0[e], p1[e], split=layout.edge_splits[e])
-    return dofs
+    return edge_means(prob.u_exact, mesh, layout.edge_splits, np.arange(mesh.n_edges))

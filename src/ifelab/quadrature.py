@@ -2,20 +2,18 @@
 
 Segments use Gauss-Legendre rules. Triangles use a conical-product rule
 (Gauss-Jacobi x Gauss-Legendre), exact for any requested total degree.
-Convex polygons are fan-triangulated from their centroid.
+Convex polygons, rectangles among them, are fan-triangulated from their
+centroid. The module returns points and weights; callers evaluate their
+integrands on all points at once.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
-
-DEFAULT_VOLUME_DEGREE = 6
-DEFAULT_EDGE_NPTS = 5
 
 
 @dataclass(frozen=True)
@@ -53,19 +51,6 @@ def reference_triangle_rule(degree: int) -> QuadratureRule:
     uu, vv = np.meshgrid(u, v, indexing="ij")
     pts = np.column_stack([uu.ravel(), (vv * (1.0 - uu)).ravel()])
     wts = np.outer(wu, wv).ravel()
-    return QuadratureRule(pts, wts, 2 * n - 1)
-
-
-@lru_cache(maxsize=None)
-def reference_square_rule(degree: int) -> QuadratureRule:
-    """Tensor Gauss-Legendre rule on [0,1]^2."""
-    n = max(1, (degree + 2) // 2)
-    t, w = leggauss(n)
-    x = (t + 1.0) / 2.0
-    wx = w / 2.0
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    wts = np.outer(wx, wx).ravel()
     return QuadratureRule(pts, wts, 2 * n - 1)
 
 
@@ -111,49 +96,3 @@ def polygon_points_weights(poly: np.ndarray, degree: int):
         pts.append(tp)
         wts.append(tw)
     return np.vstack(pts), np.concatenate(wts)
-
-
-def integrate_segment(f, a, b, npts: int = DEFAULT_EDGE_NPTS) -> float:
-    """Integrate f along the straight segment a->b (with respect to arclength)."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    rule = segment_rule(npts)
-    pts = a + rule.points * (b - a)
-    return float(np.dot(rule.weights, np.asarray(f(pts), float))) * float(np.linalg.norm(b - a))
-
-
-def integrate_polygon(f, poly, degree: int = DEFAULT_VOLUME_DEGREE) -> float:
-    """Integrate f over a convex CCW polygon.
-
-    Degenerate polygons (area < 1e-15) integrate to 0 with a warning.
-    """
-    p = np.asarray(poly, float)
-    if polygon_area(p) < 1e-15:
-        warnings.warn("degenerate polygon, returning 0", RuntimeWarning, stacklevel=2)
-        return 0.0
-    pts, wts = polygon_points_weights(p, degree)
-    return float(np.dot(wts, np.asarray(f(pts), float)))
-
-
-def integrate_cut_edge(f_plus, f_minus, a, b, split=None, classify=None,
-                       npts: int = DEFAULT_EDGE_NPTS) -> float:
-    """Integrate a two-sided integrand along an edge.
-
-    `classify(x) -> +1/-1` decides which integrand applies; it is evaluated at
-    sub-segment midpoints only (each sub-segment lies on a single side).
-    Without a split point the whole edge is one sub-segment.
-    """
-    if classify is None:
-        raise ValueError("classify callback is required")
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    segments = [(a, b)] if split is None else [(a, np.asarray(split, float)),
-                                              (np.asarray(split, float), b)]
-    total = 0.0
-    for p, q in segments:
-        if np.linalg.norm(q - p) == 0.0:
-            continue
-        side = classify(0.5 * (p + q))
-        f = f_plus if side > 0 else f_minus
-        total += integrate_segment(f, p, q, npts)
-    return total

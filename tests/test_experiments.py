@@ -39,7 +39,7 @@ class TestErrorNorms:
         prob = example3()
         mesh = build_uniform_tri(8)
         ctx = build_context(prob, mesh, "cr")
-        dofs = interpolate_ife(prob, mesh, ctx.layout, "cr")
+        dofs = interpolate_ife(prob, mesh, ctx.layout)
         l2, h1 = error_norms(ctx, dofs)
         assert l2 <= 1e-10 and h1 <= 1e-10
 
@@ -57,7 +57,7 @@ class TestErrorNorms:
         prob = example3()
         mesh = build_uniform_tri(4)
         ctx = build_context(prob, mesh, "cr")
-        dofs = interpolate_ife(prob, mesh, ctx.layout, "cr")
+        dofs = interpolate_ife(prob, mesh, ctx.layout)
         rng = np.random.default_rng(3)
         delta = rng.standard_normal(mesh.n_edges)
         l2a, h1a = error_norms(ctx, dofs + delta)

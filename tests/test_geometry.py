@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ifelab.cutting import build_layout
 from ifelab.geometry import (
     INTERFACE,
     INTERIOR_MINUS,
@@ -8,70 +11,84 @@ from ifelab.geometry import (
     GeometryError,
     LevelSet,
     MeshResolutionError,
-    build_cut,
-    classify_element,
     cut_from_chord,
-    edge_cut,
 )
 from ifelab.quadrature import polygon_area
+
+from conftest import one_element_mesh
+
+REF_TRI = [(0, 0), (1, 0), (0, 1)]
+UNIT_SQ = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+
+def layout_of(verts, ls):
+    """Layout of the one-element mesh on verts; its edge ids are the local
+    edge numbers (edge i runs from vertex i to vertex i+1)."""
+    return build_layout(one_element_mesh(verts), ls)
+
+
+def _line(normal, offset):
+    """Straight interface normal . x = offset, positive on the normal's side."""
+    normal = np.asarray(normal, float)
+    return LevelSet(phi=lambda x: np.asarray(x, float) @ normal - offset,
+                    grad=lambda x: np.broadcast_to(normal, np.asarray(x).shape).copy())
 
 
 class TestEdgeCut:
     def test_circle_crossing_on_axis(self, circle_ls):
-        res = edge_cut((0, 0), (1, 0), circle_ls)
-        assert res is not None and not res.snapped
-        assert np.allclose(res.point, (0.5, 0.0), atol=1e-12)
+        layout = layout_of(REF_TRI, circle_ls)
+        assert np.allclose(layout.edge_splits[0], (0.5, 0.0), atol=1e-12)
+        assert np.allclose(layout.edge_splits[2], (0.0, 0.5), atol=1e-12)
 
     def test_no_crossing(self, circle_ls):
-        assert edge_cut((0.6, 0), (1, 0), circle_ls) is None
+        layout = layout_of([(0.6, 0), (1, 0), (0.6, 0.3)], circle_ls)
+        assert layout.edge_splits == {} and layout.cuts == {}
+        assert layout.interface_edges.size == 0
 
     def test_linear_crossing(self, diagonal_ls):
-        res = edge_cut((-1, 0), (1, 0), diagonal_ls)
-        assert np.allclose(res.point, (0.0, 0.0), atol=1e-12)
+        layout = layout_of([(-1, 0), (1, 0), (0, 1)], diagonal_ls)
+        assert np.allclose(layout.edge_splits[0], (0.0, 0.0), atol=1e-12)
 
     def test_double_crossing_raises(self, circle_ls):
-        # chord passing through the disk twice
+        # edge 0 passes through the disk and crosses the circle twice
         with pytest.raises(MeshResolutionError):
-            edge_cut((-1, 0.1), (1, 0.1), circle_ls)
+            layout_of([(-1, 0.1), (1, 0.1), (0, 1)], circle_ls)
 
     def test_snap_near_endpoint(self):
-        ls = LevelSet(phi=lambda x: x[..., 0] - 1e-12,
-                      grad=lambda x: np.broadcast_to(np.array([1.0, 0.0]),
-                                                     np.asarray(x).shape).copy())
-        res = edge_cut((0, 0), (1, 0), ls)
-        assert res.snapped and res.endpoint == 0
-        assert np.allclose(res.point, (0.0, 0.0))
-
-    def test_requires_positive_tol(self, circle_ls):
-        with pytest.raises(ValueError):
-            edge_cut((0, 0), (1, 0), circle_ls, tol=0.0)
+        # the crossing on edge 0 sits 1e-11 from vertex 0: below the snap
+        # threshold, but |phi| there is above the on-interface vertex
+        # tolerance, so only the snap makes vertex 0 the chord endpoint
+        ls = _line((1.0, 0.0), 1e-11)
+        layout = layout_of([(0, 0), (1, 1), (-1, 1)], ls)
+        assert 0 not in layout.edge_splits
+        cut = layout.cuts[0]
+        assert cut.loc_d == ("vertex", 0) and cut.loc_e == ("edge", 1)
+        assert np.array_equal(cut.D, (0.0, 0.0))
+        assert cut.cut_edges == (1,)
 
 
 class TestClassify:
     def test_triangle_cut_by_small_circle(self):
         ls = LevelSet(phi=lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 - 0.0625,
                       grad=lambda x: 2.0 * np.asarray(x, float))
-        assert classify_element([(0, 0), (1, 0), (0, 1)], ls) == INTERFACE
-        assert classify_element([(2, 2), (3, 2), (2, 3)], ls) == INTERIOR_PLUS
-        assert classify_element([(-0.1, -0.1), (0.1, -0.1), (0.1, 0.1), (-0.1, 0.1)],
-                                ls) == INTERIOR_MINUS
+        assert layout_of(REF_TRI, ls).classes[0] == INTERFACE
+        assert layout_of([(2, 2), (3, 2), (2, 3)], ls).classes[0] == INTERIOR_PLUS
+        square = [(-0.1, -0.1), (0.1, -0.1), (0.1, 0.1), (-0.1, 0.1)]
+        assert layout_of(square, ls).classes[0] == INTERIOR_MINUS
 
     def test_vertex_chord_configuration(self, diagonal_ls):
         # interface enters through a vertex and exits through the opposite edge
-        tri = [(0, 0), (1, 0), (0, 1)]
-        assert classify_element(tri, diagonal_ls) == INTERFACE
+        assert layout_of(REF_TRI, diagonal_ls).classes[0] == INTERFACE
 
     def test_vertex_touch_only_is_interior(self, diagonal_ls):
-        tri = [(0, 0), (1, 0), (1, -1)]  # touches x1=x2 only at the origin
-        assert classify_element(tri, diagonal_ls) == INTERIOR_PLUS
+        tri = [(0, 0), (1, -1), (1, 0)]  # touches x1=x2 only at the origin
+        layout = layout_of(tri, diagonal_ls)
+        assert layout.classes[0] == INTERIOR_PLUS and layout.cuts == {}
 
 
 class TestBuildCut:
     def test_vertical_line_through_triangle(self):
-        ls = LevelSet(phi=lambda x: x[..., 0] - 0.5,
-                      grad=lambda x: np.broadcast_to(np.array([1.0, 0.0]),
-                                                     np.asarray(x).shape).copy())
-        cut = build_cut(0, [(0, 0), (1, 0), (0, 1)], ls)
+        cut = layout_of(REF_TRI, _line((1.0, 0.0), 0.5)).cuts[0]
         pts = {tuple(np.round(cut.D, 12)), tuple(np.round(cut.E, 12))}
         assert pts == {(0.5, 0.0), (0.5, 0.5)}
         assert np.allclose(cut.n_h, (1.0, 0.0), atol=1e-12)
@@ -80,10 +97,7 @@ class TestBuildCut:
         assert {tuple(np.round(p, 12)) for p in cut.poly_minus} == ref
 
     def test_horizontal_line_through_square(self):
-        ls = LevelSet(phi=lambda x: x[..., 1] - 0.25,
-                      grad=lambda x: np.broadcast_to(np.array([0.0, 1.0]),
-                                                     np.asarray(x).shape).copy())
-        cut = build_cut(0, [(0, 0), (1, 0), (1, 1), (0, 1)], ls)
+        cut = layout_of(UNIT_SQ, _line((0.0, 1.0), 0.25)).cuts[0]
         assert np.allclose(cut.n_h, (0.0, 1.0), atol=1e-12)
         assert abs(polygon_area(cut.poly_minus) - 0.25) <= 1e-12
         assert abs(polygon_area(cut.poly_plus) - 0.75) <= 1e-12
@@ -94,13 +108,14 @@ class TestBuildCut:
         while built < 1000:
             c = rng.uniform(-0.8, 0.8, size=2)
             s = rng.uniform(0.05, 0.25)
-            tri = c + s * np.array([(0, 0), (1, 0), (0, 1)]) @ _rot(rng.uniform(0, 2 * np.pi))
+            tri = c + s * np.array(REF_TRI) @ _rot(rng.uniform(0, 2 * np.pi))
             try:
-                if classify_element(tri, circle_ls) != INTERFACE:
-                    continue
-                cut = build_cut(0, tri, circle_ls)
+                layout = layout_of(tri, circle_ls)
             except GeometryError:
                 continue
+            if not layout.cuts:
+                continue
+            cut = layout.cuts[0]
             a = polygon_area(tri)
             ap = polygon_area(cut.poly_plus)
             am = polygon_area(cut.poly_minus)
@@ -110,7 +125,7 @@ class TestBuildCut:
 
     def test_orientation_probed_from_interface_points(self, circle_ls):
         tri = np.array([(0.3, 0.3), (0.6, 0.3), (0.3, 0.6)])
-        cut = build_cut(0, tri, circle_ls)
+        cut = layout_of(tri, circle_ls).cuts[0]
         eps = 1e-3 * cut.h_T
         assert circle_ls.phi(cut.D + eps * cut.n_h) > 0
         assert circle_ls.phi(cut.E + eps * cut.n_h) > 0
@@ -159,10 +174,7 @@ class TestBuiltinProblemGeometry:
 
 class TestSideOfCut:
     def setup_method(self):
-        ls = LevelSet(phi=lambda x: x[..., 0] - 0.5,
-                      grad=lambda x: np.broadcast_to(np.array([1.0, 0.0]),
-                                                     np.asarray(x).shape).copy())
-        self.cut = build_cut(0, [(0, 0), (1, 0), (0, 1)], ls)
+        self.cut = layout_of(REF_TRI, _line((1.0, 0.0), 0.5)).cuts[0]
 
     def test_plus_side(self):
         assert self.cut.side_of((0.75, 0.1)) == 1
@@ -172,6 +184,34 @@ class TestSideOfCut:
 
     def test_on_chord_ties_to_plus(self):
         assert self.cut.side_of((0.5, 0.25)) == 1
+
+
+class TestCutProperty:
+    """A circle of any centre and radius over one element ends in a valid
+    cut, in no cut, or in a GeometryError (MeshResolutionError included)."""
+
+    @pytest.mark.parametrize("verts", [REF_TRI, UNIT_SQ], ids=["tri", "rect"])
+    @settings(max_examples=300, deadline=None)
+    @given(cx=st.floats(-0.5, 1.5), cy=st.floats(-0.5, 1.5), r=st.floats(0.05, 1.0))
+    def test_circle_placements(self, verts, cx, cy, r):
+        centre = np.array([cx, cy])
+        ls = LevelSet(phi=lambda x: ((np.asarray(x, float) - centre) ** 2).sum(-1) - r * r,
+                      grad=lambda x: 2.0 * (np.asarray(x, float) - centre))
+        try:
+            layout = layout_of(verts, ls)
+        except GeometryError:
+            return
+        if not layout.cuts:
+            assert layout.classes[0] != INTERFACE
+            return
+        cut = layout.cuts[0]
+        a = polygon_area(verts)
+        ap = polygon_area(cut.poly_plus)
+        am = polygon_area(cut.poly_minus)
+        assert abs(ap + am - a) <= 1e-12 * a
+        assert ap > 0 and am > 0
+        eps = 1e-3 * cut.h_T
+        assert ls.phi(cut.D + eps * cut.n_h) + ls.phi(cut.E + eps * cut.n_h) > 0
 
 
 def _rot(a):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ifelab.cutting import build_layout
 from ifelab.experiments import random_cut, random_triangle
 from ifelab.geometry import cut_from_chord
 from ifelab.ife_space import (
@@ -8,12 +9,15 @@ from ifelab.ife_space import (
     RQ1,
     LocalPoly,
     edge_mean_of,
+    edge_means,
     ife_local_basis_cr_sm,
     ife_local_basis_direct,
     jump_correction_local,
     sm_geometry_checks,
     standard_local_basis,
 )
+
+from conftest import one_element_mesh
 
 REF_TRI = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 UNIT_SQ = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
@@ -155,12 +159,30 @@ class TestDirectBasis:
             assert abs(b) + abs(c) + abs(d) <= 1e-10
 
     def test_vertex_chord_basis(self, diagonal_ls):
-        from ifelab.geometry import build_cut
         tri = np.array([(0.0, 0.0), (0.25, 0.0), (0.0, 0.25)])
-        cut = build_cut(0, tri, diagonal_ls)
+        cut = build_layout(one_element_mesh(tri), diagonal_ls).cuts[0]
         assert cut.loc_d[0] == "vertex"
         basis = ife_local_basis_direct(cut, CR, 2.0, 1.0)
         assert delta_residual(basis) <= 1e-10
+
+
+class TestEdgeMeans:
+    def test_matches_per_edge_means(self, circle_ls):
+        """The batched means equal edge_mean_of edge by edge, cut edges split
+        at their crossing, for a function that jumps across the interface."""
+        from ifelab.mesh import build_uniform_rect
+
+        f = lambda p: np.where(circle_ls.phi(p) > 0, np.sin(3 * p[..., 0]) + p[..., 1] ** 2,
+                               2.0 - p[..., 0] * p[..., 1])
+        mesh = build_uniform_rect(8)
+        splits = build_layout(mesh, circle_ls).edge_splits
+        ids = np.arange(1, mesh.n_edges, 2)
+        got = edge_means(f, mesh, splits, ids)
+        p0 = mesh.nodes[mesh.edges[ids, 0]]
+        p1 = mesh.nodes[mesh.edges[ids, 1]]
+        ref = [edge_mean_of(f, a, b, split=splits.get(int(e))) for e, a, b in zip(ids, p0, p1)]
+        assert any(int(e) in splits for e in ids)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestLinearReproduction:
@@ -184,7 +206,7 @@ class TestLinearReproduction:
                            g_D=zero, g_N=zero, g_boundary=u)
         mesh = build_uniform_tri(8)
         ctx = build_context(prob, mesh, CR)
-        dofs = interpolate_ife(prob, mesh, ctx.layout, CR)
+        dofs = interpolate_ife(prob, mesh, ctx.layout)
         rng = np.random.default_rng(0)
         for e in range(0, mesh.n_elements, 7):
             verts = mesh.element_vertices(e)
@@ -243,9 +265,8 @@ class TestClosedFormAgainstDense:
             checked += 1
 
     def test_vertex_chord_agreement(self, diagonal_ls):
-        from ifelab.geometry import build_cut
         tri = np.array([(0.5, 0.5), (0.75, 0.5), (0.5, 0.75)])
-        cut = build_cut(0, tri, diagonal_ls)
+        cut = build_layout(one_element_mesh(tri), diagonal_ls).cuts[0]
         sm = ife_local_basis_cr_sm(cut, 2.0, 1.0)
         dense = ife_local_basis_direct(cut, CR, 2.0, 1.0)
         pts = tri.mean(axis=0) + np.random.default_rng(0).uniform(-0.05, 0.05, (10, 2))

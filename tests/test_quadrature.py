@@ -5,15 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ifelab.ife_space import edge_mean_of
 from ifelab.quadrature import (
-    integrate_cut_edge,
-    integrate_polygon,
-    integrate_segment,
     polygon_area,
-    reference_square_rule,
+    polygon_points_weights,
     reference_triangle_rule,
     segment_rule,
 )
+
+UNIT_SQ = [(0, 0), (1, 0), (1, 1), (0, 1)]
+
+
+def polygon_integral(f, poly, degree=6):
+    pts, wts = polygon_points_weights(poly, degree)
+    return float(wts @ f(pts))
+
+
+def segment_integral(f, a, b, npts, split=None):
+    """Integral along a -> b as the edge mean times the edge length."""
+    length = np.linalg.norm(np.subtract(b, a, dtype=float))
+    return edge_mean_of(f, a, b, split=split, npts=npts) * length
 
 
 def monomial_integral_triangle(a, b):
@@ -35,11 +46,13 @@ def test_reference_triangle_rule_exactness(degree):
 
 @pytest.mark.parametrize("degree", range(1, 11))
 def test_reference_square_rule_exactness(degree):
-    rule = reference_square_rule(degree)
-    assert abs(rule.weights.sum() - 1.0) <= 1e-14
+    """The unit square has no rule of its own: rectangles are integrated by
+    the fan rule of polygon_points_weights, exact to the requested degree."""
+    pts, wts = polygon_points_weights(UNIT_SQ, degree)
+    assert abs(wts.sum() - 1.0) <= 1e-14
     for a in range(degree + 1):
         for b in range(degree + 1 - a):
-            val = np.dot(rule.weights, rule.points[:, 0] ** a * rule.points[:, 1] ** b)
+            val = np.dot(wts, pts[:, 0] ** a * pts[:, 1] ** b)
             exact = 1.0 / ((a + 1) * (b + 1))
             assert abs(val - exact) <= 1e-12
 
@@ -50,58 +63,53 @@ def test_segment_rule_weights_sum_to_measure():
 
 
 def test_segment_cubic_two_points():
-    val = integrate_segment(lambda p: p[:, 0] ** 3, (0, 0), (1, 0), npts=2)
+    val = segment_integral(lambda p: p[:, 0] ** 3, (0, 0), (1, 0), npts=2)
     assert abs(val - 0.25) <= 1e-14
 
 
 def test_segment_constant_gives_length():
-    val = integrate_segment(lambda p: np.ones(len(p)), (1, 2), (4, 6), npts=1)
+    val = segment_integral(lambda p: np.ones(len(p)), (1, 2), (4, 6), npts=1)
     assert abs(val - 5.0) <= 1e-14
 
 
 def test_segment_sine():
     # Gauss-5 error for sin over [0, pi] is ~1.1e-7 (analytic oracle: exactly 2)
-    val = integrate_segment(lambda p: np.sin(p[:, 0]), (0, 0), (np.pi, 0), npts=5)
+    val = segment_integral(lambda p: np.sin(p[:, 0]), (0, 0), (np.pi, 0), npts=5)
     assert abs(val - 2.0) <= 1e-6
-    val7 = integrate_segment(lambda p: np.sin(p[:, 0]), (0, 0), (np.pi, 0), npts=7)
+    val7 = segment_integral(lambda p: np.sin(p[:, 0]), (0, 0), (np.pi, 0), npts=7)
     assert abs(val7 - 2.0) <= 1e-11
 
 
 def test_polygon_constant_unit_square():
-    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    assert abs(integrate_polygon(lambda p: np.ones(len(p)), square) - 1.0) <= 1e-14
+    assert abs(polygon_integral(lambda p: np.ones(len(p)), UNIT_SQ) - 1.0) <= 1e-14
 
 
 def test_polygon_linear_on_triangle():
     tri = [(0, 0), (1, 0), (0, 1)]
-    val = integrate_polygon(lambda p: p[:, 0], tri)
+    val = polygon_integral(lambda p: p[:, 0], tri)
     assert abs(val - 1.0 / 6.0) <= 1e-14
 
 
 def test_polygon_quartic_on_square():
-    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    val = integrate_polygon(lambda p: p[:, 0] ** 2 * p[:, 1] ** 2, square, degree=6)
+    val = polygon_integral(lambda p: p[:, 0] ** 2 * p[:, 1] ** 2, UNIT_SQ, degree=6)
     assert abs(val - 1.0 / 9.0) <= 1e-13
 
 
-def test_degenerate_polygon_warns_and_returns_zero():
+def test_degenerate_polygon_integrates_to_zero():
     sliver = [(0, 0), (1, 0), (0.5, 1e-17)]
-    with pytest.warns(RuntimeWarning):
-        assert integrate_polygon(lambda p: np.ones(len(p)), sliver) == 0.0
+    pts, wts = polygon_points_weights(sliver, 6)
+    assert np.all(wts >= 0) and np.all(np.isfinite(pts))
+    assert abs(polygon_integral(lambda p: np.ones(len(p)), sliver)) <= 1e-16
 
 
 def test_cut_edge_constant_is_length():
-    val = integrate_cut_edge(
-        lambda p: np.ones(len(p)), lambda p: np.ones(len(p)),
-        (0, 0), (2, 0), split=None, classify=lambda m: 1)
+    val = segment_integral(lambda p: np.ones(len(p)), (0, 0), (2, 0), npts=5)
     assert abs(val - 2.0) <= 1e-14
 
 
 def test_cut_edge_split_piecewise_constant():
-    val = integrate_cut_edge(
-        lambda p: 2.0 * np.ones(len(p)), lambda p: np.ones(len(p)),
-        (0, 0), (1, 0), split=(0.5, 0),
-        classify=lambda m: 1 if m[0] > 0.5 else -1)
+    val = segment_integral(lambda p: np.where(p[:, 0] > 0.5, 2.0, 1.0),
+                           (0, 0), (1, 0), npts=5, split=(0.5, 0))
     assert abs(val - 1.5) <= 1e-14
 
 
@@ -112,8 +120,8 @@ def test_cut_edge_matches_composite_midpoint_oracle():
     split = 0.5 * (a + b)
     fp = lambda p: 2.0 * (3.0 * p[..., 0] - p[..., 1] + 0.5)
     fm = lambda p: 1.0 * (-p[..., 0] + 2.0 * p[..., 1] - 0.25)
-    classify = lambda m: 1 if m[0] > m[1] else -1
-    val = integrate_cut_edge(fp, fm, a, b, split=split, classify=classify, npts=5)
+    f = lambda p: np.where(p[:, 0] > p[:, 1], fp(p), fm(p))
+    val = segment_integral(f, a, b, npts=5, split=split)
 
     n = 256
     ts = (np.arange(n) + 0.5) / n
@@ -137,9 +145,9 @@ def test_polygon_additivity_under_chord_split(ts, i, j):
     cut = cut_from_chord(tri, ("edge", i), ts[0], ("edge", j), ts[1])
     f = lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]) + p[:, 0] ** 2
 
-    whole = integrate_polygon(f, tri, degree=8)
-    parts = integrate_polygon(f, cut.poly_plus, degree=8) + \
-        integrate_polygon(f, cut.poly_minus, degree=8)
+    whole = polygon_integral(f, tri, degree=8)
+    parts = polygon_integral(f, cut.poly_plus, degree=8) + \
+        polygon_integral(f, cut.poly_minus, degree=8)
     assert abs(whole - parts) <= 1e-10 * max(1.0, abs(whole))
     assert abs(polygon_area(cut.poly_plus) + polygon_area(cut.poly_minus)
                - polygon_area(tri)) <= 1e-12 * polygon_area(tri)
