@@ -10,16 +10,19 @@ new     adds, on interface edges, the symmetric consistency term
 ppifem  keeps the consistency term but stabilizes with the interior-penalty
         jump product (eta_e/|e|) int_e [u][v]
 
-The lifting solve and the volume form share their element Gram matrices, so
-the discrete coercivity bound A(v,v) >= 0.5*a_vol(v,v) holds to roundoff by
-construction. Jumps are oriented as (trace from T1) - (trace from T2) with
-the edge normal pointing out of T1; boundary edges use the single trace for
-both average and jump.
+All interface elements live in one CutTable: their stacked basis
+coefficients and one flat sub-polygon quadrature with an owner index and a
+piece flag, read in one pass by the volume form, the load vector, the
+jump-correction action and the error norms. The lifting solve and the volume
+form share its element Gram matrices, so the discrete coercivity bound
+A(v,v) >= 0.5*a_vol(v,v) holds to roundoff by construction. Jumps are
+oriented as (trace from T1) - (trace from T2) with the edge normal pointing
+out of T1; boundary edges use the single trace for both average and jump.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,15 +33,20 @@ from .ife_space import (
     CR,
     LocalIFEBasis,
     edge_means,
+    evaluate,
     ife_local_basis_cr_sm,
     ife_local_basis_direct,
     jump_correction_local,
     standard_local_basis,
 )
 from .mesh import UnfittedMesh
+from .problems import piecewise
 from .quadrature import polygon_points_weights, segment_rule
 
 METHODS = ("plain", "new", "ppifem")
+VOLUME_DEGREE = 6  # exact degree of the element and sub-polygon rules
+EDGE_NPTS = 5      # Gauss points per edge segment, chord and boundary edge
+BLOCK_POINTS = 16384  # quadrature points per block of uncut elements
 
 
 class AssemblyError(RuntimeError):
@@ -52,24 +60,36 @@ class SolverError(RuntimeError):
 
 
 @dataclass
-class ElementCtx:
-    """Quadrature and basis data cached per interface element."""
+class CutTable:
+    """Immersed bases and sub-polygon quadrature of every interface element.
 
-    basis: LocalIFEBasis
-    qp: np.ndarray          # plus-side quadrature points
-    wp: np.ndarray
-    qm: np.ndarray
-    wm: np.ndarray
-    beta_p: np.ndarray      # beta^+(x) at plus points
-    beta_m: np.ndarray
-    vals_p: np.ndarray      # (m, nq+) basis values, plus piece
-    vals_m: np.ndarray
-    grads_p: np.ndarray     # (m, nq+, 2)
-    grads_m: np.ndarray
-    M: np.ndarray           # weighted Gram of the gradient space basis
+    Element rows follow layout.cuts. Quadrature point q lies in element
+    ids[owner[q]], in its plus (piece[q] = 0) or minus (piece[q] = 1)
+    sub-polygon; each element's points are contiguous from starts[row].
+    """
+
+    ids: np.ndarray         # (n_cut,) element ids
+    row: np.ndarray         # (n_elements,) table row of each element, -1 if uncut
+    bases: List[LocalIFEBasis]
+    coef: np.ndarray        # (n_cut, m, 2, 4) basis coefficients
+    centers: np.ndarray     # (n_cut, 2) monomial centres
+    chords: np.ndarray      # (n_cut, 2, 2) chord endpoints D, E
+    pts: np.ndarray         # (nq, 2)
+    wts: np.ndarray
+    owner: np.ndarray
+    piece: np.ndarray
+    starts: np.ndarray
+    beta: np.ndarray        # (nq,) beta+- of each point's piece
+    vals: np.ndarray        # (nq, m) values of the owner's basis
+    grads: np.ndarray       # (nq, m, 2)
+    M: np.ndarray           # (n_cut, m-1, m-1) weighted Gram of the gradient space
     G: np.ndarray           # unweighted Gram
     C: np.ndarray           # (m, m-1) gradient-space coefficients of each basis fn
-    K: np.ndarray           # (m, m) element stiffness = C M C^T
+    K: np.ndarray           # (n_cut, m, m) element stiffness = C M C^T
+
+    def per_element(self, x: np.ndarray) -> np.ndarray:
+        """Sums of the point rows x (nq, ...) over each element: (n_cut, ...)."""
+        return np.add.reduceat(x, self.starts, axis=0)
 
 
 @dataclass
@@ -84,6 +104,16 @@ class ClassCtx:
     grads: np.ndarray       # (nq, m, 2)
     gouter: np.ndarray      # (nq, m, m) grad_i . grad_j
 
+    def blocks(self):
+        """(slice of ids, (e, nq, 2) points) per run of elements holding at
+        most BLOCK_POINTS quadrature points. Evaluating problem data block by
+        block keeps its temporaries in cache instead of streaming arrays of
+        millions of points through memory."""
+        step = max(1, BLOCK_POINTS // len(self.wts))
+        for start in range(0, len(self.ids), step):
+            s = slice(start, start + step)
+            yield s, self.shifts[s, None, :] + self.pts[None, :, :]
+
 
 @dataclass
 class Context:
@@ -93,10 +123,8 @@ class Context:
     mesh: UnfittedMesh
     layout: CutLayout
     kind: str
-    elem_ctx: Dict[int, ElementCtx]
+    cut_table: CutTable
     classes: List[ClassCtx]
-    volume_degree: int = 6
-    edge_npts: int = 5
 
 
 @dataclass
@@ -115,69 +143,75 @@ class AssembledSystem:
         return full
 
 
-def _build_element_ctx(prob, cut, basis, degree) -> ElementCtx:
-    m = basis.n_dofs
-    qp, wp = polygon_points_weights(cut.poly_plus, degree)
-    qm, wm = polygon_points_weights(cut.poly_minus, degree)
-    beta_p = np.asarray(prob.beta_plus(qp), float)
-    beta_m = np.asarray(prob.beta_minus(qm), float)
-    vals_p = np.array([basis.funcs[i][0].value(qp) for i in range(m)])
-    vals_m = np.array([basis.funcs[i][1].value(qm) for i in range(m)])
-    grads_p = np.array([basis.funcs[i][0].grad(qp) for i in range(m)])
-    grads_m = np.array([basis.funcs[i][1].grad(qm) for i in range(m)])
+def _build_cut_table(prob, mesh, layout, kind) -> CutTable:
+    """Bases, quadrature and Gram matrices of all cut elements at once.
+
+    beta_plus and beta_minus are each called once on the chord midpoints
+    (the basis coefficients) and once on the quadrature points.
+    """
+    cuts = list(layout.cuts.values())
+    ids = np.array(list(layout.cuts), dtype=int)
+    m = 3 if kind == CR else 4
+    mids = np.array([c.x_p for c in cuts]).reshape(-1, 2)
+    bps, bms = prob.beta_plus(mids), prob.beta_minus(mids)
+    if kind == CR:
+        bases = [ife_local_basis_cr_sm(c, float(bp), float(bm))
+                 for c, bp, bm in zip(cuts, bps, bms)]
+    else:
+        bases = [ife_local_basis_direct(c, kind, float(bp), float(bm), kappa=mesh.kappa)
+                 for c, bp, bm in zip(cuts, bps, bms)]
+    coef = np.array([b.coef for b in bases]).reshape(-1, m, 2, 4)
+    centers = np.array([b.center for b in bases]).reshape(-1, 2)
+    row = np.full(mesh.n_elements, -1)
+    row[ids] = np.arange(len(ids))
+
+    rules = [polygon_points_weights(poly, VOLUME_DEGREE)
+             for c in cuts for poly in (c.poly_plus, c.poly_minus)]
+    counts = np.array([len(w) for _, w in rules], dtype=int)
+    pts = np.concatenate([np.zeros((0, 2))] + [p for p, _ in rules])
+    wts = np.concatenate([np.zeros(0)] + [w for _, w in rules])
+    owner = np.repeat(np.arange(len(rules)) // 2, counts)
+    piece = np.repeat(np.arange(len(rules)) % 2, counts)
+    starts = (np.cumsum(counts) - counts)[::2]
+    beta = piecewise(1 - 2 * piece, prob.beta_plus, prob.beta_minus, pts)
+    vals, grads = evaluate(coef[owner, :, piece], pts[:, None, :],
+                           centers[owner][:, None, :], mesh.kappa)
 
     nw = m - 1  # gradient space: gradients of the first m-1 basis functions
-    M = np.empty((nw, nw))
-    G = np.empty((nw, nw))
-    for k in range(nw):
-        for l in range(k, nw):
-            dot_p = np.einsum("qi,qi->q", grads_p[k], grads_p[l])
-            dot_m = np.einsum("qi,qi->q", grads_m[k], grads_m[l])
-            M[k, l] = M[l, k] = wp @ (beta_p * dot_p) + wm @ (beta_m * dot_m)
-            G[k, l] = G[l, k] = wp @ dot_p + wm @ dot_m
+    gram = np.einsum("qkd,qld->qkl", grads[:, :nw], grads[:, :nw])
+    M = np.add.reduceat((wts * beta)[:, None, None] * gram, starts, axis=0)
+    G = np.add.reduceat(wts[:, None, None] * gram, starts, axis=0)
     C = np.vstack([np.eye(nw), -np.ones(nw)])  # gradients sum to zero
-    K = C @ M @ C.T
-    return ElementCtx(basis, qp, wp, qm, wm, beta_p, beta_m,
-                      vals_p, vals_m, grads_p, grads_m, M, G, C, K)
+    chords = np.array([[c.D, c.E] for c in cuts]).reshape(-1, 2, 2)
+    return CutTable(ids, row, bases, coef, centers, chords, pts, wts, owner, piece,
+                    starts, beta, vals, grads, M, G, C, C @ M @ C.T)
 
 
-def _build_class_ctx(mesh, ids, kind, degree) -> ClassCtx:
+def _build_class_ctx(mesh, ids, kind) -> ClassCtx:
     ref = mesh.element_vertices(int(ids[0]))
     shifts = mesh.nodes[mesh.elements[ids, 0]] - ref[0]
-    pts, wts = polygon_points_weights(ref, degree)
+    pts, wts = polygon_points_weights(ref, VOLUME_DEGREE)
     lam = standard_local_basis(ref, kind, mesh.kappa)
-    vals = np.stack([l.value(pts) for l in lam], axis=1)
-    grads = np.stack([l.grad(pts) for l in lam], axis=1)
+    vals, grads = evaluate(lam, pts[:, None, :], ref.mean(axis=0), mesh.kappa)
     gouter = np.einsum("qid,qjd->qij", grads, grads)
     return ClassCtx(ids, shifts, pts, wts, vals, grads, gouter)
 
 
 def build_context(prob, mesh: UnfittedMesh, kind: str,
-                  layout: Optional[CutLayout] = None,
-                  volume_degree: int = 6, edge_npts: int = 5) -> Context:
+                  layout: Optional[CutLayout] = None) -> Context:
     """Classify the mesh against the problem's interface and cache local data.
 
     Triangles take the closed-form immersed basis, rectangles the dense solve.
     """
     if layout is None:
         layout = build_layout(mesh, prob.levelset)
-    elem_ctx: Dict[int, ElementCtx] = {}
-    for e, cut in layout.cuts.items():
-        bp = float(prob.beta_plus(cut.x_p))
-        bm = float(prob.beta_minus(cut.x_p))
-        if kind == CR:
-            basis = ife_local_basis_cr_sm(cut, bp, bm)
-        else:
-            basis = ife_local_basis_direct(cut, kind, bp, bm, kappa=mesh.kappa)
-        elem_ctx[e] = _build_element_ctx(prob, cut, basis, volume_degree)
-
     classes = []
     for ids in mesh.congruence_classes():
         ids = ids[layout.classes[ids] != INTERFACE]
         if ids.size:
-            classes.append(_build_class_ctx(mesh, ids, kind, volume_degree))
-    return Context(prob, mesh, layout, kind, elem_ctx, classes,
-                   volume_degree, edge_npts)
+            classes.append(_build_class_ctx(mesh, ids, kind))
+    return Context(prob, mesh, layout, kind, _build_cut_table(prob, mesh, layout, kind),
+                   classes)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +227,9 @@ class LiftingBlock:
     against these arrays (W = diag(wq), avg = 1/2, or 1 on a boundary edge):
 
     pts, wq     (nq, 2) points and (nq,) weights
-    sides, beta (n_elem, nq) chord side of each adjacent element and its
-                coefficient at every point (one side per sub-segment)
+    rows        cut-table row of each adjacent element
+    piece, beta (n_elem, nq) piece (0 plus, 1 minus) of each adjacent element
+                and its coefficient at every point (one piece per sub-segment)
     psi         (dim, nq) weighted normal traces avg beta w_k . n_e of the
                 gradient-space fields w_k = grad(phi_k) of both elements
     jump        (n_union, nq) basis jumps [phi_a] of the union DOFs
@@ -210,10 +245,11 @@ class LiftingBlock:
 
     edge_id: int
     elements: Tuple[int, ...]
+    rows: np.ndarray
     union_dofs: np.ndarray
     pts: np.ndarray
     wq: np.ndarray
-    sides: np.ndarray
+    piece: np.ndarray
     beta: np.ndarray
     psi: np.ndarray
     jump: np.ndarray
@@ -232,13 +268,6 @@ class LiftingBlock:
         return np.linalg.solve(self.M, moments)
 
 
-def _piecewise(pieces, sides: np.ndarray, pts: np.ndarray, grad: bool) -> np.ndarray:
-    """Values (or gradients) at pts of the (plus, minus) piece given by sides."""
-    if grad:
-        return np.where((sides > 0)[:, None], pieces[0].grad(pts), pieces[1].grad(pts))
-    return np.where(sides > 0, pieces[0].value(pts), pieces[1].value(pts))
-
-
 def build_lifting_block(ctx: Context, eid: int) -> LiftingBlock:
     """Build the trace table of one interface edge and its lifting data.
 
@@ -248,12 +277,13 @@ def build_lifting_block(ctx: Context, eid: int) -> LiftingBlock:
     action are all products against the stored arrays.
     """
     mesh = ctx.mesh
+    tab = ctx.cut_table
     adj = [int(t) for t in mesh.edge_elems[eid] if t >= 0]
-    n_e = mesh.edge_normals[eid]
-    for t in adj:
-        if t not in ctx.elem_ctx:
+    rows = tab.row[adj]
+    for t, r in zip(adj, rows):
+        if r < 0:
             raise AssemblyError(f"edge {eid}: element {t} carries no cut data")
-    ecs = [ctx.elem_ctx[t] for t in adj]
+    n_e = mesh.edge_normals[eid]
 
     union: List[int] = []
     for t in adj:
@@ -264,7 +294,7 @@ def build_lifting_block(ctx: Context, eid: int) -> LiftingBlock:
     ends = [mesh.nodes[mesh.edges[eid, 0]], mesh.nodes[mesh.edges[eid, 1]]]
     if x_gamma is not None:
         ends.insert(1, x_gamma)
-    rule = segment_rule(ctx.edge_npts)
+    rule = segment_rule(EDGE_NPTS)
     seg_pts, seg_wts = [], []
     for p, q in zip(ends, ends[1:]):
         seg_len = float(np.linalg.norm(q - p))
@@ -274,65 +304,45 @@ def build_lifting_block(ctx: Context, eid: int) -> LiftingBlock:
     pts = np.concatenate(seg_pts)
     wq = np.concatenate(seg_wts)
     mids = np.array([seg.mean(axis=0) for seg in seg_pts])
-    sides = np.array([np.repeat(ctx.layout.cuts[t].side_of(mids), len(rule.weights))
-                      for t in adj])
+    piece = np.array([np.repeat(ctx.layout.cuts[t].side_of(mids) < 0, len(rule.weights))
+                      for t in adj]).astype(int)
     xs = pts if x_gamma is None else np.vstack([pts, x_gamma])
     bp, bm = ctx.prob.beta_plus(xs), ctx.prob.beta_minus(xs)
-    beta = np.where(sides > 0, bp[:len(wq)], bm[:len(wq)])
+    beta = np.where(piece == 0, bp[:len(wq)], bm[:len(wq)])
     beta_gamma = None if x_gamma is None else max(float(bp[-1]), float(bm[-1]))
 
-    dim = sum(ec.basis.n_dofs - 1 for ec in ecs)
+    nb = tab.coef.shape[1] - 1
+    dim = len(adj) * nb
     avg = 1.0 if len(adj) == 1 else 0.5
     M = np.zeros((dim, dim))
     G = np.zeros((dim, dim))
     D_mat = np.zeros((dim, len(union)))
     psi = np.zeros((dim, len(wq)))
     jump = np.zeros((len(union), len(wq)))
-    off = 0
-    for sgn, ec, loc, side, beta_t in zip((1.0, -1.0), ecs, locs, sides, beta):
-        funcs = ec.basis.funcs
-        nb = len(funcs) - 1
-        M[off:off + nb, off:off + nb] = ec.M
-        G[off:off + nb, off:off + nb] = ec.G
-        D_mat[off:off + nb, loc] = ec.C.T
-        for k in range(nb):
-            psi[off + k] = avg * beta_t * (_piecewise(funcs[k], side, pts, True) @ n_e)
-        for a in range(len(funcs)):
-            jump[loc[a]] += sgn * _piecewise(funcs[a], side, pts, False)
-        off += nb
+    for i, (sgn, r, loc, pc, beta_t) in enumerate(zip((1.0, -1.0), rows, locs, piece, beta)):
+        blk = slice(i * nb, (i + 1) * nb)
+        vals, grads = evaluate(tab.coef[r][:, pc], pts, tab.centers[r], mesh.kappa)
+        M[blk, blk] = tab.M[r]
+        G[blk, blk] = tab.G[r]
+        D_mat[blk, loc] = tab.C.T
+        psi[blk] = avg * beta_t * (grads[:nb] @ n_e)
+        jump[loc] += sgn * vals
 
     cond = np.linalg.cond(M)
     if not np.isfinite(cond) or cond > 1e12:
         raise AssemblyError(f"lifting Gram matrix ill-conditioned on edge {eid} "
                             f"(cond={cond:.2e})")
     psi_w = psi * wq
-    return LiftingBlock(int(eid), tuple(adj), np.array(union), pts, wq, sides, beta,
+    return LiftingBlock(int(eid), tuple(adj), rows, np.array(union), pts, wq, piece, beta,
                         psi, jump, psi_w @ jump.T, D_mat, M, G,
                         (jump * wq) @ jump.T, psi_w @ psi.T,
                         float(mesh.edge_lengths[eid]), x_gamma, beta_gamma)
 
 
-def lift_trace(ctx: Context, block: LiftingBlock, trace: Callable) -> np.ndarray:
+def lift_trace(block: LiftingBlock, trace: Callable) -> np.ndarray:
     """Lift a scalar edge trace: returns gradient-space coefficients solving
     int beta r_e . w = int_e {beta w . n_e} trace for every w."""
     return block.lift(block.psi @ (block.wq * np.asarray(trace(block.pts), float)))
-
-
-def lifted_field(ctx: Context, block: LiftingBlock, coeffs: np.ndarray,
-                 elem: int, pts: np.ndarray) -> np.ndarray:
-    """Evaluate the lifted field on one adjacent element at given points."""
-    ec = ctx.elem_ctx[elem]
-    cut = ctx.layout.cuts[elem]
-    idx = block.elements.index(elem)
-    nb = ec.basis.n_dofs - 1
-    off = sum(ctx.elem_ctx[t].basis.n_dofs - 1 for t in block.elements[:idx])
-    side = cut.side_of(pts)
-    out = np.zeros(np.asarray(pts, float).shape)
-    for k in range(nb):
-        gp = ec.basis.funcs[k][0].grad(pts)
-        gm = ec.basis.funcs[k][1].grad(pts)
-        out += coeffs[off + k] * np.where((side > 0)[..., None], gp, gm)
-    return out
 
 
 def lifting_stability_ratio(block: LiftingBlock) -> float:
@@ -358,29 +368,18 @@ def lifting_stability_ratio(block: LiftingBlock) -> float:
 
 def _volume_triplets(ctx: Context):
     mesh = ctx.mesh
-    rows, cols, data = [], [], []
+    blocks = []
     for cl in ctx.classes:
-        pts = cl.shifts[:, None, :] + cl.pts[None, :, :]
-        sides = ctx.layout.classes[cl.ids]
-        beta = np.empty(pts.shape[:2])
-        mp = sides > 0
-        if np.any(mp):
-            beta[mp] = ctx.prob.beta_plus(pts[mp])
-        if np.any(~mp):
-            beta[~mp] = ctx.prob.beta_minus(pts[~mp])
-        K = np.einsum("eq,q,qij->eij", beta, cl.wts, cl.gouter)
-        conn = mesh.elem_edges[cl.ids]
-        m = conn.shape[1]
-        rows.append(np.repeat(conn, m, axis=1).ravel())
-        cols.append(np.tile(conn, (1, m)).ravel())
-        data.append(K.ravel())
-    for e, ec in ctx.elem_ctx.items():
-        conn = mesh.elem_edges[e]
-        m = len(conn)
-        rows.append(np.repeat(conn, m))
-        cols.append(np.tile(conn, m))
-        data.append(ec.K.ravel())
-    return rows, cols, data
+        K = np.empty((len(cl.ids),) + cl.gouter.shape[1:])
+        for s, pts in cl.blocks():
+            beta = piecewise(ctx.layout.classes[cl.ids[s]], ctx.prob.beta_plus,
+                             ctx.prob.beta_minus, pts)
+            K[s] = np.einsum("eq,q,qij->eij", beta, cl.wts, cl.gouter)
+        blocks.append((mesh.elem_edges[cl.ids], K))
+    blocks.append((mesh.elem_edges[ctx.cut_table.ids], ctx.cut_table.K))
+    rows = [np.repeat(conn, conn.shape[1], axis=1).ravel() for conn, _ in blocks]
+    cols = [np.tile(conn, (1, conn.shape[1])).ravel() for conn, _ in blocks]
+    return rows, cols, [K.ravel() for _, K in blocks]
 
 
 def _edge_form(block: LiftingBlock, method: str, eta: Optional[float],
@@ -413,12 +412,12 @@ def _edge_local_matrices(ctx: Context, method: str, eta: Optional[float]):
 
 
 def assemble(ctx: Context, method: str, eta: Optional[float] = None,
-             correction: Optional[Dict[int, tuple]] = None) -> AssembledSystem:
+             correction: Optional[np.ndarray] = None) -> AssembledSystem:
     """Assemble the symmetric system and right-hand side for one method.
 
-    correction maps interface elements to piecewise fields absorbing
-    nonhomogeneous interface jumps; their full bilinear-form action moves to
-    the right-hand side.
+    correction holds the (n_cut, 2, 4) coefficients of the piecewise fields
+    absorbing nonhomogeneous interface jumps, rows as in ctx.cut_table; their
+    full bilinear-form action moves to the right-hand side.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
@@ -449,59 +448,52 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
     free = np.nonzero(~boundary)[0]
     constrained = np.nonzero(boundary)[0]
     g_c = edge_means(ctx.prob.g_boundary, mesh, ctx.layout.edge_splits, constrained,
-                     ctx.edge_npts)
+                     EDGE_NPTS)
     rhs = b[free] - A[free][:, constrained] @ g_c
     return AssembledSystem(A[free][:, free], rhs, free, constrained, g_c, n)
 
 
 def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,
-                 correction: Optional[Dict[int, tuple]] = None,
+                 correction: Optional[np.ndarray] = None,
                  edge_blocks=None) -> np.ndarray:
     """Load vector int f phi_i; for nonhomogeneous flux jumps this includes
     the interface load int_chord g_N phi_i, and the full bilinear action of
     the supplied jump correction moves to the right-hand side."""
     mesh = ctx.mesh
+    tab = ctx.cut_table
     b = np.zeros(mesh.n_edges)
     for cl in ctx.classes:
-        pts = cl.shifts[:, None, :] + cl.pts[None, :, :]
-        fv = ctx.prob.f(pts)
-        loc = np.einsum("eq,q,qi->ei", fv, cl.wts, cl.vals)
-        np.add.at(b, mesh.elem_edges[cl.ids].ravel(), loc.ravel())
-    for e, ec in ctx.elem_ctx.items():
-        fp = ctx.prob.f(ec.qp)
-        fm = ctx.prob.f(ec.qm)
-        loc = ec.vals_p @ (ec.wp * fp) + ec.vals_m @ (ec.wm * fm)
-        np.add.at(b, mesh.elem_edges[e], loc)
+        for s, pts in cl.blocks():
+            loc = np.einsum("eq,q,qi->ei", ctx.prob.f(pts), cl.wts, cl.vals)
+            np.add.at(b, mesh.elem_edges[cl.ids[s]].ravel(), loc.ravel())
+    dofs = mesh.elem_edges[tab.ids]
+    np.add.at(b, dofs, tab.per_element(tab.vals * (tab.wts * ctx.prob.f(tab.pts))[:, None]))
 
     if not ctx.prob.homogeneous_jumps:
         # the flux jump loads the chord: test functions are continuous across
-        # it, so either piece's trace applies
-        rule = segment_rule(ctx.edge_npts)
-        for e, ec in ctx.elem_ctx.items():
-            cut = ctx.layout.cuts[e]
-            length = float(np.linalg.norm(cut.E - cut.D))
-            pts = cut.D + rule.points * (cut.E - cut.D)
-            gn = np.asarray(ctx.prob.g_N(pts), float)
-            for a in range(ec.basis.n_dofs):
-                vals = ec.basis.funcs[a][0].value(pts)
-                b[mesh.elem_edges[e][a]] -= length * float(rule.weights @ (gn * vals))
+        # it, so the plus piece's trace applies
+        rule = segment_rule(EDGE_NPTS)
+        D, E = tab.chords[:, 0], tab.chords[:, 1]
+        pts = D[:, None, :] + rule.points[None, :, :] * (E - D)[:, None, :]
+        gn = np.asarray(ctx.prob.g_N(pts), float)
+        vals, _ = evaluate(tab.coef[:, None, :, 0], pts[:, :, None, :],
+                           tab.centers[:, None, None, :], mesh.kappa)
+        loads = np.einsum("q,cq,cqm->cm", rule.weights, gn, vals)
+        np.add.at(b, dofs, -np.linalg.norm(E - D, axis=1)[:, None] * loads)
 
-    if correction:
+    if correction is not None:
         _subtract_correction_action(ctx, b, method, eta, correction, edge_blocks)
     return b
 
 
 def _subtract_correction_action(ctx: Context, b, method, eta, correction, edge_blocks):
     mesh = ctx.mesh
-    # volume part: int beta grad(uJ) . grad(phi_i) on corrected elements
-    for e, (jp, jm) in correction.items():
-        ec = ctx.elem_ctx[e]
-        gp = jp.grad(ec.qp)
-        gm = jm.grad(ec.qm)
-        for a in range(ec.basis.n_dofs):
-            val = ec.wp @ (ec.beta_p * np.einsum("qi,qi->q", gp, ec.grads_p[a])) \
-                + ec.wm @ (ec.beta_m * np.einsum("qi,qi->q", gm, ec.grads_m[a]))
-            b[mesh.elem_edges[e][a]] -= val
+    tab = ctx.cut_table
+    # volume part: int beta grad(uJ) . grad(phi_a) on every cut element
+    _, gJ = evaluate(correction[tab.owner, tab.piece], tab.pts, tab.centers[tab.owner],
+                     mesh.kappa)
+    loc = np.einsum("q,qd,qmd->qm", tab.wts * tab.beta, gJ, tab.grads)
+    np.add.at(b, mesh.elem_edges[tab.ids], -tab.per_element(loc))
     if method == "plain":
         return
 
@@ -514,26 +506,25 @@ def _subtract_correction_action(ctx: Context, b, method, eta, correction, edge_b
         avg = 1.0 if len(block.elements) == 1 else 0.5
         juJ = np.zeros(len(block.wq))
         avgJ = np.zeros(len(block.wq))
-        for sgn, t, side, beta in zip((1.0, -1.0), block.elements, block.sides, block.beta):
-            if t not in correction:
-                continue
-            juJ += sgn * _piecewise(correction[t], side, block.pts, False)
-            avgJ += avg * beta * (_piecewise(correction[t], side, block.pts, True) @ n_e)
+        for sgn, r, pc, beta in zip((1.0, -1.0), block.rows, block.piece, block.beta):
+            vJ, gJ = evaluate(correction[r, pc], block.pts, tab.centers[r], mesh.kappa)
+            juJ += sgn * vJ
+            avgJ += avg * beta * (gJ @ n_e)
         wjuJ = block.wq * juJ
         contrib = _edge_form(block, method, eta, block.psi @ wjuJ,
                              block.jump @ (block.wq * avgJ), block.jump @ wjuJ)
         b[block.union_dofs] -= contrib
 
 
-def build_jump_correction(ctx: Context) -> Dict[int, tuple]:
-    """Per-element correction fields for nonhomogeneous interface jumps."""
-    out = {}
-    for e, cut in ctx.layout.cuts.items():
-        basis = ctx.elem_ctx[e].basis
-        out[e] = jump_correction_local(cut, ctx.kind, basis.beta_c_plus,
-                                       basis.beta_c_minus, ctx.prob.g_D,
-                                       ctx.prob.g_N, kappa=ctx.mesh.kappa)
-    return out
+def build_jump_correction(ctx: Context) -> np.ndarray:
+    """Coefficients (n_cut, 2, 4) of the correction fields for nonhomogeneous
+    interface jumps, rows as in ctx.cut_table; g_D and g_N are each called
+    once, on all chord endpoints."""
+    tab = ctx.cut_table
+    g_D = np.asarray(ctx.prob.g_D(tab.chords), float)
+    g_N = np.asarray(ctx.prob.g_N(tab.chords), float)
+    return np.array([jump_correction_local(basis, d, n)
+                     for basis, d, n in zip(tab.bases, g_D, g_N)]).reshape(-1, 2, 4)
 
 
 def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray, int]:
@@ -581,7 +572,7 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
 
 
 def solve(ctx: Context, method: str, eta: Optional[float] = None,
-          rtol: float = 1e-12) -> Tuple[np.ndarray, Optional[Dict[int, tuple]], int]:
+          rtol: float = 1e-12) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
     """Assemble and solve by ``solve_spd``; returns (full DOF vector,
     correction fields, iterations), the last always 0 for the direct solve."""
     correction = None

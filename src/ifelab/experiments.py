@@ -13,15 +13,15 @@ from .assembly import Context, build_context, solve
 from .geometry import cut_from_chord
 from .ife_space import (
     CR,
-    _split_edges,
-    edge_mean_of,
+    _dof_rows,
+    evaluate,
     ife_local_basis_cr_sm,
     ife_local_basis_direct,
     interpolate_ife,
     sm_geometry_checks,
 )
 from .mesh import build_uniform_rect, build_uniform_tri
-from .problems import ProblemSpec, validate
+from .problems import ProblemSpec, piecewise, validate
 
 CSV_HEADER = "N,h,dofs,L2_err,L2_rate,H1_err,H1_rate,cg_iters,seconds"
 
@@ -37,8 +37,16 @@ def _ensure_validated(prob: ProblemSpec):
         _validated[id(prob)] = prob
 
 
-def error_norms(ctx: Context, dofs: np.ndarray,
-                correction: Optional[Dict[int, tuple]] = None):
+def _squared_errors(prob, sides, pts, wts, beta, uh, duh):
+    """Weighted squared L2 and energy errors of (uh, duh) against the branch
+    of the exact solution that the sign of sides selects."""
+    ue = piecewise(sides, prob.u_plus, prob.u_minus, pts)
+    due = piecewise(sides, prob.grad_u_plus, prob.grad_u_minus, pts, vector=True)
+    return (float(np.sum(wts * (ue - uh) ** 2)),
+            float(np.sum(wts * beta * ((due - duh) ** 2).sum(-1))))
+
+
+def error_norms(ctx: Context, dofs: np.ndarray, correction: Optional[np.ndarray] = None):
     """(L2, broken H1) distance between the exact solution and a DOF vector.
 
     Cut elements compare branch against branch: on each chord side the
@@ -49,49 +57,30 @@ def error_norms(ctx: Context, dofs: np.ndarray,
     error at order h^1.5, hiding the method's second-order convergence.
     """
     mesh = ctx.mesh
+    prob = ctx.prob
     l2 = 0.0
     h1 = 0.0
     for cl in ctx.classes:
-        pts = cl.shifts[:, None, :] + cl.pts[None, :, :]
-        coeff = dofs[mesh.elem_edges[cl.ids]]
-        uh = np.einsum("em,qm->eq", coeff, cl.vals)
-        duh = np.einsum("em,qmd->eqd", coeff, cl.grads)
-        sides = ctx.layout.classes[cl.ids]
-        ue = np.empty(pts.shape[:2])
-        due = np.empty(pts.shape[:2] + (2,))
-        beta = np.empty(pts.shape[:2])
-        mp = sides > 0
-        if np.any(mp):
-            ue[mp] = ctx.prob.u_plus(pts[mp])
-            due[mp] = ctx.prob.grad_u_plus(pts[mp])
-            beta[mp] = ctx.prob.beta_plus(pts[mp])
-        if np.any(~mp):
-            ue[~mp] = ctx.prob.u_minus(pts[~mp])
-            due[~mp] = ctx.prob.grad_u_minus(pts[~mp])
-            beta[~mp] = ctx.prob.beta_minus(pts[~mp])
-        l2 += float(np.einsum("eq,q->", (ue - uh) ** 2, cl.wts))
-        h1 += float(np.einsum("eq,q->", beta * ((due - duh) ** 2).sum(-1), cl.wts))
-    for e, ec in ctx.elem_ctx.items():
-        c = dofs[mesh.elem_edges[e]]
-        for piece, qpts, wts, beta in ((0, ec.qp, ec.wp, ec.beta_p),
-                                       (1, ec.qm, ec.wm, ec.beta_m)):
-            vals = ec.vals_p if piece == 0 else ec.vals_m
-            grads = ec.grads_p if piece == 0 else ec.grads_m
-            uh = c @ vals
-            duh = np.einsum("m,mqd->qd", c, grads)
-            if correction and e in correction:
-                J = correction[e][piece]
-                uh = uh + J.value(qpts)
-                duh = duh + J.grad(qpts)
-            if piece == 0:
-                ue = ctx.prob.u_plus(qpts)
-                due = ctx.prob.grad_u_plus(qpts)
-            else:
-                ue = ctx.prob.u_minus(qpts)
-                due = ctx.prob.grad_u_minus(qpts)
-            l2 += float(wts @ (ue - uh) ** 2)
-            h1 += float(wts @ (beta * ((due - duh) ** 2).sum(-1)))
-    return float(np.sqrt(l2)), float(np.sqrt(h1))
+        for s, pts in cl.blocks():
+            ids = cl.ids[s]
+            coeff = dofs[mesh.elem_edges[ids]]
+            uh = np.einsum("em,qm->eq", coeff, cl.vals)
+            duh = np.einsum("em,qmd->eqd", coeff, cl.grads)
+            sides = ctx.layout.classes[ids]
+            beta = piecewise(sides, prob.beta_plus, prob.beta_minus, pts)
+            dl2, dh1 = _squared_errors(prob, sides, pts, cl.wts, beta, uh, duh)
+            l2 += dl2
+            h1 += dh1
+    tab = ctx.cut_table
+    c = dofs[mesh.elem_edges[tab.ids]][tab.owner]
+    uh = np.einsum("qm,qm->q", c, tab.vals)
+    duh = np.einsum("qm,qmd->qd", c, tab.grads)
+    if correction is not None:
+        vJ, gJ = evaluate(correction[tab.owner, tab.piece], tab.pts,
+                          tab.centers[tab.owner], mesh.kappa)
+        uh, duh = uh + vJ, duh + gJ
+    dl2, dh1 = _squared_errors(prob, 1 - 2 * tab.piece, tab.pts, tab.wts, tab.beta, uh, duh)
+    return float(np.sqrt(l2 + dl2)), float(np.sqrt(h1 + dh1))
 
 
 @dataclass
@@ -300,18 +289,22 @@ def _triangle_max_angle(tri):
     return max(angs)
 
 
-def _delta_residual(basis, npts: int = 5) -> float:
-    verts = basis.cut.vertices
-    nv = len(verts)
-    splits = _split_edges(basis.cut)
-    worst = 0.0
-    for i in range(basis.n_dofs):
-        for j in range(nv):
-            mean = edge_mean_of(lambda p, i=i: basis.value(i, p),
-                                verts[j], verts[(j + 1) % nv],
-                                split=splits.get(j), npts=npts)
-            worst = max(worst, abs(mean - (1.0 if i == j else 0.0)))
-    return worst
+def _delta_residual(basis) -> float:
+    """max_ij |N_j(phi_i) - delta_ij|, cut edges integrated piecewise."""
+    means = np.einsum("jsk,isk->ij", _dof_rows(basis.cut, basis.kappa), basis.coef)
+    return float(np.abs(means - np.eye(basis.n_dofs)).max())
+
+
+def _glue_residual(basis) -> float:
+    """Largest value jump at D and E and relative weighted flux jump at the
+    chord midpoint over the basis functions."""
+    cut = basis.cut
+    bp, bm = basis.beta_c_plus, basis.beta_c_minus
+    vals, grads = evaluate(basis.coef, np.array([cut.D, cut.E, cut.x_p])[:, None, None, :],
+                           basis.center, basis.kappa)
+    flux = grads[2] @ cut.n_h
+    return max(float(np.abs(vals[:2, :, 0] - vals[:2, :, 1]).max()),
+               float(np.abs(bp * flux[:, 0] - bm * flux[:, 1]).max()) / max(bp, bm))
 
 
 def basis_stress_test(seed: int = 1, count: int = 1000,
@@ -339,22 +332,11 @@ def basis_stress_test(seed: int = 1, count: int = 1000,
 
         sm = ife_local_basis_cr_sm(cut, bp, bm)
         dense = ife_local_basis_direct(cut, CR, bp, bm)
-        coeffs_sm = np.array([[getattr(sm.funcs[i][k], a) for a in "abc"]
-                              for i in range(3) for k in range(2)])
-        coeffs_de = np.array([[getattr(dense.funcs[i][k], a) for a in "abc"]
-                              for i in range(3) for k in range(2)])
-        scale = max(1.0, float(np.abs(coeffs_sm).max()))
-        agree = float(np.abs(coeffs_sm - coeffs_de).max()) / scale
+        scale = max(1.0, float(np.abs(sm.coef).max()))
+        agree = float(np.abs(sm.coef - dense.coef).max()) / scale
         rep.worst_agreement = max(rep.worst_agreement, agree)
-
         rep.worst_delta = max(rep.worst_delta, _delta_residual(sm))
-        cres = 0.0
-        for plus, minus in sm.funcs:
-            cres = max(cres, abs(plus.value(cut.D) - minus.value(cut.D)),
-                       abs(plus.value(cut.E) - minus.value(cut.E)),
-                       abs(bp * (plus.grad(cut.x_p) @ cut.n_h)
-                           - bm * (minus.grad(cut.x_p) @ cut.n_h)) / max(bp, bm))
-        rep.worst_constraint = max(rep.worst_constraint, cres)
+        rep.worst_constraint = max(rep.worst_constraint, _glue_residual(sm))
 
         gd, k1k2, margin = sm_geometry_checks(cut, bp, bm)
         rep.gamma_delta_min = min(rep.gamma_delta_min, gd)

@@ -2,8 +2,12 @@
 
 Two element families share one edge-mean DOF layout: linear triangles (kind
 'cr') and rotated bilinear rectangles (kind 'rq1', span {1, x1, x2,
-x1^2 - (kappa*x2)^2}). On interface elements the basis is piecewise with the
-two polynomial pieces glued along the chord: values match at both chord
+x1^2 - (kappa*x2)^2}). Every local function is a coefficient array over the
+monomials 1, dx, dy, dx^2 - kappa^2 dy^2 about the element centre (the last
+coefficient is zero for 'cr'), and ``evaluate`` is the one function that
+evaluates such arrays at points. An uncut basis is an (m, 4) array; an
+immersed basis is an (m, 2, 4) array, DOF x piece (plus, minus) x monomial,
+with the two pieces glued along the chord: values match at both chord
 endpoints, the rq1 curvature coefficients match, and the weighted normal
 derivative is continuous at the chord midpoint. Basis functions stay dual to
 the edge means, with cut edges integrated piecewise.
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -33,120 +37,80 @@ class UnisolvenceError(RuntimeError):
     """The local DOF system is singular or numerically unreliable."""
 
 
-@dataclass(frozen=True)
-class LocalPoly:
-    """a + b*(x-cx) + c*(y-cy) + d*((x-cx)^2 - kappa^2*(y-cy)^2)."""
+def evaluate(coef, x, center, kappa: float = 1.0):
+    """Values and gradients of monomial coefficient arrays at points.
 
-    a: float
-    b: float
-    c: float
-    d: float = 0.0
-    center: Tuple[float, float] = (0.0, 0.0)
-    kappa: float = 1.0
-
-    def value(self, x) -> np.ndarray:
-        x = np.asarray(x, float)
-        dx = x[..., 0] - self.center[0]
-        dy = x[..., 1] - self.center[1]
-        return self.a + self.b * dx + self.c * dy + self.d * (dx ** 2 - (self.kappa * dy) ** 2)
-
-    def grad(self, x) -> np.ndarray:
-        x = np.asarray(x, float)
-        dx = x[..., 0] - self.center[0]
-        dy = x[..., 1] - self.center[1]
-        gx = self.b + 2.0 * self.d * dx
-        gy = self.c - 2.0 * self.d * self.kappa ** 2 * dy
-        return np.stack([gx + 0.0 * dx, gy + 0.0 * dy], axis=-1)
-
-    def shifted(self, const: float, gx: float, gy: float) -> "LocalPoly":
-        """Add the affine function const + gx*x + gy*y (global coordinates)."""
-        a = self.a + const + gx * self.center[0] + gy * self.center[1]
-        return LocalPoly(a, self.b + gx, self.c + gy, self.d, self.center, self.kappa)
+    coef (..., 4) holds the coefficients of 1, dx, dy, dx^2 - kappa^2 dy^2
+    with (dx, dy) = x - center; coef[..., k] broadcasts against x[..., 0].
+    Returns the values and the gradients, the latter with a trailing axis of 2.
+    """
+    coef = np.asarray(coef, float)
+    d = np.asarray(x, float) - center
+    dx, dy = d[..., 0], d[..., 1]
+    a, b, c, q = coef[..., 0], coef[..., 1], coef[..., 2], coef[..., 3]
+    val = a + b * dx + c * dy + q * (dx ** 2 - (kappa * dy) ** 2)
+    grad = np.stack([b + 2.0 * q * dx, c - 2.0 * q * kappa ** 2 * dy], axis=-1)
+    return val, grad
 
 
-def poly_combine(coeffs, polys: List[LocalPoly]) -> LocalPoly:
-    a = sum(c * p.a for c, p in zip(coeffs, polys))
-    b = sum(c * p.b for c, p in zip(coeffs, polys))
-    cc = sum(c * p.c for c, p in zip(coeffs, polys))
-    d = sum(c * p.d for c, p in zip(coeffs, polys))
-    ref = polys[0]
-    return LocalPoly(a, b, cc, d, ref.center, ref.kappa)
+def _segment_means(p, q, center, kappa):
+    """Means (n, 4) of the four monomials along the segments p[i] -> q[i]."""
+    rule = segment_rule(_MEAN_NPTS)
+    pts = p[:, None, :] + rule.points[None, :, :] * (q - p)[:, None, :]
+    vals, _ = evaluate(np.eye(4), pts[:, :, None, :], center, kappa)
+    return np.einsum("q,nqk->nk", rule.weights, vals)
 
 
-def _monomials(kind: str, center, kappa: float) -> List[LocalPoly]:
-    base = [LocalPoly(1, 0, 0, 0, center, kappa),
-            LocalPoly(0, 1, 0, 0, center, kappa),
-            LocalPoly(0, 0, 1, 0, center, kappa)]
-    if kind == RQ1:
-        base.append(LocalPoly(0, 0, 0, 1, center, kappa))
-    return base
-
-
-def _edge_mean_rows(monos, a, b, npts=_MEAN_NPTS):
-    """Mean values of the monomials along segment a->b (unit edge weight)."""
-    rule = segment_rule(npts)
-    pts = np.asarray(a, float) + rule.points * (np.asarray(b, float) - np.asarray(a, float))
-    return np.array([float(rule.weights @ m.value(pts)) for m in monos])
-
-
-def standard_local_basis(vertices, kind: str, kappa: float = 1.0) -> List[LocalPoly]:
-    """Basis of the uncut local space, dual to the edge means.
+def standard_local_basis(vertices, kind: str, kappa: float = 1.0) -> np.ndarray:
+    """Coefficients (m, 4) of the uncut basis, dual to the edge means.
 
     Triangles come from the closed form 1 - 2*mu with mu the barycentric
     coordinate of the vertex opposite the edge; rectangles from a 4x4 solve.
     """
     verts = np.asarray(vertices, float)
-    center = tuple(verts.mean(axis=0))
+    center = verts.mean(axis=0)
     if kind == CR:
         if verts.shape[0] != 3:
             raise ValueError("cr needs a triangle")
-        # barycentric coordinates as affine functions
-        A = np.column_stack([np.ones(3), verts])
-        mu = np.linalg.solve(A, np.eye(3))  # columns: (const, gx, gy) per vertex
-        out = []
-        for i in range(3):
-            opp = (i + 2) % 3  # vertex opposite edge (v_i, v_{i+1})
-            c0, gx, gy = mu[:, opp]
-            out.append(LocalPoly(0, 0, 0, 0, center, kappa).shifted(1.0 - 2.0 * c0,
-                                                                    -2.0 * gx, -2.0 * gy))
-        return out
+        # barycentric coordinates as affine functions, columns (const, gx, gy)
+        mu = np.linalg.solve(np.column_stack([np.ones(3), verts]), np.eye(3))
+        c0, gx, gy = mu[:, [2, 0, 1]]  # vertex opposite edge (v_i, v_{i+1})
+        g = -2.0 * np.array([gx, gy])
+        return np.column_stack([1.0 - 2.0 * c0 + g[0] * center[0] + g[1] * center[1],
+                                g[0], g[1], np.zeros(3)])
     if kind == RQ1:
         if verts.shape[0] != 4:
             raise ValueError("rq1 needs a rectangle")
-        monos = _monomials(RQ1, center, kappa)
-        A = np.array([_edge_mean_rows(monos, verts[i], verts[(i + 1) % 4])
-                      for i in range(4)])
+        A = _segment_means(verts, np.roll(verts, -1, axis=0), center, kappa)
         try:
-            coef = np.linalg.solve(A, np.eye(4))
+            return np.linalg.solve(A, np.eye(4)).T
         except np.linalg.LinAlgError as err:
             raise UnisolvenceError("degenerate rectangle") from err
-        return [poly_combine(coef[:, i], monos) for i in range(4)]
     raise ValueError(f"unknown kind {kind!r}")
 
 
 @dataclass
 class LocalIFEBasis:
-    """Edge-mean-dual basis on one interface element, piecewise along the chord."""
+    """Edge-mean-dual basis on one interface element, piecewise along the chord.
+
+    coef (m, 2, 4) holds DOF x piece (plus, minus) x monomial coefficients
+    about the element centre.
+    """
 
     cut: CutElement
     kind: str
     beta_c_plus: float
     beta_c_minus: float
-    funcs: List[Tuple[LocalPoly, LocalPoly]]  # (plus piece, minus piece) per DOF
+    coef: np.ndarray
+    kappa: float = 1.0
 
     @property
     def n_dofs(self) -> int:
-        return len(self.funcs)
+        return self.coef.shape[0]
 
-    def value(self, i: int, x) -> np.ndarray:
-        side = self.cut.side_of(x)
-        plus, minus = self.funcs[i]
-        return np.where(side > 0, plus.value(x), minus.value(x))
-
-    def grad(self, i: int, x) -> np.ndarray:
-        side = self.cut.side_of(x)
-        plus, minus = self.funcs[i]
-        return np.where((side > 0)[..., None], plus.grad(x), minus.grad(x))
+    @property
+    def center(self) -> np.ndarray:
+        return self.cut.vertices.mean(axis=0)
 
 
 def _split_edges(cut: CutElement):
@@ -158,82 +122,64 @@ def _split_edges(cut: CutElement):
     return splits
 
 
-def _dof_rows(cut: CutElement, monos, n_unknowns):
-    """Edge-mean rows of the coupled (plus, minus) system, split at the chord."""
+def _dof_rows(cut: CutElement, kappa: float) -> np.ndarray:
+    """Edge means (nv, 2, 4) of the monomials of each piece.
+
+    Row j integrates local edge j, split at its chord endpoint, with each
+    part charged to the piece on its side of the chord; the edge means of a
+    piecewise function w are einsum("jsk,sk->j", rows, w).
+    """
     verts = cut.vertices
     nv = len(verts)
-    k = len(monos)
     splits = _split_edges(cut)
-    rows = np.zeros((nv, n_unknowns))
+    p, q, edge = [], [], []
     for j in range(nv):
-        a, b = verts[j], verts[(j + 1) % nv]
-        length = np.linalg.norm(b - a)
-        segs = [(a, b)]
+        ends = [verts[j], verts[(j + 1) % nv]]
         if j in splits:
-            p = splits[j]
-            segs = [(a, p), (p, b)]
-        for p, q in segs:
-            seg_len = np.linalg.norm(q - p)
-            if seg_len == 0.0:
-                continue
-            side = int(cut.side_of(0.5 * (p + q)))
-            block = 0 if side > 0 else k
-            rows[j, block:block + k] += _edge_mean_rows(monos, p, q) * (seg_len / length)
+            ends.insert(1, splits[j])
+        p += ends[:-1]
+        q += ends[1:]
+        edge += [j] * (len(ends) - 1)
+    p, q, edge = np.array(p), np.array(q), np.array(edge)
+    seg = np.linalg.norm(q - p, axis=1)
+    keep = seg > 0.0
+    frac = seg / np.linalg.norm(verts[(edge + 1) % nv] - verts[edge], axis=1)
+    piece = (cut.side_of(0.5 * (p + q)) < 0).astype(int)
+    rows = np.zeros((nv, 2, 4))
+    means = _segment_means(p[keep], q[keep], verts.mean(axis=0), kappa)
+    np.add.at(rows, (edge[keep], piece[keep]), means * frac[keep, None])
     return rows
 
 
-def _constraint_rows(cut: CutElement, monos, kind):
-    k = len(monos)
-    n = 2 * k
-    rows = []
-    for pt in (cut.D, cut.E):
-        r = np.zeros(n)
-        vals = np.array([m.value(pt) for m in monos])
-        r[:k] = vals
-        r[k:] = -vals
-        rows.append(r)
+def _solve_local(cut: CutElement, kind, beta_p, beta_m, kappa) -> np.ndarray:
+    """Dense solve of the glue conditions and edge-mean duality: (m, 2, 4)."""
+    k = 3 if kind == CR else 4  # monomials spanning the local space
+    nv = len(cut.vertices)
+    vals, grads = evaluate(np.eye(4), np.array([cut.D, cut.E, cut.x_p])[:, None, :],
+                           cut.vertices.mean(axis=0), kappa)
+    glue = [vals[0, :k], vals[1, :k]]  # values at D and at E
     if kind == RQ1:
-        r = np.zeros(n)
-        r[3] = 1.0
-        r[k + 3] = -1.0
-        rows.append(r)
-    return rows
-
-
-def _flux_row(cut: CutElement, monos, beta_p, beta_m):
-    k = len(monos)
-    r = np.zeros(2 * k)
-    gn = np.array([m.grad(cut.x_p) @ cut.n_h for m in monos])
-    r[:k] = beta_p * gn
-    r[k:] = -beta_m * gn
-    return r
-
-
-def _solve_local(cut: CutElement, kind, beta_p, beta_m, kappa, rhs_cols):
-    center = tuple(np.asarray(cut.vertices, float).mean(axis=0))
-    monos = _monomials(kind, center, kappa)
-    k = len(monos)
-    n = 2 * k
-    rows = _constraint_rows(cut, monos, kind)
-    rows.append(_flux_row(cut, monos, beta_p, beta_m))
-    A = np.vstack(rows + [_dof_rows(cut, monos, n)])
+        glue.append(np.eye(4)[3])  # curvature coefficient
+    gn = grads[2, :k] @ cut.n_h
+    rows = [np.concatenate([r, -r]) for r in glue]
+    rows.append(np.concatenate([beta_p * gn, -beta_m * gn]))
+    A = np.vstack(rows + [_dof_rows(cut, kappa)[:, :, :k].reshape(nv, 2 * k)])
     cond = np.linalg.cond(A)
     if not np.isfinite(cond):
         raise UnisolvenceError(f"singular local system on element {cut.elem_id}")
     if cond > 1e12:
         warnings.warn(f"badly conditioned local system (cond={cond:.2e}) "
                       f"on element {cut.elem_id}", RuntimeWarning, stacklevel=3)
+    rhs = np.zeros((len(A), nv))
+    rhs[len(rows):] = np.eye(nv)
     try:
-        sol = np.linalg.solve(A, rhs_cols)
-        sol += np.linalg.solve(A, rhs_cols - A @ sol)  # one refinement step
+        sol = np.linalg.solve(A, rhs)
+        sol += np.linalg.solve(A, rhs - A @ sol)  # one refinement step
     except np.linalg.LinAlgError as err:
         raise UnisolvenceError(f"singular local system on element {cut.elem_id}") from err
-    pieces = []
-    for col in sol.T:
-        plus = poly_combine(col[:k], monos)
-        minus = poly_combine(col[k:], monos)
-        pieces.append((plus, minus))
-    return pieces
+    coef = np.zeros((nv, 2, 4))
+    coef[:, :, :k] = sol.T.reshape(nv, 2, k)
+    return coef
 
 
 def ife_local_basis_direct(cut: CutElement, kind: str, beta_c_plus: float,
@@ -241,32 +187,31 @@ def ife_local_basis_direct(cut: CutElement, kind: str, beta_c_plus: float,
     """Dense-solve construction of the immersed basis (reference path)."""
     if beta_c_plus <= 0 or beta_c_minus <= 0:
         raise ValueError("coefficients must be positive")
-    nv = len(cut.vertices)
-    n_con = 3 if kind == CR else 4  # value at D, at E, [d] (rq1 only), flux
-    rhs = np.zeros((n_con + nv, nv))
-    rhs[n_con:, :] = np.eye(nv)
-    pieces = _solve_local(cut, kind, beta_c_plus, beta_c_minus, kappa, rhs)
-    return LocalIFEBasis(cut, kind, beta_c_plus, beta_c_minus, pieces)
+    coef = _solve_local(cut, kind, beta_c_plus, beta_c_minus, kappa)
+    return LocalIFEBasis(cut, kind, beta_c_plus, beta_c_minus, coef, kappa)
 
 
-def jump_correction_local(cut: CutElement, kind: str, beta_c_plus: float,
-                          beta_c_minus: float, g_D: Callable, g_N: Callable,
-                          kappa: float = 1.0) -> Tuple[LocalPoly, LocalPoly]:
-    """Piecewise correction with prescribed value/flux jumps and zero edge means.
+def jump_correction_local(basis: LocalIFEBasis, g_D, g_N) -> np.ndarray:
+    """Piecewise correction (2, 4) with prescribed value/flux jumps and zero edge means.
 
-    The value jump matches g_D at both chord endpoints, the weighted normal
-    derivative jump at the chord midpoint equals the average of g_N at the
-    endpoints, and every edge mean vanishes. For rectangles the curvature
-    jump is closed with zero.
+    g_D and g_N hold the jump data at the chord endpoints (D, E). The value
+    jump matches g_D at both endpoints, the weighted normal derivative jump
+    at the chord midpoint equals the mean of g_N, every edge mean vanishes
+    and, for rectangles, so does the curvature jump. The correction is w0
+    minus its edge means times the basis, w0 being zero on the minus piece
+    and, on the plus piece, the affine p with p(D) = g_D(D), p(E) = g_D(E)
+    and beta_c_plus grad(p) . n_h = mean g_N.
     """
-    nv = len(cut.vertices)
-    n_con = 3 if kind == CR else 4
-    rhs = np.zeros((n_con + nv, 1))
-    rhs[0, 0] = float(g_D(cut.D))
-    rhs[1, 0] = float(g_D(cut.E))
-    rhs[n_con - 1, 0] = 0.5 * (float(g_N(cut.D)) + float(g_N(cut.E)))
-    pieces = _solve_local(cut, kind, beta_c_plus, beta_c_minus, kappa, rhs)
-    return pieces[0]
+    cut = basis.cut
+    g_D = np.broadcast_to(np.asarray(g_D, float), 2)
+    g_N = np.broadcast_to(np.asarray(g_N, float), 2)
+    chord = cut.E - cut.D
+    grad = ((g_D[1] - g_D[0]) / (chord @ chord)) * chord \
+        + (0.5 * (g_N[0] + g_N[1]) / basis.beta_c_plus) * cut.n_h
+    w0 = np.zeros((2, 4))
+    w0[0, :3] = g_D[0] + grad @ (basis.center - cut.D), grad[0], grad[1]
+    means = np.einsum("jsk,sk->j", _dof_rows(cut, basis.kappa), w0)
+    return w0 - np.tensordot(means, basis.coef, axes=1)
 
 
 def _common_vertex(e1: int, e2: int, nv: int) -> int:
@@ -281,9 +226,9 @@ def _common_vertex(e1: int, e2: int, nv: int) -> int:
 def _sm_preamble(cut: CutElement):
     """Geometry shared by the closed form and its stress checks.
 
-    Returns (e1, e2, e3, A3, lt, gamma, k, delta, sigma_iso): e1 and e2 are
-    the local edges carrying D and E, e3 the uncut edge, A3 the vertex common
-    to e1 and e2, lt the standard basis functions of (e1, e2, e3),
+    Returns (e1, e2, e3, lt, gamma, k, delta, sigma_iso): e1 and e2 are the
+    local edges carrying D and E, e3 the uncut edge, A3 the vertex common to
+    e1 and e2, lt the (3, 4) standard basis coefficients of (e1, e2, e3),
     gamma_i = grad(lt_i) . n_h, k_i = |A3 - D| / |e1| and |A3 - E| / |e2|,
     delta = (L_A3 / 2) k with L_A3 the signed distance of A3 from the chord,
     and sigma_iso the side of A3.
@@ -304,16 +249,15 @@ def _sm_preamble(cut: CutElement):
     e3 = ({0, 1, 2} - {e1, e2}).pop()
     A3 = verts[_common_vertex(e1, e2, 3)]
 
-    lam = standard_local_basis(verts, CR)
-    lt = [lam[e1], lam[e2], lam[e3]]
+    lt = standard_local_basis(verts, CR)[[e1, e2, e3]]
     n_h = cut.n_h
-    gamma = np.array([lt[0].grad(A3) @ n_h, lt[1].grad(A3) @ n_h])
+    gamma = lt[:2, 1:3] @ n_h  # the gradients of affine functions are constant
     L_A3 = float(n_h @ (A3 - cut.D))
     edge_len = [np.linalg.norm(verts[(i + 1) % 3] - verts[i]) for i in range(3)]
     k = np.array([np.linalg.norm(A3 - cut.D) / edge_len[e1],
                   np.linalg.norm(A3 - cut.E) / edge_len[e2]])
     delta = 0.5 * L_A3 * k
-    return e1, e2, e3, A3, lt, gamma, k, delta, int(cut.side_of(A3))
+    return e1, e2, e3, lt, gamma, k, delta, int(cut.side_of(A3))
 
 
 def ife_local_basis_cr_sm(cut: CutElement, beta_c_plus: float,
@@ -326,7 +270,7 @@ def ife_local_basis_cr_sm(cut: CutElement, beta_c_plus: float,
     """
     if beta_c_plus <= 0 or beta_c_minus <= 0:
         raise ValueError("coefficients must be positive")
-    e1, e2, e3, A3, lt, gamma, _, delta, sigma_iso = _sm_preamble(cut)
+    e1, e2, e3, lt, gamma, _, delta, sigma_iso = _sm_preamble(cut)
     n_h = cut.n_h
     beta_iso = beta_c_plus if sigma_iso > 0 else beta_c_minus
     beta_quad = beta_c_minus if sigma_iso > 0 else beta_c_plus
@@ -337,24 +281,20 @@ def ife_local_basis_cr_sm(cut: CutElement, beta_c_plus: float,
         raise UnisolvenceError(
             f"rank-one update denominator {denom:.3e} on element {cut.elem_id}")
 
-    g3 = float(lt[2].grad(A3) @ n_h)
-    funcs = []
-    for i in range(3):
-        Nt = np.array([1.0 if i == e1 else 0.0,
-                       1.0 if i == e2 else 0.0,
-                       1.0 if i == e3 else 0.0])
-        # rank-one-update solve of (I + r' delta gamma^T) c = b for a unit DOF
-        # vector, reduced to its cancellation-free form: with
-        # s = gamma_i (cut-edge DOFs) or g3 (uncut-edge DOF),
-        # c = N_12 - (r' s / denom) delta and the chord slope c0 = r' s / denom.
-        s = g3 * Nt[2] + float(gamma @ Nt[:2])
-        q = rprime * s / denom
-        c = Nt[:2] - q * delta
-        quad = poly_combine([c[0], c[1], Nt[2]], lt)
-        c0 = q
-        iso = quad.shifted(-c0 * float(n_h @ cut.D), c0 * n_h[0], c0 * n_h[1])
-        funcs.append((iso, quad) if sigma_iso > 0 else (quad, iso))
-    return LocalIFEBasis(cut, CR, beta_c_plus, beta_c_minus, funcs)
+    g3 = float(lt[2, 1:3] @ n_h)
+    # rank-one-update solve of (I + r' delta gamma^T) c = b for each unit DOF
+    # vector Nt[i], reduced to its cancellation-free form: with
+    # s = gamma_i (cut-edge DOFs) or g3 (uncut-edge DOF),
+    # c = N_12 - (r' s / denom) delta and the chord slope q = r' s / denom.
+    Nt = np.eye(3)[:, [e1, e2, e3]]
+    s = g3 * Nt[:, 2] + Nt[:, :2] @ gamma
+    q = rprime * s / denom
+    quad = np.column_stack([Nt[:, :2] - np.outer(q, delta), Nt[:, 2]]) @ lt
+    # the isolated piece adds q times the chord's normal coordinate n_h.(x - D)
+    normal = [n_h @ (cut.vertices.mean(axis=0) - cut.D), n_h[0], n_h[1], 0.0]
+    iso = quad + np.outer(q, normal)
+    coef = np.stack([iso, quad] if sigma_iso > 0 else [quad, iso], axis=1)
+    return LocalIFEBasis(cut, CR, beta_c_plus, beta_c_minus, coef)
 
 
 def sm_geometry_checks(cut: CutElement, beta_c_plus: float, beta_c_minus: float):
@@ -370,23 +310,6 @@ def sm_geometry_checks(cut: CutElement, beta_c_plus: float, beta_c_minus: float)
     ratio = beta_quad / beta_iso
     margin = (1.0 + (ratio - 1.0) * gd) - min(1.0, ratio)
     return gd, k[0] * k[1], margin
-
-
-def edge_mean_of(func: Callable, a, b, split=None, npts: int = 5) -> float:
-    """Mean of a scalar function along an edge, optionally split at one point."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    rule = segment_rule(npts)
-    total = 0.0
-    segs = [(a, b)] if split is None else [(a, np.asarray(split, float)),
-                                          (np.asarray(split, float), b)]
-    for p, q in segs:
-        seg = np.linalg.norm(q - p)
-        if seg == 0.0:
-            continue
-        pts = p + rule.points * (q - p)
-        total += float(rule.weights @ np.asarray(func(pts), float)) * seg
-    return total / np.linalg.norm(b - a)
 
 
 def edge_means(func: Callable, mesh, edge_splits, ids, npts: int = 5) -> np.ndarray:

@@ -27,16 +27,17 @@ class ValidationError(RuntimeError):
 
 def piecewise(phi_vals, f_plus, f_minus, x, vector=False):
     """Evaluate f_plus where phi >= 0 and f_minus elsewhere, without calling
-    either callable outside its own subdomain."""
-    phi_vals = np.asarray(phi_vals, float)
+    either callable outside its own subdomain. phi_vals may cover only the
+    leading axes of the points (one sign per element of an (e, q, 2) block);
+    a block on one side is passed to its callable whole, without a gather."""
     x = np.asarray(x, float)
-    shape = phi_vals.shape + ((2,) if vector else ())
-    out = np.empty(shape)
-    m = phi_vals >= 0
-    if np.any(m):
-        out[m] = f_plus(x[m])
-    if np.any(~m):
-        out[~m] = f_minus(x[~m])
+    out = np.empty(x.shape[:-1] + ((2,) if vector else ()))
+    plus = np.asarray(phi_vals) >= 0
+    for m, f in ((plus, f_plus), (~plus, f_minus)):
+        if m.size and m.all():
+            out[...] = f(x)
+        elif m.any():
+            out[m] = f(x[m])
     return out
 
 

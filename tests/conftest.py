@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ifelab.geometry import LevelSet, element_size
+from ifelab.ife_space import evaluate
 from ifelab.mesh import UnfittedMesh, _connect
+from ifelab.quadrature import segment_rule
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -47,3 +49,51 @@ def one_element_mesh(verts) -> UnfittedMesh:
     return UnfittedMesh("tri" if len(nodes) == 3 else "rect", nodes, elements, edges,
                         edge_elems, elem_edges, normals, lengths, boundary, N=1,
                         box=(x0, x1, y0, y1), h=element_size(nodes))
+
+
+def edge_mean_of(func, a, b, split=None, npts: int = 5) -> float:
+    """Mean of a scalar function along an edge, optionally split at one point."""
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    rule = segment_rule(npts)
+    total = 0.0
+    segs = [(a, b)] if split is None else [(a, np.asarray(split, float)),
+                                          (np.asarray(split, float), b)]
+    for p, q in segs:
+        seg = np.linalg.norm(q - p)
+        if seg == 0.0:
+            continue
+        pts = p + rule.points * (q - p)
+        total += float(rule.weights @ np.asarray(func(pts), float)) * seg
+    return total / np.linalg.norm(b - a)
+
+
+def standard_at(lam, verts, x, kappa=1.0):
+    """Values (..., m) and gradients (..., m, 2) at x of the uncut basis
+    coefficients lam (m, 4) of the element verts."""
+    x = np.asarray(x, float)
+    return evaluate(lam, x[..., None, :], np.asarray(verts, float).mean(axis=0), kappa)
+
+
+def basis_at(basis, x):
+    """Values (..., m) and gradients (..., m, 2) at x of an immersed basis,
+    each point taking the piece of its side of the chord."""
+    x = np.asarray(x, float)
+    piece = (basis.cut.side_of(x) < 0).astype(int)
+    return evaluate(np.moveaxis(basis.coef, 1, 0)[piece], x[..., None, :],
+                    basis.center, basis.kappa)
+
+
+
+def lifted_field(ctx, block, coeffs, elem):
+    """The lifted field sum_k coeffs_k grad(phi_k) of an edge's lifting block
+    on its adjacent element elem, at that element's cut-table points.
+
+    Returns (sel, r): the mask of elem's points in ctx.cut_table and the
+    field there, (n_sel, 2).
+    """
+    tab = ctx.cut_table
+    nb = tab.coef.shape[1] - 1
+    off = block.elements.index(elem) * nb
+    sel = tab.owner == tab.row[elem]
+    return sel, np.einsum("k,qkd->qd", coeffs[off:off + nb], tab.grads[sel, :nb])

@@ -14,7 +14,6 @@ from ifelab.assembly import (
     build_context,
     build_lifting_block,
     lift_trace,
-    lifted_field,
     lifting_stability_ratio,
 )
 from ifelab.experiments import (
@@ -33,6 +32,7 @@ from ifelab.problems import (
 )
 
 import _acceptance_log
+from conftest import lifted_field
 
 RESULTS = _acceptance_log.RESULTS
 
@@ -185,19 +185,16 @@ def test_criterion_8_lifting_operator():
             ratios.append(lifting_stability_ratio(block))
             if N > 32:
                 continue  # definitional residual checked at N in {8, 16, 32}
-            c = lift_trace(ctx, block, trace)
+            c = lift_trace(block, trace)
             lhs = np.zeros(block.M.shape[0])
             off = 0
+            tab = ctx.cut_table
             for t in block.elements:
-                ec = ctx.elem_ctx[t]
-                nb = ec.basis.n_dofs - 1
+                nb = tab.coef.shape[1] - 1
+                sel, r = lifted_field(ctx, block, c, t)
                 for k in range(nb):
-                    rp = lifted_field(ctx, block, c, t, ec.qp)
-                    rm = lifted_field(ctx, block, c, t, ec.qm)
-                    wp = ec.basis.funcs[k][0].grad(ec.qp)
-                    wm = ec.basis.funcs[k][1].grad(ec.qm)
-                    lhs[off + k] = (ec.wp @ (ec.beta_p * np.einsum("qi,qi->q", rp, wp))
-                                    + ec.wm @ (ec.beta_m * np.einsum("qi,qi->q", rm, wm)))
+                    w = tab.grads[sel, k]
+                    lhs[off + k] = tab.wts[sel] @ (tab.beta[sel] * np.einsum("qi,qi->q", r, w))
                 off += nb
             rhs = block.M @ c
             worst_def = max(worst_def, float(np.abs(lhs - rhs).max())

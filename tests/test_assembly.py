@@ -1,8 +1,14 @@
+from collections import Counter
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifelab.assembly import (
+    EDGE_NPTS,
     AssembledSystem,
     SolverError,
     assemble,
@@ -11,16 +17,17 @@ from ifelab.assembly import (
     build_jump_correction,
     build_lifting_block,
     lift_trace,
-    lifted_field,
     lifting_stability_ratio,
     solve,
     solve_spd,
 )
-from ifelab.geometry import LevelSet
-from ifelab.ife_space import standard_local_basis
+from ifelab.geometry import GeometryError, LevelSet
+from ifelab.ife_space import evaluate, standard_local_basis
 from ifelab.mesh import build_uniform_rect, build_uniform_tri
-from ifelab.problems import example1, example3, example4
+from ifelab.problems import ProblemSpec, example1, example3, example4
 from ifelab.quadrature import polygon_area, segment_rule, triangle_points_weights
+
+from conftest import lifted_field, standard_at
 
 
 def far_levelset():
@@ -55,10 +62,11 @@ class TestVolumeAssembly:
             lam = standard_local_basis(verts, "cr")
             area = polygon_area(verts)
             conn = mesh.elem_edges[e]
+            _, grads = standard_at(lam, verts, verts.mean(axis=0))
             for i in range(3):
-                gi = lam[i].grad(verts.mean(axis=0))
+                gi = grads[i]
                 for j in range(3):
-                    gj = lam[j].grad(verts.mean(axis=0))
+                    gj = grads[j]
                     A[conn[i], conn[j]] += area * float(gi @ gj)
         A = A.tocsr()
         free = sys_.free
@@ -75,8 +83,9 @@ class TestVolumeAssembly:
             verts = mesh.element_vertices(e)
             lam = standard_local_basis(verts, "cr")
             pts, wts = triangle_points_weights(verts, 6)
+            vals, _ = standard_at(lam, verts, pts)
             for i, conn in enumerate(mesh.elem_edges[e]):
-                oracle[conn] += wts @ lam[i].value(pts)
+                oracle[conn] += wts @ vals[:, i]
         assert np.abs(b - oracle).max() <= 1e-14
 
     def test_zero_data_gives_zero_rhs(self):
@@ -180,33 +189,25 @@ class TestLifting:
 
     def test_zero_trace_lifts_to_zero(self):
         block = build_lifting_block(self.ctx, self.edges[0])
-        c = lift_trace(self.ctx, block, lambda p: np.zeros(len(p)))
+        c = lift_trace(block, lambda p: np.zeros(len(p)))
         assert np.abs(c).max() == 0.0
 
     def test_definition_residual(self):
         """The lifted field satisfies its defining identity against every
         basis field, re-integrated independently over the elements."""
         trace = lambda p: np.sin(3 * p[..., 0]) + p[..., 1] ** 2
+        tab = self.ctx.cut_table
         for eid in self.edges:
             block = build_lifting_block(self.ctx, eid)
-            c = lift_trace(self.ctx, block, trace)
+            c = lift_trace(block, trace)
             lhs = np.zeros(block.M.shape[0])
             off = 0
             for t in block.elements:
-                ec = self.ctx.elem_ctx[t]
-                nb = ec.basis.n_dofs - 1
+                nb = tab.coef.shape[1] - 1
+                sel, r = lifted_field(self.ctx, block, c, t)
                 for k in range(nb):
-                    val = 0.0
-                    for tt in block.elements:
-                        ec2 = self.ctx.elem_ctx[tt]
-                        rp = lifted_field(self.ctx, block, c, tt, ec2.qp)
-                        rm = lifted_field(self.ctx, block, c, tt, ec2.qm)
-                        if tt == t:
-                            wp = ec2.basis.funcs[k][0].grad(ec2.qp)
-                            wm = ec2.basis.funcs[k][1].grad(ec2.qm)
-                            val += ec2.wp @ (ec2.beta_p * np.einsum("qi,qi->q", rp, wp))
-                            val += ec2.wm @ (ec2.beta_m * np.einsum("qi,qi->q", rm, wm))
-                    lhs[off + k] = val
+                    w = tab.grads[sel, k]
+                    lhs[off + k] = tab.wts[sel] @ (tab.beta[sel] * np.einsum("qi,qi->q", r, w))
                 off += nb
             rhs = block.M @ c  # the assembled moments
             scale = max(1.0, np.abs(rhs).max())
@@ -222,10 +223,11 @@ class TestLifting:
         # per element, the constant fields (plus piece, minus piece): the
         # chord tangent, and the chord normal scaled so beta w . n_h is
         # continuous across the chord
+        tab = self.ctx.cut_table
         fields = {}
         for t in block.elements:
             cut = self.ctx.layout.cuts[t]
-            basis = self.ctx.elem_ctx[t].basis
+            basis = tab.bases[tab.row[t]]
             bp, bm = basis.beta_c_plus, basis.beta_c_minus
             fields[t] = [(cut.t_h, cut.t_h), (bm * cut.n_h, bp * cut.n_h)]
 
@@ -234,26 +236,26 @@ class TestLifting:
         M_o = np.zeros((dim, dim))
         b_o = np.zeros(dim)
         for i, t in enumerate(block.elements):
-            ec = self.ctx.elem_ctx[t]
+            own = tab.owner == tab.row[t]
+            wbeta = [tab.wts[own & (tab.piece == pc)] @ tab.beta[own & (tab.piece == pc)]
+                     for pc in (0, 1)]
             side = self.ctx.layout.cuts[t].side_of(block.pts)
             beta = np.where(side > 0, self.prob.beta_plus(block.pts),
                             self.prob.beta_minus(block.pts))
             for k, (wk_p, wk_m) in enumerate(fields[t]):
                 for l, (wl_p, wl_m) in enumerate(fields[t]):
-                    M_o[2 * i + k, 2 * i + l] = (ec.wp @ ec.beta_p) * (wk_p @ wl_p) \
-                        + (ec.wm @ ec.beta_m) * (wk_m @ wl_m)
+                    M_o[2 * i + k, 2 * i + l] = wbeta[0] * (wk_p @ wl_p) \
+                        + wbeta[1] * (wk_m @ wl_m)
                 w = np.where((side > 0)[:, None], wk_p, wk_m)
                 b_o[2 * i + k] = block.wq @ (0.5 * beta * (w @ n_e) * trace(block.pts))
         offdiag = M_o - np.diag(np.diag(M_o))
         assert np.abs(offdiag).max() <= 1e-12 * np.abs(M_o).max()
 
-        c_grad = lift_trace(self.ctx, block, trace)
+        c_grad = lift_trace(block, trace)
         c_o = np.linalg.solve(M_o, b_o)
         for i, t in enumerate(block.elements):
-            ec = self.ctx.elem_ctx[t]
-            pts = np.vstack([ec.qp, ec.qm])
-            f_grad = lifted_field(self.ctx, block, c_grad, t, pts)
-            side = self.ctx.layout.cuts[t].side_of(pts)
+            sel, f_grad = lifted_field(self.ctx, block, c_grad, t)
+            side = self.ctx.layout.cuts[t].side_of(tab.pts[sel])
             f_orth = np.zeros_like(f_grad)
             for k, (wp, wm) in enumerate(fields[t]):
                 f_orth += c_o[2 * i + k] * np.where((side > 0)[:, None], wp, wm)
@@ -411,8 +413,14 @@ def reference_edge_correction(ctx, method, correction):
     re-evaluating beta at every step; the returned vector is subtracted from
     the load."""
     mesh = ctx.mesh
-    rule = segment_rule(ctx.edge_npts)
+    tab = ctx.cut_table
+    rule = segment_rule(EDGE_NPTS)
     out = np.zeros(mesh.n_edges)
+
+    def piece_at(coef, t, pts):
+        """Value and gradient at pts of one piece's coefficients on element t."""
+        return evaluate(coef, pts, ctx.layout.cuts[t].vertices.mean(axis=0), mesh.kappa)
+
     for eid in ctx.layout.interface_edges:
         eid = int(eid)
         block = build_lifting_block(ctx, eid)
@@ -435,25 +443,25 @@ def reference_edge_correction(ctx, method, correction):
             for sgn, t in zip((1.0, -1.0), block.elements):
                 side = int(ctx.layout.cuts[t].side_of(pts.mean(axis=0)))
                 beta = ctx.prob.beta_plus(pts) if side > 0 else ctx.prob.beta_minus(pts)
-                piece = correction[t][0 if side > 0 else 1]
-                juJ += sgn * piece.value(pts)
-                avgJ += avg * beta * (piece.grad(pts) @ n_e)
+                vJ, gJ = piece_at(correction[tab.row[t], 0 if side > 0 else 1], t, pts)
+                juJ += sgn * vJ
+                avgJ += avg * beta * (gJ @ n_e)
             off = 0
             for t in block.elements:
-                basis = ctx.elem_ctx[t].basis
+                basis = tab.bases[tab.row[t]]
                 side = int(ctx.layout.cuts[t].side_of(pts.mean(axis=0)))
                 beta = ctx.prob.beta_plus(pts) if side > 0 else ctx.prob.beta_minus(pts)
                 for k in range(basis.n_dofs - 1):
-                    w = basis.funcs[k][0 if side > 0 else 1].grad(pts)
+                    _, w = piece_at(basis.coef[k, 0 if side > 0 else 1], t, pts)
                     tJ[off + k] += wts @ (avg * beta * (w @ n_e) * juJ)
                 off += basis.n_dofs - 1
             for sgn, t in zip((1.0, -1.0), block.elements):
-                basis = ctx.elem_ctx[t].basis
+                basis = tab.bases[tab.row[t]]
                 side = int(ctx.layout.cuts[t].side_of(pts.mean(axis=0)))
                 loc = [int(np.nonzero(block.union_dofs == d)[0][0])
                        for d in mesh.elem_edges[t]]
                 for i in range(basis.n_dofs):
-                    pv = basis.funcs[i][0 if side > 0 else 1].value(pts)
+                    pv, _ = piece_at(basis.coef[i, 0 if side > 0 else 1], t, pts)
                     bJ[loc[i]] += wts @ (avgJ * sgn * pv)
                     jJ[loc[i]] += wts @ (juJ * sgn * pv)
         contrib = -(bJ + block.D_mat.T @ tJ)
@@ -483,3 +491,99 @@ class TestCorrectionAction:
         ref = (assemble_rhs(ctx, "plain", correction=correction)
                - reference_edge_correction(ctx, method, correction))
         assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def counting(prob, calls: Counter):
+    """Copy of prob whose callable fields count their calls in calls[name]."""
+    def wrap(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    return replace(prob, **{f.name: wrap(f.name, getattr(prob, f.name))
+                            for f in fields(prob) if callable(getattr(prob, f.name))})
+
+
+class TestProblemCalls:
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    def test_call_counts_independent_of_mesh(self, kind):
+        """The context, the jump correction and the assembly call each
+        problem callable once per table, not once or twice per cut element,
+        so the counts at N=8 and N=16 agree."""
+        counts = []
+        for N in (8, 16):
+            calls = Counter()
+            prob = counting(example4(), calls)
+            build = build_uniform_tri if kind == "cr" else build_uniform_rect
+            ctx = build_context(prob, build(N, prob.domain), kind)
+            assemble(ctx, "plain", correction=build_jump_correction(ctx))
+            counts.append(calls)
+        assert counts[0]["f_plus"] > 0 and counts[0]["g_N"] > 0
+        assert counts[0] == counts[1]
+
+
+class TestClassBlocks:
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    def test_blocks_do_not_change_results(self, kind, monkeypatch):
+        """Uncut elements evaluated in blocks of a few elements, the last one
+        partial and most on one side of the interface, give the matrix, load
+        and error norms of one block per class."""
+        from ifelab import assembly
+        from ifelab.experiments import error_norms
+
+        prob = example1(10.0, 1000.0)
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        ctx = build_context(prob, build(16, prob.domain), kind)
+        out = []
+        for block_points in (10 ** 9, 7 * len(ctx.classes[0].wts) + 1):
+            monkeypatch.setattr(assembly, "BLOCK_POINTS", block_points)
+            system = assemble(ctx, "new")
+            x, _ = solve_spd(system)
+            out.append((system.matrix, system.rhs, error_norms(ctx, system.expand(x))))
+        (A0, b0, e0), (A1, b1, e1) = out
+        assert len(list(ctx.classes[0].blocks())) > 1
+        assert abs(A0 - A1).max() == 0.0
+        np.testing.assert_array_equal(b0, b1)
+        np.testing.assert_allclose(e1, e0, rtol=1e-13)
+
+
+def circle_problem(cx, cy, r, beta_minus):
+    """Unit source, zero data, beta+ = 1 outside the circle and beta_minus inside."""
+    c = np.array([cx, cy])
+    ls = LevelSet(phi=lambda x: ((np.asarray(x, float) - c) ** 2).sum(-1) - r * r,
+                  grad=lambda x: 2.0 * (np.asarray(x, float) - c))
+    zero = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
+    one = lambda x: np.ones(np.asarray(x, float).shape[:-1])
+    gzero = lambda x: np.zeros(np.asarray(x, float).shape)
+    return ProblemSpec(name="circle", levelset=ls, domain=(-1.0, 1.0, -1.0, 1.0),
+                       beta_plus=one, beta_minus=lambda x: beta_minus * one(x),
+                       f_plus=one, f_minus=one, u_plus=zero, u_minus=zero,
+                       grad_u_plus=gzero, grad_u_minus=gzero,
+                       g_D=zero, g_N=zero, g_boundary=zero)
+
+
+class TestSolveProperty:
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    @settings(max_examples=25, deadline=None)
+    @given(cx=st.floats(-0.4, 0.4), cy=st.floats(-0.4, 0.4), r=st.floats(0.1, 0.8),
+           log_ratio=st.floats(-3.0, 3.0))
+    def test_circle_placements(self, kind, cx, cy, r, log_ratio):
+        """Every circle placement at N=8 either raises a typed GeometryError
+        (MeshResolutionError among them) or assembles a symmetric 'new'
+        matrix that solves and is coercive with factor 1/2 against 'plain'."""
+        prob = circle_problem(cx, cy, r, 10.0 ** log_ratio)
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        try:
+            ctx = build_context(prob, build(8, prob.domain), kind)
+        except GeometryError:
+            return
+        new = assemble(ctx, "new")
+        A, V = new.matrix, assemble(ctx, "plain").matrix
+        assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
+        solve_spd(new)
+        x = np.random.default_rng(0).standard_normal((A.shape[0], 8))
+        scale = abs(A).max() * (x * x).sum(axis=0)
+        energy_new = (x * (A @ x)).sum(axis=0)
+        energy_plain = (x * (V @ x)).sum(axis=0)
+        assert np.all(energy_new >= 0.5 * energy_plain - 1e-12 * scale)

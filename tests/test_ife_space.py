@@ -7,9 +7,8 @@ from ifelab.geometry import cut_from_chord
 from ifelab.ife_space import (
     CR,
     RQ1,
-    LocalPoly,
-    edge_mean_of,
     edge_means,
+    evaluate,
     ife_local_basis_cr_sm,
     ife_local_basis_direct,
     jump_correction_local,
@@ -17,7 +16,7 @@ from ifelab.ife_space import (
     standard_local_basis,
 )
 
-from conftest import one_element_mesh
+from conftest import basis_at, edge_mean_of, one_element_mesh, standard_at
 
 REF_TRI = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 UNIT_SQ = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
@@ -36,7 +35,7 @@ def delta_residual(basis, npts=5):
     for i in range(basis.n_dofs):
         for j in range(nv):
             a, b = verts[j], verts[(j + 1) % nv]
-            mean = edge_mean_of(lambda p, i=i: basis.value(i, p), a, b,
+            mean = edge_mean_of(lambda p, i=i: basis_at(basis, p)[0][..., i], a, b,
                                 split=splits.get(j), npts=npts)
             worst = max(worst, abs(mean - (1.0 if i == j else 0.0)))
     return worst
@@ -44,14 +43,16 @@ def delta_residual(basis, npts=5):
 
 def constraint_residuals(basis):
     cut = basis.cut
+    val = lambda c, x: evaluate(c, x, basis.center, basis.kappa)[0]
+    grad = lambda c, x: evaluate(c, x, basis.center, basis.kappa)[1]
     out = 0.0
-    for plus, minus in basis.funcs:
-        out = max(out, abs(plus.value(cut.D) - minus.value(cut.D)))
-        out = max(out, abs(plus.value(cut.E) - minus.value(cut.E)))
-        out = max(out, abs(basis.beta_c_plus * (plus.grad(cut.x_p) @ cut.n_h)
-                           - basis.beta_c_minus * (minus.grad(cut.x_p) @ cut.n_h)))
+    for plus, minus in basis.coef:
+        out = max(out, abs(val(plus, cut.D) - val(minus, cut.D)))
+        out = max(out, abs(val(plus, cut.E) - val(minus, cut.E)))
+        out = max(out, abs(basis.beta_c_plus * (grad(plus, cut.x_p) @ cut.n_h)
+                           - basis.beta_c_minus * (grad(minus, cut.x_p) @ cut.n_h)))
         if basis.kind == RQ1:
-            out = max(out, abs(plus.d - minus.d))
+            out = max(out, abs(plus[3] - minus[3]))
     return out
 
 
@@ -59,19 +60,19 @@ class TestStandardBasis:
     def test_cr_closed_form_on_reference_triangle(self):
         lam = standard_local_basis(REF_TRI, CR)
         # edge 1 is the hypotenuse (1,0)->(0,1); dual basis is 2(x+y)-1
-        hyp = lam[1]
         pts = np.array([[0.3, 0.1], [0.0, 0.0], [0.5, 0.5]])
-        assert np.allclose(hyp.value(pts), 2 * (pts[:, 0] + pts[:, 1]) - 1, atol=1e-14)
+        hyp = standard_at(lam, REF_TRI, pts)[0][:, 1]
+        assert np.allclose(hyp, 2 * (pts[:, 0] + pts[:, 1]) - 1, atol=1e-14)
         for i in range(3):
             for j in range(3):
                 a, b = REF_TRI[j], REF_TRI[(j + 1) % 3]
-                mean = edge_mean_of(lam[i].value, a, b)
+                mean = edge_mean_of(lambda p: standard_at(lam, REF_TRI, p)[0][..., i], a, b)
                 assert abs(mean - (i == j)) <= 1e-13
 
     def test_rq1_partition_of_unity(self):
         lam = standard_local_basis(UNIT_SQ, RQ1)
         pts = np.random.default_rng(0).uniform(0, 1, size=(20, 2))
-        total = sum(l.value(pts) for l in lam)
+        total = standard_at(lam, UNIT_SQ, pts)[0].sum(axis=-1)
         assert np.allclose(total, 1.0, atol=1e-13)
 
     def test_duality_on_random_elements(self):
@@ -81,7 +82,8 @@ class TestStandardBasis:
             lam = standard_local_basis(tri, CR)
             for i in range(3):
                 for j in range(3):
-                    mean = edge_mean_of(lam[i].value, tri[j], tri[(j + 1) % 3])
+                    mean = edge_mean_of(lambda p: standard_at(lam, tri, p)[0][..., i],
+                                        tri[j], tri[(j + 1) % 3])
                     assert abs(mean - (i == j)) <= 1e-12
         for _ in range(50):
             c = rng.uniform(-2, 2, 2)
@@ -90,19 +92,32 @@ class TestStandardBasis:
             lam = standard_local_basis(rect, RQ1, kappa=w / h)
             for i in range(4):
                 for j in range(4):
-                    mean = edge_mean_of(lam[i].value, rect[j], rect[(j + 1) % 4])
+                    mean = edge_mean_of(lambda p: standard_at(lam, rect, p, w / h)[0][..., i],
+                                        rect[j], rect[(j + 1) % 4])
                     assert abs(mean - (i == j)) <= 1e-12
 
 
 class TestDFunctional:
+    """The last coefficient of an array is the d functional: the multiple of
+    the bubble dx^2 - kappa^2 dy^2 in the function."""
+
+    @staticmethod
+    def d_of(coef, kappa, h=0.5):
+        """d recovered from values alone: the second difference along x."""
+        c = np.array([0.3, -0.2])
+        x = np.array([c - (h, 0.0), c, c + (h, 0.0)])
+        v, _ = evaluate(coef, x, c, kappa)
+        return (v[0] - 2.0 * v[1] + v[2]) / (2.0 * h * h)
+
     def test_pure_bubble(self):
-        assert LocalPoly(0, 0, 0, 1.0, kappa=2.0).d == 1.0
+        assert abs(self.d_of(np.array([0.0, 0.0, 0.0, 1.0]), 2.0) - 1.0) <= 1e-14
 
     def test_linear(self):
-        assert LocalPoly(3.0, 2.0, 0.0).d == 0.0
+        assert abs(self.d_of(np.array([3.0, 2.0, 0.0, 0.0]), 1.0)) <= 1e-14
+        assert np.all(standard_local_basis(REF_TRI, CR)[:, 3] == 0.0)
 
     def test_scaled(self):
-        assert LocalPoly(0, 0, 1.0, 5.0, kappa=0.7).d == 5.0
+        assert abs(self.d_of(np.array([0.0, 0.0, 1.0, 5.0]), 0.7) - 5.0) <= 1e-13
 
 
 class TestDirectBasis:
@@ -112,8 +127,8 @@ class TestDirectBasis:
         basis = ife_local_basis_direct(cut, RQ1, 2.5, 2.5)
         lam = standard_local_basis(UNIT_SQ, RQ1)
         pts = np.random.default_rng(1).uniform(0, 1, size=(30, 2))
-        for i in range(4):
-            assert np.allclose(basis.value(i, pts), lam[i].value(pts), atol=1e-12)
+        assert np.allclose(basis_at(basis, pts)[0], standard_at(lam, UNIT_SQ, pts)[0],
+                           atol=1e-12)
 
     def test_partition_of_unity_coefficients(self):
         rng = np.random.default_rng(5)
@@ -121,9 +136,7 @@ class TestDirectBasis:
         cut = random_cut(rng, tri)
         basis = ife_local_basis_direct(cut, CR, 7.0, 0.03)
         for piece in range(2):
-            a = sum(basis.funcs[i][piece].a for i in range(3))
-            b = sum(basis.funcs[i][piece].b for i in range(3))
-            c = sum(basis.funcs[i][piece].c for i in range(3))
+            a, b, c, _ = basis.coef[:, piece].sum(axis=0)
             assert abs(a - 1.0) <= 1e-10 and abs(b) <= 1e-10 and abs(c) <= 1e-10
 
     @pytest.mark.parametrize("kind", [CR, RQ1])
@@ -151,10 +164,7 @@ class TestDirectBasis:
                              plus_toward=(0.9, 0.9))
         basis = ife_local_basis_direct(cut, RQ1, 500.0, 0.2)
         for piece in range(2):
-            a = sum(basis.funcs[i][piece].a for i in range(4))
-            b = sum(basis.funcs[i][piece].b for i in range(4))
-            c = sum(basis.funcs[i][piece].c for i in range(4))
-            d = sum(basis.funcs[i][piece].d for i in range(4))
+            a, b, c, d = basis.coef[:, piece].sum(axis=0)
             assert abs(a - 1.0) <= 1e-10
             assert abs(b) + abs(c) + abs(d) <= 1e-10
 
@@ -193,8 +203,6 @@ class TestLinearReproduction:
         from ifelab.ife_space import interpolate_ife
         from ifelab.mesh import build_uniform_tri
         from ifelab.problems import ProblemSpec
-        from ifelab.ife_space import standard_local_basis
-
         u = lambda x: 1.0 + 2.0 * x[..., 0] - 3.0 * x[..., 1]
         gu = lambda x: np.broadcast_to(np.array([2.0, -3.0]),
                                        np.asarray(x, float).shape).copy()
@@ -213,12 +221,11 @@ class TestLinearReproduction:
             pts = (verts[0] + np.outer(rng.uniform(0, 1, 5), verts[1] - verts[0]) / 2
                    + np.outer(rng.uniform(0, 1, 5), verts[2] - verts[0]) / 2)
             c = dofs[mesh.elem_edges[e]]
-            if int(e) in ctx.elem_ctx:
-                basis = ctx.elem_ctx[int(e)].basis
-                vals = sum(c[i] * basis.value(i, pts) for i in range(3))
+            row = ctx.cut_table.row[e]
+            if row >= 0:
+                vals = basis_at(ctx.cut_table.bases[row], pts)[0] @ c
             else:
-                lam = standard_local_basis(verts, CR)
-                vals = sum(c[i] * lam[i].value(pts) for i in range(3))
+                vals = standard_at(standard_local_basis(verts, CR), verts, pts)[0] @ c
             assert np.abs(vals - u(pts)).max() <= 1e-12
 
 
@@ -230,10 +237,10 @@ class TestClosedFormAgainstDense:
         basis = ife_local_basis_cr_sm(cut, 4.0, 4.0)
         lam = standard_local_basis(tri, CR)
         pts = tri.mean(axis=0) + rng.uniform(-0.05, 0.05, size=(20, 2))
-        for i in range(3):
-            ref = lam[i].value(pts)
-            assert np.allclose(basis.funcs[i][0].value(pts), ref, atol=1e-11)
-            assert np.allclose(basis.funcs[i][1].value(pts), ref, atol=1e-11)
+        ref = standard_at(lam, tri, pts)[0]
+        for piece in range(2):
+            vals, _ = evaluate(basis.coef[:, piece], pts[:, None, :], basis.center)
+            assert np.allclose(vals, ref, atol=1e-11)
 
     def test_gamma_delta_in_unit_interval(self):
         rng = np.random.default_rng(17)
@@ -256,12 +263,8 @@ class TestClosedFormAgainstDense:
             bm = bp * 10 ** rng.uniform(-3, 3)
             sm = ife_local_basis_cr_sm(cut, bp, bm)
             dense = ife_local_basis_direct(cut, CR, bp, bm)
-            for i in range(3):
-                for k in range(2):
-                    for attr in ("a", "b", "c"):
-                        x = getattr(sm.funcs[i][k], attr)
-                        y = getattr(dense.funcs[i][k], attr)
-                        assert abs(x - y) <= 1e-11 * max(1.0, abs(x), abs(y))
+            x, y = sm.coef, dense.coef
+            assert np.all(np.abs(x - y) <= 1e-11 * np.maximum(1.0, np.maximum(abs(x), abs(y))))
             checked += 1
 
     def test_vertex_chord_agreement(self, diagonal_ls):
@@ -270,8 +273,7 @@ class TestClosedFormAgainstDense:
         sm = ife_local_basis_cr_sm(cut, 2.0, 1.0)
         dense = ife_local_basis_direct(cut, CR, 2.0, 1.0)
         pts = tri.mean(axis=0) + np.random.default_rng(0).uniform(-0.05, 0.05, (10, 2))
-        for i in range(3):
-            assert np.allclose(sm.value(i, pts), dense.value(i, pts), atol=1e-11)
+        assert np.allclose(basis_at(sm, pts)[0], basis_at(dense, pts)[0], atol=1e-11)
 
 
 class TestBasisBoundedness:
@@ -292,11 +294,8 @@ class TestBasisBoundedness:
             pts = (tri[0] + np.outer(grid[:, 0], tri[1] - tri[0])
                    + np.outer(grid[:, 1] * (1 - grid[:, 0]), tri[2] - tri[0]))
             h = cut.h_T
-            worst_v = worst_g = 0.0
-            for i in range(3):
-                worst_v = max(worst_v, np.max(np.abs(basis.value(i, pts))))
-                worst_g = max(worst_g, h * np.max(np.linalg.norm(basis.grad(i, pts), axis=-1)))
-            return worst_v, worst_g
+            vals, grads = basis_at(basis, pts)
+            return np.max(np.abs(vals)), h * np.max(np.linalg.norm(grads, axis=-1))
 
         for balanced in (True, False):
             for _ in range(500):
@@ -321,27 +320,38 @@ class TestJumpCorrection:
         tri = random_triangle(rng)
         return random_cut(rng, tri)
 
+    @staticmethod
+    def correction(cut, kind, bp, bm, g_D, g_N):
+        """The correction on the dense basis, with its value and gradient
+        functions per piece; g_D and g_N are evaluated at (D, E)."""
+        basis = ife_local_basis_direct(cut, kind, bp, bm)
+        ends = np.array([cut.D, cut.E])
+        coef = jump_correction_local(basis, g_D(ends), g_N(ends))
+        val = lambda c, x: evaluate(c, x, basis.center)[0]
+        grad = lambda c, x: evaluate(c, x, basis.center)[1]
+        return coef, val, grad
+
     def test_zero_data_gives_zero(self):
         rng = np.random.default_rng(41)
         cut = self._mk(rng)
         zero = lambda x: 0.0
-        plus, minus = jump_correction_local(cut, CR, 3.0, 1.0, zero, zero)
+        (plus, minus), _, _ = self.correction(cut, CR, 3.0, 1.0, zero, zero)
         for p in (plus, minus):
-            assert abs(p.a) + abs(p.b) + abs(p.c) <= 1e-12
+            assert abs(p[0]) + abs(p[1]) + abs(p[2]) <= 1e-12
 
     def test_constant_value_jump(self):
         rng = np.random.default_rng(43)
         cut = self._mk(rng)
         one = lambda x: 1.0
         zero = lambda x: 0.0
-        plus, minus = jump_correction_local(cut, CR, 2.0, 2.0, one, zero)
-        assert abs((plus.value(cut.D) - minus.value(cut.D)) - 1.0) <= 1e-11
-        assert abs((plus.value(cut.E) - minus.value(cut.E)) - 1.0) <= 1e-11
+        (plus, minus), val, _ = self.correction(cut, CR, 2.0, 2.0, one, zero)
+        assert abs((val(plus, cut.D) - val(minus, cut.D)) - 1.0) <= 1e-11
+        assert abs((val(plus, cut.E) - val(minus, cut.E)) - 1.0) <= 1e-11
         verts = cut.vertices
         splits = {cut.loc_e[1]: cut.E}
         if cut.loc_d[0] == "edge":
             splits[cut.loc_d[1]] = cut.D
-        field = lambda p: np.where(cut.side_of(p) > 0, plus.value(p), minus.value(p))
+        field = lambda p: np.where(cut.side_of(p) > 0, val(plus, p), val(minus, p))
         for j in range(3):
             mean = edge_mean_of(field, verts[j], verts[(j + 1) % 3], split=splits.get(j))
             assert abs(mean) <= 1e-11
@@ -358,14 +368,14 @@ class TestJumpCorrection:
         gd = lambda x: np.log(x[..., 0] ** 2 + x[..., 1] ** 2 + 1.3) - np.sin(x[..., 0])
         gn = lambda x: np.cos(x[..., 0] + x[..., 1])
         bp, bm = 2.7, 0.4
-        plus, minus = jump_correction_local(cut, kind, bp, bm, gd, gn)
-        assert abs((plus.value(cut.D) - minus.value(cut.D)) - gd(cut.D)) <= 1e-10
-        assert abs((plus.value(cut.E) - minus.value(cut.E)) - gd(cut.E)) <= 1e-10
-        flux = bp * (plus.grad(cut.x_p) @ cut.n_h) - bm * (minus.grad(cut.x_p) @ cut.n_h)
+        (plus, minus), val, grad = self.correction(cut, kind, bp, bm, gd, gn)
+        assert abs((val(plus, cut.D) - val(minus, cut.D)) - gd(cut.D)) <= 1e-10
+        assert abs((val(plus, cut.E) - val(minus, cut.E)) - gd(cut.E)) <= 1e-10
+        flux = bp * (grad(plus, cut.x_p) @ cut.n_h) - bm * (grad(minus, cut.x_p) @ cut.n_h)
         assert abs(flux - 0.5 * (gn(cut.D) + gn(cut.E))) <= 1e-10
         if kind == RQ1:
-            assert abs(plus.d - minus.d) <= 1e-12
-        field = lambda p: np.where(cut.side_of(p) > 0, plus.value(p), minus.value(p))
+            assert abs(plus[3] - minus[3]) <= 1e-12
+        field = lambda p: np.where(cut.side_of(p) > 0, val(plus, p), val(minus, p))
         verts = cut.vertices
         splits = {cut.loc_e[1]: cut.E}
         if cut.loc_d[0] == "edge":

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifelab.ife_space import edge_mean_of
 from ifelab.quadrature import (
     polygon_area,
     polygon_points_weights,
     reference_triangle_rule,
     segment_rule,
 )
+
+from conftest import edge_mean_of
 
 UNIT_SQ = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
