@@ -13,8 +13,10 @@ ppifem  keeps the consistency term but stabilizes with the interior-penalty
 All interface elements live in one CutTable: their stacked basis
 coefficients and one flat sub-polygon quadrature with an owner index and a
 piece flag, read in one pass by the volume form, the load vector, the
-jump-correction action and the error norms. The lifting solve and the volume
-form share its element Gram matrices, so the discrete coercivity bound
+jump-correction action and the error norms. All interface edges live in
+one EdgeTable: their stacked trace tables, from which every edge term is
+formed for all edges at once. The lifting solve and the volume
+form share the element Gram matrices, so the discrete coercivity bound
 A(v,v) >= 0.5*a_vol(v,v) holds to roundoff by construction. Jumps are
 oriented as (trace from T1) - (trace from T2) with the edge normal pointing
 out of T1; boundary edges use the single trace for both average and jump.
@@ -32,16 +34,17 @@ from .geometry import INTERFACE
 from .ife_space import (
     CR,
     LocalIFEBasis,
+    _dof_rows,
     edge_means,
     evaluate,
     ife_local_basis_cr_sm,
     ife_local_basis_direct,
-    jump_correction_local,
+    jump_corrections,
     standard_local_basis,
 )
 from .mesh import UnfittedMesh
 from .problems import piecewise
-from .quadrature import polygon_points_weights, segment_rule
+from .quadrature import polygon_points_weights, polygons_points_weights, segment_rule
 
 METHODS = ("plain", "new", "ppifem")
 VOLUME_DEGREE = 6  # exact degree of the element and sub-polygon rules
@@ -59,13 +62,19 @@ class SolverError(RuntimeError):
         self.residual = residual
 
 
+class SolverMemoryError(SolverError):
+    """The factorization could not allocate its fill-in."""
+
+
 @dataclass
 class CutTable:
     """Immersed bases and sub-polygon quadrature of every interface element.
 
     Element rows follow layout.cuts. Quadrature point q lies in element
     ids[owner[q]], in its plus (piece[q] = 0) or minus (piece[q] = 1)
-    sub-polygon; each element's points are contiguous from starts[row].
+    sub-polygon; each element's points are contiguous from starts[row]. The
+    edge terms read the per-element arrays of this table through the
+    EdgeTable of the interface edges.
     """
 
     ids: np.ndarray         # (n_cut,) element ids
@@ -74,6 +83,9 @@ class CutTable:
     coef: np.ndarray        # (n_cut, m, 2, 4) basis coefficients
     centers: np.ndarray     # (n_cut, 2) monomial centres
     chords: np.ndarray      # (n_cut, 2, 2) chord endpoints D, E
+    normals: np.ndarray     # (n_cut, 2) chord normals n_h
+    beta_c: np.ndarray      # (n_cut, 2) beta+- at the chord midpoint, as in the bases
+    dof_rows: np.ndarray    # (n_cut, m, 2, 4) piecewise edge means of the monomials
     pts: np.ndarray         # (nq, 2)
     wts: np.ndarray
     owner: np.ndarray
@@ -147,7 +159,8 @@ def _build_cut_table(prob, mesh, layout, kind) -> CutTable:
     """Bases, quadrature and Gram matrices of all cut elements at once.
 
     beta_plus and beta_minus are each called once on the chord midpoints
-    (the basis coefficients) and once on the quadrature points.
+    (the basis coefficients) and once on the quadrature points. All
+    sub-polygons are integrated by one batched fan-triangulation rule.
     """
     cuts = list(layout.cuts.values())
     ids = np.array(list(layout.cuts), dtype=int)
@@ -162,16 +175,19 @@ def _build_cut_table(prob, mesh, layout, kind) -> CutTable:
                  for c, bp, bm in zip(cuts, bps, bms)]
     coef = np.array([b.coef for b in bases]).reshape(-1, m, 2, 4)
     centers = np.array([b.center for b in bases]).reshape(-1, 2)
+    chords = np.array([[c.D, c.E] for c in cuts]).reshape(-1, 2, 2)
+    normals = np.array([c.n_h for c in cuts]).reshape(-1, 2)
+    dof_rows = _dof_rows(cuts, mesh.kappa) if cuts else np.zeros((0, m, 2, 4))
     row = np.full(mesh.n_elements, -1)
     row[ids] = np.arange(len(ids))
 
-    rules = [polygon_points_weights(poly, VOLUME_DEGREE)
-             for c in cuts for poly in (c.poly_plus, c.poly_minus)]
-    counts = np.array([len(w) for _, w in rules], dtype=int)
-    pts = np.concatenate([np.zeros((0, 2))] + [p for p, _ in rules])
-    wts = np.concatenate([np.zeros(0)] + [w for _, w in rules])
-    owner = np.repeat(np.arange(len(rules)) // 2, counts)
-    piece = np.repeat(np.arange(len(rules)) % 2, counts)
+    # sub-polygons in the order (plus, minus) of each element
+    polys = [poly for c in cuts for poly in (c.poly_plus, c.poly_minus)]
+    sizes = np.array([len(poly) for poly in polys], dtype=int)
+    pts, wts, counts = polygons_points_weights(
+        np.concatenate([np.zeros((0, 2))] + polys), sizes, VOLUME_DEGREE)
+    owner = np.repeat(np.arange(len(polys)) // 2, counts)
+    piece = np.repeat(np.arange(len(polys)) % 2, counts)
     starts = (np.cumsum(counts) - counts)[::2]
     beta = piecewise(1 - 2 * piece, prob.beta_plus, prob.beta_minus, pts)
     vals, grads = evaluate(coef[owner, :, piece], pts[:, None, :],
@@ -182,9 +198,9 @@ def _build_cut_table(prob, mesh, layout, kind) -> CutTable:
     M = np.add.reduceat((wts * beta)[:, None, None] * gram, starts, axis=0)
     G = np.add.reduceat(wts[:, None, None] * gram, starts, axis=0)
     C = np.vstack([np.eye(nw), -np.ones(nw)])  # gradients sum to zero
-    chords = np.array([[c.D, c.E] for c in cuts]).reshape(-1, 2, 2)
-    return CutTable(ids, row, bases, coef, centers, chords, pts, wts, owner, piece,
-                    starts, beta, vals, grads, M, G, C, C @ M @ C.T)
+    return CutTable(ids, row, bases, coef, centers, chords, normals,
+                    np.column_stack([bps, bms]).reshape(-1, 2), dof_rows, pts, wts, owner,
+                    piece, starts, beta, vals, grads, M, G, C, C @ M @ C.T)
 
 
 def _build_class_ctx(mesh, ids, kind) -> ClassCtx:
@@ -219,20 +235,27 @@ def build_context(prob, mesh: UnfittedMesh, kind: str,
 
 
 @dataclass
-class LiftingBlock:
-    """Trace table and lifting data of one interface edge.
+class EdgeTable:
+    """Trace tables and lifting data of a set of interface edges, stacked.
 
-    The edge quadrature is built once, concatenated over the sub-segments the
-    interface crossing splits the edge into; every edge term is a product
+    Every interface edge is an open crossing, so its quadrature is the
+    EDGE_NPTS-point rule on each of the two sub-segments that meet at the
+    crossing x_gamma: nq = 2 EDGE_NPTS points per edge. The adjacent
+    elements fill two slots, the second one empty (elems -1, sign 0) on a
+    boundary edge. The union DOFs are the first element's edges in local
+    order followed by the second element's other edges, 2m-1 slots, the
+    last m-1 of them -1 on a boundary edge; the rows and columns of padded
+    slots and of empty element slots are zero. Every edge term is a product
     against these arrays (W = diag(wq), avg = 1/2, or 1 on a boundary edge):
 
-    pts, wq     (nq, 2) points and (nq,) weights
-    rows        cut-table row of each adjacent element
-    piece, beta (n_elem, nq) piece (0 plus, 1 minus) of each adjacent element
+    pts, wq     (n, nq, 2) points and (n, nq) weights
+    rows        (n, 2) cut-table row of each adjacent element (0 if empty)
+    piece, beta (n, 2, nq) piece (0 plus, 1 minus) of each adjacent element
                 and its coefficient at every point (one piece per sub-segment)
-    psi         (dim, nq) weighted normal traces avg beta w_k . n_e of the
-                gradient-space fields w_k = grad(phi_k) of both elements
-    jump        (n_union, nq) basis jumps [phi_a] of the union DOFs
+    psi         (n, dim, nq) weighted normal traces avg beta w_k . n_e of the
+                gradient-space fields w_k = grad(phi_k) of both elements,
+                dim = 2 (m-1)
+    jump        (n, 2m-1, nq) basis jumps [phi_a] of the union DOFs
     T_mat[k, a] = int_e {beta w_k . n_e} [phi_a] = psi W jump^T
     J           = int_e [phi_a][phi_b] = jump W jump^T
     P           = int_e psi_k psi_l = psi W psi^T
@@ -242,6 +265,66 @@ class LiftingBlock:
     beta_gamma  max beta+-(x_gamma) at the interface crossing, the scale of
                 the default ppifem penalty
     """
+
+    edge_ids: np.ndarray
+    elems: np.ndarray
+    rows: np.ndarray
+    sign: np.ndarray        # (n, 2) +1, -1 for the adjacent elements, 0 if empty
+    union: np.ndarray
+    pts: np.ndarray
+    wq: np.ndarray
+    piece: np.ndarray
+    beta: np.ndarray
+    psi: np.ndarray
+    jump: np.ndarray
+    T_mat: np.ndarray
+    D_mat: np.ndarray
+    M: np.ndarray
+    G: np.ndarray
+    J: np.ndarray
+    P: np.ndarray
+    length: np.ndarray
+    x_gamma: np.ndarray
+    beta_gamma: np.ndarray
+
+    @property
+    def avg(self) -> np.ndarray:
+        """Weight of each trace in an edge average: 1/2, or 1 on a boundary edge."""
+        return np.where(self.elems[:, 1] >= 0, 0.5, 1.0)
+
+    def lift(self, moments: np.ndarray) -> np.ndarray:
+        """Gradient-space coefficients M^-1 moments (n, dim, k) of the lifted
+        traces, solved in one stack per number of adjacent elements."""
+        out = np.zeros_like(moments)
+        for sel, dim in _groups(self.elems[:, 1] >= 0, self.M.shape[1]):
+            out[sel, :dim] = np.linalg.solve(self.M[sel, :dim, :dim], moments[sel, :dim])
+        return out
+
+    def block(self, i: int) -> "LiftingBlock":
+        """Row i, trimmed to the edge's own elements and union DOFs."""
+        ne = 2 if self.elems[i, 1] >= 0 else 1
+        d = ne * (self.M.shape[1] // 2)
+        u = int((self.union[i] >= 0).sum())
+        return LiftingBlock(int(self.edge_ids[i]), tuple(int(t) for t in self.elems[i, :ne]),
+                            self.rows[i, :ne], self.union[i, :u], self.pts[i], self.wq[i],
+                            self.piece[i, :ne], self.beta[i, :ne], self.psi[i, :d],
+                            self.jump[i, :u], self.T_mat[i, :d, :u], self.D_mat[i, :d, :u],
+                            self.M[i, :d, :d], self.G[i, :d, :d], self.J[i, :u, :u],
+                            self.P[i, :d, :d], float(self.length[i]), self.x_gamma[i],
+                            float(self.beta_gamma[i]))
+
+
+def _groups(two: np.ndarray, dim: int):
+    """(mask, Gram size) of the edges with two and with one adjacent element."""
+    return [(sel, d) for sel, d in ((two, dim), (~two, dim // 2)) if sel.any()]
+
+
+@dataclass
+class LiftingBlock:
+    """Trace table and lifting data of one interface edge: one row of an
+    EdgeTable, with the fields described there trimmed to the edge's own
+    n_elem adjacent elements and union DOFs (psi (n_elem (m-1), nq), jump
+    (n_union, nq), piece and beta (n_elem, nq))."""
 
     edge_id: int
     elements: Tuple[int, ...]
@@ -261,82 +344,118 @@ class LiftingBlock:
     P: np.ndarray
     length: float
     x_gamma: np.ndarray
-    beta_gamma: Optional[float]
+    beta_gamma: float
 
     def lift(self, moments: np.ndarray) -> np.ndarray:
         """Gradient-space coefficients of the lifted trace with given moments."""
         return np.linalg.solve(self.M, moments)
 
 
-def build_lifting_block(ctx: Context, eid: int) -> LiftingBlock:
-    """Build the trace table of one interface edge and its lifting data.
+def build_edge_table(ctx: Context, eids) -> EdgeTable:
+    """Build the trace tables and lifting data of the interface edges eids.
 
-    This is the only pass over the edge: the quadrature is laid out once, the
-    chord side of each adjacent element is decided once per sub-segment, beta
-    is evaluated once, and T_mat, J, P, lift_trace and the jump-correction
-    action are all products against the stored arrays.
+    This is the only pass over the edges: the quadrature is laid out once,
+    the chord side of each adjacent element is decided once per sub-segment,
+    beta_plus and beta_minus are each called once on all edge points and
+    crossings, and the edge forms, lift_trace and the jump-correction action
+    are all products against the stored arrays. Raises AssemblyError naming
+    the first edge that is not an interface edge, touches an element without
+    cut data or has an ill-conditioned lifting Gram matrix.
     """
     mesh = ctx.mesh
+    layout = ctx.layout
     tab = ctx.cut_table
-    adj = [int(t) for t in mesh.edge_elems[eid] if t >= 0]
-    rows = tab.row[adj]
-    for t, r in zip(adj, rows):
-        if r < 0:
-            raise AssemblyError(f"edge {eid}: element {t} carries no cut data")
-    n_e = mesh.edge_normals[eid]
+    eids = np.asarray(eids, dtype=int).reshape(-1)
+    n = len(eids)
+    at = np.searchsorted(layout.interface_edges, eids)
+    known = np.append(layout.interface_edges, -1)[at] == eids
+    if not known.all():
+        raise AssemblyError(f"edge {eids[~known][0]} is not an interface edge")
+    elems = mesh.edge_elems[eids]
+    rows = np.where(elems >= 0, tab.row[elems], 0)
+    missing = (elems >= 0) & (tab.row[elems] < 0)
+    if missing.any():
+        e, i = np.argwhere(missing)[0]
+        raise AssemblyError(f"edge {eids[e]}: element {elems[e, i]} carries no cut data")
+    two = elems[:, 1] >= 0
+    sign = np.where(elems >= 0, [1.0, -1.0], 0.0)
+    n_e = mesh.edge_normals[eids]
 
-    union: List[int] = []
-    for t in adj:
-        union += [int(d) for d in mesh.elem_edges[t] if int(d) not in union]
-    locs = [[union.index(int(d)) for d in mesh.elem_edges[t]] for t in adj]
-
-    x_gamma = ctx.layout.edge_splits.get(int(eid))
-    ends = [mesh.nodes[mesh.edges[eid, 0]], mesh.nodes[mesh.edges[eid, 1]]]
-    if x_gamma is not None:
-        ends.insert(1, x_gamma)
+    # quadrature on the sub-segments a -> x_gamma -> b
+    x_gamma = layout.crossings[at].reshape(-1, 2)
+    ends = np.stack([mesh.nodes[mesh.edges[eids, 0]], x_gamma,
+                     mesh.nodes[mesh.edges[eids, 1]]], axis=1)
     rule = segment_rule(EDGE_NPTS)
-    seg_pts, seg_wts = [], []
-    for p, q in zip(ends, ends[1:]):
-        seg_len = float(np.linalg.norm(q - p))
-        if seg_len > 0.0:
-            seg_pts.append(p + rule.points * (q - p))
-            seg_wts.append(rule.weights * seg_len)
-    pts = np.concatenate(seg_pts)
-    wq = np.concatenate(seg_wts)
-    mids = np.array([seg.mean(axis=0) for seg in seg_pts])
-    piece = np.array([np.repeat(ctx.layout.cuts[t].side_of(mids) < 0, len(rule.weights))
-                      for t in adj]).astype(int)
-    xs = pts if x_gamma is None else np.vstack([pts, x_gamma])
+    nq = 2 * EDGE_NPTS
+    p, q = ends[:, :2], ends[:, 1:]
+    pts = (p[:, :, None] + rule.points * (q - p)[:, :, None]).reshape(n, nq, 2)
+    wq = (rule.weights * np.linalg.norm(q - p, axis=-1)[..., None]).reshape(n, nq)
+    mid = 0.5 * (p + q)
+    D = tab.chords[rows, 0]  # (n, 2 elements, 2)
+    side = np.einsum("eisd,eid->eis", mid[:, None] - D[:, :, None], tab.normals[rows])
+    piece = np.repeat(side < 0, EDGE_NPTS, axis=2).astype(int)
+    xs = np.concatenate([pts.reshape(-1, 2), x_gamma])
     bp, bm = ctx.prob.beta_plus(xs), ctx.prob.beta_minus(xs)
-    beta = np.where(piece == 0, bp[:len(wq)], bm[:len(wq)])
-    beta_gamma = None if x_gamma is None else max(float(bp[-1]), float(bm[-1]))
+    beta = np.where(piece == 0, bp[:n * nq].reshape(n, 1, nq), bm[:n * nq].reshape(n, 1, nq))
+    beta = np.where(elems[:, :, None] >= 0, beta, 0.0)
+    beta_gamma = np.maximum(bp[n * nq:], bm[n * nq:])
 
-    nb = tab.coef.shape[1] - 1
-    dim = len(adj) * nb
-    avg = 1.0 if len(adj) == 1 else 0.5
-    M = np.zeros((dim, dim))
-    G = np.zeros((dim, dim))
-    D_mat = np.zeros((dim, len(union)))
-    psi = np.zeros((dim, len(wq)))
-    jump = np.zeros((len(union), len(wq)))
-    for i, (sgn, r, loc, pc, beta_t) in enumerate(zip((1.0, -1.0), rows, locs, piece, beta)):
+    # traces of both elements' bases, element slot by slot
+    m = tab.coef.shape[1]
+    nb = m - 1
+    vals, grads = evaluate(tab.coef[rows[:, :, None], :, piece], pts[:, None, :, None, :],
+                           tab.centers[rows][:, :, None, None, :], mesh.kappa)
+    avg = np.where(two, 0.5, 1.0)
+    psi = (avg[:, None, None, None] * beta[:, :, None, :]) \
+        * np.einsum("eiqkd,ed->eikq", grads[..., :nb, :], n_e)
+    psi = psi.reshape(n, 2 * nb, nq)
+
+    # union slots of each element's local edges: the first element's edges
+    # come first, the second element's shared edge sits where the first has it
+    j = np.arange(m)
+    own = mesh.elem_edges[elems[:, 0]]
+    other = mesh.elem_edges[np.where(two, elems[:, 1], elems[:, 0])]
+    j1 = np.argmax(own == eids[:, None], axis=1)
+    j2 = np.argmax(other == eids[:, None], axis=1)
+    loc = np.stack([np.broadcast_to(j, (n, m)),
+                    np.where(j == j2[:, None], j1[:, None], m + j - (j > j2[:, None]))], axis=1)
+    k = np.arange(m - 1)
+    rest = np.take_along_axis(other, k + (k >= j2[:, None]), axis=1)
+    union = np.concatenate([own, np.where(two[:, None], rest, -1)], axis=1)
+    eidx = np.arange(n)[:, None]
+    jump = np.zeros((n, 2 * m - 1, nq))
+    D_mat = np.zeros((n, 2 * nb, 2 * m - 1))
+    M = np.zeros((n, 2 * nb, 2 * nb))
+    G = np.zeros((n, 2 * nb, 2 * nb))
+    for i in (0, 1):
+        present = (elems[:, i, None, None] >= 0).astype(float)
+        jump[eidx, loc[:, i]] += sign[:, i, None, None] * np.moveaxis(vals[:, i], 1, 2)
         blk = slice(i * nb, (i + 1) * nb)
-        vals, grads = evaluate(tab.coef[r][:, pc], pts, tab.centers[r], mesh.kappa)
-        M[blk, blk] = tab.M[r]
-        G[blk, blk] = tab.G[r]
-        D_mat[blk, loc] = tab.C.T
-        psi[blk] = avg * beta_t * (grads[:nb] @ n_e)
-        jump[loc] += sgn * vals
+        D_mat[eidx[:, :, None], np.arange(blk.start, blk.stop)[:, None], loc[:, i, None, :]] = \
+            present * tab.C.T
+        M[:, blk, blk] = present * tab.M[rows[:, i]]
+        G[:, blk, blk] = present * tab.G[rows[:, i]]
 
-    cond = np.linalg.cond(M)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise AssemblyError(f"lifting Gram matrix ill-conditioned on edge {eid} "
-                            f"(cond={cond:.2e})")
-    psi_w = psi * wq
-    return LiftingBlock(int(eid), tuple(adj), rows, np.array(union), pts, wq, piece, beta,
-                        psi, jump, psi_w @ jump.T, D_mat, M, G,
-                        (jump * wq) @ jump.T, psi_w @ psi.T,
-                        float(mesh.edge_lengths[eid]), x_gamma, beta_gamma)
+    cond = np.zeros(n)
+    for sel, dim in _groups(two, 2 * nb):
+        cond[sel] = np.linalg.cond(M[sel, :dim, :dim])
+    bad = ~(np.isfinite(cond) & (cond <= 1e12))
+    if bad.any():
+        e = int(np.argmax(bad))
+        raise AssemblyError(f"lifting Gram matrix ill-conditioned on edge {eids[e]} "
+                            f"(cond={cond[e]:.2e})")
+    psi_w = psi * wq[:, None, :]
+    jump_t = jump.transpose(0, 2, 1)
+    return EdgeTable(eids, elems, rows, sign, union, pts, wq, piece, beta, psi, jump,
+                     psi_w @ jump_t, D_mat, M, G, (jump * wq[:, None, :]) @ jump_t,
+                     psi_w @ psi.transpose(0, 2, 1), mesh.edge_lengths[eids], x_gamma,
+                     beta_gamma)
+
+
+def build_lifting_block(ctx: Context, eid: int) -> LiftingBlock:
+    """Trace table and lifting data of one interface edge: row 0 of
+    build_edge_table on that edge alone."""
+    return build_edge_table(ctx, [eid]).block(0)
 
 
 def lift_trace(block: LiftingBlock, trace: Callable) -> np.ndarray:
@@ -382,33 +501,30 @@ def _volume_triplets(ctx: Context):
     return rows, cols, [K.ravel() for _, K in blocks]
 
 
-def _edge_form(block: LiftingBlock, method: str, eta: Optional[float],
+def _edge_form(edges: EdgeTable, method: str, eta: Optional[float],
                moments, fluxes, jumps):
     """Interface-edge terms of one method against every union basis function.
 
-    The trial field u enters through moments = psi W [u], fluxes =
-    [phi] W {beta grad(u) . n_e} and jumps = [phi] W [u]. The consistency
-    term is -(fluxes + D^T moments); the stabilization is 4 T^T M^-1 moments
-    for 'new' and (eta_e/|e|) jumps for 'ppifem', with eta_e defaulting to
+    The k trial fields u of each edge enter through moments = psi W [u]
+    (n, dim, k), fluxes = [phi] W {beta grad(u) . n_e} and jumps =
+    [phi] W [u] (n, 2m-1, k). The consistency term is -(fluxes + D^T
+    moments); the stabilization is 4 T^T M^-1 moments for 'new' and
+    (eta_e/|e|) jumps for 'ppifem', with eta_e defaulting to
     10 beta_gamma = 10 max beta+-(x_gamma).
     """
-    out = -(fluxes + block.D_mat.T @ moments)
+    out = -(fluxes + edges.D_mat.transpose(0, 2, 1) @ moments)
     if method == "new":
-        return out + 4.0 * block.T_mat.T @ np.linalg.solve(block.M, moments)
+        return out + 4.0 * edges.T_mat.transpose(0, 2, 1) @ edges.lift(moments)
     if eta is None:
-        eta = 10.0 * block.beta_gamma
-    return out + (eta / block.length) * jumps
+        eta = 10.0 * edges.beta_gamma
+    return out + (eta / edges.length)[:, None, None] * jumps
 
 
-def _edge_local_matrices(ctx: Context, method: str, eta: Optional[float]):
-    """Consistency + stabilization contributions per interface edge."""
-    out = []
-    for eid in ctx.layout.interface_edges:
-        block = build_lifting_block(ctx, int(eid))
-        mat = _edge_form(block, method, eta, block.T_mat,
-                         block.T_mat.T @ block.D_mat, block.J)
-        out.append((block.union_dofs, mat, block))
-    return out
+def _edge_matrices(edges: EdgeTable, method: str, eta: Optional[float]) -> np.ndarray:
+    """Consistency + stabilization matrices (n, 2m-1, 2m-1) of the edges,
+    rows and columns over their union DOFs."""
+    return _edge_form(edges, method, eta, edges.T_mat,
+                      edges.T_mat.transpose(0, 2, 1) @ edges.D_mat, edges.J)
 
 
 def assemble(ctx: Context, method: str, eta: Optional[float] = None,
@@ -424,13 +540,17 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
     mesh = ctx.mesh
     n = mesh.n_edges
     rows, cols, data = _volume_triplets(ctx)
-    edge_blocks = []
+    edges = None
     if method in ("new", "ppifem"):
-        for union, mat, block in _edge_local_matrices(ctx, method, eta):
-            rows.append(np.repeat(union, len(union)))
-            cols.append(np.tile(union, len(union)))
-            data.append(mat.ravel())
-            edge_blocks.append(block)
+        edges = build_edge_table(ctx, ctx.layout.interface_edges)
+        mats = _edge_matrices(edges, method, eta)
+        # padded union slots hold no DOF and are dropped
+        r = np.broadcast_to(edges.union[:, :, None], mats.shape)
+        c = np.broadcast_to(edges.union[:, None, :], mats.shape)
+        keep = (r >= 0) & (c >= 0)
+        rows.append(r[keep])
+        cols.append(c[keep])
+        data.append(mats[keep])
 
     A = sp.coo_matrix((np.concatenate(data),
                        (np.concatenate(rows), np.concatenate(cols))),
@@ -441,8 +561,7 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
         raise AssemblyError(f"assembled matrix asymmetric: {asym:.3e} vs scale {scale:.3e}")
     A = 0.5 * (A + A.T)
 
-    b = assemble_rhs(ctx, method, eta=eta, correction=correction,
-                     edge_blocks=edge_blocks or None)
+    b = assemble_rhs(ctx, method, eta=eta, correction=correction, edge_blocks=edges)
 
     boundary = mesh.boundary_edges
     free = np.nonzero(~boundary)[0]
@@ -458,7 +577,12 @@ def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,
                  edge_blocks=None) -> np.ndarray:
     """Load vector int f phi_i; for nonhomogeneous flux jumps this includes
     the interface load int_chord g_N phi_i, and the full bilinear action of
-    the supplied jump correction moves to the right-hand side."""
+    the supplied jump correction moves to the right-hand side.
+
+    edge_blocks may pass the EdgeTable of ctx's interface edges that the
+    caller already built; anything else (None, or a list of per-edge
+    LiftingBlocks) makes the correction action build its own.
+    """
     mesh = ctx.mesh
     tab = ctx.cut_table
     b = np.zeros(mesh.n_edges)
@@ -487,6 +611,9 @@ def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,
 
 
 def _subtract_correction_action(ctx: Context, b, method, eta, correction, edge_blocks):
+    """Subtract the bilinear-form action on every test function of the jump
+    correction: its volume part on every cut element, then its edge terms
+    on the interface edges, all edges at once."""
     mesh = ctx.mesh
     tab = ctx.cut_table
     # volume part: int beta grad(uJ) . grad(phi_a) on every cut element
@@ -497,23 +624,20 @@ def _subtract_correction_action(ctx: Context, b, method, eta, correction, edge_b
     if method == "plain":
         return
 
-    if edge_blocks is None:
-        edge_blocks = [build_lifting_block(ctx, int(eid))
-                       for eid in ctx.layout.interface_edges]
-    for block in edge_blocks:
-        # jump of uJ and average of its weighted normal derivative
-        n_e = mesh.edge_normals[block.edge_id]
-        avg = 1.0 if len(block.elements) == 1 else 0.5
-        juJ = np.zeros(len(block.wq))
-        avgJ = np.zeros(len(block.wq))
-        for sgn, r, pc, beta in zip((1.0, -1.0), block.rows, block.piece, block.beta):
-            vJ, gJ = evaluate(correction[r, pc], block.pts, tab.centers[r], mesh.kappa)
-            juJ += sgn * vJ
-            avgJ += avg * beta * (gJ @ n_e)
-        wjuJ = block.wq * juJ
-        contrib = _edge_form(block, method, eta, block.psi @ wjuJ,
-                             block.jump @ (block.wq * avgJ), block.jump @ wjuJ)
-        b[block.union_dofs] -= contrib
+    edges = edge_blocks
+    if not isinstance(edges, EdgeTable):
+        edges = build_edge_table(ctx, ctx.layout.interface_edges)
+    # jump of uJ and average of its weighted normal derivative
+    vJ, gJ = evaluate(correction[edges.rows[:, :, None], edges.piece], edges.pts[:, None],
+                      tab.centers[edges.rows][:, :, None], mesh.kappa)
+    juJ = np.einsum("ei,eiq->eq", edges.sign, vJ)
+    flux = np.einsum("eiqd,ed->eiq", gJ, mesh.edge_normals[edges.edge_ids])
+    avgJ = (edges.avg[:, None, None] * edges.beta * flux).sum(axis=1)
+    wjuJ = (edges.wq * juJ)[..., None]
+    contrib = _edge_form(edges, method, eta, edges.psi @ wjuJ,
+                         edges.jump @ (edges.wq * avgJ)[..., None], edges.jump @ wjuJ)
+    dof = edges.union >= 0
+    np.subtract.at(b, edges.union[dof], contrib[..., 0][dof])
 
 
 def build_jump_correction(ctx: Context) -> np.ndarray:
@@ -521,10 +645,10 @@ def build_jump_correction(ctx: Context) -> np.ndarray:
     interface jumps, rows as in ctx.cut_table; g_D and g_N are each called
     once, on all chord endpoints."""
     tab = ctx.cut_table
-    g_D = np.asarray(ctx.prob.g_D(tab.chords), float)
-    g_N = np.asarray(ctx.prob.g_N(tab.chords), float)
-    return np.array([jump_correction_local(basis, d, n)
-                     for basis, d, n in zip(tab.bases, g_D, g_N)]).reshape(-1, 2, 4)
+    g_D = np.asarray(ctx.prob.g_D(tab.chords), float).reshape(-1, 2)
+    g_N = np.asarray(ctx.prob.g_N(tab.chords), float).reshape(-1, 2)
+    return jump_corrections(tab.coef, tab.dof_rows, tab.centers, tab.chords, tab.normals,
+                            tab.beta_c[:, 0], g_D, g_N)
 
 
 def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray, int]:
@@ -536,8 +660,9 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
     positive. The true residual ||b - Ax|| / ||b|| must then be at most
     10 (rtol + eps || |A| |x| || / ||b||), the second term being the rounding
     floor of evaluating it in float64. Raises SolverError when A is not SPD,
-    is singular or misses that bound; the error carries the achieved relative
-    residual.
+    is singular or misses that bound, and its subclass SolverMemoryError when
+    the factorization runs out of memory; the error carries the achieved
+    relative residual.
     """
     # imported here: scipy.sparse.linalg adds about 60 ms to importing ifelab
     from scipy.sparse.linalg import splu
@@ -552,11 +677,21 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), 0
+    # no solution is formed when the factorization fails, so the achieved
+    # residual is that of x = 0
     try:
         lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options={"SymmetricMode": True})
-    except RuntimeError as err:  # SuperLU: "Factor is exactly singular"
-        # no solution was formed, so the achieved residual is that of x = 0
+    except MemoryError as err:
+        raise SolverMemoryError(f"out of memory in the factorization: {err}",
+                                residual=1.0) from err
+    except RuntimeError as err:
+        # SuperLU reports allocation failures ("SUPERLU_MALLOC fails for ...",
+        # "Not enough memory ...") as RuntimeError, like a singular factor
+        msg = str(err).lower()
+        if "malloc" in msg or "memory" in msg:
+            raise SolverMemoryError(f"out of memory in the factorization: {err}",
+                                    residual=1.0) from err
         raise SolverError(f"matrix singular: {err}", residual=1.0) from err
     x = lu.solve(b)
     residual = float(np.linalg.norm(b - A @ x)) / bnorm

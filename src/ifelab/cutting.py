@@ -36,10 +36,7 @@ class CutLayout:
     cuts: Dict[int, CutElement]         # elem id -> cut data
     edge_splits: Dict[int, np.ndarray]  # edge id -> interface crossing point
     interface_edges: np.ndarray         # sorted ids of open-edge crossings
-
-    @property
-    def interface_elements(self) -> np.ndarray:
-        return np.nonzero(self.classes == INTERFACE)[0]
+    crossings: np.ndarray               # (n_iface, 2) their crossing points
 
 
 def _element_cut_config(e: int, nv: int, open_edges, on_gamma):
@@ -107,7 +104,7 @@ def build_layout(mesh, ls: LevelSet) -> CutLayout:
         vsum = phi_nodes[mesh.elements].sum(axis=1)
         classes[tie] = np.where(vsum[tie] >= 0, INTERIOR_PLUS, INTERIOR_MINUS)
 
-    cuts: Dict[int, CutElement] = {}
+    chords = []
     nv = mesh.elements.shape[1]
     for e in map(int, np.nonzero(touched)[0]):
         vids = mesh.elements[e]
@@ -118,26 +115,34 @@ def build_layout(mesh, ls: LevelSet) -> CutLayout:
         on_gamma |= {i if vids[i] == mesh.edges[gids[i], endpoint[gids[i]]] else (i + 1) % nv
                      for i in range(nv) if snapped[gids[i]]}
         cfg = _element_cut_config(e, nv, open_edges, on_gamma)
-        if cfg is None:
-            continue
+        if cfg is not None:
+            loc_d, loc_e = cfg
+            D = nodes[vids[loc_d[1]]].copy() if loc_d[0] == "vertex" else points[gids[loc_d[1]]]
+            chords.append((e, cfg, D, points[gids[loc_e[1]]]))
+
+    # D and E lie on the interface, so a small step off both along the
+    # candidate normal resolves the side even where the chord midpoint sits
+    # O(h^2) off it; phi is evaluated once, on the probes of every cut
+    ids = np.array([c[0] for c in chords], dtype=int)
+    ends = np.array([c[2:] for c in chords]).reshape(-1, 2, 2)
+    chord = ends[:, 1] - ends[:, 0]
+    u = chord / np.linalg.norm(chord, axis=1)[:, None]
+    n_h = np.stack([u[:, 1], -u[:, 0]], axis=1)
+    verts = nodes[mesh.elements[ids]]
+    h_T = np.sqrt(((verts[:, :, None] - verts[:, None]) ** 2).sum(-1)).max(axis=(1, 2))
+    probe = np.asarray(ls.phi(ends + (1e-3 * h_T)[:, None, None] * n_h[:, None]), float)
+    plus = probe.sum(axis=1)
+
+    cuts: Dict[int, CutElement] = {}
+    for (e, cfg, D, E), v, s in zip(chords, verts, plus):
         loc_d, loc_e = cfg
-        verts = nodes[vids]
-        D = verts[loc_d[1]].copy() if loc_d[0] == "vertex" else points[gids[loc_d[1]]]
-        E = points[gids[loc_e[1]]]
-
-        def probe(n, h):
-            # D and E lie on the interface, so a small step off both resolves
-            # the side even where the chord midpoint sits O(h^2) off it
-            eps = 1e-3 * h
-            return float(ls.phi(D + eps * n)) + float(ls.phi(E + eps * n))
-
-        cut = chord_cut(e, verts, loc_d, D, loc_e, E, plus_side=probe)
-        cut.cut_edges = tuple(int(gids[i]) for kind, i in cfg if kind == "edge")
+        cut = chord_cut(e, v, loc_d, D, loc_e, E, plus_side=lambda n, h, s=s: s)
+        cut.cut_edges = tuple(int(mesh.elem_edges[e, i]) for kind, i in cfg if kind == "edge")
         cuts[e] = cut
         classes[e] = INTERFACE
 
-    iface_edges = np.sort(np.nonzero(open_cut)[0])
-    layout = CutLayout(classes, cuts, edge_splits, iface_edges)
+    iface_edges = np.nonzero(open_cut)[0]
+    layout = CutLayout(classes, cuts, edge_splits, iface_edges, points[iface_edges])
     _check_interface_edge_neighbors(mesh, layout)
     return layout
 

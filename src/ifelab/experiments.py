@@ -115,15 +115,6 @@ class ConvergenceTable:
         last = self.rows[-1]
         return last.l2_rate, last.h1_rate
 
-    def check_monotone(self, slack: float = 1.05, floor: float = 1e-10) -> bool:
-        """Errors non-increasing with refinement, ignoring rows at the
-        solver-tolerance floor."""
-        for prev, cur in zip(self.rows, self.rows[1:]):
-            for a, b in ((prev.l2, cur.l2), (prev.h1, cur.h1)):
-                if max(a, b) > floor and b > slack * a:
-                    return False
-        return True
-
 
 def emit(table: ConvergenceTable, fmt: str = "csv") -> str:
     """Render a table; csv uses 4-significant-digit scientific notation and
@@ -291,7 +282,8 @@ def _triangle_max_angle(tri):
 
 def _delta_residual(basis) -> float:
     """max_ij |N_j(phi_i) - delta_ij|, cut edges integrated piecewise."""
-    means = np.einsum("jsk,isk->ij", _dof_rows(basis.cut, basis.kappa), basis.coef)
+    means = np.einsum("jsk,isk->ij", _dof_rows([basis.cut], basis.kappa)[0],
+                      basis.coef)
     return float(np.abs(means - np.eye(basis.n_dofs)).max())
 
 

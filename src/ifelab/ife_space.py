@@ -54,11 +54,12 @@ def evaluate(coef, x, center, kappa: float = 1.0):
 
 
 def _segment_means(p, q, center, kappa):
-    """Means (n, 4) of the four monomials along the segments p[i] -> q[i]."""
+    """Means (..., 4) of the four monomials along the segments p -> q (..., 2)."""
     rule = segment_rule(_MEAN_NPTS)
-    pts = p[:, None, :] + rule.points[None, :, :] * (q - p)[:, None, :]
-    vals, _ = evaluate(np.eye(4), pts[:, :, None, :], center, kappa)
-    return np.einsum("q,nqk->nk", rule.weights, vals)
+    pts = p[..., None, :] + rule.points * (q - p)[..., None, :]
+    vals, _ = evaluate(np.eye(4), pts[..., None, :], np.asarray(center)[..., None, None, :],
+                       kappa)
+    return np.einsum("q,...qk->...k", rule.weights, vals)
 
 
 def standard_local_basis(vertices, kind: str, kappa: float = 1.0) -> np.ndarray:
@@ -113,41 +114,36 @@ class LocalIFEBasis:
         return self.cut.vertices.mean(axis=0)
 
 
-def _split_edges(cut: CutElement):
-    """Map local edge -> split point for edges carrying a chord endpoint."""
-    splits = {}
-    if cut.loc_d[0] == "edge":
-        splits[cut.loc_d[1]] = cut.D
-    splits[cut.loc_e[1]] = cut.E
-    return splits
+def _dof_rows(cuts, kappa: float) -> np.ndarray:
+    """Edge means (n, nv, 2, 4) of the monomials of each piece on the cut
+    elements cuts, all at once.
 
-
-def _dof_rows(cut: CutElement, kappa: float) -> np.ndarray:
-    """Edge means (nv, 2, 4) of the monomials of each piece.
-
-    Row j integrates local edge j, split at its chord endpoint, with each
-    part charged to the piece on its side of the chord; the edge means of a
-    piecewise function w are einsum("jsk,sk->j", rows, w).
+    Row j of element i integrates local edge j, split at its chord endpoint,
+    with each part charged to the piece on its side of the chord; the edge
+    means of a piecewise function w on element i are
+    einsum("jsk,sk->j", rows[i], w). Every edge is laid out as two segments
+    meeting at its split point; an edge without one ends in a segment of
+    zero length, which carries nothing.
     """
-    verts = cut.vertices
-    nv = len(verts)
-    splits = _split_edges(cut)
-    p, q, edge = [], [], []
-    for j in range(nv):
-        ends = [verts[j], verts[(j + 1) % nv]]
-        if j in splits:
-            ends.insert(1, splits[j])
-        p += ends[:-1]
-        q += ends[1:]
-        edge += [j] * (len(ends) - 1)
-    p, q, edge = np.array(p), np.array(q), np.array(edge)
-    seg = np.linalg.norm(q - p, axis=1)
-    keep = seg > 0.0
-    frac = seg / np.linalg.norm(verts[(edge + 1) % nv] - verts[edge], axis=1)
-    piece = (cut.side_of(0.5 * (p + q)) < 0).astype(int)
-    rows = np.zeros((nv, 2, 4))
-    means = _segment_means(p[keep], q[keep], verts.mean(axis=0), kappa)
-    np.add.at(rows, (edge[keep], piece[keep]), means * frac[keep, None])
+    verts = np.array([c.vertices for c in cuts])
+    D = np.array([c.D for c in cuts])
+    E = np.array([c.E for c in cuts])
+    n_h = np.array([c.n_h for c in cuts])
+    d_edge = np.array([c.loc_d[1] if c.loc_d[0] == "edge" else -1 for c in cuts])
+    e_edge = np.array([c.loc_e[1] for c in cuts])
+    n, nv = verts.shape[:2]
+    nxt = np.roll(verts, -1, axis=1)
+    j = np.arange(nv)
+    split = np.where((j == d_edge[:, None])[..., None], D[:, None],
+                     np.where((j == e_edge[:, None])[..., None], E[:, None], nxt))
+    p = np.stack([verts, split], axis=2)  # (n, nv, 2 segments, 2)
+    q = np.stack([split, nxt], axis=2)
+    frac = np.linalg.norm(q - p, axis=-1) / np.linalg.norm(nxt - verts, axis=-1)[..., None]
+    side = np.einsum("ijsd,id->ijs", 0.5 * (p + q) - D[:, None, None], n_h)
+    means = _segment_means(p, q, verts.mean(axis=1)[:, None, None], kappa)
+    rows = np.zeros((n, nv, 2, 4))
+    np.add.at(rows, (np.arange(n)[:, None, None], j[:, None], (side < 0).astype(int)),
+              means * frac[..., None])
     return rows
 
 
@@ -163,7 +159,7 @@ def _solve_local(cut: CutElement, kind, beta_p, beta_m, kappa) -> np.ndarray:
     gn = grads[2, :k] @ cut.n_h
     rows = [np.concatenate([r, -r]) for r in glue]
     rows.append(np.concatenate([beta_p * gn, -beta_m * gn]))
-    A = np.vstack(rows + [_dof_rows(cut, kappa)[:, :, :k].reshape(nv, 2 * k)])
+    A = np.vstack(rows + [_dof_rows([cut], kappa)[0, :, :, :k].reshape(nv, 2 * k)])
     cond = np.linalg.cond(A)
     if not np.isfinite(cond):
         raise UnisolvenceError(f"singular local system on element {cut.elem_id}")
@@ -191,27 +187,30 @@ def ife_local_basis_direct(cut: CutElement, kind: str, beta_c_plus: float,
     return LocalIFEBasis(cut, kind, beta_c_plus, beta_c_minus, coef, kappa)
 
 
-def jump_correction_local(basis: LocalIFEBasis, g_D, g_N) -> np.ndarray:
-    """Piecewise correction (2, 4) with prescribed value/flux jumps and zero edge means.
+def jump_corrections(coef, rows, center, chords, n_h, beta_plus, g_D, g_N) -> np.ndarray:
+    """Piecewise corrections (n, 2, 4) with prescribed value/flux jumps and
+    zero edge means, for n cut elements at once.
 
-    g_D and g_N hold the jump data at the chord endpoints (D, E). The value
-    jump matches g_D at both endpoints, the weighted normal derivative jump
-    at the chord midpoint equals the mean of g_N, every edge mean vanishes
-    and, for rectangles, so does the curvature jump. The correction is w0
-    minus its edge means times the basis, w0 being zero on the minus piece
-    and, on the plus piece, the affine p with p(D) = g_D(D), p(E) = g_D(E)
-    and beta_c_plus grad(p) . n_h = mean g_N.
+    coef (n, m, 2, 4) and rows (n, m, 2, 4) are the elements' bases and
+    _dof_rows, center (n, 2) their monomial centres, chords (n, 2, 2) the
+    chord endpoints (D, E), n_h (n, 2) the chord normals and beta_plus (n,)
+    the plus coefficients of the bases; g_D and g_N (n, 2) hold the jump
+    data at (D, E). The value jump matches g_D at both endpoints, the
+    weighted normal derivative jump at the chord midpoint equals the mean of
+    g_N, every edge mean vanishes and, for rectangles, so does the curvature
+    jump. The correction is w0 minus its edge means times the basis, w0
+    being zero on the minus piece and, on the plus piece, the affine p with
+    p(D) = g_D(D), p(E) = g_D(E) and beta_plus grad(p) . n_h = mean g_N.
     """
-    cut = basis.cut
-    g_D = np.broadcast_to(np.asarray(g_D, float), 2)
-    g_N = np.broadcast_to(np.asarray(g_N, float), 2)
-    chord = cut.E - cut.D
-    grad = ((g_D[1] - g_D[0]) / (chord @ chord)) * chord \
-        + (0.5 * (g_N[0] + g_N[1]) / basis.beta_c_plus) * cut.n_h
-    w0 = np.zeros((2, 4))
-    w0[0, :3] = g_D[0] + grad @ (basis.center - cut.D), grad[0], grad[1]
-    means = np.einsum("jsk,sk->j", _dof_rows(cut, basis.kappa), w0)
-    return w0 - np.tensordot(means, basis.coef, axes=1)
+    D, E = chords[:, 0], chords[:, 1]
+    chord = E - D
+    grad = ((g_D[:, 1] - g_D[:, 0]) / np.einsum("nd,nd->n", chord, chord))[:, None] * chord \
+        + (0.5 * (g_N[:, 0] + g_N[:, 1]) / beta_plus)[:, None] * n_h
+    w0 = np.zeros((len(coef), 2, 4))
+    w0[:, 0, 0] = g_D[:, 0] + np.einsum("nd,nd->n", grad, center - D)
+    w0[:, 0, 1:3] = grad
+    means = np.einsum("njsk,nsk->nj", rows, w0)
+    return w0 - np.einsum("nj,njsk->nsk", means, coef)
 
 
 def _common_vertex(e1: int, e2: int, nv: int) -> int:

@@ -43,9 +43,6 @@ class UnfittedMesh:
     def element_centroids(self) -> np.ndarray:
         return self.nodes[self.elements].mean(axis=1)
 
-    def edge_midpoints(self) -> np.ndarray:
-        return 0.5 * (self.nodes[self.edges[:, 0]] + self.nodes[self.edges[:, 1]])
-
     def congruence_classes(self):
         """Element ids grouped by congruent shape (tri: 2 groups, rect: 1)."""
         ids = np.arange(self.n_elements)

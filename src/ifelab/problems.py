@@ -67,18 +67,9 @@ class ProblemSpec:
         x = np.asarray(x, float)
         return piecewise(self.levelset.phi(x), self.u_plus, self.u_minus, x)
 
-    def grad_u_exact(self, x):
-        x = np.asarray(x, float)
-        return piecewise(self.levelset.phi(x), self.grad_u_plus, self.grad_u_minus,
-                         x, vector=True)
-
     def f(self, x):
         x = np.asarray(x, float)
         return piecewise(self.levelset.phi(x), self.f_plus, self.f_minus, x)
-
-    def beta(self, x):
-        x = np.asarray(x, float)
-        return piecewise(self.levelset.phi(x), self.beta_plus, self.beta_minus, x)
 
 
 def example1(beta_p: float = 10.0, beta_m: float = 1000.0) -> ProblemSpec:

@@ -3,8 +3,8 @@
 Segments use Gauss-Legendre rules. Triangles use a conical-product rule
 (Gauss-Jacobi x Gauss-Legendre), exact for any requested total degree.
 Convex polygons, rectangles among them, are fan-triangulated from their
-centroid. The module returns points and weights; callers evaluate their
-integrands on all points at once.
+centroid, any number of polygons in one call. The module returns points and
+weights; callers evaluate their integrands on all points at once.
 """
 from __future__ import annotations
 
@@ -54,45 +54,75 @@ def reference_triangle_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(pts, wts, 2 * n - 1)
 
 
-def triangle_points_weights(verts: np.ndarray, degree: int):
-    """Physical quadrature points/weights for one triangle (3, 2)."""
-    ref = reference_triangle_rule(degree)
-    a, b, c = np.asarray(verts, float)
-    pts = a + np.outer(ref.points[:, 0], b - a) + np.outer(ref.points[:, 1], c - a)
-    det = abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-    return pts, ref.weights * det
+def _map_triangles(tris: np.ndarray, ref: QuadratureRule):
+    """Points (..., nr, 2) and weights (..., nr) of the reference rule mapped
+    onto the triangles tris (..., 3, 2)."""
+    a, b, c = tris[..., 0, None, :], tris[..., 1, None, :], tris[..., 2, None, :]
+    pts = a + ref.points[:, :1] * (b - a) + ref.points[:, 1:] * (c - a)
+    ab, ac = tris[..., 1, :] - tris[..., 0, :], tris[..., 2, :] - tris[..., 0, :]
+    det = np.abs(ab[..., 0] * ac[..., 1] - ab[..., 1] * ac[..., 0])
+    return pts, ref.weights * det[..., None]
 
 
-def polygon_area(poly: np.ndarray) -> float:
-    """Signed shoelace area (positive for counterclockwise vertices)."""
+def polygon_area(poly: np.ndarray):
+    """Signed shoelace area (positive for counterclockwise vertices) of the
+    polygons poly (..., k, 2)."""
     p = np.asarray(poly, float)
-    x, y = p[:, 0], p[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    x, y = p[..., 0], p[..., 1]
+    return 0.5 * np.sum(x * np.roll(y, -1, axis=-1) - np.roll(x, -1, axis=-1) * y, axis=-1)
 
 
-def polygon_centroid(poly: np.ndarray) -> np.ndarray:
-    p = np.asarray(poly, float)
+def _centroids(p: np.ndarray) -> np.ndarray:
+    """Centroids (g, 2) of the polygons p (g, k, 2); the vertex mean where
+    the area vanishes."""
     a = polygon_area(p)
-    if abs(a) < 1e-300:
-        return p.mean(axis=0)
-    x, y = p[:, 0], p[:, 1]
-    cx = np.sum((x + np.roll(x, -1)) * (x * np.roll(y, -1) - np.roll(x, -1) * y))
-    cy = np.sum((y + np.roll(y, -1)) * (x * np.roll(y, -1) - np.roll(x, -1) * y))
-    return np.array([cx, cy]) / (6.0 * a)
+    x, y = p[..., 0], p[..., 1]
+    xn, yn = np.roll(x, -1, axis=-1), np.roll(y, -1, axis=-1)
+    cross = x * yn - xn * y
+    c = np.stack([np.sum((x + xn) * cross, axis=-1), np.sum((y + yn) * cross, axis=-1)], -1)
+    flat = np.abs(a) < 1e-300
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = c / (6.0 * a[:, None])
+    c[flat] = p[flat].mean(axis=1)
+    return c
+
+
+def polygons_points_weights(verts: np.ndarray, sizes: np.ndarray, degree: int):
+    """Quadrature over many convex CCW polygons at once.
+
+    verts (sum(sizes), 2) holds the vertices of the polygons back to back
+    and sizes their vertex counts. Triangles take the reference triangle
+    rule; larger polygons are fan-triangulated from their centroid, polygons
+    with equal vertex counts in one group. Returns the points, the weights,
+    polygon after polygon in input order, and each polygon's point count.
+    """
+    verts = np.asarray(verts, float).reshape(-1, 2)
+    sizes = np.asarray(sizes, dtype=int)
+    if np.any(sizes < 3):
+        raise ValueError("polygon needs at least 3 vertices")
+    ref = reference_triangle_rule(degree)
+    counts = np.where(sizes == 3, 1, sizes) * len(ref.weights)
+    first = np.cumsum(sizes) - sizes
+    out_first = np.cumsum(counts) - counts
+    pts = np.empty((counts.sum(), 2))
+    wts = np.empty(counts.sum())
+    for k in np.unique(sizes):
+        sel = np.nonzero(sizes == k)[0]
+        p = verts[first[sel, None] + np.arange(k)]
+        if k == 3:
+            tris = p[:, None]
+        else:
+            c = np.broadcast_to(_centroids(p)[:, None, :], p.shape)
+            tris = np.stack([c, p, np.roll(p, -1, axis=1)], axis=2)
+        tp, tw = _map_triangles(tris, ref)
+        at = out_first[sel, None] + np.arange(counts[sel[0]])
+        pts[at] = tp.reshape(len(sel), -1, 2)
+        wts[at] = tw.reshape(len(sel), -1)
+    return pts, wts, counts
 
 
 def polygon_points_weights(poly: np.ndarray, degree: int):
-    """Quadrature over a convex CCW polygon by fan triangulation from its centroid."""
+    """Quadrature over one convex CCW polygon by fan triangulation from its centroid."""
     p = np.asarray(poly, float)
-    if p.shape[0] < 3:
-        raise ValueError("polygon needs at least 3 vertices")
-    if p.shape[0] == 3:
-        return triangle_points_weights(p, degree)
-    c = polygon_centroid(p)
-    pts, wts = [], []
-    for i in range(p.shape[0]):
-        tri = np.array([c, p[i], p[(i + 1) % p.shape[0]]])
-        tp, tw = triangle_points_weights(tri, degree)
-        pts.append(tp)
-        wts.append(tw)
-    return np.vstack(pts), np.concatenate(wts)
+    pts, wts, _ = polygons_points_weights(p, [p.shape[0]], degree)
+    return pts, wts

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from ifelab.geometry import LevelSet, element_size
-from ifelab.ife_space import evaluate
+from ifelab.geometry import INTERFACE, LevelSet, element_size
+from ifelab.ife_space import _dof_rows, evaluate, jump_corrections
 from ifelab.mesh import UnfittedMesh, _connect
+from ifelab.problems import piecewise
 from ifelab.quadrature import segment_rule
 
 
@@ -84,7 +85,6 @@ def basis_at(basis, x):
                     basis.center, basis.kappa)
 
 
-
 def lifted_field(ctx, block, coeffs, elem):
     """The lifted field sum_k coeffs_k grad(phi_k) of an edge's lifting block
     on its adjacent element elem, at that element's cut-table points.
@@ -97,3 +97,41 @@ def lifted_field(ctx, block, coeffs, elem):
     off = block.elements.index(elem) * nb
     sel = tab.owner == tab.row[elem]
     return sel, np.einsum("k,qkd->qd", coeffs[off:off + nb], tab.grads[sel, :nb])
+
+
+def edge_midpoints(mesh) -> np.ndarray:
+    """Midpoints (n_edges, 2) of the mesh edges."""
+    return 0.5 * (mesh.nodes[mesh.edges[:, 0]] + mesh.nodes[mesh.edges[:, 1]])
+
+
+def interface_elements(layout) -> np.ndarray:
+    """Ids of the elements a layout classifies as cut."""
+    return np.nonzero(layout.classes == INTERFACE)[0]
+
+
+def check_monotone(table, slack: float = 1.05, floor: float = 1e-10) -> bool:
+    """Errors of a ConvergenceTable non-increasing with refinement, ignoring
+    rows at the solver-tolerance floor."""
+    for prev, cur in zip(table.rows, table.rows[1:]):
+        for a, b in ((prev.l2, cur.l2), (prev.h1, cur.h1)):
+            if max(a, b) > floor and b > slack * a:
+                return False
+    return True
+
+
+def grad_u_exact(prob, x) -> np.ndarray:
+    """Gradient of a problem's exact solution, the branch chosen by phi."""
+    x = np.asarray(x, float)
+    return piecewise(prob.levelset.phi(x), prob.grad_u_plus, prob.grad_u_minus, x,
+                     vector=True)
+
+
+def jump_correction_local(basis, g_D, g_N) -> np.ndarray:
+    """Jump correction (2, 4) on one immersed basis: jump_corrections on a
+    batch of one element, g_D and g_N given at the chord endpoints (D, E)."""
+    cut = basis.cut
+    return jump_corrections(basis.coef[None], _dof_rows([cut], basis.kappa),
+                            basis.center[None], np.array([[cut.D, cut.E]]), cut.n_h[None],
+                            np.array([basis.beta_c_plus]),
+                            np.broadcast_to(np.asarray(g_D, float), 2)[None],
+                            np.broadcast_to(np.asarray(g_N, float), 2)[None])[0]

@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 
 from ifelab.assembly import (
     EDGE_NPTS,
+    VOLUME_DEGREE,
     AssembledSystem,
+    AssemblyError,
     SolverError,
+    SolverMemoryError,
     assemble,
     assemble_rhs,
     build_context,
+    build_edge_table,
     build_jump_correction,
     build_lifting_block,
     lift_trace,
@@ -24,8 +28,8 @@ from ifelab.assembly import (
 from ifelab.geometry import GeometryError, LevelSet
 from ifelab.ife_space import evaluate, standard_local_basis
 from ifelab.mesh import build_uniform_rect, build_uniform_tri
-from ifelab.problems import ProblemSpec, example1, example3, example4
-from ifelab.quadrature import polygon_area, segment_rule, triangle_points_weights
+from ifelab.problems import ProblemSpec, example1, example2, example3, example4
+from ifelab.quadrature import polygon_area, polygon_points_weights, segment_rule
 
 from conftest import lifted_field, standard_at
 
@@ -82,7 +86,7 @@ class TestVolumeAssembly:
         for e in range(mesh.n_elements):
             verts = mesh.element_vertices(e)
             lam = standard_local_basis(verts, "cr")
-            pts, wts = triangle_points_weights(verts, 6)
+            pts, wts = polygon_points_weights(verts, 6)
             vals, _ = standard_at(lam, verts, pts)
             for i, conn in enumerate(mesh.elem_edges[e]):
                 oracle[conn] += wts @ vals[:, i]
@@ -165,10 +169,14 @@ class TestMethodStructure:
     def test_consistency_term_symmetric_alone(self):
         """The edge consistency term is symmetric by itself (stabilization
         removed), so either stabilization preserves symmetry."""
-        from ifelab.assembly import _edge_local_matrices, build_lifting_block
-        for union, mat, block in _edge_local_matrices(self.ctx, "new", None):
+        from ifelab.assembly import _edge_matrices, build_edge_table
+        edges = build_edge_table(self.ctx, self.ctx.layout.interface_edges)
+        mats = _edge_matrices(edges, "new", None)
+        for i, mat in enumerate(mats):
+            block = edges.block(i)
+            u = len(block.union_dofs)
             S = 4.0 * block.T_mat.T @ np.linalg.solve(block.M, block.T_mat)
-            B = mat - S
+            B = mat[:u, :u] - S
             assert np.abs(B - B.T).max() <= 1e-12 * max(1.0, np.abs(B).max())
 
     def test_fixed_point_reassembly(self):
@@ -326,6 +334,29 @@ class TestSolver:
             solve_spd(sys_)
         assert exc.value.residual is not None and exc.value.residual > 0
 
+    @pytest.mark.parametrize("raised, memory", [
+        (RuntimeError("Factor is exactly singular"), False),
+        (RuntimeError("SUPERLU_MALLOC fails for buf in intMalloc()"), True),
+        (RuntimeError("Not enough memory to perform factorization."), True),
+        (MemoryError(), True),
+    ], ids=["singular", "superlu-malloc", "not-enough-memory", "memory-error"])
+    def test_factorization_failures_are_typed(self, monkeypatch, raised, memory):
+        """An allocation failure in the factorization raises SolverMemoryError;
+        a singular factor stays a plain SolverError saying so."""
+        import scipy.sparse.linalg
+
+        def failing_splu(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu)
+        sys_ = AssembledSystem(sp.identity(2, format="csr"), np.ones(2), np.arange(2),
+                               np.array([], dtype=int), np.array([]), 2)
+        with pytest.raises(SolverError) as exc:
+            solve_spd(sys_)
+        assert isinstance(exc.value, SolverMemoryError) == memory
+        assert ("out of memory" if memory else "matrix singular") in str(exc.value)
+        assert exc.value.residual == 1.0
+
     def test_example1_n64_residual_recheck(self):
         prob = example1(10.0, 1000.0)
         ctx = build_context(prob, build_uniform_tri(64), "cr")
@@ -355,22 +386,27 @@ class TestRotatedBilinearSolve:
         assert np.log2(h1s[1] / h1s[2]) > 0.6
 
 
+def boundary_cut_problem():
+    """Circle centred on the domain boundary, so that some interface edges
+    lie on the boundary itself."""
+    ls = LevelSet(
+        phi=lambda x: (x[..., 0] - 1.0) ** 2 + (x[..., 1] - 0.03) ** 2 - 0.16,
+        grad=lambda x: 2.0 * (np.asarray(x, float) - np.array([1.0, 0.03])))
+    zero = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
+    one = lambda x: np.ones(np.asarray(x, float).shape[:-1])
+    gzero = lambda x: np.zeros(np.asarray(x, float).shape)
+    return ProblemSpec(name="boundary-cut", levelset=ls, domain=(-1, 1, -1, 1),
+                       beta_plus=one, beta_minus=lambda x: 7.0 * one(x),
+                       f_plus=one, f_minus=one, u_plus=zero, u_minus=zero,
+                       grad_u_plus=gzero, grad_u_minus=gzero,
+                       g_D=zero, g_N=zero, g_boundary=zero)
+
+
 class TestBoundaryInterfaceEdges:
     def test_interface_through_domain_boundary(self):
         """A circle centered on the boundary produces interface edges on the
         boundary itself; single-trace convention keeps the system SPD."""
-        from ifelab.problems import ProblemSpec
-        ls = LevelSet(
-            phi=lambda x: (x[..., 0] - 1.0) ** 2 + (x[..., 1] - 0.03) ** 2 - 0.16,
-            grad=lambda x: 2.0 * (np.asarray(x, float) - np.array([1.0, 0.03])))
-        zero = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
-        one = lambda x: np.ones(np.asarray(x, float).shape[:-1])
-        gzero = lambda x: np.zeros(np.asarray(x, float).shape)
-        prob = ProblemSpec(name="boundary-cut", levelset=ls, domain=(-1, 1, -1, 1),
-                           beta_plus=one, beta_minus=lambda x: 7.0 * one(x),
-                           f_plus=one, f_minus=one, u_plus=zero, u_minus=zero,
-                           grad_u_plus=gzero, grad_u_minus=gzero,
-                           g_D=zero, g_N=zero, g_boundary=zero)
+        prob = boundary_cut_problem()
         mesh = build_uniform_tri(8)
         ctx = build_context(prob, mesh, "cr")
         boundary_iface = [int(e) for e in ctx.layout.interface_edges
@@ -522,6 +558,25 @@ class TestProblemCalls:
         assert counts[0]["f_plus"] > 0 and counts[0]["g_N"] > 0
         assert counts[0] == counts[1]
 
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    @pytest.mark.parametrize("method", ["new", "ppifem"])
+    @pytest.mark.parametrize("corrected", [False, True], ids=["plain-load", "corrected"])
+    def test_edge_form_call_counts_independent_of_mesh(self, kind, method, corrected):
+        """The edge terms, and the edge half of the jump-correction action,
+        evaluate beta once for all interface edges, so the counts at N=8 and
+        N=16 agree."""
+        counts = []
+        for N in (8, 16):
+            calls = Counter()
+            prob = counting(example4(), calls)
+            build = build_uniform_tri if kind == "cr" else build_uniform_rect
+            ctx = build_context(prob, build(N, prob.domain), kind)
+            correction = build_jump_correction(ctx) if corrected else None
+            assemble(ctx, method, correction=correction)
+            counts.append(calls)
+        assert counts[0]["beta_plus"] > 0
+        assert counts[0] == counts[1]
+
 
 class TestClassBlocks:
     @pytest.mark.parametrize("kind", ["cr", "rq1"])
@@ -587,3 +642,87 @@ class TestSolveProperty:
         energy_new = (x * (A @ x)).sum(axis=0)
         energy_plain = (x * (V @ x)).sum(axis=0)
         assert np.all(energy_new >= 0.5 * energy_plain - 1e-12 * scale)
+
+
+class TestEdgeTable:
+    CASES = [("ex1", "cr"), ("ex1", "rq1"), ("ex4", "cr"), ("ex4", "rq1"),
+             ("boundary", "cr"), ("boundary", "rq1")]
+
+    @staticmethod
+    def context(example, kind, N=16):
+        prob = {"ex1": lambda: example1(10.0, 1000.0), "ex4": example4,
+                "boundary": boundary_cut_problem}[example]()
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        return build_context(prob, build(N, prob.domain), kind)
+
+    @pytest.mark.parametrize("example, kind", CASES)
+    def test_rows_match_single_edge_blocks(self, example, kind):
+        """Every row of the stacked table equals the lifting block of its
+        edge built alone, on interior edges and on edges with one adjacent
+        element; the padded slots of the latter are zero."""
+        ctx = self.context(example, kind)
+        eids = ctx.layout.interface_edges
+        edges = build_edge_table(ctx, eids)
+        two = edges.elems[:, 1] >= 0
+        assert two.any()
+        if example == "boundary":
+            assert not two.all()
+        arrays = ("rows", "union_dofs", "pts", "wq", "piece", "beta", "psi", "jump",
+                  "T_mat", "D_mat", "M", "G", "J", "P", "x_gamma")
+        for i, eid in enumerate(eids):
+            row, alone = edges.block(i), build_lifting_block(ctx, int(eid))
+            assert row.edge_id == alone.edge_id == eid
+            assert row.elements == alone.elements
+            for name in arrays:
+                a, b = getattr(row, name), getattr(alone, name)
+                assert a.shape == b.shape, name
+                assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max()), name
+            for name in ("length", "beta_gamma"):
+                assert abs(getattr(row, name) - getattr(alone, name)) \
+                    <= 1e-13 * abs(getattr(alone, name))
+        one = ~two
+        nb = ctx.cut_table.coef.shape[1] - 1
+        assert np.all(edges.union[one, nb + 1:] == -1)
+        for name in ("psi", "M"):
+            assert np.all(getattr(edges, name)[one, nb:] == 0.0)
+        assert np.all(edges.jump[one, nb + 1:] == 0.0)
+
+    def test_ill_conditioned_gram_names_the_edge(self):
+        """A singular lifting Gram matrix on one element stops the build with
+        an AssemblyError that names an edge of that element."""
+        ctx = self.context("ex1", "cr", N=8)
+        eid = int(ctx.layout.interface_edges[3])
+        t = int(ctx.mesh.edge_elems[eid, 0])
+        ctx.cut_table.M[ctx.cut_table.row[t]] = 0.0
+        with pytest.raises(AssemblyError, match=r"ill-conditioned on edge \d+") as exc:
+            build_edge_table(ctx, ctx.layout.interface_edges)
+        named = int(str(exc.value).split("edge ")[1].split()[0])
+        assert t in ctx.mesh.edge_elems[named]
+        with pytest.raises(AssemblyError, match=f"edge {eid}"):
+            build_lifting_block(ctx, eid)
+
+    def test_rejects_edges_without_a_crossing(self):
+        ctx = self.context("ex1", "cr", N=8)
+        eid = int(np.setdiff1d(np.arange(ctx.mesh.n_edges), ctx.layout.interface_edges)[0])
+        with pytest.raises(AssemblyError, match=f"edge {eid} is not an interface edge"):
+            build_lifting_block(ctx, eid)
+
+
+class TestCutQuadrature:
+    @pytest.mark.parametrize("example", ["ex1", "ex2", "ex3", "ex4"])
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    def test_batched_rule_equals_per_polygon_rule(self, example, kind):
+        """The cut table's batched sub-polygon quadrature is, point for point,
+        the one-polygon rule of every sub-polygon in turn; at N=16 the cuts
+        include triangles, quadrilaterals, 5-gons and vertex chords."""
+        prob = example1(10.0, 1000.0) if example == "ex1" else \
+            {"ex2": example2, "ex3": example3, "ex4": example4}[example]()
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        ctx = build_context(prob, build(16, prob.domain), kind)
+        tab = ctx.cut_table
+        rules = [polygon_points_weights(poly, VOLUME_DEGREE)
+                 for c in ctx.layout.cuts.values() for poly in (c.poly_plus, c.poly_minus)]
+        pts = np.concatenate([np.zeros((0, 2))] + [p for p, _ in rules])
+        wts = np.concatenate([np.zeros(0)] + [w for _, w in rules])
+        np.testing.assert_array_equal(tab.pts, pts)
+        np.testing.assert_array_equal(tab.wts, wts)

@@ -19,6 +19,8 @@ from ifelab.ife_space import interpolate_ife
 from ifelab.mesh import build_uniform_tri
 from ifelab.problems import ProblemSpec, ValidationError, example1, example3
 
+from conftest import check_monotone
+
 
 def quadratic_far_problem():
     """u = x*y on [-1,1]^2 with the interface outside; beta = 1."""
@@ -79,11 +81,11 @@ class TestConvergenceTable:
         t = ConvergenceTable()
         t.add(8, 0.25, 100, 1e-15, 1e-14, 1, 0.0)
         t.add(16, 0.125, 400, 3e-15, 2e-14, 1, 0.0)  # roundoff floor wiggle
-        assert t.check_monotone()
+        assert check_monotone(t)
         t2 = ConvergenceTable()
         t2.add(8, 0.25, 100, 1e-2, 1e-1, 1, 0.0)
         t2.add(16, 0.125, 400, 2e-2, 5e-2, 1, 0.0)
-        assert not t2.check_monotone()
+        assert not check_monotone(t2)
 
     def test_n_list_validation(self):
         with pytest.raises(ValueError):
@@ -141,7 +143,7 @@ class TestRunConvergence:
     def test_exact_case_small(self):
         t = run_convergence(example3(), "new", "cr", [8, 16])
         assert all(r.l2 <= 1e-10 and r.h1 <= 1e-10 for r in t.rows)
-        assert t.check_monotone()
+        assert check_monotone(t)
 
     def test_interpolation_table(self):
         t = interpolation_convergence(example3(), "cr", [8, 16])

@@ -13,7 +13,7 @@ from ifelab.geometry import (
     MeshResolutionError,
     cut_from_chord,
 )
-from ifelab.quadrature import polygon_area
+from ifelab.quadrature import polygon_area, polygons_points_weights
 
 from conftest import one_element_mesh
 
@@ -212,6 +212,34 @@ class TestCutProperty:
         assert ap > 0 and am > 0
         eps = 1e-3 * cut.h_T
         assert ls.phi(cut.D + eps * cut.n_h) + ls.phi(cut.E + eps * cut.n_h) > 0
+
+    @pytest.mark.parametrize("verts", [REF_TRI, UNIT_SQ], ids=["tri", "rect"])
+    @settings(max_examples=200, deadline=None)
+    @given(cx=st.floats(-0.5, 1.5), cy=st.floats(-0.5, 1.5), r=st.floats(0.05, 1.0))
+    def test_batched_rule_moments(self, verts, cx, cy, r):
+        """The batched sub-polygon rule integrates 1, x and y over the two
+        pieces of any cut to the element's moments, and 1 over each piece to
+        its area."""
+        centre = np.array([cx, cy])
+        ls = LevelSet(phi=lambda x: ((np.asarray(x, float) - centre) ** 2).sum(-1) - r * r,
+                      grad=lambda x: 2.0 * (np.asarray(x, float) - centre))
+        try:
+            layout = layout_of(verts, ls)
+        except GeometryError:
+            return
+        if not layout.cuts:
+            return
+        cut = layout.cuts[0]
+        polys = (cut.poly_plus, cut.poly_minus)
+        pts, wts, counts = polygons_points_weights(np.concatenate(polys),
+                                                   [len(p) for p in polys], 6)
+        pieces = np.split(np.arange(len(wts)), np.cumsum(counts)[:-1])
+        for poly, idx in zip(polys, pieces):
+            assert abs(wts[idx].sum() - polygon_area(poly)) <= 1e-12
+        moments = wts @ np.column_stack([np.ones(len(wts)), pts])
+        # area, int x and int y of the reference triangle and the unit square
+        exact = [0.5, 1 / 6, 1 / 6] if len(verts) == 3 else [1.0, 0.5, 0.5]
+        assert np.abs(moments - exact).max() <= 1e-12
 
 
 def _rot(a):

@@ -11,12 +11,17 @@ from ifelab.ife_space import (
     evaluate,
     ife_local_basis_cr_sm,
     ife_local_basis_direct,
-    jump_correction_local,
     sm_geometry_checks,
     standard_local_basis,
 )
 
-from conftest import basis_at, edge_mean_of, one_element_mesh, standard_at
+from conftest import (
+    basis_at,
+    edge_mean_of,
+    jump_correction_local,
+    one_element_mesh,
+    standard_at,
+)
 
 REF_TRI = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 UNIT_SQ = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])

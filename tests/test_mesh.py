@@ -5,6 +5,8 @@ from ifelab.cutting import build_layout
 from ifelab.geometry import INTERFACE, LevelSet
 from ifelab.mesh import build_uniform_rect, build_uniform_tri
 
+from conftest import edge_midpoints, interface_elements
+
 
 def reference_elements(kind, N):
     """Element table built cell by cell, row by row."""
@@ -120,7 +122,7 @@ class TestTriMesh:
         assert np.max(np.abs(dots)) <= 1e-14
         # points out of T1
         c1 = m.nodes[m.elements[m.edge_elems[:, 0]]].mean(axis=1)
-        mid = m.edge_midpoints()
+        mid = edge_midpoints(m)
         assert np.all(np.einsum("ij,ij->i", m.edge_normals, mid - c1) > 0)
 
     def test_h(self):
@@ -183,7 +185,7 @@ class TestInterfaceEdges:
         m = build_uniform_tri(4)
         layout = build_layout(m, ls)
         assert layout.interface_edges.size == 0
-        assert layout.interface_elements.size == 0
+        assert interface_elements(layout).size == 0
 
     def test_straight_diagonal_interface(self, diagonal_ls):
         # interface along x1 = x2 crosses one diagonal edge per diagonal cell
@@ -191,15 +193,15 @@ class TestInterfaceEdges:
         m = build_uniform_tri(N)
         layout = build_layout(m, diagonal_ls)
         assert layout.interface_edges.size == N
-        mids = m.edge_midpoints()[layout.interface_edges]
+        mids = edge_midpoints(m)[layout.interface_edges]
         assert np.allclose(mids[:, 0], mids[:, 1], atol=1e-14)
         # the crossings sit at the diagonal-edge midpoints
         for eid in layout.interface_edges:
             q = layout.edge_splits[int(eid)]
             assert np.allclose(q, mids[list(layout.interface_edges).index(eid)], atol=1e-10)
         # 2 vertex-chord interface elements per diagonal cell
-        assert layout.interface_elements.size == 2 * N
-        for e in layout.interface_elements:
+        assert interface_elements(layout).size == 2 * N
+        for e in interface_elements(layout):
             cut = layout.cuts[int(e)]
             assert cut.loc_d[0] == "vertex"
             # chord lies on the interface itself
