@@ -389,7 +389,9 @@ def build_edge_table(ctx: Context, eids) -> EdgeTable:
     nq = 2 * EDGE_NPTS
     p, q = ends[:, :2], ends[:, 1:]
     pts = (p[:, :, None] + rule.points * (q - p)[:, :, None]).reshape(n, nq, 2)
-    wq = (rule.weights * np.linalg.norm(q - p, axis=-1)[..., None]).reshape(n, nq)
+    v = (q - p)[..., None]
+    # lengths by a stacked matmul, which rounds as np.linalg.norm does per vector
+    wq = (rule.weights * np.sqrt(v.swapaxes(-1, -2) @ v)[..., 0]).reshape(n, nq)
     mid = 0.5 * (p + q)
     D = tab.chords[rows, 0]  # (n, 2 elements, 2)
     side = np.einsum("eisd,eid->eis", mid[:, None] - D[:, :, None], tab.normals[rows])
@@ -406,9 +408,8 @@ def build_edge_table(ctx: Context, eids) -> EdgeTable:
     vals, grads = evaluate(tab.coef[rows[:, :, None], :, piece], pts[:, None, :, None, :],
                            tab.centers[rows][:, :, None, None, :], mesh.kappa)
     avg = np.where(two, 0.5, 1.0)
-    psi = (avg[:, None, None, None] * beta[:, :, None, :]) \
-        * np.einsum("eiqkd,ed->eikq", grads[..., :nb, :], n_e)
-    psi = psi.reshape(n, 2 * nb, nq)
+    normal = (np.moveaxis(grads[..., :nb, :], 3, 2) @ n_e[:, None, None, :, None])[..., 0]
+    psi = ((avg[:, None, None, None] * beta[:, :, None, :]) * normal).reshape(n, 2 * nb, nq)
 
     # union slots of each element's local edges: the first element's edges
     # come first, the second element's shared edge sits where the first has it
@@ -631,7 +632,7 @@ def _subtract_correction_action(ctx: Context, b, method, eta, correction, edge_b
     vJ, gJ = evaluate(correction[edges.rows[:, :, None], edges.piece], edges.pts[:, None],
                       tab.centers[edges.rows][:, :, None], mesh.kappa)
     juJ = np.einsum("ei,eiq->eq", edges.sign, vJ)
-    flux = np.einsum("eiqd,ed->eiq", gJ, mesh.edge_normals[edges.edge_ids])
+    flux = (gJ @ mesh.edge_normals[edges.edge_ids, None, :, None])[..., 0]
     avgJ = (edges.avg[:, None, None] * edges.beta * flux).sum(axis=1)
     wjuJ = (edges.wq * juJ)[..., None]
     contrib = _edge_form(edges, method, eta, edges.psi @ wjuJ,

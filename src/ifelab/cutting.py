@@ -126,7 +126,8 @@ def build_layout(mesh, ls: LevelSet) -> CutLayout:
     ids = np.array([c[0] for c in chords], dtype=int)
     ends = np.array([c[2:] for c in chords]).reshape(-1, 2, 2)
     chord = ends[:, 1] - ends[:, 0]
-    u = chord / np.linalg.norm(chord, axis=1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # chord_cut rejects |DE| ~ 0
+        u = chord / np.linalg.norm(chord, axis=1)[:, None]
     n_h = np.stack([u[:, 1], -u[:, 0]], axis=1)
     verts = nodes[mesh.elements[ids]]
     h_T = np.sqrt(((verts[:, :, None] - verts[:, None]) ** 2).sum(-1)).max(axis=(1, 2))

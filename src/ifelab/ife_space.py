@@ -202,15 +202,19 @@ def jump_corrections(coef, rows, center, chords, n_h, beta_plus, g_D, g_N) -> np
     being zero on the minus piece and, on the plus piece, the affine p with
     p(D) = g_D(D), p(E) = g_D(E) and beta_plus grad(p) . n_h = mean g_N.
     """
+    def dot(a, b):  # row-wise a . b
+        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+    n, m = coef.shape[:2]
     D, E = chords[:, 0], chords[:, 1]
     chord = E - D
-    grad = ((g_D[:, 1] - g_D[:, 0]) / np.einsum("nd,nd->n", chord, chord))[:, None] * chord \
+    grad = ((g_D[:, 1] - g_D[:, 0]) / dot(chord, chord))[:, None] * chord \
         + (0.5 * (g_N[:, 0] + g_N[:, 1]) / beta_plus)[:, None] * n_h
-    w0 = np.zeros((len(coef), 2, 4))
-    w0[:, 0, 0] = g_D[:, 0] + np.einsum("nd,nd->n", grad, center - D)
+    w0 = np.zeros((n, 2, 4))
+    w0[:, 0, 0] = g_D[:, 0] + dot(grad, center - D)
     w0[:, 0, 1:3] = grad
     means = np.einsum("njsk,nsk->nj", rows, w0)
-    return w0 - np.einsum("nj,njsk->nsk", means, coef)
+    return w0 - (means[:, None, :] @ coef.reshape(n, m, 8)).reshape(n, 2, 4)
 
 
 def _common_vertex(e1: int, e2: int, nv: int) -> int:

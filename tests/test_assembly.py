@@ -657,9 +657,10 @@ class TestEdgeTable:
 
     @pytest.mark.parametrize("example, kind", CASES)
     def test_rows_match_single_edge_blocks(self, example, kind):
-        """Every row of the stacked table equals the lifting block of its
-        edge built alone, on interior edges and on edges with one adjacent
-        element; the padded slots of the latter are zero."""
+        """Every row of the stacked table, and its stacked lifting solve,
+        equals the lifting block of its edge built alone, on interior edges
+        and on edges with one adjacent element; the padded slots of the
+        latter are zero."""
         ctx = self.context(example, kind)
         eids = ctx.layout.interface_edges
         edges = build_edge_table(ctx, eids)
@@ -669,10 +670,15 @@ class TestEdgeTable:
             assert not two.all()
         arrays = ("rows", "union_dofs", "pts", "wq", "piece", "beta", "psi", "jump",
                   "T_mat", "D_mat", "M", "G", "J", "P", "x_gamma")
+        lifted = edges.lift(edges.T_mat)
         for i, eid in enumerate(eids):
             row, alone = edges.block(i), build_lifting_block(ctx, int(eid))
             assert row.edge_id == alone.edge_id == eid
             assert row.elements == alone.elements
+            d, u = alone.T_mat.shape
+            ref = alone.lift(alone.T_mat)
+            assert np.abs(lifted[i, :d, :u] - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.all(lifted[i, d:] == 0.0)
             for name in arrays:
                 a, b = getattr(row, name), getattr(alone, name)
                 assert a.shape == b.shape, name
