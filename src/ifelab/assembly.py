@@ -33,12 +33,10 @@ from .cutting import CutLayout, build_layout
 from .geometry import INTERFACE
 from .ife_space import (
     CR,
-    LocalIFEBasis,
     _dof_rows,
+    _solve_local,
     edge_means,
     evaluate,
-    ife_local_basis_cr_sm,
-    ife_local_basis_direct,
     jump_corrections,
     standard_local_basis,
 )
@@ -70,16 +68,16 @@ class SolverMemoryError(SolverError):
 class CutTable:
     """Immersed bases and sub-polygon quadrature of every interface element.
 
-    Element rows follow layout.cuts. Quadrature point q lies in element
-    ids[owner[q]], in its plus (piece[q] = 0) or minus (piece[q] = 1)
-    sub-polygon; each element's points are contiguous from starts[row]. The
-    edge terms read the per-element arrays of this table through the
-    EdgeTable of the interface edges.
+    One batched dense solve (ife_space._solve_local) gives the basis
+    coefficients of all rows. Element rows follow layout.cuts. Quadrature
+    point q lies in element ids[owner[q]], in its plus (piece[q] = 0) or
+    minus (piece[q] = 1) sub-polygon; each element's points are contiguous
+    from starts[row]. The edge terms read the per-element arrays of this
+    table through the EdgeTable of the interface edges.
     """
 
     ids: np.ndarray         # (n_cut,) element ids
     row: np.ndarray         # (n_elements,) table row of each element, -1 if uncut
-    bases: List[LocalIFEBasis]
     coef: np.ndarray        # (n_cut, m, 2, 4) basis coefficients
     centers: np.ndarray     # (n_cut, 2) monomial centres
     chords: np.ndarray      # (n_cut, 2, 2) chord endpoints D, E
@@ -166,18 +164,12 @@ def _build_cut_table(prob, mesh, layout, kind) -> CutTable:
     ids = np.array(list(layout.cuts), dtype=int)
     m = 3 if kind == CR else 4
     mids = np.array([c.x_p for c in cuts]).reshape(-1, 2)
-    bps, bms = prob.beta_plus(mids), prob.beta_minus(mids)
-    if kind == CR:
-        bases = [ife_local_basis_cr_sm(c, float(bp), float(bm))
-                 for c, bp, bm in zip(cuts, bps, bms)]
-    else:
-        bases = [ife_local_basis_direct(c, kind, float(bp), float(bm), kappa=mesh.kappa)
-                 for c, bp, bm in zip(cuts, bps, bms)]
-    coef = np.array([b.coef for b in bases]).reshape(-1, m, 2, 4)
-    centers = np.array([b.center for b in bases]).reshape(-1, 2)
+    beta_c = np.column_stack([prob.beta_plus(mids), prob.beta_minus(mids)]).reshape(-1, 2)
+    dof_rows = _dof_rows(cuts, mesh.kappa) if cuts else np.zeros((0, m, 2, 4))
+    coef = _solve_local(cuts, kind, beta_c, mesh.kappa, dof_rows) if cuts else dof_rows
+    centers = np.array([c.vertices.mean(axis=0) for c in cuts]).reshape(-1, 2)
     chords = np.array([[c.D, c.E] for c in cuts]).reshape(-1, 2, 2)
     normals = np.array([c.n_h for c in cuts]).reshape(-1, 2)
-    dof_rows = _dof_rows(cuts, mesh.kappa) if cuts else np.zeros((0, m, 2, 4))
     row = np.full(mesh.n_elements, -1)
     row[ids] = np.arange(len(ids))
 
@@ -198,9 +190,8 @@ def _build_cut_table(prob, mesh, layout, kind) -> CutTable:
     M = np.add.reduceat((wts * beta)[:, None, None] * gram, starts, axis=0)
     G = np.add.reduceat(wts[:, None, None] * gram, starts, axis=0)
     C = np.vstack([np.eye(nw), -np.ones(nw)])  # gradients sum to zero
-    return CutTable(ids, row, bases, coef, centers, chords, normals,
-                    np.column_stack([bps, bms]).reshape(-1, 2), dof_rows, pts, wts, owner,
-                    piece, starts, beta, vals, grads, M, G, C, C @ M @ C.T)
+    return CutTable(ids, row, coef, centers, chords, normals, beta_c, dof_rows, pts, wts,
+                    owner, piece, starts, beta, vals, grads, M, G, C, C @ M @ C.T)
 
 
 def _build_class_ctx(mesh, ids, kind) -> ClassCtx:
@@ -217,7 +208,8 @@ def build_context(prob, mesh: UnfittedMesh, kind: str,
                   layout: Optional[CutLayout] = None) -> Context:
     """Classify the mesh against the problem's interface and cache local data.
 
-    Triangles take the closed-form immersed basis, rectangles the dense solve.
+    One batched dense solve builds the immersed bases of every cut element,
+    triangles and rectangles alike.
     """
     if layout is None:
         layout = build_layout(mesh, prob.levelset)
@@ -567,8 +559,7 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
     boundary = mesh.boundary_edges
     free = np.nonzero(~boundary)[0]
     constrained = np.nonzero(boundary)[0]
-    g_c = edge_means(ctx.prob.g_boundary, mesh, ctx.layout.edge_splits, constrained,
-                     EDGE_NPTS)
+    g_c = edge_means(ctx.prob.g_boundary, mesh, ctx.layout, constrained, EDGE_NPTS)
     rhs = b[free] - A[free][:, constrained] @ g_c
     return AssembledSystem(A[free][:, free], rhs, free, constrained, g_c, n)
 
@@ -708,12 +699,11 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
 
 
 def solve(ctx: Context, method: str, eta: Optional[float] = None,
-          rtol: float = 1e-12) -> Tuple[np.ndarray, Optional[np.ndarray], int]:
-    """Assemble and solve by ``solve_spd``; returns (full DOF vector,
-    correction fields, iterations), the last always 0 for the direct solve."""
+          rtol: float = 1e-12) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Assemble and solve by ``solve_spd``; returns (DOF vector, correction fields)."""
     correction = None
     if not ctx.prob.homogeneous_jumps:
         correction = build_jump_correction(ctx)
     system = assemble(ctx, method, eta=eta, correction=correction)
-    x_free, iters = solve_spd(system, rtol=rtol)
-    return system.expand(x_free), correction, iters
+    x_free, _ = solve_spd(system, rtol=rtol)
+    return system.expand(x_free), correction

@@ -34,7 +34,6 @@ class CutLayout:
 
     classes: np.ndarray                 # (n_elem,) INTERIOR_PLUS/MINUS or INTERFACE
     cuts: Dict[int, CutElement]         # elem id -> cut data
-    edge_splits: Dict[int, np.ndarray]  # edge id -> interface crossing point
     interface_edges: np.ndarray         # sorted ids of open-edge crossings
     crossings: np.ndarray               # (n_iface, 2) their crossing points
 
@@ -88,7 +87,6 @@ def build_layout(mesh, ls: LevelSet) -> CutLayout:
 
     open_cut = has_cut & ~snapped
     points = p0 + t[:, None] * (p1 - p0)
-    edge_splits = {int(e): points[e] for e in np.nonzero(open_cut)[0]}
 
     # candidates: any element touching a cut edge or an on-interface node
     touched = np.zeros(mesh.n_elements, dtype=bool)
@@ -135,15 +133,12 @@ def build_layout(mesh, ls: LevelSet) -> CutLayout:
     plus = probe.sum(axis=1)
 
     cuts: Dict[int, CutElement] = {}
-    for (e, cfg, D, E), v, s in zip(chords, verts, plus):
-        loc_d, loc_e = cfg
-        cut = chord_cut(e, v, loc_d, D, loc_e, E, plus_side=lambda n, h, s=s: s)
-        cut.cut_edges = tuple(int(mesh.elem_edges[e, i]) for kind, i in cfg if kind == "edge")
-        cuts[e] = cut
+    for (e, (loc_d, loc_e), D, E), v, s in zip(chords, verts, plus):
+        cuts[e] = chord_cut(e, v, loc_d, D, loc_e, E, plus_side=lambda n, h, s=s: s)
         classes[e] = INTERFACE
 
     iface_edges = np.nonzero(open_cut)[0]
-    layout = CutLayout(classes, cuts, edge_splits, iface_edges, points[iface_edges])
+    layout = CutLayout(classes, cuts, iface_edges, points[iface_edges])
     _check_interface_edge_neighbors(mesh, layout)
     return layout
 

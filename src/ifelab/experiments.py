@@ -92,8 +92,8 @@ class Row:
     l2_rate: Optional[float]
     h1: float
     h1_rate: Optional[float]
-    iters: int
     seconds: float
+    iters: int = 0  # the cg_iters column; the direct solve takes none
 
 
 @dataclass
@@ -101,13 +101,13 @@ class ConvergenceTable:
     meta: Dict[str, object] = field(default_factory=dict)
     rows: List[Row] = field(default_factory=list)
 
-    def add(self, N, h, dofs, l2, h1, iters, seconds):
+    def add(self, N, h, dofs, l2, h1, seconds):
         l2r = h1r = None
         if self.rows:
             prev = self.rows[-1]
             l2r = float(np.log2(prev.l2 / l2)) if prev.l2 > 0 and l2 > 0 else None
             h1r = float(np.log2(prev.h1 / h1)) if prev.h1 > 0 and h1 > 0 else None
-        self.rows.append(Row(N, h, dofs, l2, l2r, h1, h1r, iters, seconds))
+        self.rows.append(Row(N, h, dofs, l2, l2r, h1, h1r, seconds))
 
     def final_rates(self):
         if not self.rows:
@@ -174,12 +174,11 @@ def run_convergence(prob: ProblemSpec, method: str, kind: str, N_list,
         try:
             mesh = _build_mesh(kind, N, prob.domain)
             ctx = build_context(prob, mesh, kind)
-            dofs, correction, iters = solve(ctx, method, eta=eta, rtol=rtol)
+            dofs, correction = solve(ctx, method, eta=eta, rtol=rtol)
             l2, h1 = error_norms(ctx, dofs, correction)
         except Exception as err:
             raise type(err)(f"{prob.name}, N={N}: {err}") from err
-        table.add(N, mesh.h, int(mesh.n_edges), l2, h1, iters,
-                  time.perf_counter() - t0)
+        table.add(N, mesh.h, int(mesh.n_edges), l2, h1, time.perf_counter() - t0)
         if on_row is not None:
             on_row(table.rows[-1])
     return table
@@ -197,7 +196,7 @@ def interpolation_convergence(prob: ProblemSpec, kind: str, N_list) -> Convergen
         ctx = build_context(prob, mesh, kind)
         dofs = interpolate_ife(prob, mesh, ctx.layout)
         l2, h1 = error_norms(ctx, dofs)
-        table.add(N, mesh.h, int(mesh.n_edges), l2, h1, 0, time.perf_counter() - t0)
+        table.add(N, mesh.h, int(mesh.n_edges), l2, h1, time.perf_counter() - t0)
     return table
 
 

@@ -15,7 +15,7 @@ the whole mesh in ``cutting.build_layout``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -157,7 +157,6 @@ class CutElement:
     loc_d: tuple                  # ('edge', local_edge) or ('vertex', local_vertex)
     loc_e: tuple                  # always ('edge', local_edge)
     h_T: float
-    cut_edges: tuple = field(default_factory=tuple)  # global edge ids carrying D/E
 
     def side_of(self, x) -> np.ndarray:
         """+1 on the plus side of the chord line, -1 otherwise (ties go to +)."""

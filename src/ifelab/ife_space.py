@@ -12,9 +12,10 @@ endpoints, the rq1 curvature coefficients match, and the weighted normal
 derivative is continuous at the chord midpoint. Basis functions stay dual to
 the edge means, with cut edges integrated piecewise.
 
-Two constructions are provided for triangles: a closed-form rank-one-update
-solve and a dense solve. The dense solve is the reference path and the only
-one for rectangles.
+One batched dense solve (``_solve_local``) builds the immersed bases of all
+cut elements of either kind; ``ife_local_basis_direct`` is its one-element
+call. The paper's closed form on triangles (``ife_local_basis_cr_sm``) is the
+stress test's cross-check of it.
 """
 from __future__ import annotations
 
@@ -147,43 +148,56 @@ def _dof_rows(cuts, kappa: float) -> np.ndarray:
     return rows
 
 
-def _solve_local(cut: CutElement, kind, beta_p, beta_m, kappa) -> np.ndarray:
-    """Dense solve of the glue conditions and edge-mean duality: (m, 2, 4)."""
+def _solve_local(cuts, kind, beta, kappa, rows=None) -> np.ndarray:
+    """Dense solve of the glue conditions and edge-mean duality on the cut
+    elements cuts, all in one stack: coefficients (n, m, 2, 4).
+
+    beta (n, 2) holds beta+- at the chord midpoints, rows the elements'
+    _dof_rows if already built. Raises UnisolvenceError naming the first
+    element with a singular system, and warns of each element whose system
+    has a condition number above 1e12.
+    """
     k = 3 if kind == CR else 4  # monomials spanning the local space
-    nv = len(cut.vertices)
-    vals, grads = evaluate(np.eye(4), np.array([cut.D, cut.E, cut.x_p])[:, None, :],
-                           cut.vertices.mean(axis=0), kappa)
-    glue = [vals[0, :k], vals[1, :k]]  # values at D and at E
+    n = len(cuts)
+    beta = np.asarray(beta, float)
+    if np.any(beta <= 0):
+        raise ValueError("coefficients must be positive")
+    if rows is None:
+        rows = _dof_rows(cuts, kappa)
+    nv = rows.shape[1]
+    n_h = np.array([c.n_h for c in cuts])
+    center = np.array([c.vertices.mean(axis=0) for c in cuts])
+    vals, grads = evaluate(np.eye(4), np.array([[c.D, c.E, c.x_p] for c in cuts])[:, :, None],
+                           center[:, None, None], kappa)
+    glue = [vals[:, 0, :k], vals[:, 1, :k]]  # values at D and at E
     if kind == RQ1:
-        glue.append(np.eye(4)[3])  # curvature coefficient
-    gn = grads[2, :k] @ cut.n_h
-    rows = [np.concatenate([r, -r]) for r in glue]
-    rows.append(np.concatenate([beta_p * gn, -beta_m * gn]))
-    A = np.vstack(rows + [_dof_rows([cut], kappa)[0, :, :, :k].reshape(nv, 2 * k)])
+        glue.append(np.broadcast_to(np.eye(4)[3], (n, 4)))  # curvature coefficient
+    gn = (grads[:, 2, :k] @ n_h[:, :, None])[..., 0]
+    flux = np.concatenate([beta[:, :1] * gn, -beta[:, 1:] * gn], axis=1)
+    A = np.concatenate([np.stack([np.concatenate([r, -r], axis=1) for r in glue] + [flux],
+                                 axis=1), rows[..., :k].reshape(n, nv, 2 * k)], axis=1)
     cond = np.linalg.cond(A)
-    if not np.isfinite(cond):
-        raise UnisolvenceError(f"singular local system on element {cut.elem_id}")
-    if cond > 1e12:
-        warnings.warn(f"badly conditioned local system (cond={cond:.2e}) "
-                      f"on element {cut.elem_id}", RuntimeWarning, stacklevel=3)
-    rhs = np.zeros((len(A), nv))
-    rhs[len(rows):] = np.eye(nv)
+    worst = cuts[int(np.argmax(cond))].elem_id  # first non-finite cond, else the largest
+    if not np.isfinite(cond).all():
+        raise UnisolvenceError(f"singular local system on element {worst}")
+    for i in np.nonzero(cond > 1e12)[0]:
+        warnings.warn(f"badly conditioned local system (cond={cond[i]:.2e}) "
+                      f"on element {cuts[i].elem_id}", RuntimeWarning, stacklevel=3)
+    rhs = np.eye(2 * k, nv, nv - 2 * k)  # unit edge means below the glue rows
     try:
         sol = np.linalg.solve(A, rhs)
         sol += np.linalg.solve(A, rhs - A @ sol)  # one refinement step
     except np.linalg.LinAlgError as err:
-        raise UnisolvenceError(f"singular local system on element {cut.elem_id}") from err
-    coef = np.zeros((nv, 2, 4))
-    coef[:, :, :k] = sol.T.reshape(nv, 2, k)
+        raise UnisolvenceError(f"singular local system on element {worst}") from err
+    coef = np.zeros((n, nv, 2, 4))
+    coef[..., :k] = sol.transpose(0, 2, 1).reshape(n, nv, 2, k)
     return coef
 
 
 def ife_local_basis_direct(cut: CutElement, kind: str, beta_c_plus: float,
                            beta_c_minus: float, kappa: float = 1.0) -> LocalIFEBasis:
-    """Dense-solve construction of the immersed basis (reference path)."""
-    if beta_c_plus <= 0 or beta_c_minus <= 0:
-        raise ValueError("coefficients must be positive")
-    coef = _solve_local(cut, kind, beta_c_plus, beta_c_minus, kappa)
+    """Dense-solve construction of the immersed basis: _solve_local on one element."""
+    coef = _solve_local([cut], kind, [[beta_c_plus, beta_c_minus]], kappa)[0]
     return LocalIFEBasis(cut, kind, beta_c_plus, beta_c_minus, coef, kappa)
 
 
@@ -315,20 +329,21 @@ def sm_geometry_checks(cut: CutElement, beta_c_plus: float, beta_c_minus: float)
     return gd, k[0] * k[1], margin
 
 
-def edge_means(func: Callable, mesh, edge_splits, ids, npts: int = 5) -> np.ndarray:
+def edge_means(func: Callable, mesh, layout, ids, npts: int = 5) -> np.ndarray:
     """Means of a scalar function along the mesh edges ids.
 
-    An edge in edge_splits is integrated as the two sub-segments that meet at
-    its interface crossing; func is called once, on the points of every
+    An interface edge of layout is integrated as the two sub-segments that
+    meet at its crossing; func is called once, on the points of every
     sub-segment.
     """
     ids = np.asarray(ids, dtype=int)
     a = mesh.nodes[mesh.edges[ids, 0]]
     b = mesh.nodes[mesh.edges[ids, 1]]
-    split = np.isin(ids, list(edge_splits))
+    at = np.searchsorted(layout.interface_edges, ids)
+    split = np.append(layout.interface_edges, -1)[at] == ids
     whole = np.nonzero(~split)[0]
     cut = np.nonzero(split)[0]
-    x = np.array([edge_splits[int(e)] for e in ids[cut]]).reshape(-1, 2)
+    x = layout.crossings[at[cut]].reshape(-1, 2)
     p = np.concatenate([a[whole], a[cut], x])
     q = np.concatenate([b[whole], x, b[cut]])
     rule = segment_rule(npts)
@@ -348,4 +363,4 @@ def interpolate_ife(prob, mesh, layout) -> np.ndarray:
     Cut edges are integrated piecewise at the exact interface crossing; the
     solution piece is selected by the exact level-set sign.
     """
-    return edge_means(prob.u_exact, mesh, layout.edge_splits, np.arange(mesh.n_edges))
+    return edge_means(prob.u_exact, mesh, layout, np.arange(mesh.n_edges))

@@ -85,6 +85,28 @@ def basis_at(basis, x):
                     basis.center, basis.kappa)
 
 
+def table_basis_at(ctx, elem, x):
+    """basis_at for the immersed basis of element elem as ctx.cut_table
+    stores it: coefficients tab.coef and centre tab.centers of its row."""
+    tab = ctx.cut_table
+    row = tab.row[elem]
+    x = np.asarray(x, float)
+    piece = (ctx.layout.cuts[elem].side_of(x) < 0).astype(int)
+    return evaluate(np.moveaxis(tab.coef[row], 1, 0)[piece], x[..., None, :],
+                    tab.centers[row], ctx.mesh.kappa)
+
+
+def edge_splits(layout) -> dict:
+    """Interface crossing point of each interface edge of a layout, by edge id."""
+    return {int(e): x for e, x in zip(layout.interface_edges, layout.crossings)}
+
+
+def cut_edges(mesh, cut) -> tuple:
+    """Global ids of the edges carrying a cut's chord endpoints, D's first."""
+    return tuple(int(mesh.elem_edges[cut.elem_id, i])
+                 for kind, i in (cut.loc_d, cut.loc_e) if kind == "edge")
+
+
 def lifted_field(ctx, block, coeffs, elem):
     """The lifted field sum_k coeffs_k grad(phi_k) of an edge's lifting block
     on its adjacent element elem, at that element's cut-table points.

@@ -71,20 +71,20 @@ class TestErrorNorms:
 class TestConvergenceTable:
     def test_rates_from_error_column(self):
         t = ConvergenceTable()
-        t.add(8, 0.25, 100, 4e-2, 8e-1, 10, 0.1)
-        t.add(16, 0.125, 400, 1e-2, 4e-1, 20, 0.2)
+        t.add(8, 0.25, 100, 4e-2, 8e-1, 0.1)
+        t.add(16, 0.125, 400, 1e-2, 4e-1, 0.2)
         assert t.rows[0].l2_rate is None and t.rows[0].h1_rate is None
         assert abs(t.rows[1].l2_rate - 2.0) <= 1e-12
         assert abs(t.rows[1].h1_rate - 1.0) <= 1e-12
 
     def test_monotone_check_with_floor(self):
         t = ConvergenceTable()
-        t.add(8, 0.25, 100, 1e-15, 1e-14, 1, 0.0)
-        t.add(16, 0.125, 400, 3e-15, 2e-14, 1, 0.0)  # roundoff floor wiggle
+        t.add(8, 0.25, 100, 1e-15, 1e-14, 0.0)
+        t.add(16, 0.125, 400, 3e-15, 2e-14, 0.0)  # roundoff floor wiggle
         assert check_monotone(t)
         t2 = ConvergenceTable()
-        t2.add(8, 0.25, 100, 1e-2, 1e-1, 1, 0.0)
-        t2.add(16, 0.125, 400, 2e-2, 5e-2, 1, 0.0)
+        t2.add(8, 0.25, 100, 1e-2, 1e-1, 0.0)
+        t2.add(16, 0.125, 400, 2e-2, 5e-2, 0.0)
         assert not check_monotone(t2)
 
     def test_n_list_validation(self):
@@ -100,7 +100,7 @@ class TestEmit:
         err = 4e-2
         for k in range(n_rows):
             N = 8 * 2 ** k
-            t.add(N, 2.0 / N, 3 * N * N, err, err * 10, 5, 0.25)
+            t.add(N, 2.0 / N, 3 * N * N, err, err * 10, 0.25)
             err /= 4.0
         return t
 

@@ -15,7 +15,7 @@ from ifelab.geometry import (
 )
 from ifelab.quadrature import polygon_area, polygons_points_weights
 
-from conftest import one_element_mesh
+from conftest import cut_edges, edge_splits, one_element_mesh
 
 REF_TRI = [(0, 0), (1, 0), (0, 1)]
 UNIT_SQ = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -37,17 +37,17 @@ def _line(normal, offset):
 class TestEdgeCut:
     def test_circle_crossing_on_axis(self, circle_ls):
         layout = layout_of(REF_TRI, circle_ls)
-        assert np.allclose(layout.edge_splits[0], (0.5, 0.0), atol=1e-12)
-        assert np.allclose(layout.edge_splits[2], (0.0, 0.5), atol=1e-12)
+        assert np.allclose(edge_splits(layout)[0], (0.5, 0.0), atol=1e-12)
+        assert np.allclose(edge_splits(layout)[2], (0.0, 0.5), atol=1e-12)
 
     def test_no_crossing(self, circle_ls):
         layout = layout_of([(0.6, 0), (1, 0), (0.6, 0.3)], circle_ls)
-        assert layout.edge_splits == {} and layout.cuts == {}
+        assert edge_splits(layout) == {} and layout.cuts == {}
         assert layout.interface_edges.size == 0
 
     def test_linear_crossing(self, diagonal_ls):
         layout = layout_of([(-1, 0), (1, 0), (0, 1)], diagonal_ls)
-        assert np.allclose(layout.edge_splits[0], (0.0, 0.0), atol=1e-12)
+        assert np.allclose(edge_splits(layout)[0], (0.0, 0.0), atol=1e-12)
 
     def test_double_crossing_raises(self, circle_ls):
         # edge 0 passes through the disk and crosses the circle twice
@@ -59,12 +59,13 @@ class TestEdgeCut:
         # threshold, but |phi| there is above the on-interface vertex
         # tolerance, so only the snap makes vertex 0 the chord endpoint
         ls = _line((1.0, 0.0), 1e-11)
-        layout = layout_of([(0, 0), (1, 1), (-1, 1)], ls)
-        assert 0 not in layout.edge_splits
+        mesh = one_element_mesh([(0, 0), (1, 1), (-1, 1)])
+        layout = build_layout(mesh, ls)
+        assert 0 not in edge_splits(layout)
         cut = layout.cuts[0]
         assert cut.loc_d == ("vertex", 0) and cut.loc_e == ("edge", 1)
         assert np.array_equal(cut.D, (0.0, 0.0))
-        assert cut.cut_edges == (1,)
+        assert cut_edges(mesh, cut) == (1,)
 
 
 class TestClassify:
@@ -165,11 +166,13 @@ class TestBuiltinProblemGeometry:
 
         mesh = build_uniform_tri(8)
         layout = build_layout(mesh, circle_ls)
+        splits = edge_splits(layout)
         for e, cut in layout.cuts.items():
-            for gid, point in zip(cut.cut_edges[::-1], (cut.E,)):
-                assert np.allclose(layout.edge_splits[gid], point, atol=0)
+            gids = cut_edges(mesh, cut)
+            for gid, point in zip(gids[::-1], (cut.E,)):
+                assert np.allclose(splits[gid], point, atol=0)
             if cut.loc_d[0] == "edge":
-                assert np.allclose(layout.edge_splits[cut.cut_edges[0]], cut.D, atol=0)
+                assert np.allclose(splits[gids[0]], cut.D, atol=0)
 
 
 class TestSideOfCut:

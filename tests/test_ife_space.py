@@ -18,9 +18,11 @@ from ifelab.ife_space import (
 from conftest import (
     basis_at,
     edge_mean_of,
+    edge_splits,
     jump_correction_local,
     one_element_mesh,
     standard_at,
+    table_basis_at,
 )
 
 REF_TRI = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
@@ -181,6 +183,44 @@ class TestDirectBasis:
         assert delta_residual(basis) <= 1e-10
 
 
+class TestBatchedSolve:
+    @pytest.mark.parametrize("kind", [CR, RQ1])
+    @pytest.mark.parametrize("example", ["ex1", "ex2", "ex3", "ex4"])
+    def test_cut_table_equals_per_element_solve(self, kind, example):
+        """The batched solve behind the cut table reproduces the one-element
+        dense solve bit for bit; on triangles it agrees with the closed form
+        to the stress test's bound."""
+        from ifelab.assembly import build_context
+        from ifelab.mesh import build_uniform_rect, build_uniform_tri
+        from ifelab.problems import get_example
+
+        prob = get_example(example)
+        mesh = (build_uniform_tri if kind == CR else build_uniform_rect)(16, prob.domain)
+        ctx = build_context(prob, mesh, kind)
+        tab = ctx.cut_table
+        cuts = list(ctx.layout.cuts.values())
+        assert [c.elem_id for c in cuts] == list(tab.ids)
+        for cut, coef, (bp, bm) in zip(cuts, tab.coef, tab.beta_c):
+            dense = ife_local_basis_direct(cut, kind, bp, bm, kappa=mesh.kappa)
+            assert np.array_equal(coef, dense.coef)
+            if kind == CR:
+                sm = ife_local_basis_cr_sm(cut, bp, bm).coef
+                assert np.abs(coef - sm).max() <= 1e-11 * max(1.0, np.abs(sm).max())
+
+    @pytest.mark.filterwarnings("ignore:badly conditioned local system")
+    def test_singular_element_named(self, circle_ls):
+        """A zeroed DOF row makes the second element's system singular; the
+        error names that element, not the batch."""
+        from ifelab.ife_space import UnisolvenceError, _dof_rows, _solve_local
+        from ifelab.mesh import build_uniform_tri
+
+        cuts = list(build_layout(build_uniform_tri(8), circle_ls).cuts.values())[:3]
+        rows = _dof_rows(cuts, 1.0)
+        rows[1, 0] = 0.0
+        with pytest.raises(UnisolvenceError, match=rf"element {cuts[1].elem_id}$"):
+            _solve_local(cuts, CR, np.tile([1.0, 2.0], (3, 1)), 1.0, rows)
+
+
 class TestEdgeMeans:
     def test_matches_per_edge_means(self, circle_ls):
         """The batched means equal edge_mean_of edge by edge, cut edges split
@@ -190,9 +230,10 @@ class TestEdgeMeans:
         f = lambda p: np.where(circle_ls.phi(p) > 0, np.sin(3 * p[..., 0]) + p[..., 1] ** 2,
                                2.0 - p[..., 0] * p[..., 1])
         mesh = build_uniform_rect(8)
-        splits = build_layout(mesh, circle_ls).edge_splits
+        layout = build_layout(mesh, circle_ls)
+        splits = edge_splits(layout)
         ids = np.arange(1, mesh.n_edges, 2)
-        got = edge_means(f, mesh, splits, ids)
+        got = edge_means(f, mesh, layout, ids)
         p0 = mesh.nodes[mesh.edges[ids, 0]]
         p1 = mesh.nodes[mesh.edges[ids, 1]]
         ref = [edge_mean_of(f, a, b, split=splits.get(int(e))) for e, a, b in zip(ids, p0, p1)]
@@ -226,9 +267,8 @@ class TestLinearReproduction:
             pts = (verts[0] + np.outer(rng.uniform(0, 1, 5), verts[1] - verts[0]) / 2
                    + np.outer(rng.uniform(0, 1, 5), verts[2] - verts[0]) / 2)
             c = dofs[mesh.elem_edges[e]]
-            row = ctx.cut_table.row[e]
-            if row >= 0:
-                vals = basis_at(ctx.cut_table.bases[row], pts)[0] @ c
+            if ctx.cut_table.row[e] >= 0:
+                vals = table_basis_at(ctx, e, pts)[0] @ c
             else:
                 vals = standard_at(standard_local_basis(verts, CR), verts, pts)[0] @ c
             assert np.abs(vals - u(pts)).max() <= 1e-12

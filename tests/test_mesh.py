@@ -5,7 +5,7 @@ from ifelab.cutting import build_layout
 from ifelab.geometry import INTERFACE, LevelSet
 from ifelab.mesh import build_uniform_rect, build_uniform_tri
 
-from conftest import edge_midpoints, interface_elements
+from conftest import edge_midpoints, edge_splits, interface_elements
 
 
 def reference_elements(kind, N):
@@ -196,8 +196,9 @@ class TestInterfaceEdges:
         mids = edge_midpoints(m)[layout.interface_edges]
         assert np.allclose(mids[:, 0], mids[:, 1], atol=1e-14)
         # the crossings sit at the diagonal-edge midpoints
+        splits = edge_splits(layout)
         for eid in layout.interface_edges:
-            q = layout.edge_splits[int(eid)]
+            q = splits[int(eid)]
             assert np.allclose(q, mids[list(layout.interface_edges).index(eid)], atol=1e-10)
         # 2 vertex-chord interface elements per diagonal cell
         assert interface_elements(layout).size == 2 * N
