@@ -148,12 +148,12 @@ def _dof_rows(cuts, kappa: float) -> np.ndarray:
     return rows
 
 
-def _solve_local(cuts, kind, beta, kappa, rows=None) -> np.ndarray:
+def _solve_local(cuts, kind, beta, kappa, rows) -> np.ndarray:
     """Dense solve of the glue conditions and edge-mean duality on the cut
     elements cuts, all in one stack: coefficients (n, m, 2, 4).
 
-    beta (n, 2) holds beta+- at the chord midpoints, rows the elements'
-    _dof_rows if already built. Raises UnisolvenceError naming the first
+    beta (n, 2) holds beta+- at the chord midpoints, rows (n, m, 2, 4) the
+    elements' _dof_rows. Raises UnisolvenceError naming the first
     element with a singular system, and warns of each element whose system
     has a condition number above 1e12.
     """
@@ -162,8 +162,6 @@ def _solve_local(cuts, kind, beta, kappa, rows=None) -> np.ndarray:
     beta = np.asarray(beta, float)
     if np.any(beta <= 0):
         raise ValueError("coefficients must be positive")
-    if rows is None:
-        rows = _dof_rows(cuts, kappa)
     nv = rows.shape[1]
     n_h = np.array([c.n_h for c in cuts])
     center = np.array([c.vertices.mean(axis=0) for c in cuts])
@@ -183,7 +181,9 @@ def _solve_local(cuts, kind, beta, kappa, rows=None) -> np.ndarray:
     for i in np.nonzero(cond > 1e12)[0]:
         warnings.warn(f"badly conditioned local system (cond={cond[i]:.2e}) "
                       f"on element {cuts[i].elem_id}", RuntimeWarning, stacklevel=3)
-    rhs = np.eye(2 * k, nv, nv - 2 * k)  # unit edge means below the glue rows
+    # unit edge means below the glue rows, one copy per element: NumPy 1.x
+    # would read a 2-D b against the stack A as a stack of vectors
+    rhs = np.broadcast_to(np.eye(2 * k, nv, nv - 2 * k), (n, 2 * k, nv))
     try:
         sol = np.linalg.solve(A, rhs)
         sol += np.linalg.solve(A, rhs - A @ sol)  # one refinement step
@@ -197,7 +197,8 @@ def _solve_local(cuts, kind, beta, kappa, rows=None) -> np.ndarray:
 def ife_local_basis_direct(cut: CutElement, kind: str, beta_c_plus: float,
                            beta_c_minus: float, kappa: float = 1.0) -> LocalIFEBasis:
     """Dense-solve construction of the immersed basis: _solve_local on one element."""
-    coef = _solve_local([cut], kind, [[beta_c_plus, beta_c_minus]], kappa)[0]
+    beta, rows = [[beta_c_plus, beta_c_minus]], _dof_rows([cut], kappa)
+    coef = _solve_local([cut], kind, beta, kappa, rows)[0]
     return LocalIFEBasis(cut, kind, beta_c_plus, beta_c_minus, coef, kappa)
 
 

@@ -220,6 +220,26 @@ class TestBatchedSolve:
         with pytest.raises(UnisolvenceError, match=rf"element {cuts[1].elem_id}$"):
             _solve_local(cuts, CR, np.tile([1.0, 2.0], (3, 1)), 1.0, rows)
 
+    def test_solve_under_numpy1_rhs_rule(self, circle_ls, monkeypatch):
+        """NumPy 1.x reads a right-hand side with one dimension fewer than a
+        stack of matrices as a stack of vectors; the batched solve must give
+        the same coefficients under that rule."""
+        from ifelab.mesh import build_uniform_tri
+
+        solve = np.linalg.solve
+
+        def solve_numpy1(a, b):
+            b = np.asarray(b)
+            if b.ndim == a.ndim - 1:
+                return solve(a, b[..., None])[..., 0]
+            return solve(a, b)
+
+        cuts = list(build_layout(build_uniform_tri(8), circle_ls).cuts.values())[:4]
+        ref = [ife_local_basis_direct(c, CR, 2.0, 1.0).coef for c in cuts]
+        monkeypatch.setattr(np.linalg, "solve", solve_numpy1)
+        for cut, coef in zip(cuts, ref):
+            assert np.array_equal(ife_local_basis_direct(cut, CR, 2.0, 1.0).coef, coef)
+
 
 class TestEdgeMeans:
     def test_matches_per_edge_means(self, circle_ls):
