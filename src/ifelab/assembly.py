@@ -68,20 +68,20 @@ class SolverMemoryError(SolverError):
 class CutTable:
     """Immersed bases and sub-polygon quadrature of every interface element.
 
-    One batched dense solve (ife_space._solve_local) gives the basis
-    coefficients of all rows. Element rows follow layout.cuts. Quadrature
-    point q lies in element ids[owner[q]], in its plus (piece[q] = 0) or
-    minus (piece[q] = 1) sub-polygon; each element's points are contiguous
-    from starts[row]. The edge terms read the per-element arrays of this
-    table through the EdgeTable of the interface edges.
+    Element rows are the rows of the Cuts batch layout.cuts. One batched
+    dense solve (ife_space._solve_local) gives the basis coefficients of all
+    rows, and one batched fan rule integrates the sub-polygons as that batch
+    stacks them. Quadrature point q lies in element ids[owner[q]], in its
+    plus (piece[q] = 0) or minus (piece[q] = 1) sub-polygon; each element's
+    points are contiguous from starts[row]. The edge terms read the
+    per-element arrays of this table through the EdgeTable of the interface
+    edges.
     """
 
     ids: np.ndarray         # (n_cut,) element ids
     row: np.ndarray         # (n_elements,) table row of each element, -1 if uncut
     coef: np.ndarray        # (n_cut, m, 2, 4) basis coefficients
     centers: np.ndarray     # (n_cut, 2) monomial centres
-    chords: np.ndarray      # (n_cut, 2, 2) chord endpoints D, E
-    normals: np.ndarray     # (n_cut, 2) chord normals n_h
     beta_c: np.ndarray      # (n_cut, 2) beta+- at the chord midpoint, as in the bases
     dof_rows: np.ndarray    # (n_cut, m, 2, 4) piecewise edge means of the monomials
     pts: np.ndarray         # (nq, 2)
@@ -160,26 +160,21 @@ def _build_cut_table(prob, mesh, layout, kind) -> CutTable:
     (the basis coefficients) and once on the quadrature points. All
     sub-polygons are integrated by one batched fan-triangulation rule.
     """
-    cuts = list(layout.cuts.values())
-    ids = np.array(list(layout.cuts), dtype=int)
+    cuts = layout.cuts
+    ids = cuts.ids
     m = 3 if kind == CR else 4
-    mids = np.array([c.x_p for c in cuts]).reshape(-1, 2)
+    mids = 0.5 * (cuts.D + cuts.E)
     beta_c = np.column_stack([prob.beta_plus(mids), prob.beta_minus(mids)]).reshape(-1, 2)
-    dof_rows = _dof_rows(cuts, mesh.kappa) if cuts else np.zeros((0, m, 2, 4))
-    coef = _solve_local(cuts, kind, beta_c, mesh.kappa, dof_rows) if cuts else dof_rows
-    centers = np.array([c.vertices.mean(axis=0) for c in cuts]).reshape(-1, 2)
-    chords = np.array([[c.D, c.E] for c in cuts]).reshape(-1, 2, 2)
-    normals = np.array([c.n_h for c in cuts]).reshape(-1, 2)
+    dof_rows = _dof_rows(cuts, mesh.kappa)
+    coef = _solve_local(cuts, kind, beta_c, mesh.kappa, dof_rows)
+    centers = cuts.vertices.mean(axis=1)
     row = np.full(mesh.n_elements, -1)
     row[ids] = np.arange(len(ids))
 
     # sub-polygons in the order (plus, minus) of each element
-    polys = [poly for c in cuts for poly in (c.poly_plus, c.poly_minus)]
-    sizes = np.array([len(poly) for poly in polys], dtype=int)
-    pts, wts, counts = polygons_points_weights(
-        np.concatenate([np.zeros((0, 2))] + polys), sizes, VOLUME_DEGREE)
-    owner = np.repeat(np.arange(len(polys)) // 2, counts)
-    piece = np.repeat(np.arange(len(polys)) % 2, counts)
+    pts, wts, counts = polygons_points_weights(cuts.polys, cuts.sizes.ravel(), VOLUME_DEGREE)
+    owner = np.repeat(np.arange(2 * len(ids)) // 2, counts)
+    piece = np.repeat(np.arange(2 * len(ids)) % 2, counts)
     starts = (np.cumsum(counts) - counts)[::2]
     beta = piecewise(1 - 2 * piece, prob.beta_plus, prob.beta_minus, pts)
     vals, grads = evaluate(coef[owner, :, piece], pts[:, None, :],
@@ -190,7 +185,7 @@ def _build_cut_table(prob, mesh, layout, kind) -> CutTable:
     M = np.add.reduceat((wts * beta)[:, None, None] * gram, starts, axis=0)
     G = np.add.reduceat(wts[:, None, None] * gram, starts, axis=0)
     C = np.vstack([np.eye(nw), -np.ones(nw)])  # gradients sum to zero
-    return CutTable(ids, row, coef, centers, chords, normals, beta_c, dof_rows, pts, wts,
+    return CutTable(ids, row, coef, centers, beta_c, dof_rows, pts, wts,
                     owner, piece, starts, beta, vals, grads, M, G, C, C @ M @ C.T)
 
 
@@ -385,8 +380,8 @@ def build_edge_table(ctx: Context, eids) -> EdgeTable:
     # lengths by a stacked matmul, which rounds as np.linalg.norm does per vector
     wq = (rule.weights * np.sqrt(v.swapaxes(-1, -2) @ v)[..., 0]).reshape(n, nq)
     mid = 0.5 * (p + q)
-    D = tab.chords[rows, 0]  # (n, 2 elements, 2)
-    side = np.einsum("eisd,eid->eis", mid[:, None] - D[:, :, None], tab.normals[rows])
+    D = layout.cuts.D[rows]  # (n, 2 elements, 2)
+    side = np.einsum("eisd,eid->eis", mid[:, None] - D[:, :, None], layout.cuts.n_h[rows])
     piece = np.repeat(side < 0, EDGE_NPTS, axis=2).astype(int)
     xs = np.concatenate([pts.reshape(-1, 2), x_gamma])
     bp, bm = ctx.prob.beta_plus(xs), ctx.prob.beta_minus(xs)
@@ -589,7 +584,7 @@ def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,
         # the flux jump loads the chord: test functions are continuous across
         # it, so the plus piece's trace applies
         rule = segment_rule(EDGE_NPTS)
-        D, E = tab.chords[:, 0], tab.chords[:, 1]
+        D, E = ctx.layout.cuts.D, ctx.layout.cuts.E
         pts = D[:, None, :] + rule.points[None, :, :] * (E - D)[:, None, :]
         gn = np.asarray(ctx.prob.g_N(pts), float)
         vals, _ = evaluate(tab.coef[:, None, :, 0], pts[:, :, None, :],
@@ -636,10 +631,11 @@ def build_jump_correction(ctx: Context) -> np.ndarray:
     """Coefficients (n_cut, 2, 4) of the correction fields for nonhomogeneous
     interface jumps, rows as in ctx.cut_table; g_D and g_N are each called
     once, on all chord endpoints."""
-    tab = ctx.cut_table
-    g_D = np.asarray(ctx.prob.g_D(tab.chords), float).reshape(-1, 2)
-    g_N = np.asarray(ctx.prob.g_N(tab.chords), float).reshape(-1, 2)
-    return jump_corrections(tab.coef, tab.dof_rows, tab.centers, tab.chords, tab.normals,
+    tab, cuts = ctx.cut_table, ctx.layout.cuts
+    chords = np.stack([cuts.D, cuts.E], axis=1)
+    g_D = np.asarray(ctx.prob.g_D(chords), float).reshape(-1, 2)
+    g_N = np.asarray(ctx.prob.g_N(chords), float).reshape(-1, 2)
+    return jump_corrections(tab.coef, tab.dof_rows, tab.centers, chords, cuts.n_h,
                             tab.beta_c[:, 0], g_D, g_N)
 
 

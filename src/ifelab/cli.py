@@ -35,14 +35,12 @@ def _n_sequence(nmin: int, nmax: int):
 def _cmd_run(args) -> int:
     prob = get_example(args.example, args.beta_plus, args.beta_minus)
     try:
-        validate(prob)
-    except ValidationError as err:
-        print(err, file=sys.stderr)
-        return EXIT_VALIDATION
-    try:
         table = run_convergence(prob, args.method, args.element,
                                 _n_sequence(args.nmin, args.nmax),
                                 rtol=args.rtol, eta=args.eta)
+    except ValidationError as err:
+        print(err, file=sys.stderr)
+        return EXIT_VALIDATION
     except (AssemblyError, SolverError, GeometryError, UnisolvenceError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_SOLVER

@@ -281,19 +281,18 @@ def _triangle_max_angle(tri):
 
 def _delta_residual(basis) -> float:
     """max_ij |N_j(phi_i) - delta_ij|, cut edges integrated piecewise."""
-    means = np.einsum("jsk,isk->ij", _dof_rows([basis.cut], basis.kappa)[0],
-                      basis.coef)
+    means = np.einsum("jsk,isk->ij", _dof_rows(basis.cut, basis.kappa)[0], basis.coef)
     return float(np.abs(means - np.eye(basis.n_dofs)).max())
 
 
 def _glue_residual(basis) -> float:
     """Largest value jump at D and E and relative weighted flux jump at the
     chord midpoint over the basis functions."""
-    cut = basis.cut
+    D, E = basis.cut.D[0], basis.cut.E[0]
     bp, bm = basis.beta_c_plus, basis.beta_c_minus
-    vals, grads = evaluate(basis.coef, np.array([cut.D, cut.E, cut.x_p])[:, None, None, :],
+    vals, grads = evaluate(basis.coef, np.array([D, E, 0.5 * (D + E)])[:, None, None, :],
                            basis.center, basis.kappa)
-    flux = grads[2] @ cut.n_h
+    flux = grads[2] @ basis.cut.n_h[0]
     return max(float(np.abs(vals[:2, :, 0] - vals[:2, :, 1]).max()),
                float(np.abs(bp * flux[:, 0] - bm * flux[:, 1]).max()) / max(bp, bm))
 

@@ -1,4 +1,4 @@
-"""Level-set interface geometry: edge crossings and the chord of a cut element.
+"""Level-set interface geometry: edge crossings and the chords of cut elements.
 
 An interface element carries a straight chord between the two points where
 the interface meets its boundary. Chord endpoints normally sit in the
@@ -9,9 +9,11 @@ for straight interfaces through grid diagonals), in which case the chord
 runs from that vertex to the single cut edge.
 
 This module locates crossings on a batch of edges (``edge_cuts_batch``),
-flags on-interface vertices, and builds a ``CutElement`` from a chord
-(``chord_cut``). Which elements are cut, and by which chord, is decided for
-the whole mesh in ``cutting.build_layout``.
+flags on-interface vertices, and cuts a batch of elements along their
+chords into one stacked ``Cuts`` (``chord_cuts``). Which elements are cut,
+and by which chord, is decided for the whole mesh in
+``cutting.build_layout``; ``cut_from_chord`` cuts one element along a
+prescribed chord.
 """
 from __future__ import annotations
 
@@ -58,25 +60,19 @@ class LevelSet:
 def _sign_change_spans(values: np.ndarray):
     """Count strict sign changes per row, ignoring zeros.
 
-    Returns (counts, lo, hi) where columns lo/hi bracket the first change.
+    Returns (counts, lo, hi) where columns lo/hi bracket the first change
+    (-1 without one).
     """
-    s = np.sign(values)
-    n = values.shape[0]
-    counts = np.zeros(n, dtype=int)
-    last = np.zeros(n)
-    last_idx = np.full(n, -1)
-    lo = np.full(n, -1)
-    hi = np.full(n, -1)
-    for k in range(values.shape[1]):
-        sk = s[:, k]
-        active = sk != 0
-        change = active & (last != 0) & (sk != last)
-        first = change & (counts == 0)
-        lo[first] = last_idx[first]
-        hi[first] = k
-        counts[change] += 1
-        last[active] = sk[active]
-        last_idx[active] = k
+    n, k = values.shape
+    nonzero, positive = values != 0, values > 0
+    # the last nonzero sample at or before each column, as 2 column + (sign > 0)
+    code = np.where(nonzero, 2 * np.arange(k, dtype=np.int16) + positive, np.int16(-1))
+    last = np.maximum.accumulate(code, axis=1)[:, :-1]
+    change = nonzero[:, 1:] & (last >= 0) & (positive[:, 1:] != (last % 2 == 1))
+    counts = change.sum(axis=1)
+    first = np.argmax(change, axis=1)
+    lo = np.where(counts > 0, last[np.arange(n), first] // 2, -1).astype(int)
+    hi = np.where(counts > 0, first + 1, -1)
     return counts, lo, hi
 
 
@@ -141,99 +137,88 @@ def on_interface_vertices(vertices: np.ndarray, ls: LevelSet, h: float) -> np.nd
     return phi <= VERTEX_TOL_REL * h * np.maximum(gn, 1e-300)
 
 
-@dataclass
-class CutElement:
-    """Per-element interface data: chord endpoints, orientation, sub-polygons."""
-
-    elem_id: int
-    vertices: np.ndarray          # element vertex coordinates, CCW
-    D: np.ndarray
-    E: np.ndarray
-    n_h: np.ndarray               # unit normal of chord DE, toward the plus side
-    t_h: np.ndarray               # n_h rotated by +pi/2
-    x_p: np.ndarray               # chord midpoint
-    poly_plus: np.ndarray         # CCW sub-polygon on the plus side
-    poly_minus: np.ndarray
-    loc_d: tuple                  # ('edge', local_edge) or ('vertex', local_vertex)
-    loc_e: tuple                  # always ('edge', local_edge)
-    h_T: float
-
-    def side_of(self, x) -> np.ndarray:
-        """+1 on the plus side of the chord line, -1 otherwise (ties go to +)."""
-        x = np.asarray(x, float)
-        s = (x - self.D) @ self.n_h
-        return np.where(s >= 0.0, 1, -1)
+def _rowdot(a, b):
+    """Row-wise a . b of (n, k) arrays as a stack of matrix products, which
+    round like the 1-D a @ b behind np.linalg.norm of one vector; a sum of
+    squared components can differ from it in the last bit."""
+    return (a[:, None, :] @ b[..., None])[..., 0, 0]
 
 
-def element_size(vertices: np.ndarray) -> float:
-    v = np.asarray(vertices, float)
-    d = v[:, None, :] - v[None, :, :]
-    return float(np.sqrt((d ** 2).sum(-1)).max())
+@dataclass(frozen=True)
+class Cuts:
+    """Stacked cut data of n interface elements, in ascending element id.
 
-
-def _split_by_chord(vertices, loc_d, D, loc_e, E, n_h):
-    """Split a convex CCW polygon along the chord D-E into (plus, minus) parts."""
-    nv = len(vertices)
-    cycle = []
-    for i in range(nv):
-        if loc_d == ("vertex", i):
-            cycle.append(("D", D))
-        else:
-            cycle.append((None, vertices[i]))
-        for tag, loc, pt in (("D", loc_d, D), ("E", loc_e, E)):
-            if loc == ("edge", i):
-                cycle.append((tag, pt))
-    tags = [c[0] for c in cycle]
-    i_d, i_e = tags.index("D"), tags.index("E")
-    m = len(cycle)
-
-    def chain(a, b):
-        out = [cycle[a][1]]
-        k = a
-        while k != b:
-            k = (k + 1) % m
-            out.append(cycle[k][1])
-        return np.array(out)
-
-    poly1 = chain(i_d, i_e)
-    poly2 = chain(i_e, i_d)
-    # the chain with vertices on the positive side of the chord is the plus part
-    s1 = (poly1 - D) @ n_h
-    if s1[np.argmax(np.abs(s1))] > 0:
-        return poly1, poly2
-    return poly2, poly1
-
-
-def chord_cut(elem_id, vertices, loc_d, D, loc_e, E, plus_side=None) -> CutElement:
-    """Build the CutElement of the chord D-E; the one constructor of a cut.
-
-    loc_d/loc_e are ('edge', i) or ('vertex', i), the local position of each
-    endpoint. n_h starts as the chord direction rotated by -pi/2 and is
-    flipped when ``plus_side(n_h, h_T)`` is negative, so plus_side returns a
-    value whose sign says whether a candidate normal points to the plus side.
+    Element i has the CCW vertices vertices[i] and the chord D[i]-E[i], whose
+    unit normal n_h[i] points to the plus side. loc_d and loc_e place each
+    chord end on the element's boundary walk: 2j is vertex j and 2j + 1 the
+    interior of edge j (E always lies inside an edge). The two sub-polygons of
+    every element, plus then minus, are stacked in polys with their vertex
+    counts in sizes, the input of quadrature.polygons_points_weights.
     """
+
+    ids: np.ndarray         # (n,) element ids
+    vertices: np.ndarray    # (n, nv, 2)
+    D: np.ndarray           # (n, 2)
+    E: np.ndarray           # (n, 2)
+    n_h: np.ndarray         # (n, 2)
+    loc_d: np.ndarray       # (n,) boundary-walk positions of D and E
+    loc_e: np.ndarray
+    polys: np.ndarray       # (sizes.sum(), 2) sub-polygon vertices, CCW
+    sizes: np.ndarray       # (n, 2) vertex counts of the plus and minus parts
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+def chord_cuts(ids, vertices, loc_d, D, loc_e, E, plus_side=None) -> Cuts:
+    """Cut the elements ids along their chords D-E, all at once; the one
+    constructor of Cuts.
+
+    n_h starts as each chord direction rotated by -pi/2 and is flipped where
+    ``plus_side(n_h, h_T)`` (n,) is negative, h_T being the element diameters.
+    Raises GeometryError naming the first element whose chord is shorter
+    than 1e-12 h_T.
+    """
+    ids = np.asarray(ids, dtype=int)
     vertices = np.asarray(vertices, float)
-    D = np.asarray(D, float)
-    E = np.asarray(E, float)
-    h_T = element_size(vertices)
+    loc_d = np.asarray(loc_d, dtype=int)
+    loc_e = np.asarray(loc_e, dtype=int)
+    n, nv = vertices.shape[:2]
+    h_T = np.sqrt(((vertices[:, :, None] - vertices[:, None]) ** 2).sum(-1)).max(axis=(1, 2))
     chord = E - D
-    lc = np.linalg.norm(chord)
-    if lc < 1e-12 * h_T:
-        raise GeometryError(f"degenerate chord |DE|={lc:.3e} in element {elem_id}")
-    u = chord / lc
-    n_h = np.array([u[1], -u[0]])
-    if plus_side is not None and plus_side(n_h, h_T) < 0:
-        n_h = -n_h
-    t_h = np.array([-n_h[1], n_h[0]])  # rotation of n_h by +pi/2
-    poly_plus, poly_minus = _split_by_chord(vertices, loc_d, D, loc_e, E, n_h)
-    return CutElement(
-        elem_id=elem_id, vertices=vertices, D=D, E=E, n_h=n_h, t_h=t_h,
-        x_p=0.5 * (D + E), poly_plus=poly_plus, poly_minus=poly_minus,
-        loc_d=loc_d, loc_e=loc_e, h_T=h_T)
+    lc = np.sqrt(_rowdot(chord, chord))
+    short = lc < 1e-12 * h_T
+    if short.any():
+        i = int(np.argmax(short))
+        raise GeometryError(f"degenerate chord |DE|={lc[i]:.3e} in element {ids[i]}")
+    n_h = np.stack([chord[:, 1], -chord[:, 0]], axis=1) / lc[:, None]
+    if plus_side is not None:
+        n_h = np.where((np.asarray(plus_side(n_h, h_T)) < 0)[:, None], -n_h, n_h)
+
+    # walk the boundary once round from D: D, the vertices and E in CCW
+    # order, D again; the part up to E is one sub-polygon, the rest the other
+    slot = (loc_d[:, None] + np.arange(1, 2 * nv)) % (2 * nv)
+    at_e = slot == loc_e[:, None]
+    walk = np.where(at_e[..., None], E[:, None], vertices[np.arange(n)[:, None], slot // 2])
+    seq = np.concatenate([D[:, None], walk, D[:, None]], axis=1)
+    used = np.pad((slot % 2 == 0) | at_e, ((0, 0), (1, 1)), constant_values=True)
+    col = np.arange(2 * nv + 1)
+    i_e = 1 + np.argmax(at_e, axis=1)[:, None]
+    to_e = used & (col <= i_e)
+    from_e = used & (col >= i_e)
+    # the part whose farthest vertex from the chord line lies on the plus
+    # side of it is the plus part
+    s = np.where(to_e, ((seq - D[:, None]) @ n_h[..., None])[..., 0], 0.0)
+    far = np.take_along_axis(s, np.argmax(np.abs(s), axis=1)[:, None], axis=1)
+    parts = np.where((far > 0)[..., None], np.stack([to_e, from_e], axis=1),
+                     np.stack([from_e, to_e], axis=1))
+    polys = np.broadcast_to(seq[:, None], (n, 2) + seq.shape[1:])[parts]
+    return Cuts(ids, vertices, D, E, n_h, loc_d, loc_e, polys, parts.sum(axis=2))
 
 
-def cut_from_chord(vertices, loc_d, t_d, loc_e, t_e, plus_toward=None, elem_id=0) -> CutElement:
-    """Build a CutElement from a prescribed chord, without a level set.
+def cut_from_chord(vertices, loc_d, t_d, loc_e, t_e, plus_toward=None, elem_id=0) -> Cuts:
+    """Cut one element along a prescribed chord, without a level set: a
+    Cuts batch of one.
 
     loc_d/loc_e are ('edge', i) with parameter t along edge i, or ('vertex', i).
     plus_toward: a point declared to be on the plus side. Without it, n_h is
@@ -245,15 +230,12 @@ def cut_from_chord(vertices, loc_d, t_d, loc_e, t_e, plus_toward=None, elem_id=0
     def locate(loc, t):
         kind, i = loc
         if kind == "vertex":
-            return vertices[i].copy()
-        a, b = vertices[i], vertices[(i + 1) % nv]
-        return a + t * (b - a)
+            return 2 * i, vertices[i]
+        return 2 * i + 1, vertices[i] + t * (vertices[(i + 1) % nv] - vertices[i])
 
-    D = locate(loc_d, t_d)
-    E = locate(loc_e, t_e)
-
-    def plus_side(n, h):
-        return (np.asarray(plus_toward, float) - D) @ n
-
-    return chord_cut(elem_id, vertices, loc_d, D, loc_e, E,
-                     None if plus_toward is None else plus_side)
+    (pd, D), (pe, E) = locate(loc_d, t_d), locate(loc_e, t_e)
+    plus_side = None
+    if plus_toward is not None:
+        def plus_side(n, h):
+            return _rowdot(np.asarray(plus_toward, float) - D[None], n)
+    return chord_cuts([elem_id], vertices[None], [pd], D[None], [pe], E[None], plus_side)

@@ -25,13 +25,15 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import CutElement
+from .geometry import Cuts, _rowdot
 from .quadrature import segment_rule
 
 CR = "cr"
 RQ1 = "rq1"
 
 _MEAN_NPTS = 4  # exact for the quadratic monomials along any straight edge
+# a local system at or above this condition number is singular to roundoff
+COND_MAX = 1.0 / np.finfo(float).eps
 
 
 class UnisolvenceError(RuntimeError):
@@ -95,11 +97,11 @@ def standard_local_basis(vertices, kind: str, kappa: float = 1.0) -> np.ndarray:
 class LocalIFEBasis:
     """Edge-mean-dual basis on one interface element, piecewise along the chord.
 
-    coef (m, 2, 4) holds DOF x piece (plus, minus) x monomial coefficients
-    about the element centre.
+    cut is the element as a Cuts batch of one; coef (m, 2, 4) holds DOF x
+    piece (plus, minus) x monomial coefficients about the element centre.
     """
 
-    cut: CutElement
+    cut: Cuts
     kind: str
     beta_c_plus: float
     beta_c_minus: float
@@ -112,10 +114,10 @@ class LocalIFEBasis:
 
     @property
     def center(self) -> np.ndarray:
-        return self.cut.vertices.mean(axis=0)
+        return self.cut.vertices[0].mean(axis=0)
 
 
-def _dof_rows(cuts, kappa: float) -> np.ndarray:
+def _dof_rows(cuts: Cuts, kappa: float) -> np.ndarray:
     """Edge means (n, nv, 2, 4) of the monomials of each piece on the cut
     elements cuts, all at once.
 
@@ -126,17 +128,13 @@ def _dof_rows(cuts, kappa: float) -> np.ndarray:
     meeting at its split point; an edge without one ends in a segment of
     zero length, which carries nothing.
     """
-    verts = np.array([c.vertices for c in cuts])
-    D = np.array([c.D for c in cuts])
-    E = np.array([c.E for c in cuts])
-    n_h = np.array([c.n_h for c in cuts])
-    d_edge = np.array([c.loc_d[1] if c.loc_d[0] == "edge" else -1 for c in cuts])
-    e_edge = np.array([c.loc_e[1] for c in cuts])
+    verts, D, E, n_h = cuts.vertices, cuts.D, cuts.E, cuts.n_h
     n, nv = verts.shape[:2]
     nxt = np.roll(verts, -1, axis=1)
     j = np.arange(nv)
-    split = np.where((j == d_edge[:, None])[..., None], D[:, None],
-                     np.where((j == e_edge[:, None])[..., None], E[:, None], nxt))
+    inside = 2 * j + 1  # boundary-walk position of the interior of edge j
+    split = np.where((inside == cuts.loc_d[:, None])[..., None], D[:, None],
+                     np.where((inside == cuts.loc_e[:, None])[..., None], E[:, None], nxt))
     p = np.stack([verts, split], axis=2)  # (n, nv, 2 segments, 2)
     q = np.stack([split, nxt], axis=2)
     frac = np.linalg.norm(q - p, axis=-1) / np.linalg.norm(nxt - verts, axis=-1)[..., None]
@@ -148,14 +146,15 @@ def _dof_rows(cuts, kappa: float) -> np.ndarray:
     return rows
 
 
-def _solve_local(cuts, kind, beta, kappa, rows) -> np.ndarray:
+def _solve_local(cuts: Cuts, kind, beta, kappa, rows) -> np.ndarray:
     """Dense solve of the glue conditions and edge-mean duality on the cut
     elements cuts, all in one stack: coefficients (n, m, 2, 4).
 
     beta (n, 2) holds beta+- at the chord midpoints, rows (n, m, 2, 4) the
-    elements' _dof_rows. Raises UnisolvenceError naming the first
-    element with a singular system, and warns of each element whose system
-    has a condition number above 1e12.
+    elements' _dof_rows. Raises UnisolvenceError naming the first element
+    whose system is singular to roundoff (condition number at or above
+    COND_MAX), and warns of each element whose system has a condition number
+    above 1e12.
     """
     k = 3 if kind == CR else 4  # monomials spanning the local space
     n = len(cuts)
@@ -163,10 +162,9 @@ def _solve_local(cuts, kind, beta, kappa, rows) -> np.ndarray:
     if np.any(beta <= 0):
         raise ValueError("coefficients must be positive")
     nv = rows.shape[1]
-    n_h = np.array([c.n_h for c in cuts])
-    center = np.array([c.vertices.mean(axis=0) for c in cuts])
-    vals, grads = evaluate(np.eye(4), np.array([[c.D, c.E, c.x_p] for c in cuts])[:, :, None],
-                           center[:, None, None], kappa)
+    n_h, D, E = cuts.n_h, cuts.D, cuts.E
+    vals, grads = evaluate(np.eye(4), np.stack([D, E, 0.5 * (D + E)], axis=1)[:, :, None],
+                           cuts.vertices.mean(axis=1)[:, None, None], kappa)
     glue = [vals[:, 0, :k], vals[:, 1, :k]]  # values at D and at E
     if kind == RQ1:
         glue.append(np.broadcast_to(np.eye(4)[3], (n, 4)))  # curvature coefficient
@@ -175,12 +173,14 @@ def _solve_local(cuts, kind, beta, kappa, rows) -> np.ndarray:
     A = np.concatenate([np.stack([np.concatenate([r, -r], axis=1) for r in glue] + [flux],
                                  axis=1), rows[..., :k].reshape(n, nv, 2 * k)], axis=1)
     cond = np.linalg.cond(A)
-    worst = cuts[int(np.argmax(cond))].elem_id  # first non-finite cond, else the largest
-    if not np.isfinite(cond).all():
-        raise UnisolvenceError(f"singular local system on element {worst}")
+    singular = ~(cond < COND_MAX)  # NaN included
+    if singular.any():
+        i = int(np.argmax(singular))
+        raise UnisolvenceError(f"singular local system (cond={cond[i]:.2e}) "
+                               f"on element {cuts.ids[i]}")
     for i in np.nonzero(cond > 1e12)[0]:
         warnings.warn(f"badly conditioned local system (cond={cond[i]:.2e}) "
-                      f"on element {cuts[i].elem_id}", RuntimeWarning, stacklevel=3)
+                      f"on element {cuts.ids[i]}", RuntimeWarning, stacklevel=3)
     # unit edge means below the glue rows, one copy per element: NumPy 1.x
     # would read a 2-D b against the stack A as a stack of vectors
     rhs = np.broadcast_to(np.eye(2 * k, nv, nv - 2 * k), (n, 2 * k, nv))
@@ -188,17 +188,19 @@ def _solve_local(cuts, kind, beta, kappa, rows) -> np.ndarray:
         sol = np.linalg.solve(A, rhs)
         sol += np.linalg.solve(A, rhs - A @ sol)  # one refinement step
     except np.linalg.LinAlgError as err:
+        worst = cuts.ids[int(np.argmax(cond))]
         raise UnisolvenceError(f"singular local system on element {worst}") from err
     coef = np.zeros((n, nv, 2, 4))
     coef[..., :k] = sol.transpose(0, 2, 1).reshape(n, nv, 2, k)
     return coef
 
 
-def ife_local_basis_direct(cut: CutElement, kind: str, beta_c_plus: float,
+def ife_local_basis_direct(cut: Cuts, kind: str, beta_c_plus: float,
                            beta_c_minus: float, kappa: float = 1.0) -> LocalIFEBasis:
-    """Dense-solve construction of the immersed basis: _solve_local on one element."""
-    beta, rows = [[beta_c_plus, beta_c_minus]], _dof_rows([cut], kappa)
-    coef = _solve_local([cut], kind, beta, kappa, rows)[0]
+    """Dense-solve construction of the immersed basis on the element cut, a
+    Cuts batch of one: _solve_local on one element."""
+    beta, rows = [[beta_c_plus, beta_c_minus]], _dof_rows(cut, kappa)
+    coef = _solve_local(cut, kind, beta, kappa, rows)[0]
     return LocalIFEBasis(cut, kind, beta_c_plus, beta_c_minus, coef, kappa)
 
 
@@ -217,16 +219,13 @@ def jump_corrections(coef, rows, center, chords, n_h, beta_plus, g_D, g_N) -> np
     being zero on the minus piece and, on the plus piece, the affine p with
     p(D) = g_D(D), p(E) = g_D(E) and beta_plus grad(p) . n_h = mean g_N.
     """
-    def dot(a, b):  # row-wise a . b
-        return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
     n, m = coef.shape[:2]
     D, E = chords[:, 0], chords[:, 1]
     chord = E - D
-    grad = ((g_D[:, 1] - g_D[:, 0]) / dot(chord, chord))[:, None] * chord \
+    grad = ((g_D[:, 1] - g_D[:, 0]) / _rowdot(chord, chord))[:, None] * chord \
         + (0.5 * (g_N[:, 0] + g_N[:, 1]) / beta_plus)[:, None] * n_h
     w0 = np.zeros((n, 2, 4))
-    w0[:, 0, 0] = g_D[:, 0] + dot(grad, center - D)
+    w0[:, 0, 0] = g_D[:, 0] + _rowdot(grad, center - D)
     w0[:, 0, 1:3] = grad
     means = np.einsum("njsk,nsk->nj", rows, w0)
     return w0 - (means[:, None, :] @ coef.reshape(n, m, 8)).reshape(n, 2, 4)
@@ -241,8 +240,9 @@ def _common_vertex(e1: int, e2: int, nv: int) -> int:
     return common.pop()
 
 
-def _sm_preamble(cut: CutElement):
-    """Geometry shared by the closed form and its stress checks.
+def _sm_preamble(cut: Cuts):
+    """Geometry shared by the closed form and its stress checks, on the
+    element cut, a Cuts batch of one.
 
     Returns (e1, e2, e3, lt, gamma, k, delta, sigma_iso): e1 and e2 are the
     local edges carrying D and E, e3 the uncut edge, A3 the vertex common to
@@ -251,14 +251,15 @@ def _sm_preamble(cut: CutElement):
     delta = (L_A3 / 2) k with L_A3 the signed distance of A3 from the chord,
     and sigma_iso the side of A3.
     """
-    verts = cut.vertices
+    verts, D, n_h = cut.vertices[0], cut.D[0], cut.n_h[0]
     if len(verts) != 3:
         raise ValueError("closed-form path is for triangles")
-    je = cut.loc_e[1]
-    if cut.loc_d[0] == "edge":
-        e1 = cut.loc_d[1]
+    je = int(cut.loc_e[0]) // 2
+    pos_d = int(cut.loc_d[0])
+    if pos_d % 2:
+        e1 = pos_d // 2
     else:
-        iv = cut.loc_d[1]
+        iv = pos_d // 2
         cands = sorted({(iv - 1) % 3, iv} - {je})
         if not cands:
             raise UnisolvenceError("no admissible edge for the vertex chord endpoint")
@@ -268,19 +269,19 @@ def _sm_preamble(cut: CutElement):
     A3 = verts[_common_vertex(e1, e2, 3)]
 
     lt = standard_local_basis(verts, CR)[[e1, e2, e3]]
-    n_h = cut.n_h
     gamma = lt[:2, 1:3] @ n_h  # the gradients of affine functions are constant
-    L_A3 = float(n_h @ (A3 - cut.D))
+    L_A3 = float(n_h @ (A3 - D))
     edge_len = [np.linalg.norm(verts[(i + 1) % 3] - verts[i]) for i in range(3)]
-    k = np.array([np.linalg.norm(A3 - cut.D) / edge_len[e1],
-                  np.linalg.norm(A3 - cut.E) / edge_len[e2]])
+    k = np.array([np.linalg.norm(A3 - D) / edge_len[e1],
+                  np.linalg.norm(A3 - cut.E[0]) / edge_len[e2]])
     delta = 0.5 * L_A3 * k
-    return e1, e2, e3, lt, gamma, k, delta, int(cut.side_of(A3))
+    return e1, e2, e3, lt, gamma, k, delta, 1 if (A3 - D) @ n_h >= 0.0 else -1
 
 
-def ife_local_basis_cr_sm(cut: CutElement, beta_c_plus: float,
+def ife_local_basis_cr_sm(cut: Cuts, beta_c_plus: float,
                           beta_c_minus: float) -> LocalIFEBasis:
-    """Closed-form construction on triangles via a rank-one update.
+    """Closed-form construction on triangles via a rank-one update, on the
+    element cut, a Cuts batch of one.
 
     The piece on the sub-triangle cut off by the chord is the other piece
     plus a multiple of the chord's normal coordinate; the remaining 2x2
@@ -289,7 +290,7 @@ def ife_local_basis_cr_sm(cut: CutElement, beta_c_plus: float,
     if beta_c_plus <= 0 or beta_c_minus <= 0:
         raise ValueError("coefficients must be positive")
     e1, e2, e3, lt, gamma, _, delta, sigma_iso = _sm_preamble(cut)
-    n_h = cut.n_h
+    n_h = cut.n_h[0]
     beta_iso = beta_c_plus if sigma_iso > 0 else beta_c_minus
     beta_quad = beta_c_minus if sigma_iso > 0 else beta_c_plus
     rprime = beta_quad / beta_iso - 1.0
@@ -297,7 +298,7 @@ def ife_local_basis_cr_sm(cut: CutElement, beta_c_plus: float,
     denom = 1.0 + rprime * gd
     if abs(denom) < 1e-14:
         raise UnisolvenceError(
-            f"rank-one update denominator {denom:.3e} on element {cut.elem_id}")
+            f"rank-one update denominator {denom:.3e} on element {cut.ids[0]}")
 
     g3 = float(lt[2, 1:3] @ n_h)
     # rank-one-update solve of (I + r' delta gamma^T) c = b for each unit DOF
@@ -309,13 +310,13 @@ def ife_local_basis_cr_sm(cut: CutElement, beta_c_plus: float,
     q = rprime * s / denom
     quad = np.column_stack([Nt[:, :2] - np.outer(q, delta), Nt[:, 2]]) @ lt
     # the isolated piece adds q times the chord's normal coordinate n_h.(x - D)
-    normal = [n_h @ (cut.vertices.mean(axis=0) - cut.D), n_h[0], n_h[1], 0.0]
+    normal = [n_h @ (cut.vertices[0].mean(axis=0) - cut.D[0]), n_h[0], n_h[1], 0.0]
     iso = quad + np.outer(q, normal)
     coef = np.stack([iso, quad] if sigma_iso > 0 else [quad, iso], axis=1)
     return LocalIFEBasis(cut, CR, beta_c_plus, beta_c_minus, coef)
 
 
-def sm_geometry_checks(cut: CutElement, beta_c_plus: float, beta_c_minus: float):
+def sm_geometry_checks(cut: Cuts, beta_c_plus: float, beta_c_minus: float):
     """(gamma.delta, k1*k2, coercivity-style lower-bound margin) for stress tests.
 
     gamma.delta comes from basis gradients and k1*k2 from edge-length ratios

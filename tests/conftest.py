@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from ifelab.geometry import INTERFACE, LevelSet, element_size
+from ifelab.geometry import INTERFACE, LevelSet
 from ifelab.ife_space import _dof_rows, evaluate, jump_corrections
 from ifelab.mesh import UnfittedMesh, _connect
 from ifelab.problems import piecewise
 from ifelab.quadrature import segment_rule
+
+from cut_reference import as_element, element_size
 
 
 def pytest_terminal_summary(terminalreporter):
@@ -35,6 +37,27 @@ def diagonal_ls():
         phi=lambda x: (x[..., 0] - x[..., 1]) * s,
         grad=lambda x: np.broadcast_to(np.array([s, -s]), np.asarray(x).shape).copy(),
     )
+
+
+def circle_levelset(cx, cy, r) -> LevelSet:
+    """Circle of radius r about (cx, cy), negative inside."""
+    centre = np.array([cx, cy])
+    return LevelSet(phi=lambda x: ((np.asarray(x, float) - centre) ** 2).sum(-1) - r * r,
+                    grad=lambda x: 2.0 * (np.asarray(x, float) - centre))
+
+
+def ellipse_levelset(cx, cy, a, b, angle) -> LevelSet:
+    """Ellipse with semi-axes a, b about (cx, cy), turned by angle, negative inside."""
+    centre = np.array([cx, cy])
+    c, s = np.cos(angle), np.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    scale = np.array([a, b]) ** -2.0
+
+    def local(x):  # coordinates along the ellipse axes
+        return (np.asarray(x, float) - centre) @ rot
+
+    return LevelSet(phi=lambda x: (local(x) ** 2 * scale).sum(-1) - 1.0,
+                    grad=lambda x: (2.0 * local(x) * scale) @ rot.T)
 
 
 def one_element_mesh(verts) -> UnfittedMesh:
@@ -80,7 +103,7 @@ def basis_at(basis, x):
     """Values (..., m) and gradients (..., m, 2) at x of an immersed basis,
     each point taking the piece of its side of the chord."""
     x = np.asarray(x, float)
-    piece = (basis.cut.side_of(x) < 0).astype(int)
+    piece = (as_element(basis.cut).side_of(x) < 0).astype(int)
     return evaluate(np.moveaxis(basis.coef, 1, 0)[piece], x[..., None, :],
                     basis.center, basis.kappa)
 
@@ -91,7 +114,7 @@ def table_basis_at(ctx, elem, x):
     tab = ctx.cut_table
     row = tab.row[elem]
     x = np.asarray(x, float)
-    piece = (ctx.layout.cuts[elem].side_of(x) < 0).astype(int)
+    piece = (as_element(ctx.layout.cuts, row).side_of(x) < 0).astype(int)
     return evaluate(np.moveaxis(tab.coef[row], 1, 0)[piece], x[..., None, :],
                     tab.centers[row], ctx.mesh.kappa)
 
@@ -102,7 +125,7 @@ def edge_splits(layout) -> dict:
 
 
 def cut_edges(mesh, cut) -> tuple:
-    """Global ids of the edges carrying a cut's chord endpoints, D's first."""
+    """Global ids of the edges carrying a CutElement's chord endpoints, D's first."""
     return tuple(int(mesh.elem_edges[cut.elem_id, i])
                  for kind, i in (cut.loc_d, cut.loc_e) if kind == "edge")
 
@@ -152,8 +175,8 @@ def jump_correction_local(basis, g_D, g_N) -> np.ndarray:
     """Jump correction (2, 4) on one immersed basis: jump_corrections on a
     batch of one element, g_D and g_N given at the chord endpoints (D, E)."""
     cut = basis.cut
-    return jump_corrections(basis.coef[None], _dof_rows([cut], basis.kappa),
-                            basis.center[None], np.array([[cut.D, cut.E]]), cut.n_h[None],
+    return jump_corrections(basis.coef[None], _dof_rows(cut, basis.kappa),
+                            basis.center[None], np.stack([cut.D, cut.E], axis=1), cut.n_h,
                             np.array([basis.beta_c_plus]),
                             np.broadcast_to(np.asarray(g_D, float), 2)[None],
                             np.broadcast_to(np.asarray(g_N, float), 2)[None])[0]

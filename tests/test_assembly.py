@@ -31,7 +31,14 @@ from ifelab.mesh import build_uniform_rect, build_uniform_tri
 from ifelab.problems import ProblemSpec, example1, example2, example3, example4
 from ifelab.quadrature import polygon_area, polygon_points_weights, segment_rule
 
-from conftest import edge_splits, lifted_field, standard_at
+from conftest import (
+    circle_levelset,
+    edge_splits,
+    ellipse_levelset,
+    lifted_field,
+    standard_at,
+)
+from cut_reference import as_element, as_elements
 
 
 def far_levelset():
@@ -234,9 +241,10 @@ class TestLifting:
         tab = self.ctx.cut_table
         fields = {}
         for t in block.elements:
-            cut = self.ctx.layout.cuts[t]
+            n_h = self.ctx.layout.cuts.n_h[tab.row[t]]
+            t_h = np.array([-n_h[1], n_h[0]])
             bp, bm = tab.beta_c[tab.row[t]]
-            fields[t] = [(cut.t_h, cut.t_h), (bm * cut.n_h, bp * cut.n_h)]
+            fields[t] = [(t_h, t_h), (bm * n_h, bp * n_h)]
 
         # Gram and edge moments of those fields by direct quadrature
         dim = 2 * len(block.elements)
@@ -246,7 +254,7 @@ class TestLifting:
             own = tab.owner == tab.row[t]
             wbeta = [tab.wts[own & (tab.piece == pc)] @ tab.beta[own & (tab.piece == pc)]
                      for pc in (0, 1)]
-            side = self.ctx.layout.cuts[t].side_of(block.pts)
+            side = as_element(self.ctx.layout.cuts, tab.row[t]).side_of(block.pts)
             beta = np.where(side > 0, self.prob.beta_plus(block.pts),
                             self.prob.beta_minus(block.pts))
             for k, (wk_p, wk_m) in enumerate(fields[t]):
@@ -262,7 +270,7 @@ class TestLifting:
         c_o = np.linalg.solve(M_o, b_o)
         for i, t in enumerate(block.elements):
             sel, f_grad = lifted_field(self.ctx, block, c_grad, t)
-            side = self.ctx.layout.cuts[t].side_of(tab.pts[sel])
+            side = as_element(self.ctx.layout.cuts, tab.row[t]).side_of(tab.pts[sel])
             f_orth = np.zeros_like(f_grad)
             for k, (wp, wm) in enumerate(fields[t]):
                 f_orth += c_o[2 * i + k] * np.where((side > 0)[:, None], wp, wm)
@@ -476,7 +484,7 @@ def reference_edge_correction(ctx, method, correction):
             juJ = np.zeros(len(wts))
             avgJ = np.zeros(len(wts))
             for sgn, t in zip((1.0, -1.0), block.elements):
-                side = int(ctx.layout.cuts[t].side_of(pts.mean(axis=0)))
+                side = int(as_element(ctx.layout.cuts, tab.row[t]).side_of(pts.mean(axis=0)))
                 beta = ctx.prob.beta_plus(pts) if side > 0 else ctx.prob.beta_minus(pts)
                 vJ, gJ = piece_at(correction[tab.row[t], 0 if side > 0 else 1], t, pts)
                 juJ += sgn * vJ
@@ -484,7 +492,7 @@ def reference_edge_correction(ctx, method, correction):
             off = 0
             for t in block.elements:
                 coef = tab.coef[tab.row[t]]
-                side = int(ctx.layout.cuts[t].side_of(pts.mean(axis=0)))
+                side = int(as_element(ctx.layout.cuts, tab.row[t]).side_of(pts.mean(axis=0)))
                 beta = ctx.prob.beta_plus(pts) if side > 0 else ctx.prob.beta_minus(pts)
                 for k in range(len(coef) - 1):
                     _, w = piece_at(coef[k, 0 if side > 0 else 1], t, pts)
@@ -492,7 +500,7 @@ def reference_edge_correction(ctx, method, correction):
                 off += len(coef) - 1
             for sgn, t in zip((1.0, -1.0), block.elements):
                 coef = tab.coef[tab.row[t]]
-                side = int(ctx.layout.cuts[t].side_of(pts.mean(axis=0)))
+                side = int(as_element(ctx.layout.cuts, tab.row[t]).side_of(pts.mean(axis=0)))
                 loc = [int(np.nonzero(block.union_dofs == d)[0][0])
                        for d in mesh.elem_edges[t]]
                 for i in range(len(coef)):
@@ -602,15 +610,13 @@ class TestClassBlocks:
         np.testing.assert_allclose(e1, e0, rtol=1e-13)
 
 
-def circle_problem(cx, cy, r, beta_minus):
-    """Unit source, zero data, beta+ = 1 outside the circle and beta_minus inside."""
-    c = np.array([cx, cy])
-    ls = LevelSet(phi=lambda x: ((np.asarray(x, float) - c) ** 2).sum(-1) - r * r,
-                  grad=lambda x: 2.0 * (np.asarray(x, float) - c))
+def interface_problem(ls, beta_minus):
+    """Unit source, zero data, beta+ = 1 where ls is positive and beta_minus
+    where it is negative."""
     zero = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
     one = lambda x: np.ones(np.asarray(x, float).shape[:-1])
     gzero = lambda x: np.zeros(np.asarray(x, float).shape)
-    return ProblemSpec(name="circle", levelset=ls, domain=(-1.0, 1.0, -1.0, 1.0),
+    return ProblemSpec(name="placement", levelset=ls, domain=(-1.0, 1.0, -1.0, 1.0),
                        beta_plus=one, beta_minus=lambda x: beta_minus * one(x),
                        f_plus=one, f_minus=one, u_plus=zero, u_minus=zero,
                        grad_u_plus=gzero, grad_u_minus=gzero,
@@ -618,15 +624,14 @@ def circle_problem(cx, cy, r, beta_minus):
 
 
 class TestSolveProperty:
-    @pytest.mark.parametrize("kind", ["cr", "rq1"])
-    @settings(max_examples=25, deadline=None)
-    @given(cx=st.floats(-0.4, 0.4), cy=st.floats(-0.4, 0.4), r=st.floats(0.1, 0.8),
-           log_ratio=st.floats(-3.0, 3.0))
-    def test_circle_placements(self, kind, cx, cy, r, log_ratio):
-        """Every circle placement at N=8 either raises a typed GeometryError
-        (MeshResolutionError among them) or assembles a symmetric 'new'
-        matrix that solves and is coercive with factor 1/2 against 'plain'."""
-        prob = circle_problem(cx, cy, r, 10.0 ** log_ratio)
+    """Every circle or ellipse placement at N=8 either raises a typed
+    GeometryError (MeshResolutionError among them) or assembles a symmetric
+    'new' matrix that solves and is coercive with factor 1/2 against
+    'plain'."""
+
+    @staticmethod
+    def check(kind, ls, log_ratio):
+        prob = interface_problem(ls, 10.0 ** log_ratio)
         build = build_uniform_tri if kind == "cr" else build_uniform_rect
         try:
             ctx = build_context(prob, build(8, prob.domain), kind)
@@ -641,6 +646,20 @@ class TestSolveProperty:
         energy_new = (x * (A @ x)).sum(axis=0)
         energy_plain = (x * (V @ x)).sum(axis=0)
         assert np.all(energy_new >= 0.5 * energy_plain - 1e-12 * scale)
+
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    @settings(max_examples=25, deadline=None)
+    @given(cx=st.floats(-0.4, 0.4), cy=st.floats(-0.4, 0.4), r=st.floats(0.1, 0.8),
+           log_ratio=st.floats(-3.0, 3.0))
+    def test_circle_placements(self, kind, cx, cy, r, log_ratio):
+        self.check(kind, circle_levelset(cx, cy, r), log_ratio)
+
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    @settings(max_examples=25, deadline=None)
+    @given(cx=st.floats(-0.4, 0.4), cy=st.floats(-0.4, 0.4), a=st.floats(0.1, 0.8),
+           b=st.floats(0.1, 0.8), angle=st.floats(0.0, np.pi), log_ratio=st.floats(-3.0, 3.0))
+    def test_ellipse_placements(self, kind, cx, cy, a, b, angle, log_ratio):
+        self.check(kind, ellipse_levelset(cx, cy, a, b, angle), log_ratio)
 
 
 class TestEdgeTable:
@@ -726,7 +745,8 @@ class TestCutQuadrature:
         ctx = build_context(prob, build(16, prob.domain), kind)
         tab = ctx.cut_table
         rules = [polygon_points_weights(poly, VOLUME_DEGREE)
-                 for c in ctx.layout.cuts.values() for poly in (c.poly_plus, c.poly_minus)]
+                 for c in as_elements(ctx.layout.cuts).values()
+                 for poly in (c.poly_plus, c.poly_minus)]
         pts = np.concatenate([np.zeros((0, 2))] + [p for p, _ in rules])
         wts = np.concatenate([np.zeros(0)] + [w for _, w in rules])
         np.testing.assert_array_equal(tab.pts, pts)

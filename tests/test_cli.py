@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
+import ifelab.cli
+import ifelab.experiments
 from ifelab.cli import main
 
 
@@ -48,6 +52,34 @@ class TestRunCommand:
                      "--nmin", "8", "--nmax", "8"])
         out = capsys.readouterr().out
         assert code == 0 and "L2 err" in out
+
+    def test_run_validates_once(self, capsys, monkeypatch):
+        calls = []
+        real = ifelab.experiments.validate
+
+        def counting(prob, *args, **kwargs):
+            calls.append(prob.name)
+            return real(prob, *args, **kwargs)
+
+        monkeypatch.setattr(ifelab.experiments, "validate", counting)
+        monkeypatch.setattr(ifelab.cli, "validate", counting)
+        assert main(["run", "--example", "ex3", "--nmin", "8", "--nmax", "8"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+
+    def test_invalid_problem_exits_2(self, capsys, monkeypatch):
+        real = ifelab.cli.get_example
+
+        def corrupted(*args):
+            prob = real(*args)  # f = 0 is exact on ex3; any offset breaks it
+            return replace(prob, f_plus=lambda x: prob.u_plus(x) * 0 + 1.0)
+
+        monkeypatch.setattr(ifelab.cli, "get_example", corrupted)
+        code = main(["run", "--example", "ex3", "--nmin", "8", "--nmax", "8"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("problem validation failed:")
+        assert captured.out == ""
 
     def test_ppifem_with_eta(self, capsys):
         code = main(["run", "--example", "ex3", "--method", "ppifem",

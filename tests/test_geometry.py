@@ -11,11 +11,21 @@ from ifelab.geometry import (
     GeometryError,
     LevelSet,
     MeshResolutionError,
+    _sign_change_spans,
     cut_from_chord,
 )
+from ifelab.mesh import build_uniform_rect, build_uniform_tri
+from ifelab.problems import example1, example2, example3, example4
 from ifelab.quadrature import polygon_area, polygons_points_weights
 
-from conftest import cut_edges, edge_splits, one_element_mesh
+from conftest import (
+    circle_levelset,
+    cut_edges,
+    edge_splits,
+    ellipse_levelset,
+    one_element_mesh,
+)
+from cut_reference import as_element, as_elements, reference_layout, sign_change_spans
 
 REF_TRI = [(0, 0), (1, 0), (0, 1)]
 UNIT_SQ = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -42,7 +52,7 @@ class TestEdgeCut:
 
     def test_no_crossing(self, circle_ls):
         layout = layout_of([(0.6, 0), (1, 0), (0.6, 0.3)], circle_ls)
-        assert edge_splits(layout) == {} and layout.cuts == {}
+        assert edge_splits(layout) == {} and len(layout.cuts) == 0
         assert layout.interface_edges.size == 0
 
     def test_linear_crossing(self, diagonal_ls):
@@ -62,7 +72,7 @@ class TestEdgeCut:
         mesh = one_element_mesh([(0, 0), (1, 1), (-1, 1)])
         layout = build_layout(mesh, ls)
         assert 0 not in edge_splits(layout)
-        cut = layout.cuts[0]
+        cut = as_element(layout.cuts)
         assert cut.loc_d == ("vertex", 0) and cut.loc_e == ("edge", 1)
         assert np.array_equal(cut.D, (0.0, 0.0))
         assert cut_edges(mesh, cut) == (1,)
@@ -84,12 +94,12 @@ class TestClassify:
     def test_vertex_touch_only_is_interior(self, diagonal_ls):
         tri = [(0, 0), (1, -1), (1, 0)]  # touches x1=x2 only at the origin
         layout = layout_of(tri, diagonal_ls)
-        assert layout.classes[0] == INTERIOR_PLUS and layout.cuts == {}
+        assert layout.classes[0] == INTERIOR_PLUS and len(layout.cuts) == 0
 
 
 class TestBuildCut:
     def test_vertical_line_through_triangle(self):
-        cut = layout_of(REF_TRI, _line((1.0, 0.0), 0.5)).cuts[0]
+        cut = as_element(layout_of(REF_TRI, _line((1.0, 0.0), 0.5)).cuts)
         pts = {tuple(np.round(cut.D, 12)), tuple(np.round(cut.E, 12))}
         assert pts == {(0.5, 0.0), (0.5, 0.5)}
         assert np.allclose(cut.n_h, (1.0, 0.0), atol=1e-12)
@@ -98,7 +108,7 @@ class TestBuildCut:
         assert {tuple(np.round(p, 12)) for p in cut.poly_minus} == ref
 
     def test_horizontal_line_through_square(self):
-        cut = layout_of(UNIT_SQ, _line((0.0, 1.0), 0.25)).cuts[0]
+        cut = as_element(layout_of(UNIT_SQ, _line((0.0, 1.0), 0.25)).cuts)
         assert np.allclose(cut.n_h, (0.0, 1.0), atol=1e-12)
         assert abs(polygon_area(cut.poly_minus) - 0.25) <= 1e-12
         assert abs(polygon_area(cut.poly_plus) - 0.75) <= 1e-12
@@ -114,9 +124,9 @@ class TestBuildCut:
                 layout = layout_of(tri, circle_ls)
             except GeometryError:
                 continue
-            if not layout.cuts:
+            if not len(layout.cuts):
                 continue
-            cut = layout.cuts[0]
+            cut = as_element(layout.cuts)
             a = polygon_area(tri)
             ap = polygon_area(cut.poly_plus)
             am = polygon_area(cut.poly_minus)
@@ -126,14 +136,12 @@ class TestBuildCut:
 
     def test_orientation_probed_from_interface_points(self, circle_ls):
         tri = np.array([(0.3, 0.3), (0.6, 0.3), (0.3, 0.6)])
-        cut = layout_of(tri, circle_ls).cuts[0]
+        cut = as_element(layout_of(tri, circle_ls).cuts)
         eps = 1e-3 * cut.h_T
         assert circle_ls.phi(cut.D + eps * cut.n_h) > 0
         assert circle_ls.phi(cut.E + eps * cut.n_h) > 0
         # chord geometry is exact
         assert abs(cut.n_h @ (cut.E - cut.D)) <= 1e-15 * np.linalg.norm(cut.E - cut.D)
-        assert np.allclose(cut.t_h, [-cut.n_h[1], cut.n_h[0]], atol=1e-15)
-        assert np.allclose(cut.x_p, 0.5 * (cut.D + cut.E), atol=1e-15)
 
     def test_degenerate_chord_raises(self):
         tri = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
@@ -145,14 +153,10 @@ class TestBuiltinProblemGeometry:
     def test_orientation_holds_on_all_catalog_problems(self):
         """n_h points toward positive level-set values, probed at the chord
         endpoints (which lie on the interface), for every built cut."""
-        from ifelab.cutting import build_layout
-        from ifelab.mesh import build_uniform_tri
-        from ifelab.problems import example1, example2, example3, example4
-
         for prob in (example1(10, 1000), example2(), example3(), example4()):
             mesh = build_uniform_tri(16)
             layout = build_layout(mesh, prob.levelset)
-            for cut in layout.cuts.values():
+            for cut in as_elements(layout.cuts).values():
                 eps = 1e-3 * cut.h_T
                 probe = float(prob.levelset.phi(cut.D + eps * cut.n_h)) \
                     + float(prob.levelset.phi(cut.E + eps * cut.n_h))
@@ -161,13 +165,10 @@ class TestBuiltinProblemGeometry:
                 assert abs(cut.n_h @ (cut.E - cut.D)) <= 1e-14 * cut.h_T
 
     def test_cut_points_shared_not_recomputed(self, circle_ls):
-        from ifelab.cutting import build_layout
-        from ifelab.mesh import build_uniform_tri
-
         mesh = build_uniform_tri(8)
         layout = build_layout(mesh, circle_ls)
         splits = edge_splits(layout)
-        for e, cut in layout.cuts.items():
+        for e, cut in as_elements(layout.cuts).items():
             gids = cut_edges(mesh, cut)
             for gid, point in zip(gids[::-1], (cut.E,)):
                 assert np.allclose(splits[gid], point, atol=0)
@@ -177,7 +178,7 @@ class TestBuiltinProblemGeometry:
 
 class TestSideOfCut:
     def setup_method(self):
-        self.cut = layout_of(REF_TRI, _line((1.0, 0.0), 0.5)).cuts[0]
+        self.cut = as_element(layout_of(REF_TRI, _line((1.0, 0.0), 0.5)).cuts)
 
     def test_plus_side(self):
         assert self.cut.side_of((0.75, 0.1)) == 1
@@ -189,25 +190,51 @@ class TestSideOfCut:
         assert self.cut.side_of((0.5, 0.25)) == 1
 
 
-class TestCutProperty:
-    """A circle of any centre and radius over one element ends in a valid
-    cut, in no cut, or in a GeometryError (MeshResolutionError included)."""
+def assert_same_layout(layout, ref):
+    """The batched layout equals the per-element reference walk: classes,
+    interface edges, crossings, cut ids, chord ends, their local positions and
+    both sub-polygons bit for bit, and n_h to 1 ulp. The reference normalises
+    one chord with np.linalg.norm and the batch all chords with a row-wise
+    matmul dot, which round alike where both reach the same dot kernel."""
+    assert np.array_equal(layout.classes, ref.classes)
+    assert np.array_equal(layout.interface_edges, ref.interface_edges)
+    assert np.array_equal(layout.crossings, ref.crossings)
+    got = as_elements(layout.cuts)
+    assert list(got) == list(ref.cuts)
+    for e, cut in got.items():
+        want = ref.cuts[e]
+        assert (cut.loc_d, cut.loc_e) == (want.loc_d, want.loc_e)
+        for name in ("vertices", "D", "E", "poly_plus", "poly_minus"):
+            assert np.array_equal(getattr(cut, name), getattr(want, name)), name
+        assert np.all(np.abs(cut.n_h - want.n_h) <= np.spacing(np.abs(want.n_h)))
 
-    @pytest.mark.parametrize("verts", [REF_TRI, UNIT_SQ], ids=["tri", "rect"])
-    @settings(max_examples=300, deadline=None)
-    @given(cx=st.floats(-0.5, 1.5), cy=st.floats(-0.5, 1.5), r=st.floats(0.05, 1.0))
-    def test_circle_placements(self, verts, cx, cy, r):
-        centre = np.array([cx, cy])
-        ls = LevelSet(phi=lambda x: ((np.asarray(x, float) - centre) ** 2).sum(-1) - r * r,
-                      grad=lambda x: 2.0 * (np.asarray(x, float) - centre))
-        try:
-            layout = layout_of(verts, ls)
-        except GeometryError:
+
+def outcome(build, *args):
+    """build(*args), or the class and message of the GeometryError it raises."""
+    try:
+        return build(*args)
+    except GeometryError as err:
+        return type(err), str(err)
+
+
+class TestCutProperty:
+    """A circle or an ellipse of any placement over one element ends in a
+    valid cut, in no cut, or in a GeometryError (MeshResolutionError
+    included), exactly as the per-element reference walk decides."""
+
+    @staticmethod
+    def check(verts, ls):
+        layout = outcome(layout_of, verts, ls)
+        ref = outcome(reference_layout, one_element_mesh(verts), ls)
+        if isinstance(ref, tuple):
+            assert layout == ref
             return
-        if not layout.cuts:
+        assert not isinstance(layout, tuple), layout
+        assert_same_layout(layout, ref)
+        if not len(layout.cuts):
             assert layout.classes[0] != INTERFACE
             return
-        cut = layout.cuts[0]
+        cut = as_element(layout.cuts)
         a = polygon_area(verts)
         ap = polygon_area(cut.poly_plus)
         am = polygon_area(cut.poly_minus)
@@ -217,25 +244,35 @@ class TestCutProperty:
         assert ls.phi(cut.D + eps * cut.n_h) + ls.phi(cut.E + eps * cut.n_h) > 0
 
     @pytest.mark.parametrize("verts", [REF_TRI, UNIT_SQ], ids=["tri", "rect"])
+    @settings(max_examples=300, deadline=None)
+    @given(cx=st.floats(-0.5, 1.5), cy=st.floats(-0.5, 1.5), r=st.floats(0.05, 1.0))
+    def test_circle_placements(self, verts, cx, cy, r):
+        self.check(verts, circle_levelset(cx, cy, r))
+
+    @pytest.mark.parametrize("verts", [REF_TRI, UNIT_SQ], ids=["tri", "rect"])
+    @settings(max_examples=300, deadline=None)
+    @given(cx=st.floats(-0.5, 1.5), cy=st.floats(-0.5, 1.5), a=st.floats(0.05, 1.0),
+           b=st.floats(0.05, 1.0), angle=st.floats(0.0, np.pi))
+    def test_ellipse_placements(self, verts, cx, cy, a, b, angle):
+        self.check(verts, ellipse_levelset(cx, cy, a, b, angle))
+
+    @pytest.mark.parametrize("verts", [REF_TRI, UNIT_SQ], ids=["tri", "rect"])
     @settings(max_examples=200, deadline=None)
     @given(cx=st.floats(-0.5, 1.5), cy=st.floats(-0.5, 1.5), r=st.floats(0.05, 1.0))
     def test_batched_rule_moments(self, verts, cx, cy, r):
         """The batched sub-polygon rule integrates 1, x and y over the two
         pieces of any cut to the element's moments, and 1 over each piece to
         its area."""
-        centre = np.array([cx, cy])
-        ls = LevelSet(phi=lambda x: ((np.asarray(x, float) - centre) ** 2).sum(-1) - r * r,
-                      grad=lambda x: 2.0 * (np.asarray(x, float) - centre))
         try:
-            layout = layout_of(verts, ls)
+            layout = layout_of(verts, circle_levelset(cx, cy, r))
         except GeometryError:
             return
-        if not layout.cuts:
+        if not len(layout.cuts):
             return
-        cut = layout.cuts[0]
+        cut = as_element(layout.cuts)
         polys = (cut.poly_plus, cut.poly_minus)
-        pts, wts, counts = polygons_points_weights(np.concatenate(polys),
-                                                   [len(p) for p in polys], 6)
+        pts, wts, counts = polygons_points_weights(layout.cuts.polys,
+                                                   layout.cuts.sizes.ravel(), 6)
         pieces = np.split(np.arange(len(wts)), np.cumsum(counts)[:-1])
         for poly, idx in zip(polys, pieces):
             assert abs(wts[idx].sum() - polygon_area(poly)) <= 1e-12
@@ -243,6 +280,28 @@ class TestCutProperty:
         # area, int x and int y of the reference triangle and the unit square
         exact = [0.5, 1 / 6, 1 / 6] if len(verts) == 3 else [1.0, 0.5, 0.5]
         assert np.abs(moments - exact).max() <= 1e-12
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64, 256])
+@pytest.mark.parametrize("build", [build_uniform_tri, build_uniform_rect], ids=["tri", "rect"])
+@pytest.mark.parametrize("example", [example1, example2, example3, example4],
+                         ids=["ex1", "ex2", "ex3", "ex4"])
+def test_layout_matches_reference_walk(example, build, N):
+    prob = example()
+    mesh = build(N, prob.domain)
+    assert_same_layout(build_layout(mesh, prob.levelset),
+                       reference_layout(mesh, prob.levelset))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 40), st.integers(2, 20), st.integers(0, 2 ** 32 - 1))
+def test_sign_change_spans_match_column_loop(n, k, seed):
+    """The array scan gives the counts and first-change brackets of the
+    column loop, zeros ignored, on sign matrices with many zeros."""
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-2.0, -1.0, 0.0, 0.0, 0.5, 3.0], size=(n, k))
+    for got, want in zip(_sign_change_spans(values), sign_change_spans(values)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def _rot(a):

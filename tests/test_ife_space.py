@@ -24,6 +24,7 @@ from conftest import (
     standard_at,
     table_basis_at,
 )
+from cut_reference import as_element, take
 
 REF_TRI = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 UNIT_SQ = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
@@ -31,13 +32,10 @@ UNIT_SQ = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
 
 def delta_residual(basis, npts=5):
     """max_ij |N_j(phi_i) - delta_ij| using split-edge quadrature."""
-    cut = basis.cut
+    cut = as_element(basis.cut)
     verts = cut.vertices
     nv = len(verts)
-    splits = {}
-    if cut.loc_d[0] == "edge":
-        splits[cut.loc_d[1]] = cut.D
-    splits[cut.loc_e[1]] = cut.E
+    splits = cut.splits()
     worst = 0.0
     for i in range(basis.n_dofs):
         for j in range(nv):
@@ -49,7 +47,7 @@ def delta_residual(basis, npts=5):
 
 
 def constraint_residuals(basis):
-    cut = basis.cut
+    cut = as_element(basis.cut)
     val = lambda c, x: evaluate(c, x, basis.center, basis.kappa)[0]
     grad = lambda c, x: evaluate(c, x, basis.center, basis.kappa)[1]
     out = 0.0
@@ -177,8 +175,8 @@ class TestDirectBasis:
 
     def test_vertex_chord_basis(self, diagonal_ls):
         tri = np.array([(0.0, 0.0), (0.25, 0.0), (0.0, 0.25)])
-        cut = build_layout(one_element_mesh(tri), diagonal_ls).cuts[0]
-        assert cut.loc_d[0] == "vertex"
+        cut = build_layout(one_element_mesh(tri), diagonal_ls).cuts
+        assert as_element(cut).loc_d[0] == "vertex"
         basis = ife_local_basis_direct(cut, CR, 2.0, 1.0)
         assert delta_residual(basis) <= 1e-10
 
@@ -198,8 +196,8 @@ class TestBatchedSolve:
         mesh = (build_uniform_tri if kind == CR else build_uniform_rect)(16, prob.domain)
         ctx = build_context(prob, mesh, kind)
         tab = ctx.cut_table
-        cuts = list(ctx.layout.cuts.values())
-        assert [c.elem_id for c in cuts] == list(tab.ids)
+        assert np.array_equal(ctx.layout.cuts.ids, tab.ids)
+        cuts = [take(ctx.layout.cuts, i) for i in range(len(tab.ids))]
         for cut, coef, (bp, bm) in zip(cuts, tab.coef, tab.beta_c):
             dense = ife_local_basis_direct(cut, kind, bp, bm, kappa=mesh.kappa)
             assert np.array_equal(coef, dense.coef)
@@ -214,11 +212,29 @@ class TestBatchedSolve:
         from ifelab.ife_space import UnisolvenceError, _dof_rows, _solve_local
         from ifelab.mesh import build_uniform_tri
 
-        cuts = list(build_layout(build_uniform_tri(8), circle_ls).cuts.values())[:3]
+        cuts = build_layout(build_uniform_tri(8), circle_ls).cuts
         rows = _dof_rows(cuts, 1.0)
         rows[1, 0] = 0.0
-        with pytest.raises(UnisolvenceError, match=rf"element {cuts[1].elem_id}$"):
-            _solve_local(cuts, CR, np.tile([1.0, 2.0], (3, 1)), 1.0, rows)
+        with pytest.raises(UnisolvenceError, match=rf"element {cuts.ids[1]}$"):
+            _solve_local(cuts, CR, np.tile([1.0, 2.0], (len(cuts), 1)), 1.0, rows)
+
+    @pytest.mark.parametrize("kind", [CR, RQ1])
+    def test_row_sum_singular_to_roundoff_named(self, kind):
+        """A DOF row replaced by the sum of two others leaves the LU pivots
+        nonzero but the condition number far above COND_MAX: the element is
+        named instead of being solved with a warning."""
+        from ifelab.ife_space import UnisolvenceError, _dof_rows, _solve_local
+        from ifelab.mesh import build_uniform_rect, build_uniform_tri
+        from ifelab.problems import example4
+
+        prob = example4()
+        mesh = (build_uniform_tri if kind == CR else build_uniform_rect)(16, prob.domain)
+        cuts = build_layout(mesh, prob.levelset).cuts
+        rows = _dof_rows(cuts, mesh.kappa)
+        rows[1, 0] = rows[1, 1] + rows[1, 2]
+        beta = np.tile([1.0, 10.0], (len(cuts), 1))
+        with pytest.raises(UnisolvenceError, match=rf"element {cuts.ids[1]}$"):
+            _solve_local(cuts, kind, beta, mesh.kappa, rows)
 
     def test_solve_under_numpy1_rhs_rule(self, circle_ls, monkeypatch):
         """NumPy 1.x reads a right-hand side with one dimension fewer than a
@@ -234,7 +250,8 @@ class TestBatchedSolve:
                 return solve(a, b[..., None])[..., 0]
             return solve(a, b)
 
-        cuts = list(build_layout(build_uniform_tri(8), circle_ls).cuts.values())[:4]
+        layout = build_layout(build_uniform_tri(8), circle_ls)
+        cuts = [take(layout.cuts, i) for i in range(4)]
         ref = [ife_local_basis_direct(c, CR, 2.0, 1.0).coef for c in cuts]
         monkeypatch.setattr(np.linalg, "solve", solve_numpy1)
         for cut, coef in zip(cuts, ref):
@@ -334,7 +351,7 @@ class TestClosedFormAgainstDense:
 
     def test_vertex_chord_agreement(self, diagonal_ls):
         tri = np.array([(0.5, 0.5), (0.75, 0.5), (0.5, 0.75)])
-        cut = build_layout(one_element_mesh(tri), diagonal_ls).cuts[0]
+        cut = build_layout(one_element_mesh(tri), diagonal_ls).cuts
         sm = ife_local_basis_cr_sm(cut, 2.0, 1.0)
         dense = ife_local_basis_direct(cut, CR, 2.0, 1.0)
         pts = tri.mean(axis=0) + np.random.default_rng(0).uniform(-0.05, 0.05, (10, 2))
@@ -358,7 +375,7 @@ class TestBasisBoundedness:
             # barycentric sample grid mapped into the triangle
             pts = (tri[0] + np.outer(grid[:, 0], tri[1] - tri[0])
                    + np.outer(grid[:, 1] * (1 - grid[:, 0]), tri[2] - tri[0]))
-            h = cut.h_T
+            h = as_element(cut).h_T
             vals, grads = basis_at(basis, pts)
             return np.max(np.abs(vals)), h * np.max(np.linalg.norm(grads, axis=-1))
 
@@ -390,7 +407,7 @@ class TestJumpCorrection:
         """The correction on the dense basis, with its value and gradient
         functions per piece; g_D and g_N are evaluated at (D, E)."""
         basis = ife_local_basis_direct(cut, kind, bp, bm)
-        ends = np.array([cut.D, cut.E])
+        ends = np.concatenate([cut.D, cut.E])
         coef = jump_correction_local(basis, g_D(ends), g_N(ends))
         val = lambda c, x: evaluate(c, x, basis.center)[0]
         grad = lambda c, x: evaluate(c, x, basis.center)[1]
@@ -410,12 +427,11 @@ class TestJumpCorrection:
         one = lambda x: 1.0
         zero = lambda x: 0.0
         (plus, minus), val, _ = self.correction(cut, CR, 2.0, 2.0, one, zero)
+        cut = as_element(cut)
         assert abs((val(plus, cut.D) - val(minus, cut.D)) - 1.0) <= 1e-11
         assert abs((val(plus, cut.E) - val(minus, cut.E)) - 1.0) <= 1e-11
         verts = cut.vertices
-        splits = {cut.loc_e[1]: cut.E}
-        if cut.loc_d[0] == "edge":
-            splits[cut.loc_d[1]] = cut.D
+        splits = cut.splits()
         field = lambda p: np.where(cut.side_of(p) > 0, val(plus, p), val(minus, p))
         for j in range(3):
             mean = edge_mean_of(field, verts[j], verts[(j + 1) % 3], split=splits.get(j))
@@ -434,6 +450,7 @@ class TestJumpCorrection:
         gn = lambda x: np.cos(x[..., 0] + x[..., 1])
         bp, bm = 2.7, 0.4
         (plus, minus), val, grad = self.correction(cut, kind, bp, bm, gd, gn)
+        cut = as_element(cut)
         assert abs((val(plus, cut.D) - val(minus, cut.D)) - gd(cut.D)) <= 1e-10
         assert abs((val(plus, cut.E) - val(minus, cut.E)) - gd(cut.E)) <= 1e-10
         flux = bp * (grad(plus, cut.x_p) @ cut.n_h) - bm * (grad(minus, cut.x_p) @ cut.n_h)
@@ -442,9 +459,7 @@ class TestJumpCorrection:
             assert abs(plus[3] - minus[3]) <= 1e-12
         field = lambda p: np.where(cut.side_of(p) > 0, val(plus, p), val(minus, p))
         verts = cut.vertices
-        splits = {cut.loc_e[1]: cut.E}
-        if cut.loc_d[0] == "edge":
-            splits[cut.loc_d[1]] = cut.D
+        splits = cut.splits()
         for j in range(len(verts)):
             mean = edge_mean_of(field, verts[j], verts[(j + 1) % len(verts)],
                                 split=splits.get(j))

@@ -6,6 +6,7 @@ from ifelab.geometry import INTERFACE, LevelSet
 from ifelab.mesh import build_uniform_rect, build_uniform_tri
 
 from conftest import edge_midpoints, edge_splits, interface_elements
+from cut_reference import as_elements
 
 
 def reference_elements(kind, N):
@@ -202,8 +203,9 @@ class TestInterfaceEdges:
             assert np.allclose(q, mids[list(layout.interface_edges).index(eid)], atol=1e-10)
         # 2 vertex-chord interface elements per diagonal cell
         assert interface_elements(layout).size == 2 * N
+        cuts = as_elements(layout.cuts)
         for e in interface_elements(layout):
-            cut = layout.cuts[int(e)]
+            cut = cuts[int(e)]
             assert cut.loc_d[0] == "vertex"
             # chord lies on the interface itself
             assert abs(diagonal_ls.phi(cut.x_p)) <= 1e-14
@@ -212,8 +214,8 @@ class TestInterfaceEdges:
         m = build_uniform_tri(8)
         layout = build_layout(m, circle_ls)
         counts = {}
-        for cut in layout.cuts.values():
-            for p in (cut.D, cut.E):
+        for D, E in zip(layout.cuts.D, layout.cuts.E):
+            for p in (D, E):
                 key = tuple(np.round(p, 9))
                 counts[key] = counts.get(key, 0) + 1
         assert counts and all(v == 2 for v in counts.values())

@@ -140,10 +140,12 @@ def test_polygon_additivity_under_chord_split(ts, i, j):
     """Splitting a triangle by a chord conserves the integral of a smooth f."""
     from ifelab.geometry import cut_from_chord
 
+    from cut_reference import as_element
+
     if i == j:
         j = (j + 1) % 3
     tri = np.array([(0.0, 0.0), (1.3, 0.2), (0.4, 1.1)])
-    cut = cut_from_chord(tri, ("edge", i), ts[0], ("edge", j), ts[1])
+    cut = as_element(cut_from_chord(tri, ("edge", i), ts[0], ("edge", j), ts[1]))
     f = lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]) + p[:, 0] ** 2
 
     whole = polygon_integral(f, tri, degree=8)
