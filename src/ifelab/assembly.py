@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cutting import CutLayout, build_layout
-from .geometry import INTERFACE
+from .geometry import INTERFACE, INTERIOR_MINUS, INTERIOR_PLUS
 from .ife_space import (
     CR,
     _dof_rows,
@@ -104,9 +104,18 @@ class CutTable:
 
 @dataclass
 class ClassCtx:
-    """Reference data for one congruence class of uncut elements."""
+    """Reference data for the uncut elements of one congruence class that lie
+    on one side of the interface.
+
+    Each element is a translate of the reference element by its shift, and
+    all of them take the branch of the problem data on side, the class that
+    the layout gives them (its centroid's sign of phi). So the volume form,
+    the load vector and the error norms call that branch's callables on
+    whole blocks of points, with no level-set evaluation and no gather.
+    """
 
     ids: np.ndarray
+    side: int               # INTERIOR_PLUS or INTERIOR_MINUS
     shifts: np.ndarray      # (n, 2) translation of each element from the reference
     pts: np.ndarray         # reference quadrature points
     wts: np.ndarray
@@ -123,6 +132,10 @@ class ClassCtx:
         for start in range(0, len(self.ids), step):
             s = slice(start, start + step)
             yield s, self.shifts[s, None, :] + self.pts[None, :, :]
+
+    def branch(self, plus: Callable, minus: Callable) -> Callable:
+        """The callable of this class's side: plus or minus."""
+        return plus if self.side == INTERIOR_PLUS else minus
 
 
 @dataclass
@@ -189,14 +202,17 @@ def _build_cut_table(prob, mesh, layout, kind) -> CutTable:
                     owner, piece, starts, beta, vals, grads, M, G, C, C @ M @ C.T)
 
 
-def _build_class_ctx(mesh, ids, kind) -> ClassCtx:
+def _build_class_ctxs(mesh, ids, sides, kind) -> List[ClassCtx]:
+    """The uncut elements ids of one congruence class, split by their sides;
+    both parts share the reference data of the class's first element."""
     ref = mesh.element_vertices(int(ids[0]))
-    shifts = mesh.nodes[mesh.elements[ids, 0]] - ref[0]
     pts, wts = polygon_points_weights(ref, VOLUME_DEGREE)
     lam = standard_local_basis(ref, kind, mesh.kappa)
     vals, grads = evaluate(lam, pts[:, None, :], ref.mean(axis=0), mesh.kappa)
     gouter = np.einsum("qid,qjd->qij", grads, grads)
-    return ClassCtx(ids, shifts, pts, wts, vals, grads, gouter)
+    parts = [(side, ids[sides == side]) for side in (INTERIOR_PLUS, INTERIOR_MINUS)]
+    return [ClassCtx(part, side, mesh.nodes[mesh.elements[part, 0]] - ref[0], pts, wts,
+                     vals, grads, gouter) for side, part in parts if part.size]
 
 
 def build_context(prob, mesh: UnfittedMesh, kind: str,
@@ -204,15 +220,17 @@ def build_context(prob, mesh: UnfittedMesh, kind: str,
     """Classify the mesh against the problem's interface and cache local data.
 
     One batched dense solve builds the immersed bases of every cut element,
-    triangles and rectangles alike.
+    triangles and rectangles alike. The uncut elements of each congruence
+    class are split by their layout side into one ClassCtx per side.
     """
     if layout is None:
         layout = build_layout(mesh, prob.levelset)
     classes = []
     for ids in mesh.congruence_classes():
-        ids = ids[layout.classes[ids] != INTERFACE]
-        if ids.size:
-            classes.append(_build_class_ctx(mesh, ids, kind))
+        sides = layout.classes[ids]
+        uncut = sides != INTERFACE
+        if uncut.any():
+            classes += _build_class_ctxs(mesh, ids[uncut], sides[uncut], kind)
     return Context(prob, mesh, layout, kind, _build_cut_table(prob, mesh, layout, kind),
                    classes)
 
@@ -477,11 +495,15 @@ def _volume_triplets(ctx: Context):
     mesh = ctx.mesh
     blocks = []
     for cl in ctx.classes:
-        K = np.empty((len(cl.ids),) + cl.gouter.shape[1:])
+        beta = cl.branch(ctx.prob.beta_plus, ctx.prob.beta_minus)
+        nq, m = cl.vals.shape
+        gouter = cl.gouter.reshape(nq, m * m)
+        K = np.empty((len(cl.ids), m, m))
         for s, pts in cl.blocks():
-            beta = piecewise(ctx.layout.classes[cl.ids[s]], ctx.prob.beta_plus,
-                             ctx.prob.beta_minus, pts)
-            K[s] = np.einsum("eq,q,qij->eij", beta, cl.wts, cl.gouter)
+            # one product per element: a stacked matmul rounds each row alike
+            # whatever the block size, where one GEMM over the block need not
+            bw = beta(pts) * cl.wts
+            K[s] = (bw[:, None, :] @ gouter).reshape(-1, m, m)
         blocks.append((mesh.elem_edges[cl.ids], K))
     blocks.append((mesh.elem_edges[ctx.cut_table.ids], ctx.cut_table.K))
     rows = [np.repeat(conn, conn.shape[1], axis=1).ravel() for conn, _ in blocks]
@@ -574,8 +596,9 @@ def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,
     tab = ctx.cut_table
     b = np.zeros(mesh.n_edges)
     for cl in ctx.classes:
+        f = cl.branch(ctx.prob.f_plus, ctx.prob.f_minus)
         for s, pts in cl.blocks():
-            loc = np.einsum("eq,q,qi->ei", ctx.prob.f(pts), cl.wts, cl.vals)
+            loc = ((f(pts) * cl.wts)[:, None, :] @ cl.vals)[:, 0]
             np.add.at(b, mesh.elem_edges[cl.ids[s]].ravel(), loc.ravel())
     dofs = mesh.elem_edges[tab.ids]
     np.add.at(b, dofs, tab.per_element(tab.vals * (tab.wts * ctx.prob.f(tab.pts))[:, None]))

@@ -37,11 +37,8 @@ def _ensure_validated(prob: ProblemSpec):
         _validated[id(prob)] = prob
 
 
-def _squared_errors(prob, sides, pts, wts, beta, uh, duh):
-    """Weighted squared L2 and energy errors of (uh, duh) against the branch
-    of the exact solution that the sign of sides selects."""
-    ue = piecewise(sides, prob.u_plus, prob.u_minus, pts)
-    due = piecewise(sides, prob.grad_u_plus, prob.grad_u_minus, pts, vector=True)
+def _squared_errors(wts, beta, ue, due, uh, duh):
+    """Weighted squared L2 and energy errors of (uh, duh) against (ue, due)."""
     return (float(np.sum(wts * (ue - uh) ** 2)),
             float(np.sum(wts * beta * ((due - duh) ** 2).sum(-1))))
 
@@ -61,14 +58,16 @@ def error_norms(ctx: Context, dofs: np.ndarray, correction: Optional[np.ndarray]
     l2 = 0.0
     h1 = 0.0
     for cl in ctx.classes:
+        u, grad, beta = (cl.branch(plus, minus) for plus, minus in (
+            (prob.u_plus, prob.u_minus), (prob.grad_u_plus, prob.grad_u_minus),
+            (prob.beta_plus, prob.beta_minus)))
+        nq, m = cl.vals.shape
+        vals = cl.vals.T
+        grads = cl.grads.transpose(1, 0, 2).reshape(m, 2 * nq)
         for s, pts in cl.blocks():
-            ids = cl.ids[s]
-            coeff = dofs[mesh.elem_edges[ids]]
-            uh = np.einsum("em,qm->eq", coeff, cl.vals)
-            duh = np.einsum("em,qmd->eqd", coeff, cl.grads)
-            sides = ctx.layout.classes[ids]
-            beta = piecewise(sides, prob.beta_plus, prob.beta_minus, pts)
-            dl2, dh1 = _squared_errors(prob, sides, pts, cl.wts, beta, uh, duh)
+            coeff = dofs[mesh.elem_edges[cl.ids[s]]]
+            duh = (coeff @ grads).reshape(-1, nq, 2)
+            dl2, dh1 = _squared_errors(cl.wts, beta(pts), u(pts), grad(pts), coeff @ vals, duh)
             l2 += dl2
             h1 += dh1
     tab = ctx.cut_table
@@ -79,7 +78,11 @@ def error_norms(ctx: Context, dofs: np.ndarray, correction: Optional[np.ndarray]
         vJ, gJ = evaluate(correction[tab.owner, tab.piece], tab.pts,
                           tab.centers[tab.owner], mesh.kappa)
         uh, duh = uh + vJ, duh + gJ
-    dl2, dh1 = _squared_errors(prob, 1 - 2 * tab.piece, tab.pts, tab.wts, tab.beta, uh, duh)
+    sides = 1 - 2 * tab.piece
+    dl2, dh1 = _squared_errors(tab.wts, tab.beta,
+                               piecewise(sides, prob.u_plus, prob.u_minus, tab.pts),
+                               piecewise(sides, prob.grad_u_plus, prob.grad_u_minus, tab.pts,
+                                         vector=True), uh, duh)
     return float(np.sqrt(l2 + dl2)), float(np.sqrt(h1 + dh1))
 
 

@@ -129,12 +129,10 @@ def edge_cuts_batch(p0: np.ndarray, p1: np.ndarray, ls: LevelSet):
     return has_cut, t, snapped, endpoint
 
 
-def on_interface_vertices(vertices: np.ndarray, ls: LevelSet, h: float) -> np.ndarray:
-    """Boolean mask of vertices lying on the interface (within roundoff)."""
-    v = np.asarray(vertices, float)
-    phi = np.abs(np.asarray(ls.phi(v), float))
-    gn = np.linalg.norm(np.asarray(ls.grad(v), float), axis=-1)
-    return phi <= VERTEX_TOL_REL * h * np.maximum(gn, 1e-300)
+def on_interface_vertices(phi: np.ndarray, grad_norm: np.ndarray, h: float) -> np.ndarray:
+    """Boolean mask of the vertices lying on the interface (within roundoff),
+    given phi and |grad phi| at them."""
+    return np.abs(phi) <= VERTEX_TOL_REL * h * np.maximum(grad_norm, 1e-300)
 
 
 def _rowdot(a, b):
@@ -177,7 +175,8 @@ def chord_cuts(ids, vertices, loc_d, D, loc_e, E, plus_side=None) -> Cuts:
     n_h starts as each chord direction rotated by -pi/2 and is flipped where
     ``plus_side(n_h, h_T)`` (n,) is negative, h_T being the element diameters.
     Raises GeometryError naming the first element whose chord is shorter
-    than 1e-12 h_T.
+    than 1e-12 h_T or has both ends on the closure of one edge, where one
+    sub-polygon would have no area.
     """
     ids = np.asarray(ids, dtype=int)
     vertices = np.asarray(vertices, float)
@@ -188,9 +187,16 @@ def chord_cuts(ids, vertices, loc_d, D, loc_e, E, plus_side=None) -> Cuts:
     chord = E - D
     lc = np.sqrt(_rowdot(chord, chord))
     short = lc < 1e-12 * h_T
-    if short.any():
-        i = int(np.argmax(short))
-        raise GeometryError(f"degenerate chord |DE|={lc[i]:.3e} in element {ids[i]}")
+    # edge j's closure is the walk positions 2j, 2j + 1 and 2j + 2: two ends
+    # share one when at most one step apart, or two steps apart at vertices
+    gap = np.abs(loc_e - loc_d)
+    one_edge = np.minimum(gap, 2 * nv - gap) <= np.where(loc_d % 2 == 0, 2, 1)
+    if (short | one_edge).any():
+        i = int(np.argmax(short | one_edge))
+        if short[i]:
+            raise GeometryError(f"degenerate chord |DE|={lc[i]:.3e} in element {ids[i]}")
+        raise GeometryError(f"degenerate chord in element {ids[i]}: both ends lie on "
+                            "the closure of one edge")
     n_h = np.stack([chord[:, 1], -chord[:, 0]], axis=1) / lc[:, None]
     if plus_side is not None:
         n_h = np.where((np.asarray(plus_side(n_h, h_T)) < 0)[:, None], -n_h, n_h)

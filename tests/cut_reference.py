@@ -1,10 +1,11 @@
 """The per-element cut walk that the batched layout replaced, kept as the
 reference the batched code is checked against.
 
-``reference_layout(mesh, ls)`` decides the chord of each touched element
-from its own crossed edges and on-interface vertices (``element_cut_config``)
-and cuts it with ``chord_cut``, which splits the element by walking its
-boundary (``split_by_chord``). ``sign_change_spans`` is the column loop of
+``reference_layout(mesh, ls)`` scans every edge of the mesh for crossings,
+decides the chord of each touched element from its own crossed edges and
+on-interface vertices (``element_cut_config``) and cuts it with
+``chord_cut``, which splits the element by walking its boundary
+(``split_by_chord``). ``sign_change_spans`` is the column loop of
 the sample scan in ``geometry.edge_cuts_batch``.
 
 ``as_element`` turns one row of a ``geometry.Cuts`` batch into the same
@@ -208,7 +209,9 @@ def reference_layout(mesh, ls) -> CutLayout:
     p0 = nodes[mesh.edges[:, 0]]
     p1 = nodes[mesh.edges[:, 1]]
     has_cut, t, snapped, endpoint = edge_cuts_batch(p0, p1, ls)
-    vertex_flags = on_interface_vertices(nodes, ls, mesh.h)
+    vertex_flags = on_interface_vertices(
+        np.asarray(ls.phi(nodes), float),
+        np.linalg.norm(np.asarray(ls.grad(nodes), float), axis=-1), mesh.h)
     open_cut = has_cut & ~snapped
     points = p0 + t[:, None] * (p1 - p0)
 

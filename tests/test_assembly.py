@@ -25,7 +25,7 @@ from ifelab.assembly import (
     solve,
     solve_spd,
 )
-from ifelab.geometry import GeometryError, LevelSet
+from ifelab.geometry import INTERIOR_MINUS, INTERIOR_PLUS, GeometryError, LevelSet
 from ifelab.ife_space import evaluate, standard_local_basis
 from ifelab.mesh import build_uniform_rect, build_uniform_tri
 from ifelab.problems import ProblemSpec, example1, example2, example3, example4
@@ -608,6 +608,29 @@ class TestClassBlocks:
         assert abs(A0 - A1).max() == 0.0
         np.testing.assert_array_equal(b0, b1)
         np.testing.assert_allclose(e1, e0, rtol=1e-13)
+
+
+class TestClassSides:
+    @pytest.mark.parametrize("N", [16, 64])
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    @pytest.mark.parametrize("example", [example1, example2, example4],
+                             ids=["ex1", "ex2", "ex4"])
+    def test_class_side_is_the_sign_of_phi_at_every_point(self, example, kind, N):
+        """Each ClassCtx holds uncut elements of one layout side, and phi >= 0
+        at every one of their quadrature points exactly on the plus side. So
+        the side's f, beta and u branches are the ones that the sign of phi
+        at each point would pick. ex3 is left out: on rectangles the squares
+        whose diagonal is the interface touch it only at two vertices, stay
+        uncut and take the plus side whole (f+- = 0 there, so its loads do not
+        change)."""
+        prob = example()
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        ctx = build_context(prob, build(N, prob.domain), kind)
+        assert {cl.side for cl in ctx.classes} == {INTERIOR_PLUS, INTERIOR_MINUS}
+        for cl in ctx.classes:
+            assert np.all(ctx.layout.classes[cl.ids] == cl.side)
+            for _, pts in cl.blocks():
+                assert np.all((prob.levelset.phi(pts) >= 0) == (cl.side == INTERIOR_PLUS))
 
 
 def interface_problem(ls, beta_minus):

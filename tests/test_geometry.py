@@ -13,6 +13,7 @@ from ifelab.geometry import (
     MeshResolutionError,
     _sign_change_spans,
     cut_from_chord,
+    edge_cuts_batch,
 )
 from ifelab.mesh import build_uniform_rect, build_uniform_tri
 from ifelab.problems import example1, example2, example3, example4
@@ -148,6 +149,37 @@ class TestBuildCut:
         with pytest.raises(GeometryError):
             cut_from_chord(tri, ("edge", 0), 1e-15, ("edge", 2), 1.0 - 1e-15)
 
+    def test_chord_inside_one_edge_raises(self):
+        """Both ends inside edge 0: the chord runs along the edge and one
+        sub-polygon would have two vertices."""
+        with pytest.raises(GeometryError, match="element 7: both ends lie on the closure"):
+            cut_from_chord(REF_TRI, ("edge", 0), 0.2, ("edge", 0), 0.7, elem_id=7)
+
+    @pytest.mark.parametrize("verts, loc_d, loc_e", [
+        (REF_TRI, ("vertex", 0), ("edge", 0)),
+        (REF_TRI, ("vertex", 1), ("edge", 0)),
+        (REF_TRI, ("vertex", 0), ("edge", 2)),
+        (UNIT_SQ, ("vertex", 2), ("edge", 1)),
+        (UNIT_SQ, ("vertex", 3), ("edge", 3)),
+        (UNIT_SQ, ("vertex", 1), ("vertex", 2)),
+    ], ids=["tri-v0-e0", "tri-v1-e0", "tri-v0-e2", "rect-v2-e1", "rect-v3-e3", "rect-v1-v2"])
+    def test_vertex_on_the_edge_of_E_raises(self, verts, loc_d, loc_e):
+        """A vertex end on the closure of the edge that carries E."""
+        with pytest.raises(GeometryError, match="element 3: both ends lie on the closure"):
+            cut_from_chord(verts, loc_d, 0.0, loc_e, 0.4, elem_id=3)
+
+    @pytest.mark.parametrize("verts, loc_d, loc_e", [
+        (REF_TRI, ("edge", 0), ("edge", 1)),
+        (REF_TRI, ("vertex", 2), ("edge", 0)),
+        (UNIT_SQ, ("vertex", 0), ("edge", 1)),
+        (UNIT_SQ, ("vertex", 0), ("vertex", 2)),
+    ], ids=["tri-e0-e1", "tri-v2-e0", "rect-v0-e1", "rect-diagonal"])
+    def test_chords_across_the_element_still_cut(self, verts, loc_d, loc_e):
+        cuts = cut_from_chord(verts, loc_d, 0.3, loc_e, 0.4)
+        plus, minus = np.split(cuts.polys, [cuts.sizes[0, 0]])
+        assert cuts.sizes.min() >= 3
+        assert abs(polygon_area(plus) + polygon_area(minus) - polygon_area(verts)) <= 1e-14
+
 
 class TestBuiltinProblemGeometry:
     def test_orientation_holds_on_all_catalog_problems(self):
@@ -256,6 +288,26 @@ class TestCutProperty:
     def test_ellipse_placements(self, verts, cx, cy, a, b, angle):
         self.check(verts, ellipse_levelset(cx, cy, a, b, angle))
 
+    @pytest.mark.parametrize("build", [build_uniform_tri, build_uniform_rect],
+                             ids=["tri", "rect"])
+    @settings(max_examples=150, deadline=None)
+    @given(N=st.sampled_from([4, 8]), ellipse=st.booleans(), cx=st.floats(-1.0, 1.0),
+           cy=st.floats(-1.0, 1.0), a=st.floats(0.01, 1.0), b=st.floats(0.01, 1.0),
+           angle=st.floats(0.0, np.pi))
+    def test_edge_band_matches_full_scan(self, build, N, ellipse, cx, cy, a, b, angle):
+        """build_layout scans only a band of edges; on a mesh, circles and
+        ellipses of any placement and size down to a fraction of an element
+        give the layout of the full scan, or the same error."""
+        ls = ellipse_levelset(cx, cy, a, b, angle) if ellipse else circle_levelset(cx, cy, a)
+        mesh = build(N, (-1.0, 1.0, -1.0, 1.0))
+        layout = outcome(build_layout, mesh, ls)
+        ref = outcome(reference_layout, mesh, ls)
+        if isinstance(ref, tuple):
+            assert layout == ref
+            return
+        assert not isinstance(layout, tuple), layout
+        assert_same_layout(layout, ref)
+
     @pytest.mark.parametrize("verts", [REF_TRI, UNIT_SQ], ids=["tri", "rect"])
     @settings(max_examples=200, deadline=None)
     @given(cx=st.floats(-0.5, 1.5), cy=st.floats(-0.5, 1.5), r=st.floats(0.05, 1.0))
@@ -291,6 +343,28 @@ def test_layout_matches_reference_walk(example, build, N):
     mesh = build(N, prob.domain)
     assert_same_layout(build_layout(mesh, prob.levelset),
                        reference_layout(mesh, prob.levelset))
+
+
+@pytest.mark.parametrize("build", [build_uniform_tri, build_uniform_rect], ids=["tri", "rect"])
+def test_layout_scans_only_a_band_of_edges(build, monkeypatch):
+    """edge_cuts_batch sees the edges near the interface, a set that grows
+    like N and not like the N^2 edges of the mesh, and every interface edge
+    among them."""
+    from ifelab import cutting
+
+    scanned = []
+
+    def spy(p0, p1, ls):
+        scanned.append(len(p0))
+        return edge_cuts_batch(p0, p1, ls)
+
+    monkeypatch.setattr(cutting, "edge_cuts_batch", spy)
+    prob = example1()
+    for N in (64, 128):
+        mesh = build(N, prob.domain)
+        layout = build_layout(mesh, prob.levelset)
+        assert len(layout.interface_edges) <= scanned[-1] < 0.15 * mesh.n_edges
+    assert scanned[1] < 2.2 * scanned[0]
 
 
 @settings(max_examples=200, deadline=None)

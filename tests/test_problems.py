@@ -1,6 +1,8 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from dataclasses import replace
 
 from ifelab.problems import (
     ValidationError,
@@ -14,6 +16,7 @@ from ifelab.problems import (
 )
 
 from conftest import grad_u_exact
+from ex1_reference import ETA, R0, masked_fields
 
 
 class TestExample1:
@@ -47,6 +50,37 @@ class TestExample1:
 
     def test_swapped_contrast_validates(self):
         assert validate(example1(1000.0, 10.0)).ok
+
+    @pytest.mark.parametrize("beta", [(10.0, 1000.0), (1000.0, 10.0)], ids=["10-1000", "1000-10"])
+    def test_fields_match_masked_reference_bitwise(self, beta):
+        """u, grad u and f of both sides, computed at every point and selected
+        with np.where, equal the masked evaluation bit for bit (signed zeros
+        included) and raise no RuntimeWarning: on 1e5 random points, at r = 0
+        and on both sides of the edges of the bump's support."""
+        rng = np.random.default_rng(3)
+        support = []
+        for r in (R0 - ETA * (1.0 - 1e-12), R0 + ETA * (1.0 - 1e-12), R0 - ETA, R0 + ETA):
+            for toward in (0.0, 2.0):
+                steps = [r]
+                for _ in range(6):
+                    steps.append(np.nextafter(steps[-1], toward))
+                support += steps
+        support = np.array(support)
+        ang = rng.uniform(0.0, 2.0 * np.pi, len(support))
+        pts = np.concatenate([
+            rng.uniform(-1.0, 1.0, (100_000, 2)), np.zeros((1, 2)),
+            np.column_stack([support, np.zeros_like(support)]),
+            np.column_stack([np.zeros_like(support), -support]),
+            support[:, None] * np.column_stack([np.cos(ang), np.sin(ang)])])
+        prob = example1(*beta)
+        for side, b in (("plus", beta[0]), ("minus", beta[1])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = [getattr(prob, name + side)(pts) for name in ("u_", "grad_u_", "f_")]
+            for new, ref in zip(got, masked_fields(b)):
+                want = ref(pts)
+                assert new.shape == want.shape
+                assert np.array_equal(new.view(np.int64), want.view(np.int64))
 
 
 class TestExample2:
