@@ -15,11 +15,15 @@ coefficients and one flat sub-polygon quadrature with an owner index and a
 piece flag, read in one pass by the volume form, the load vector, the
 jump-correction action and the error norms. All interface edges live in
 one EdgeTable: their stacked trace tables, from which every edge term is
-formed for all edges at once. The lifting solve and the volume
-form share the element Gram matrices, so the discrete coercivity bound
-A(v,v) >= 0.5*a_vol(v,v) holds to roundoff by construction. Jumps are
-oriented as (trace from T1) - (trace from T2) with the edge normal pointing
-out of T1; boundary edges use the single trace for both average and jump.
+formed for all edges at once. An edge term is formed against the m basis
+functions of each adjacent element, 2m DOF slots per edge; the edge's own
+DOF fills one slot in each element, and since every term is bilinear the
+sparse assembly sums the two, as it sums any duplicate entry. The lifting
+solve and the volume form share the element Gram matrices, so the discrete
+coercivity bound A(v,v) >= 0.5*a_vol(v,v) holds to roundoff by
+construction. Jumps are oriented as (trace from T1) - (trace from T2) with
+the edge normal pointing out of T1; boundary edges use the single trace for
+both average and jump.
 """
 from __future__ import annotations
 
@@ -245,13 +249,14 @@ class EdgeTable:
 
     Every interface edge is an open crossing, so its quadrature is the
     EDGE_NPTS-point rule on each of the two sub-segments that meet at the
-    crossing x_gamma: nq = 2 EDGE_NPTS points per edge. The adjacent
-    elements fill two slots, the second one empty (elems -1, sign 0) on a
-    boundary edge. The union DOFs are the first element's edges in local
-    order followed by the second element's other edges, 2m-1 slots, the
-    last m-1 of them -1 on a boundary edge; the rows and columns of padded
-    slots and of empty element slots are zero. Every edge term is a product
-    against these arrays (W = diag(wq), avg = 1/2, or 1 on a boundary edge):
+    crossing: nq = 2 EDGE_NPTS points per edge. The adjacent elements fill
+    two element slots, the second one empty (elems -1, sign 0) on a boundary
+    edge. The DOF slots are the m local edges of each element slot:
+    dofs[:, i m + j] is local edge j of element i, -1 in an empty element
+    slot, whose rows and columns are zero. The edge's own DOF fills one slot
+    of each element, and the assembly sums the two. Every edge term is a
+    product against these arrays (W = diag(wq), avg = 1/2, or 1 on a
+    boundary edge):
 
     pts, wq     (n, nq, 2) points and (n, nq) weights
     rows        (n, 2) cut-table row of each adjacent element (0 if empty)
@@ -260,22 +265,23 @@ class EdgeTable:
     psi         (n, dim, nq) weighted normal traces avg beta w_k . n_e of the
                 gradient-space fields w_k = grad(phi_k) of both elements,
                 dim = 2 (m-1)
-    jump        (n, 2m-1, nq) basis jumps [phi_a] of the union DOFs
+    jump        (n, 2m, nq) signed traces sign_i phi_j of the slot basis
+                functions, whose slot sums are the jumps [phi_a]
     T_mat[k, a] = int_e {beta w_k . n_e} [phi_a] = psi W jump^T
     J           = int_e [phi_a][phi_b] = jump W jump^T
     P           = int_e psi_k psi_l = psi W psi^T
-    D_mat[k, a] = coefficient of w_k in grad(phi_a) on its element
     M, G        = beta-weighted and unweighted int w_k . w_l over the
                 adjacent elements (block diagonal)
-    beta_gamma  max beta+-(x_gamma) at the interface crossing, the scale of
-                the default ppifem penalty
+    C           (m, m-1) coefficients of the w_k in each element's grad(phi_j)
+    beta_gamma  max beta+- at the interface crossing, the scale of the
+                default ppifem penalty
     """
 
     edge_ids: np.ndarray
     elems: np.ndarray
     rows: np.ndarray
     sign: np.ndarray        # (n, 2) +1, -1 for the adjacent elements, 0 if empty
-    union: np.ndarray
+    dofs: np.ndarray        # (n, 2m) global DOF of each slot, -1 if empty
     pts: np.ndarray
     wq: np.ndarray
     piece: np.ndarray
@@ -283,13 +289,12 @@ class EdgeTable:
     psi: np.ndarray
     jump: np.ndarray
     T_mat: np.ndarray
-    D_mat: np.ndarray
     M: np.ndarray
     G: np.ndarray
     J: np.ndarray
     P: np.ndarray
+    C: np.ndarray
     length: np.ndarray
-    x_gamma: np.ndarray
     beta_gamma: np.ndarray
 
     @property
@@ -305,55 +310,17 @@ class EdgeTable:
             out[sel, :dim] = np.linalg.solve(self.M[sel, :dim, :dim], moments[sel, :dim])
         return out
 
-    def block(self, i: int) -> "LiftingBlock":
-        """Row i, trimmed to the edge's own elements and union DOFs."""
-        ne = 2 if self.elems[i, 1] >= 0 else 1
-        d = ne * (self.M.shape[1] // 2)
-        u = int((self.union[i] >= 0).sum())
-        return LiftingBlock(int(self.edge_ids[i]), tuple(int(t) for t in self.elems[i, :ne]),
-                            self.rows[i, :ne], self.union[i, :u], self.pts[i], self.wq[i],
-                            self.piece[i, :ne], self.beta[i, :ne], self.psi[i, :d],
-                            self.jump[i, :u], self.T_mat[i, :d, :u], self.D_mat[i, :d, :u],
-                            self.M[i, :d, :d], self.G[i, :d, :d], self.J[i, :u, :u],
-                            self.P[i, :d, :d], float(self.length[i]), self.x_gamma[i],
-                            float(self.beta_gamma[i]))
+    def to_slots(self, x: np.ndarray) -> np.ndarray:
+        """D^T x for gradient-space rows x (n, dim, k), with D[k, a] the
+        coefficient of w_k in grad(phi_a): C applied per element block,
+        giving rows over the 2m slots."""
+        n, dim, k = x.shape
+        return (self.C @ x.reshape(n, 2, dim // 2, k)).reshape(n, 2 * len(self.C), k)
 
 
 def _groups(two: np.ndarray, dim: int):
     """(mask, Gram size) of the edges with two and with one adjacent element."""
     return [(sel, d) for sel, d in ((two, dim), (~two, dim // 2)) if sel.any()]
-
-
-@dataclass
-class LiftingBlock:
-    """Trace table and lifting data of one interface edge: one row of an
-    EdgeTable, with the fields described there trimmed to the edge's own
-    n_elem adjacent elements and union DOFs (psi (n_elem (m-1), nq), jump
-    (n_union, nq), piece and beta (n_elem, nq))."""
-
-    edge_id: int
-    elements: Tuple[int, ...]
-    rows: np.ndarray
-    union_dofs: np.ndarray
-    pts: np.ndarray
-    wq: np.ndarray
-    piece: np.ndarray
-    beta: np.ndarray
-    psi: np.ndarray
-    jump: np.ndarray
-    T_mat: np.ndarray
-    D_mat: np.ndarray
-    M: np.ndarray
-    G: np.ndarray
-    J: np.ndarray
-    P: np.ndarray
-    length: float
-    x_gamma: np.ndarray
-    beta_gamma: float
-
-    def lift(self, moments: np.ndarray) -> np.ndarray:
-        """Gradient-space coefficients of the lifted trace with given moments."""
-        return np.linalg.solve(self.M, moments)
 
 
 def build_edge_table(ctx: Context, eids) -> EdgeTable:
@@ -415,30 +382,13 @@ def build_edge_table(ctx: Context, eids) -> EdgeTable:
     avg = np.where(two, 0.5, 1.0)
     normal = (np.moveaxis(grads[..., :nb, :], 3, 2) @ n_e[:, None, None, :, None])[..., 0]
     psi = ((avg[:, None, None, None] * beta[:, :, None, :]) * normal).reshape(n, 2 * nb, nq)
-
-    # union slots of each element's local edges: the first element's edges
-    # come first, the second element's shared edge sits where the first has it
-    j = np.arange(m)
-    own = mesh.elem_edges[elems[:, 0]]
-    other = mesh.elem_edges[np.where(two, elems[:, 1], elems[:, 0])]
-    j1 = np.argmax(own == eids[:, None], axis=1)
-    j2 = np.argmax(other == eids[:, None], axis=1)
-    loc = np.stack([np.broadcast_to(j, (n, m)),
-                    np.where(j == j2[:, None], j1[:, None], m + j - (j > j2[:, None]))], axis=1)
-    k = np.arange(m - 1)
-    rest = np.take_along_axis(other, k + (k >= j2[:, None]), axis=1)
-    union = np.concatenate([own, np.where(two[:, None], rest, -1)], axis=1)
-    eidx = np.arange(n)[:, None]
-    jump = np.zeros((n, 2 * m - 1, nq))
-    D_mat = np.zeros((n, 2 * nb, 2 * m - 1))
+    jump = (sign[:, :, None, None] * np.moveaxis(vals, 2, 3)).reshape(n, 2 * m, nq)
+    dofs = np.where(elems[:, :, None] >= 0, mesh.elem_edges[elems], -1).reshape(n, 2 * m)
     M = np.zeros((n, 2 * nb, 2 * nb))
     G = np.zeros((n, 2 * nb, 2 * nb))
     for i in (0, 1):
         present = (elems[:, i, None, None] >= 0).astype(float)
-        jump[eidx, loc[:, i]] += sign[:, i, None, None] * np.moveaxis(vals[:, i], 1, 2)
         blk = slice(i * nb, (i + 1) * nb)
-        D_mat[eidx[:, :, None], np.arange(blk.start, blk.stop)[:, None], loc[:, i, None, :]] = \
-            present * tab.C.T
         M[:, blk, blk] = present * tab.M[rows[:, i]]
         G[:, blk, blk] = present * tab.G[rows[:, i]]
 
@@ -452,39 +402,44 @@ def build_edge_table(ctx: Context, eids) -> EdgeTable:
                             f"(cond={cond[e]:.2e})")
     psi_w = psi * wq[:, None, :]
     jump_t = jump.transpose(0, 2, 1)
-    return EdgeTable(eids, elems, rows, sign, union, pts, wq, piece, beta, psi, jump,
-                     psi_w @ jump_t, D_mat, M, G, (jump * wq[:, None, :]) @ jump_t,
-                     psi_w @ psi.transpose(0, 2, 1), mesh.edge_lengths[eids], x_gamma,
+    return EdgeTable(eids, elems, rows, sign, dofs, pts, wq, piece, beta,
+                     psi, jump, psi_w @ jump_t, M, G, (jump * wq[:, None, :]) @ jump_t,
+                     psi_w @ psi.transpose(0, 2, 1), tab.C, mesh.edge_lengths[eids],
                      beta_gamma)
 
 
-def build_lifting_block(ctx: Context, eid: int) -> LiftingBlock:
-    """Trace table and lifting data of one interface edge: row 0 of
-    build_edge_table on that edge alone."""
-    return build_edge_table(ctx, [eid]).block(0)
+def build_lifting_block(ctx: Context, eid: int) -> EdgeTable:
+    """Trace table and lifting data of one interface edge: build_edge_table
+    on that edge alone."""
+    return build_edge_table(ctx, [eid])
 
 
-def lift_trace(block: LiftingBlock, trace: Callable) -> np.ndarray:
-    """Lift a scalar edge trace: returns gradient-space coefficients solving
-    int beta r_e . w = int_e {beta w . n_e} trace for every w."""
-    return block.lift(block.psi @ (block.wq * np.asarray(trace(block.pts), float)))
+def lift_trace(edges: EdgeTable, trace: Callable) -> np.ndarray:
+    """Lift a scalar edge trace on every edge: returns the gradient-space
+    coefficients (n, dim) solving int beta r_e . w = int_e {beta w . n_e} trace
+    for every w."""
+    moments = edges.psi @ (edges.wq * np.asarray(trace(edges.pts), float))[..., None]
+    return edges.lift(moments)[..., 0]
 
 
-def lifting_stability_ratio(block: LiftingBlock) -> float:
-    """sup over traces of ||r_e(phi)|| * |e|^(1/2) / ||phi||_L2(e).
+def lifting_stability_ratio(edges: EdgeTable) -> np.ndarray:
+    """sup over traces of ||r_e(phi)|| * |e|^(1/2) / ||phi||_L2(e), per edge.
 
     The supremum is attained inside the span of the moment traces psi_k, so
-    it reduces to a small generalized eigenproblem on the range of P.
+    it reduces to a small generalized eigenproblem on the range of P, solved
+    in one stack per number of adjacent elements.
     """
-    lam, V = np.linalg.eigh(block.P)
-    keep = lam > 1e-12 * max(lam.max(), 1e-300)
-    if not np.any(keep):
-        return 0.0
-    V = V[:, keep] / np.sqrt(lam[keep])
-    Minv_P = np.linalg.solve(block.M, block.P)
-    A = block.P @ np.linalg.solve(block.M, block.G @ Minv_P)
-    B = V.T @ A @ V
-    return float(np.sqrt(max(np.linalg.eigvalsh(B).max(), 0.0) * block.length))
+    out = np.zeros(len(edges.edge_ids))
+    for sel, dim in _groups(edges.elems[:, 1] >= 0, edges.M.shape[1]):
+        P, M, G = (a[sel, :dim, :dim] for a in (edges.P, edges.M, edges.G))
+        lam, V = np.linalg.eigh(P)
+        keep = lam > 1e-12 * np.maximum(lam.max(axis=1, keepdims=True), 1e-300)
+        V = np.where(keep[:, None], V / np.sqrt(np.where(keep, lam, 1.0))[:, None], 0.0)
+        A = P @ np.linalg.solve(M, G @ np.linalg.solve(M, P))
+        B = V.transpose(0, 2, 1) @ A @ V
+        out[sel] = np.sqrt(np.maximum(np.linalg.eigvalsh(B).max(axis=1), 0.0)
+                           * edges.length[sel])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -513,16 +468,16 @@ def _volume_triplets(ctx: Context):
 
 def _edge_form(edges: EdgeTable, method: str, eta: Optional[float],
                moments, fluxes, jumps):
-    """Interface-edge terms of one method against every union basis function.
+    """Interface-edge terms of one method against every slot basis function.
 
     The k trial fields u of each edge enter through moments = psi W [u]
     (n, dim, k), fluxes = [phi] W {beta grad(u) . n_e} and jumps =
-    [phi] W [u] (n, 2m-1, k). The consistency term is -(fluxes + D^T
+    [phi] W [u] (n, 2m, k). The consistency term is -(fluxes + D^T
     moments); the stabilization is 4 T^T M^-1 moments for 'new' and
     (eta_e/|e|) jumps for 'ppifem', with eta_e defaulting to
-    10 beta_gamma = 10 max beta+-(x_gamma).
+    10 beta_gamma, 10 max beta+- at the crossing.
     """
-    out = -(fluxes + edges.D_mat.transpose(0, 2, 1) @ moments)
+    out = -(fluxes + edges.to_slots(moments))
     if method == "new":
         return out + 4.0 * edges.T_mat.transpose(0, 2, 1) @ edges.lift(moments)
     if eta is None:
@@ -531,10 +486,10 @@ def _edge_form(edges: EdgeTable, method: str, eta: Optional[float],
 
 
 def _edge_matrices(edges: EdgeTable, method: str, eta: Optional[float]) -> np.ndarray:
-    """Consistency + stabilization matrices (n, 2m-1, 2m-1) of the edges,
-    rows and columns over their union DOFs."""
+    """Consistency + stabilization matrices (n, 2m, 2m) of the edges, rows
+    and columns over their DOF slots."""
     return _edge_form(edges, method, eta, edges.T_mat,
-                      edges.T_mat.transpose(0, 2, 1) @ edges.D_mat, edges.J)
+                      edges.to_slots(edges.T_mat).transpose(0, 2, 1), edges.J)
 
 
 def assemble(ctx: Context, method: str, eta: Optional[float] = None,
@@ -554,9 +509,10 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
     if method in ("new", "ppifem"):
         edges = build_edge_table(ctx, ctx.layout.interface_edges)
         mats = _edge_matrices(edges, method, eta)
-        # padded union slots hold no DOF and are dropped
-        r = np.broadcast_to(edges.union[:, :, None], mats.shape)
-        c = np.broadcast_to(edges.union[:, None, :], mats.shape)
+        # empty slots hold no DOF and are dropped; tocsr sums the two slots
+        # of each edge's own DOF
+        r = np.broadcast_to(edges.dofs[:, :, None], mats.shape)
+        c = np.broadcast_to(edges.dofs[:, None, :], mats.shape)
         keep = (r >= 0) & (c >= 0)
         rows.append(r[keep])
         cols.append(c[keep])
@@ -590,7 +546,7 @@ def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,
 
     edge_blocks may pass the EdgeTable of ctx's interface edges that the
     caller already built; anything else (None, or a list of per-edge
-    LiftingBlocks) makes the correction action build its own.
+    tables) makes the correction action build its own.
     """
     mesh = ctx.mesh
     tab = ctx.cut_table
@@ -646,8 +602,8 @@ def _subtract_correction_action(ctx: Context, b, method, eta, correction, edge_b
     wjuJ = (edges.wq * juJ)[..., None]
     contrib = _edge_form(edges, method, eta, edges.psi @ wjuJ,
                          edges.jump @ (edges.wq * avgJ)[..., None], edges.jump @ wjuJ)
-    dof = edges.union >= 0
-    np.subtract.at(b, edges.union[dof], contrib[..., 0][dof])
+    dof = edges.dofs >= 0
+    np.subtract.at(b, edges.dofs[dof], contrib[..., 0][dof])
 
 
 def build_jump_correction(ctx: Context) -> np.ndarray:

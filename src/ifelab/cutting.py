@@ -95,9 +95,11 @@ def build_layout(mesh, ls: LevelSet) -> CutLayout:
         vsum = phi_nodes[mesh.elements].sum(axis=1)
         classes[tie] = np.where(vsum[tie] >= 0, INTERIOR_PLUS, INTERIOR_MINUS)
 
-    # only an element with an open crossing can be cut: count its crossed
-    # local edges and its local vertices on the interface, flagged directly
-    # or carrying the endpoint a crossing snapped onto
+    # only an element with an open crossing can be cut, and each such element
+    # is cut below or raises, so both neighbours of every interface edge are
+    # interface elements. Count its crossed local edges and its local
+    # vertices on the interface, flagged directly or carrying the endpoint a
+    # crossing snapped onto
     ids = np.nonzero(open_cut[mesh.elem_edges].any(axis=1))[0]
     vids = mesh.elements[ids]
     gids = mesh.elem_edges[ids]
@@ -145,14 +147,5 @@ def build_layout(mesh, ls: LevelSet) -> CutLayout:
     cuts = chord_cuts(ids, nodes[vids], np.where(one, 2 * iv, 2 * first + 1), D, 2 * last + 1,
                       E, plus_side)
     classes[ids] = INTERFACE
-
-    # every interior cut edge must sit between two interface elements
     iface_edges = np.nonzero(open_cut)[0]
-    adj = mesh.edge_elems[iface_edges]
-    stray = (adj >= 0) & (classes[adj] != INTERFACE)
-    if stray.any():
-        k, j = np.unravel_index(int(np.argmax(stray)), stray.shape)
-        raise GeometryError(
-            f"edge {int(iface_edges[k])} is crossed by the interface but element "
-            f"{int(adj[k, j])} is not an interface element; mesh too coarse")
     return CutLayout(classes, cuts, iface_edges, points[iface_edges])

@@ -130,16 +130,17 @@ def cut_edges(mesh, cut) -> tuple:
                  for kind, i in (cut.loc_d, cut.loc_e) if kind == "edge")
 
 
-def lifted_field(ctx, block, coeffs, elem):
-    """The lifted field sum_k coeffs_k grad(phi_k) of an edge's lifting block
-    on its adjacent element elem, at that element's cut-table points.
+def lifted_field(ctx, elems, coeffs, elem):
+    """The lifted field sum_k coeffs_k grad(phi_k) of one edge on its
+    adjacent element elem, at that element's cut-table points; elems and
+    coeffs are the edge's rows of EdgeTable.elems and of lift_trace.
 
     Returns (sel, r): the mask of elem's points in ctx.cut_table and the
     field there, (n_sel, 2).
     """
     tab = ctx.cut_table
     nb = tab.coef.shape[1] - 1
-    off = block.elements.index(elem) * nb
+    off = list(elems).index(elem) * nb
     sel = tab.owner == tab.row[elem]
     return sel, np.einsum("k,qkd->qd", coeffs[off:off + nb], tab.grads[sel, :nb])
 

@@ -176,15 +176,12 @@ class TestMethodStructure:
     def test_consistency_term_symmetric_alone(self):
         """The edge consistency term is symmetric by itself (stabilization
         removed), so either stabilization preserves symmetry."""
-        from ifelab.assembly import _edge_matrices, build_edge_table
+        from ifelab.assembly import _edge_matrices
         edges = build_edge_table(self.ctx, self.ctx.layout.interface_edges)
-        mats = _edge_matrices(edges, "new", None)
-        for i, mat in enumerate(mats):
-            block = edges.block(i)
-            u = len(block.union_dofs)
-            S = 4.0 * block.T_mat.T @ np.linalg.solve(block.M, block.T_mat)
-            B = mat[:u, :u] - S
-            assert np.abs(B - B.T).max() <= 1e-12 * max(1.0, np.abs(B).max())
+        T = edges.T_mat
+        B = _edge_matrices(edges, "new", None) - 4.0 * T.transpose(0, 2, 1) @ edges.lift(T)
+        scale = np.maximum(1.0, np.abs(B).max(axis=(1, 2)))
+        assert np.all(np.abs(B - B.transpose(0, 2, 1)).max(axis=(1, 2)) <= 1e-12 * scale)
 
     def test_fixed_point_reassembly(self):
         sys1 = assemble(self.ctx, "new")
@@ -200,11 +197,11 @@ class TestLifting:
         self.prob = example1(10.0, 1000.0)
         self.mesh = build_uniform_tri(8)
         self.ctx = build_context(self.prob, self.mesh, "cr")
-        self.edges = [int(e) for e in self.ctx.layout.interface_edges]
+        self.edges = build_edge_table(self.ctx, self.ctx.layout.interface_edges)
 
     def test_zero_trace_lifts_to_zero(self):
-        block = build_lifting_block(self.ctx, self.edges[0])
-        c = lift_trace(block, lambda p: np.zeros(len(p)))
+        c = lift_trace(self.edges, lambda p: np.zeros(p.shape[:-1]))
+        assert c.shape == self.edges.M.shape[:2]
         assert np.abs(c).max() == 0.0
 
     def test_definition_residual(self):
@@ -212,19 +209,16 @@ class TestLifting:
         basis field, re-integrated independently over the elements."""
         trace = lambda p: np.sin(3 * p[..., 0]) + p[..., 1] ** 2
         tab = self.ctx.cut_table
-        for eid in self.edges:
-            block = build_lifting_block(self.ctx, eid)
-            c = lift_trace(block, trace)
-            lhs = np.zeros(block.M.shape[0])
-            off = 0
-            for t in block.elements:
-                nb = tab.coef.shape[1] - 1
-                sel, r = lifted_field(self.ctx, block, c, t)
+        nb = tab.coef.shape[1] - 1
+        coeffs = lift_trace(self.edges, trace)
+        for elems, c, M in zip(self.edges.elems, coeffs, self.edges.M):
+            lhs = np.zeros(len(c))
+            for off, t in zip((0, nb), elems[elems >= 0]):
+                sel, r = lifted_field(self.ctx, elems, c, t)
                 for k in range(nb):
                     w = tab.grads[sel, k]
                     lhs[off + k] = tab.wts[sel] @ (tab.beta[sel] * np.einsum("qi,qi->q", r, w))
-                off += nb
-            rhs = block.M @ c  # the assembled moments
+            rhs = M @ c  # the assembled moments
             scale = max(1.0, np.abs(rhs).max())
             assert np.abs(lhs - rhs).max() <= 1e-10 * scale
 
@@ -232,44 +226,45 @@ class TestLifting:
         """Tangent/weighted-normal fields give a diagonal Gram and the same
         lifted field as the gradient-basis solve."""
         trace = lambda p: p[..., 0] - 0.3 * p[..., 1]
-        eid = self.edges[1]
-        block = build_lifting_block(self.ctx, eid)
+        i_edge = 1
+        eid = self.edges.edge_ids[i_edge]
+        elems = self.edges.elems[i_edge]
+        assert np.all(elems >= 0)
+        pts, wq = self.edges.pts[i_edge], self.edges.wq[i_edge]
         n_e = self.mesh.edge_normals[eid]
         # per element, the constant fields (plus piece, minus piece): the
         # chord tangent, and the chord normal scaled so beta w . n_h is
         # continuous across the chord
         tab = self.ctx.cut_table
         fields = {}
-        for t in block.elements:
+        for t in elems:
             n_h = self.ctx.layout.cuts.n_h[tab.row[t]]
             t_h = np.array([-n_h[1], n_h[0]])
             bp, bm = tab.beta_c[tab.row[t]]
             fields[t] = [(t_h, t_h), (bm * n_h, bp * n_h)]
 
         # Gram and edge moments of those fields by direct quadrature
-        dim = 2 * len(block.elements)
-        M_o = np.zeros((dim, dim))
-        b_o = np.zeros(dim)
-        for i, t in enumerate(block.elements):
+        M_o = np.zeros((4, 4))
+        b_o = np.zeros(4)
+        for i, t in enumerate(elems):
             own = tab.owner == tab.row[t]
             wbeta = [tab.wts[own & (tab.piece == pc)] @ tab.beta[own & (tab.piece == pc)]
                      for pc in (0, 1)]
-            side = as_element(self.ctx.layout.cuts, tab.row[t]).side_of(block.pts)
-            beta = np.where(side > 0, self.prob.beta_plus(block.pts),
-                            self.prob.beta_minus(block.pts))
+            side = as_element(self.ctx.layout.cuts, tab.row[t]).side_of(pts)
+            beta = np.where(side > 0, self.prob.beta_plus(pts), self.prob.beta_minus(pts))
             for k, (wk_p, wk_m) in enumerate(fields[t]):
                 for l, (wl_p, wl_m) in enumerate(fields[t]):
                     M_o[2 * i + k, 2 * i + l] = wbeta[0] * (wk_p @ wl_p) \
                         + wbeta[1] * (wk_m @ wl_m)
                 w = np.where((side > 0)[:, None], wk_p, wk_m)
-                b_o[2 * i + k] = block.wq @ (0.5 * beta * (w @ n_e) * trace(block.pts))
+                b_o[2 * i + k] = wq @ (0.5 * beta * (w @ n_e) * trace(pts))
         offdiag = M_o - np.diag(np.diag(M_o))
         assert np.abs(offdiag).max() <= 1e-12 * np.abs(M_o).max()
 
-        c_grad = lift_trace(block, trace)
+        c_grad = lift_trace(self.edges, trace)[i_edge]
         c_o = np.linalg.solve(M_o, b_o)
-        for i, t in enumerate(block.elements):
-            sel, f_grad = lifted_field(self.ctx, block, c_grad, t)
+        for i, t in enumerate(elems):
+            sel, f_grad = lifted_field(self.ctx, elems, c_grad, t)
             side = as_element(self.ctx.layout.cuts, tab.row[t]).side_of(tab.pts[sel])
             f_orth = np.zeros_like(f_grad)
             for k, (wp, wm) in enumerate(fields[t]):
@@ -283,8 +278,8 @@ class TestLifting:
         maxima = {}
         for N in (8, 16, 32, 64):
             ctx = build_context(self.prob, build_uniform_tri(N), "cr")
-            maxima[N] = max(lifting_stability_ratio(build_lifting_block(ctx, int(e)))
-                            for e in ctx.layout.interface_edges)
+            edges = build_edge_table(ctx, ctx.layout.interface_edges)
+            maxima[N] = lifting_stability_ratio(edges).max()
         envelope = max(maxima[8], maxima[16], maxima[32])
         assert maxima[64] <= 1.05 * envelope
         assert max(maxima.values()) <= 25.0
@@ -449,15 +444,22 @@ class TestNonhomogeneousJumps:
         assert correction is None
 
 
-def reference_edge_correction(ctx, method, correction):
-    """Edge half of the jump-correction action, walked sub-segment by
-    sub-segment and basis function by basis function, re-deciding sides and
-    re-evaluating beta at every step; the returned vector is subtracted from
-    the load."""
+def reference_edge_correction(ctx, method, field):
+    """Interface-edge terms of the bilinear form with the piecewise field of
+    coefficients field (n_cut, 2, 4), rows as in ctx.cut_table, as trial
+    function, against every test function. Walked edge by edge, sub-segment
+    by sub-segment and basis function by basis function, re-deciding sides
+    and re-evaluating beta at every step; the edge's DOFs are the union of
+    its elements' edges, each listed once, and the walk builds its own
+    gradient-space map D and moment matrix T, so it shares no layout with
+    EdgeTable. For the jump correction this vector is subtracted from the
+    load."""
     mesh = ctx.mesh
     tab = ctx.cut_table
     rule = segment_rule(EDGE_NPTS)
     out = np.zeros(mesh.n_edges)
+    m = tab.coef.shape[1]
+    nb = m - 1
 
     def piece_at(coef, t, pts):
         """Value and gradient at pts of one piece's coefficients on element t."""
@@ -466,16 +468,28 @@ def reference_edge_correction(ctx, method, correction):
     splits = edge_splits(ctx.layout)
     for eid in ctx.layout.interface_edges:
         eid = int(eid)
-        block = build_lifting_block(ctx, eid)
+        elements = [int(t) for t in mesh.edge_elems[eid] if t >= 0]
+        union = list(dict.fromkeys(int(d) for t in elements for d in mesh.elem_edges[t]))
+        dim = nb * len(elements)
+        # D[k, a]: coefficient of w_k = grad(phi_k) in grad(phi_a) on the
+        # element of w_k; an element's last basis gradient is minus the sum
+        # of the others. M: the elements' weighted Gram matrices.
+        D = np.zeros((dim, len(union)))
+        M = np.zeros((dim, dim))
+        for i, t in enumerate(elements):
+            blk = slice(i * nb, (i + 1) * nb)
+            M[blk, blk] = tab.M[tab.row[t]]
+            for j, d in enumerate(mesh.elem_edges[t]):
+                D[blk, union.index(int(d))] = np.eye(nb)[j] if j < nb else -1.0
         n_e = mesh.edge_normals[eid]
         a, b = mesh.nodes[mesh.edges[eid]]
-        split = splits.get(eid)
-        segs = [(a, b)] if split is None else [(a, split), (split, b)]
-        avg = 1.0 if len(block.elements) == 1 else 0.5
-        tJ = np.zeros(block.M.shape[0])       # moments of [uJ]
-        bJ = np.zeros(len(block.union_dofs))  # int {beta grad(uJ) . n} [phi_a]
-        jJ = np.zeros(len(block.union_dofs))  # int [uJ][phi_a]
-        for p, q in segs:
+        split = splits[eid]
+        avg = 1.0 if len(elements) == 1 else 0.5
+        T = np.zeros((dim, len(union)))      # int {beta w_k . n} [phi_a]
+        tJ = np.zeros(dim)                   # moments of [u]
+        bJ = np.zeros(len(union))            # int {beta grad(u) . n} [phi_a]
+        jJ = np.zeros(len(union))            # int [u][phi_a]
+        for p, q in [(a, split), (split, b)]:
             seg_len = float(np.linalg.norm(q - p))
             if seg_len == 0.0:
                 continue
@@ -483,38 +497,32 @@ def reference_edge_correction(ctx, method, correction):
             wts = rule.weights * seg_len
             juJ = np.zeros(len(wts))
             avgJ = np.zeros(len(wts))
-            for sgn, t in zip((1.0, -1.0), block.elements):
-                side = int(as_element(ctx.layout.cuts, tab.row[t]).side_of(pts.mean(axis=0)))
+            psi = np.zeros((dim, len(wts)))
+            jump = np.zeros((len(union), len(wts)))
+            for i, (sgn, t) in enumerate(zip((1.0, -1.0), elements)):
+                row = tab.row[t]
+                side = int(as_element(ctx.layout.cuts, row).side_of(pts.mean(axis=0)))
+                s = 0 if side > 0 else 1
                 beta = ctx.prob.beta_plus(pts) if side > 0 else ctx.prob.beta_minus(pts)
-                vJ, gJ = piece_at(correction[tab.row[t], 0 if side > 0 else 1], t, pts)
+                vJ, gJ = piece_at(field[row, s], t, pts)
                 juJ += sgn * vJ
                 avgJ += avg * beta * (gJ @ n_e)
-            off = 0
-            for t in block.elements:
-                coef = tab.coef[tab.row[t]]
-                side = int(as_element(ctx.layout.cuts, tab.row[t]).side_of(pts.mean(axis=0)))
-                beta = ctx.prob.beta_plus(pts) if side > 0 else ctx.prob.beta_minus(pts)
-                for k in range(len(coef) - 1):
-                    _, w = piece_at(coef[k, 0 if side > 0 else 1], t, pts)
-                    tJ[off + k] += wts @ (avg * beta * (w @ n_e) * juJ)
-                off += len(coef) - 1
-            for sgn, t in zip((1.0, -1.0), block.elements):
-                coef = tab.coef[tab.row[t]]
-                side = int(as_element(ctx.layout.cuts, tab.row[t]).side_of(pts.mean(axis=0)))
-                loc = [int(np.nonzero(block.union_dofs == d)[0][0])
-                       for d in mesh.elem_edges[t]]
-                for i in range(len(coef)):
-                    pv, _ = piece_at(coef[i, 0 if side > 0 else 1], t, pts)
-                    bJ[loc[i]] += wts @ (avgJ * sgn * pv)
-                    jJ[loc[i]] += wts @ (juJ * sgn * pv)
-        contrib = -(bJ + block.D_mat.T @ tJ)
+                for j, d in enumerate(mesh.elem_edges[t]):
+                    pv, w = piece_at(tab.coef[row, j, s], t, pts)
+                    jump[union.index(int(d))] += sgn * pv
+                    if j < nb:
+                        psi[i * nb + j] = avg * beta * (w @ n_e)
+            tJ += psi @ (wts * juJ)
+            bJ += jump @ (wts * avgJ)
+            jJ += jump @ (wts * juJ)
+            T += (psi * wts) @ jump.T
+        contrib = -(bJ + D.T @ tJ)
         if method == "new":
-            contrib += 4.0 * block.T_mat.T @ np.linalg.solve(block.M, tJ)
+            contrib += 4.0 * T.T @ np.linalg.solve(M, tJ)
         else:
-            xg = block.x_gamma
-            eta = 10.0 * max(float(ctx.prob.beta_plus(xg)), float(ctx.prob.beta_minus(xg)))
-            contrib += (eta / block.length) * jJ
-        out[block.union_dofs] += contrib
+            eta = 10.0 * max(float(ctx.prob.beta_plus(split)), float(ctx.prob.beta_minus(split)))
+            contrib += (eta / mesh.edge_lengths[eid]) * jJ
+        out[union] += contrib
     return out
 
 
@@ -534,6 +542,27 @@ class TestCorrectionAction:
         ref = (assemble_rhs(ctx, "plain", correction=correction)
                - reference_edge_correction(ctx, method, correction))
         assert np.abs(b - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestEdgeMatrices:
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    @pytest.mark.parametrize("example", ["ex1", "ex4", "boundary"])
+    @pytest.mark.parametrize("method", ["new", "ppifem"])
+    def test_match_reference_walk(self, example, kind, method):
+        """The edge terms of the assembled matrix, applied to a random DOF
+        vector that is zero on the boundary, equal the per-point reference
+        walk with the field of that vector as trial function."""
+        ctx = TestEdgeTable.context(example, kind, N=8)
+        plain = assemble(ctx, "plain")
+        x = np.zeros(plain.n_dofs)
+        x[plain.free] = np.random.default_rng(3).standard_normal(len(plain.free))
+        tab = ctx.cut_table
+        field = np.einsum("cjpk,cj->cpk", tab.coef, x[ctx.mesh.elem_edges[tab.ids]])
+        got = (assemble(ctx, method).matrix - plain.matrix) @ x[plain.free]
+        ref = reference_edge_correction(ctx, method, field)[plain.free]
+        if example == "boundary":
+            assert ctx.mesh.boundary_edges[ctx.layout.interface_edges].any()
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def counting(prob, calls: Counter):
@@ -698,10 +727,10 @@ class TestEdgeTable:
 
     @pytest.mark.parametrize("example, kind", CASES)
     def test_rows_match_single_edge_blocks(self, example, kind):
-        """Every row of the stacked table, and its stacked lifting solve,
-        equals the lifting block of its edge built alone, on interior edges
-        and on edges with one adjacent element; the padded slots of the
-        latter are zero."""
+        """Every row of the stacked table, its stacked lifting solve and its
+        stability ratio equal those of its edge's table built alone, on
+        interior edges and on edges with one adjacent element; the empty
+        element slot of the latter holds no DOF and zero traces."""
         ctx = self.context(example, kind)
         eids = ctx.layout.interface_edges
         edges = build_edge_table(ctx, eids)
@@ -709,30 +738,28 @@ class TestEdgeTable:
         assert two.any()
         if example == "boundary":
             assert not two.all()
-        arrays = ("rows", "union_dofs", "pts", "wq", "piece", "beta", "psi", "jump",
-                  "T_mat", "D_mat", "M", "G", "J", "P", "x_gamma")
+        arrays = ("elems", "rows", "sign", "dofs", "pts", "wq", "piece", "beta", "psi",
+                  "jump", "T_mat", "M", "G", "J", "P", "length", "beta_gamma")
         lifted = edges.lift(edges.T_mat)
+        ratios = lifting_stability_ratio(edges)
         for i, eid in enumerate(eids):
-            row, alone = edges.block(i), build_lifting_block(ctx, int(eid))
-            assert row.edge_id == alone.edge_id == eid
-            assert row.elements == alone.elements
-            d, u = alone.T_mat.shape
-            ref = alone.lift(alone.T_mat)
-            assert np.abs(lifted[i, :d, :u] - ref).max() <= 1e-13 * np.abs(ref).max()
-            assert np.all(lifted[i, d:] == 0.0)
+            alone = build_lifting_block(ctx, int(eid))
+            assert alone.edge_ids.tolist() == [eid]
+            ref = alone.lift(alone.T_mat)[0]
+            assert np.abs(lifted[i] - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert abs(ratios[i] - lifting_stability_ratio(alone)[0]) <= 1e-13 * ratios[i]
             for name in arrays:
-                a, b = getattr(row, name), getattr(alone, name)
+                a, b = getattr(edges, name)[i], getattr(alone, name)[0]
                 assert a.shape == b.shape, name
                 assert np.abs(a - b).max() <= 1e-13 * max(1.0, np.abs(b).max()), name
-            for name in ("length", "beta_gamma"):
-                assert abs(getattr(row, name) - getattr(alone, name)) \
-                    <= 1e-13 * abs(getattr(alone, name))
+        # the edge's own DOF fills one slot of each element
+        m = ctx.cut_table.coef.shape[1]
+        assert np.all((edges.dofs == eids[:, None]).sum(axis=1) == np.where(two, 2, 1))
         one = ~two
-        nb = ctx.cut_table.coef.shape[1] - 1
-        assert np.all(edges.union[one, nb + 1:] == -1)
-        for name in ("psi", "M"):
-            assert np.all(getattr(edges, name)[one, nb:] == 0.0)
-        assert np.all(edges.jump[one, nb + 1:] == 0.0)
+        assert np.all(edges.dofs[one, m:] == -1)
+        assert np.all(edges.jump[one, m:] == 0.0)
+        assert np.all(edges.psi[one, m - 1:] == 0.0)
+        assert np.all(edges.M[one, m - 1:] == 0.0)
 
     def test_ill_conditioned_gram_names_the_edge(self):
         """A singular lifting Gram matrix on one element stops the build with

@@ -297,7 +297,8 @@ class TestCutProperty:
     def test_edge_band_matches_full_scan(self, build, N, ellipse, cx, cy, a, b, angle):
         """build_layout scans only a band of edges; on a mesh, circles and
         ellipses of any placement and size down to a fraction of an element
-        give the layout of the full scan, or the same error."""
+        give the layout of the full scan, or the same error. Every element
+        next to an interface edge is an interface element."""
         ls = ellipse_levelset(cx, cy, a, b, angle) if ellipse else circle_levelset(cx, cy, a)
         mesh = build(N, (-1.0, 1.0, -1.0, 1.0))
         layout = outcome(build_layout, mesh, ls)
@@ -307,6 +308,8 @@ class TestCutProperty:
             return
         assert not isinstance(layout, tuple), layout
         assert_same_layout(layout, ref)
+        adj = mesh.edge_elems[layout.interface_edges]
+        assert np.all(layout.classes[adj[adj >= 0]] == INTERFACE)
 
     @pytest.mark.parametrize("verts", [REF_TRI, UNIT_SQ], ids=["tri", "rect"])
     @settings(max_examples=200, deadline=None)

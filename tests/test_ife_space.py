@@ -238,9 +238,13 @@ class TestBatchedSolve:
 
     def test_solve_under_numpy1_rhs_rule(self, circle_ls, monkeypatch):
         """NumPy 1.x reads a right-hand side with one dimension fewer than a
-        stack of matrices as a stack of vectors; the batched solve must give
-        the same coefficients under that rule."""
+        stack of matrices as a stack of vectors; the batched solves of the
+        bases and of the edge liftings must give the same coefficients under
+        that rule."""
+        from ifelab.assembly import (build_context, build_edge_table, lift_trace,
+                                     lifting_stability_ratio)
         from ifelab.mesh import build_uniform_tri
+        from ifelab.problems import example4
 
         solve = np.linalg.solve
 
@@ -253,9 +257,18 @@ class TestBatchedSolve:
         layout = build_layout(build_uniform_tri(8), circle_ls)
         cuts = [take(layout.cuts, i) for i in range(4)]
         ref = [ife_local_basis_direct(c, CR, 2.0, 1.0).coef for c in cuts]
+        prob = example4()
+        ctx = build_context(prob, build_uniform_tri(8, prob.domain), CR)
+        edges = build_edge_table(ctx, ctx.layout.interface_edges)
+        trace = lambda p: np.sin(3 * p[..., 0]) + p[..., 1] ** 2
+        lifted, moments = lift_trace(edges, trace), edges.lift(edges.T_mat)
+        ratios = lifting_stability_ratio(edges)
         monkeypatch.setattr(np.linalg, "solve", solve_numpy1)
         for cut, coef in zip(cuts, ref):
             assert np.array_equal(ife_local_basis_direct(cut, CR, 2.0, 1.0).coef, coef)
+        assert np.array_equal(lift_trace(edges, trace), lifted)
+        assert np.array_equal(edges.lift(edges.T_mat), moments)
+        assert np.array_equal(lifting_stability_ratio(edges), ratios)
 
 
 class TestEdgeMeans:
