@@ -24,14 +24,20 @@ coercivity bound A(v,v) >= 0.5*a_vol(v,v) holds to roundoff by
 construction. Jumps are oriented as (trace from T1) - (trace from T2) with
 the edge normal pointing out of T1; boundary edges use the single trace for
 both average and jump.
+
+scipy is imported inside the function that uses it, so that importing
+ifelab and validating a problem load numpy alone; a test in test_cli.py
+enforces this.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 from .cutting import CutLayout, build_layout
 from .geometry import INTERFACE, INTERIOR_MINUS, INTERIOR_PLUS
@@ -518,6 +524,8 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
         cols.append(c[keep])
         data.append(mats[keep])
 
+    import scipy.sparse as sp
+
     A = sp.coo_matrix((np.concatenate(data),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n)).tocsr()
@@ -631,7 +639,6 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
     the factorization runs out of memory; the error carries the achieved
     relative residual.
     """
-    # imported here: scipy.sparse.linalg adds about 60 ms to importing ifelab
     from scipy.sparse.linalg import splu
 
     A = system.matrix

@@ -48,9 +48,11 @@ def build_layout(mesh, ls: LevelSet) -> CutLayout:
     Non-interface elements take the sign of phi at their centroid (the sum
     over their vertices on a tie). The interface enters an element through
     two open-edge crossings, or through one paired with a vertex not on that
-    edge; a vertex-only touch leaves it uncut, and any other contact raises
-    for the first such element in id order. Each cut is oriented so that n_h
-    points toward phi > 0.
+    edge. A vertex-only touch leaves it uncut, except on a rectangle whose
+    two on-interface vertices are opposite and whose other two vertices have
+    opposite signs of phi: that rectangle is cut along the diagonal. Any
+    other contact raises for the first such element in id order. Each cut
+    is oriented so that n_h points toward phi > 0.
 
     phi and |grad phi| are evaluated once at the nodes; they flag the
     on-interface vertices and select the edges that edge_cuts_batch scans:
@@ -95,15 +97,21 @@ def build_layout(mesh, ls: LevelSet) -> CutLayout:
         vsum = phi_nodes[mesh.elements].sum(axis=1)
         classes[tie] = np.where(vsum[tie] >= 0, INTERIOR_PLUS, INTERIOR_MINUS)
 
-    # only an element with an open crossing can be cut, and each such element
-    # is cut below or raises, so both neighbours of every interface edge are
-    # interface elements. Count its crossed local edges and its local
-    # vertices on the interface, flagged directly or carrying the endpoint a
-    # crossing snapped onto
-    ids = np.nonzero(open_cut[mesh.elem_edges].any(axis=1))[0]
+    # an element with an open crossing is cut below or raises, so both
+    # neighbours of every interface edge are interface elements; a rectangle
+    # touched at two or more vertices is a candidate for a diagonal cut.
+    # Count each candidate's crossed local edges and its local vertices on
+    # the interface, flagged directly or carrying the endpoint a crossing
+    # snapped onto
+    nv = mesh.elements.shape[1]
+    candidate = open_cut[mesh.elem_edges].any(axis=1)
+    if nv == 4:
+        touched = vertex_flags.copy()
+        touched[mesh.edges[snapped, endpoint[snapped]]] = True
+        candidate |= touched[mesh.elements].sum(axis=1) >= 2
+    ids = np.nonzero(candidate)[0]
     vids = mesh.elements[ids]
     gids = mesh.elem_edges[ids]
-    nv = vids.shape[1]
     crossed = open_cut[gids]
     snap = snapped[gids]
     at_start = mesh.edges[gids, endpoint[gids]] == vids
@@ -130,11 +138,26 @@ def build_layout(mesh, ls: LevelSet) -> CutLayout:
         _, cls, msg = faults[int(np.argmax(bad[:, i]))]
         raise cls(msg.format(ids[i]))
 
-    # D sits on the first crossed edge, or on the touched vertex when only
-    # one edge is crossed; E on the last crossed edge
+    # a rectangle without open crossings whose on-interface vertices are
+    # opposite and whose other two vertices lie on opposite sides is split
+    # through its interior, so it is cut along that diagonal; the other
+    # candidates without open crossings stay uncut
     rows = np.arange(len(ids))
-    D = np.where(one[:, None], nodes[vids[rows, iv]], points[gids[rows, first]])
-    E = points[gids[rows, last]]
+    opposite = (iv + 2) % nv
+    phi_v = phi_nodes[vids]
+    diag = (nv == 4) & (n_open == 0) & (n_gamma == 2) & on_gamma[rows, opposite] \
+        & ((phi_v[rows, (iv + 1) % nv] < 0) != (phi_v[rows, (iv + 3) % nv] < 0))
+
+    # D sits on the first crossed edge, or on the touched vertex when only
+    # one edge is crossed or the cut is diagonal; E on the last crossed edge,
+    # or on the vertex opposite D
+    vertex_d = one | diag
+    loc_d = np.where(vertex_d, 2 * iv, 2 * first + 1)
+    loc_e = np.where(diag, 2 * opposite, 2 * last + 1)
+    D = np.where(vertex_d[:, None], nodes[vids[rows, iv]], points[gids[rows, first]])
+    E = np.where(diag[:, None], nodes[vids[rows, opposite]], points[gids[rows, last]])
+    keep = (n_open > 0) | diag
+    ids, vids, loc_d, loc_e, D, E = (a[keep] for a in (ids, vids, loc_d, loc_e, D, E))
 
     # D and E lie on the interface, so a small step off both along the
     # candidate normal resolves the side even where the chord midpoint sits
@@ -144,8 +167,7 @@ def build_layout(mesh, ls: LevelSet) -> CutLayout:
         return np.asarray(ls.phi(ends + (1e-3 * h_T)[:, None, None] * n_h[:, None]),
                           float).sum(axis=1)
 
-    cuts = chord_cuts(ids, nodes[vids], np.where(one, 2 * iv, 2 * first + 1), D, 2 * last + 1,
-                      E, plus_side)
+    cuts = chord_cuts(ids, nodes[vids], loc_d, D, loc_e, E, plus_side)
     classes[ids] = INTERFACE
     iface_edges = np.nonzero(open_cut)[0]
     return CutLayout(classes, cuts, iface_edges, points[iface_edges])

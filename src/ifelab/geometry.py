@@ -149,7 +149,8 @@ class Cuts:
     Element i has the CCW vertices vertices[i] and the chord D[i]-E[i], whose
     unit normal n_h[i] points to the plus side. loc_d and loc_e place each
     chord end on the element's boundary walk: 2j is vertex j and 2j + 1 the
-    interior of edge j (E always lies inside an edge). The two sub-polygons of
+    interior of edge j (E lies inside an edge, or at the vertex opposite D
+    of a rectangle cut along its diagonal). The two sub-polygons of
     every element, plus then minus, are stacked in polys with their vertex
     counts in sizes, the input of quadrature.polygons_points_weights.
     """

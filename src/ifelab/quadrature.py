@@ -13,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 
 @dataclass(frozen=True)
@@ -41,6 +40,8 @@ def reference_triangle_rule(degree: int) -> QuadratureRule:
     Gauss-Jacobi (weight 1-u) in the collapsed direction times
     Gauss-Legendre; exact for total degree <= degree with positive weights.
     """
+    from scipy.special import roots_jacobi
+
     n = max(1, (degree + 2) // 2)
     tj, wj = roots_jacobi(n, 1.0, 0.0)
     u = (tj + 1.0) / 2.0

@@ -49,7 +49,7 @@ class CutElement:
     poly_plus: np.ndarray         # CCW sub-polygon on the plus side
     poly_minus: np.ndarray
     loc_d: tuple                  # ('edge', local_edge) or ('vertex', local_vertex)
-    loc_e: tuple                  # always ('edge', local_edge)
+    loc_e: tuple                  # ('edge', i), or ('vertex', i) opposite D's vertex
     h_T: float
 
     @property
@@ -65,10 +65,8 @@ class CutElement:
 
     def splits(self) -> dict:
         """Chord endpoint inside each cut local edge, by local edge."""
-        out = {self.loc_e[1]: self.E}
-        if self.loc_d[0] == "edge":
-            out[self.loc_d[1]] = self.D
-        return out
+        return {loc[1]: p for loc, p in ((self.loc_e, self.E), (self.loc_d, self.D))
+                if loc[0] == "edge"}
 
 
 def as_element(cuts: Cuts, i: int = 0) -> CutElement:
@@ -130,6 +128,8 @@ def split_by_chord(vertices, loc_d, D, loc_e, E, n_h):
     for i in range(nv):
         if loc_d == ("vertex", i):
             cycle.append(("D", D))
+        elif loc_e == ("vertex", i):
+            cycle.append(("E", E))
         else:
             cycle.append((None, vertices[i]))
         for tag, loc, pt in (("D", loc_d, D), ("E", loc_e, E)):
@@ -175,9 +175,10 @@ def chord_cut(elem_id, vertices, loc_d, D, loc_e, E, plus_side=None) -> CutEleme
     return CutElement(elem_id, vertices, D, E, n_h, poly_plus, poly_minus, loc_d, loc_e, h_T)
 
 
-def element_cut_config(e: int, nv: int, open_edges, on_gamma):
+def element_cut_config(e: int, nv: int, open_edges, on_gamma, phi_v):
     """The chord (loc_d, loc_e) of element e from its boundary's contacts
-    with the interface, or None for a non-interface element."""
+    with the interface and phi at its vertices phi_v, or None for a
+    non-interface element."""
     if len(open_edges) > 2:
         raise MeshResolutionError(
             f"element {e} has more than two cut edges; mesh too coarse for interface")
@@ -199,6 +200,13 @@ def element_cut_config(e: int, nv: int, open_edges, on_gamma):
             raise MeshResolutionError(
                 f"element {e}: edge closure meets the interface twice; mesh too coarse")
         return ("vertex", iv), ("edge", ie)
+    # touched only at vertices: a rectangle touched at two opposite ones is
+    # split along that diagonal when the two others lie on opposite sides;
+    # if they lie on one side the touch is tangent
+    if nv == 4 and len(on_gamma) == 2:
+        a, b = sorted(on_gamma)
+        if b == a + 2 and phi_v[a + 1] * phi_v[(b + 1) % nv] < 0:
+            return ("vertex", a), ("vertex", b)
     return None
 
 
@@ -237,11 +245,11 @@ def reference_layout(mesh, ls) -> CutLayout:
         on_gamma = {i for i in range(nv) if vertex_flags[vids[i]]}
         on_gamma |= {i if vids[i] == mesh.edges[gids[i], endpoint[gids[i]]] else (i + 1) % nv
                      for i in range(nv) if snapped[gids[i]]}
-        cfg = element_cut_config(e, nv, open_edges, on_gamma)
+        cfg = element_cut_config(e, nv, open_edges, on_gamma, phi_nodes[vids])
         if cfg is not None:
-            loc_d, loc_e = cfg
-            D = nodes[vids[loc_d[1]]].copy() if loc_d[0] == "vertex" else points[gids[loc_d[1]]]
-            chords.append((e, cfg, D, points[gids[loc_e[1]]]))
+            D, E = (nodes[vids[i]].copy() if kind == "vertex" else points[gids[i]]
+                    for kind, i in cfg)
+            chords.append((e, cfg, D, E))
 
     ids = np.array([c[0] for c in chords], dtype=int)
     ends = np.array([c[2:] for c in chords]).reshape(-1, 2, 2)

@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -115,3 +120,30 @@ class TestOtherCommands:
         code = main(["run", "--example", "ex2", "--nmin", "4", "--nmax", "4"])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+
+class TestImportPolicy:
+    def test_validate_loads_no_scipy(self):
+        """A fresh process that imports ifelab and validates problems loads
+        numpy alone; the first assemble still finds scipy.sparse."""
+        script = textwrap.dedent("""
+            import contextlib, io, sys
+            import ifelab
+            from ifelab.cli import main
+            for name in ("ex1", "ex2", "ex4"):
+                ifelab.validate(ifelab.get_example(name))
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["validate", "--example", "ex1"]) == 0
+            loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
+            assert not loaded, loaded
+            from ifelab.experiments import _build_mesh
+            prob = ifelab.get_example("ex4")
+            ctx = ifelab.build_context(prob, _build_mesh("rq1", 8, prob.domain), "rq1")
+            A = ifelab.assemble(ctx, "new").matrix
+            assert A.format == "csr" and A.nnz > 0, A.format
+        """)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        res = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr

@@ -145,6 +145,14 @@ class TestRunConvergence:
         assert all(r.l2 <= 1e-10 and r.h1 <= 1e-10 for r in t.rows)
         assert check_monotone(t)
 
+    def test_exact_case_rectangles(self):
+        """ex3's interface runs through opposite vertices of the rectangles on
+        the grid diagonal; cut along it, they reproduce the piecewise-linear
+        solution to roundoff, as the triangles do."""
+        t = run_convergence(example3(), "new", "rq1", [8, 16, 32, 64, 128, 256])
+        assert max(r.l2 for r in t.rows) <= 1e-10
+        assert max(r.h1 for r in t.rows) <= 1e-10
+
     def test_interpolation_table(self):
         t = interpolation_convergence(example3(), "cr", [8, 16])
         assert all(r.l2 <= 1e-10 for r in t.rows)

@@ -97,6 +97,35 @@ class TestClassify:
         layout = layout_of(tri, diagonal_ls)
         assert layout.classes[0] == INTERIOR_PLUS and len(layout.cuts) == 0
 
+    @pytest.mark.parametrize("ls, ends", [
+        (_line((1.0, -1.0), 0.0), (0, 2)),
+        (circle_levelset(0.0, 0.0, 1.0), (1, 3)),
+    ], ids=["line", "circle"])
+    def test_rectangle_cut_along_diagonal(self, ls, ends):
+        """An interface through two opposite vertices of a rectangle, with
+        the other two on opposite sides, cuts it along that diagonal."""
+        layout = layout_of(UNIT_SQ, ls)
+        assert layout.classes[0] == INTERFACE and layout.interface_edges.size == 0
+        assert_same_layout(layout, reference_layout(one_element_mesh(UNIT_SQ), ls))
+        cut = as_element(layout.cuts)
+        assert (cut.loc_d, cut.loc_e) == (("vertex", ends[0]), ("vertex", ends[1]))
+        assert np.array_equal(cut.D, UNIT_SQ[ends[0]])
+        assert np.array_equal(cut.E, UNIT_SQ[ends[1]])
+        assert cut.splits() == {}
+        assert polygon_area(cut.poly_plus) == polygon_area(cut.poly_minus) == 0.5
+        assert ls.phi(cut.D + 1e-3 * cut.n_h) > 0
+
+    def test_rectangle_tangent_touch_is_interior(self):
+        """phi = (x1 - x2)^2 touches the square along its diagonal without
+        changing sign: the two other vertices share a sign and the square
+        stays uncut."""
+        ls = LevelSet(phi=lambda x: (x[..., 0] - x[..., 1]) ** 2,
+                      grad=lambda x: 2.0 * (x[..., 0] - x[..., 1])[..., None]
+                      * np.array([1.0, -1.0]))
+        layout = layout_of(UNIT_SQ, ls)
+        assert layout.classes[0] == INTERIOR_PLUS and len(layout.cuts) == 0
+        assert_same_layout(layout, reference_layout(one_element_mesh(UNIT_SQ), ls))
+
 
 class TestBuildCut:
     def test_vertical_line_through_triangle(self):
@@ -346,6 +375,17 @@ def test_layout_matches_reference_walk(example, build, N):
     mesh = build(N, prob.domain)
     assert_same_layout(build_layout(mesh, prob.levelset),
                        reference_layout(mesh, prob.levelset))
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64, 128, 256, 512])
+@pytest.mark.parametrize("build", [build_uniform_tri, build_uniform_rect], ids=["tri", "rect"])
+@pytest.mark.parametrize("example", [example1, example2, example4], ids=["ex1", "ex2", "ex4"])
+def test_curved_examples_have_no_diagonal_cut(example, build, N):
+    """Every cut of ex1, ex2 and ex4 ends inside an edge, so the diagonal
+    rule leaves these layouts as they were without it."""
+    prob = example()
+    cuts = build_layout(build(N, prob.domain), prob.levelset).cuts
+    assert len(cuts) and np.all(cuts.loc_e % 2 == 1)
 
 
 @pytest.mark.parametrize("build", [build_uniform_tri, build_uniform_rect], ids=["tri", "rect"])
