@@ -25,6 +25,12 @@ construction. Jumps are oriented as (trace from T1) - (trace from T2) with
 the edge normal pointing out of T1; boundary edges use the single trace for
 both average and jump.
 
+The SPD solve eliminates a set of pairwise non-adjacent DOFs exactly, by one
+division each, and factors only the Schur complement on the rest with
+SuperLU. On the right-triangle meshes of the CR element the legs couple only
+to the hypotenuses beside them, so away from the interface they form such a
+set: two thirds of the DOFs, which SuperLU then never sees.
+
 scipy is imported inside the function that uses it, so that importing
 ifelab and validating a problem load numpy alone; a test in test_cli.py
 enforces this.
@@ -626,13 +632,37 @@ def build_jump_correction(ctx: Context) -> np.ndarray:
                             tab.beta_c[:, 0], g_D, g_N)
 
 
+def _independent_set(A) -> np.ndarray:
+    """Mask of the DOFs whose key (pattern degree, index) is below the key of
+    every neighbour in the pattern of the CSR matrix A.
+
+    The keys are unique, so no two chosen DOFs are adjacent. Every row holds
+    its positive diagonal, so a row's smallest key is its own exactly when
+    the DOF beats all its neighbours. The DOF with the smallest key is always
+    chosen.
+    """
+    n = A.shape[0]
+    key = np.diff(A.indptr).astype(np.int64) * n + np.arange(n)
+    return np.minimum.reduceat(key[A.indices], A.indptr[:-1]) == key
+
+
 def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray, int]:
     """Sparse direct solve of the SPD system; returns (x_free, 0 iterations).
 
-    SuperLU factors P A P^T = L U with a symmetric minimum-degree ordering and
-    diagonal pivots only, so U = D L^T and, by Sylvester's law of inertia, A is
-    SPD exactly when no off-diagonal pivot was taken and every pivot is
-    positive. The true residual ||b - Ax|| / ||b|| must then be at most
+    The DOFs I of ``_independent_set`` are pairwise non-adjacent, so A_II = D
+    is diagonal and is eliminated exactly: with R the remaining DOFs and
+    W = A_RI D^(-1/2), SuperLU factors only the Schur complement
+    S = A_RR - W W^T, and x_I = D^-1 (b_I - A_IR x_R) follows by one division
+    per DOF. On the right-triangle CR mesh I holds the legs away from the
+    interface, two thirds of the DOFs; on rq1 it holds a few DOFs. When every
+    DOF is in I, x = b / diag(A) and nothing is factored.
+
+    By Haynsworth's inertia additivity, A is SPD exactly when D and S are.
+    D > 0 is checked on the diagonal. SuperLU factors P S P^T = L U with a
+    symmetric minimum-degree ordering and diagonal pivots only, so U = D' L^T
+    and, by Sylvester's law of inertia, S is SPD exactly when no off-diagonal
+    pivot was taken and every pivot is positive. The true residual
+    ||b - Ax|| / ||b|| of the original system must then be at most
     10 (rtol + eps || |A| |x| || / ||b||), the second term being the rounding
     floor of evaluating it in float64. Raises SolverError when A is not SPD,
     is singular or misses that bound, and its subclass SolverMemoryError when
@@ -646,33 +676,53 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
     if not (0.0 < rtol < 1.0):
         raise ValueError("rtol must be in (0, 1)")
     n = len(b)
-    if np.any(A.diagonal() <= 0):
+    diag = A.diagonal()
+    if np.any(diag <= 0):
         raise SolverError("matrix not SPD: nonpositive diagonal")
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), 0
-    # no solution is formed when the factorization fails, so the achieved
-    # residual is that of x = 0
-    try:
-        lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-    except MemoryError as err:
-        raise SolverMemoryError(f"out of memory in the factorization: {err}",
-                                residual=1.0) from err
-    except RuntimeError as err:
-        # SuperLU reports allocation failures ("SUPERLU_MALLOC fails for ...",
-        # "Not enough memory ...") as RuntimeError, like a singular factor
-        msg = str(err).lower()
-        if "malloc" in msg or "memory" in msg:
+    ind = _independent_set(A)
+    I, R = np.flatnonzero(ind), np.flatnonzero(~ind)
+    d = diag[I]
+    rows = A[R]
+    A_RI = rows[:, I]
+    W = A_RI.copy()
+    W.data /= np.sqrt(d)[W.indices]
+    S = rows[:, R] - W @ W.T
+    # only S and A_RI live on under the factorization's peak
+    del rows, W
+    x = np.zeros(n)
+    fault = None  # a pivot that shows S is not SPD
+    if len(R):  # with every DOF in I, A is diagonal and nothing is factored
+        # no solution is formed when the factorization fails, so the achieved
+        # residual is that of x = 0
+        try:
+            # S is symmetric, so S.T, a CSC view of the same arrays, is S
+            lu = splu(S.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+        except MemoryError as err:
             raise SolverMemoryError(f"out of memory in the factorization: {err}",
                                     residual=1.0) from err
-        raise SolverError(f"matrix singular: {err}", residual=1.0) from err
-    x = lu.solve(b)
+        except RuntimeError as err:
+            # SuperLU reports allocation failures ("SUPERLU_MALLOC fails for ...",
+            # "Not enough memory ...") as RuntimeError, like a singular factor
+            msg = str(err).lower()
+            if "malloc" in msg or "memory" in msg:
+                raise SolverMemoryError(f"out of memory in the factorization: {err}",
+                                        residual=1.0) from err
+            raise SolverError(f"matrix singular: {err}", residual=1.0) from err
+        del S
+        x[R] = lu.solve(b[R] - A_RI @ (b[I] / d))
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            fault = "off-diagonal pivot"
+        elif np.any(lu.U.diagonal() <= 0):
+            fault = "nonpositive pivot"
+        del lu
+    x[I] = (b[I] - A_RI.T @ x[R]) / d
     residual = float(np.linalg.norm(b - A @ x)) / bnorm
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise SolverError("matrix not SPD: off-diagonal pivot", residual=residual)
-    if np.any(lu.U.diagonal() <= 0):
-        raise SolverError("matrix not SPD: nonpositive pivot", residual=residual)
+    if fault:
+        raise SolverError(f"matrix not SPD: {fault}", residual=residual)
     floor = np.finfo(float).eps * float(np.linalg.norm(abs(A) @ np.abs(x))) / bnorm
     if not residual <= 10.0 * (rtol + floor):
         raise SolverError(f"residual {residual:.3e} exceeds 10 x (rtol + {floor:.1e})",

@@ -14,6 +14,7 @@ from ifelab.assembly import (
     AssemblyError,
     SolverError,
     SolverMemoryError,
+    _independent_set,
     assemble,
     assemble_rhs,
     build_context,
@@ -296,6 +297,21 @@ class TestSolver:
         assert it == 0
         assert np.allclose(x, b, atol=1e-15)
 
+    def test_diagonal_matrix_factors_nothing(self, monkeypatch):
+        """Every DOF of a diagonal matrix is eliminated, so x = b / diag(A)
+        and SuperLU is never called."""
+        import scipy.sparse.linalg
+
+        def no_splu(*args, **kwargs):
+            raise AssertionError("splu called on an empty Schur complement")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
+        d = np.array([2.0, 4.0, 0.5])
+        sys_ = AssembledSystem(sp.diags(d, format="csr"), np.ones(3), np.arange(3),
+                               np.array([], dtype=int), np.array([]), 3)
+        x, _ = solve_spd(sys_)
+        np.testing.assert_array_equal(x, 1.0 / d)
+
     def test_two_by_two_analytic(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
         sys_ = AssembledSystem(A, np.array([3.0, 3.0]), np.arange(2),
@@ -351,7 +367,9 @@ class TestSolver:
             raise raised
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu)
-        sys_ = AssembledSystem(sp.identity(2, format="csr"), np.ones(2), np.arange(2),
+        # a coupled matrix, so that a 1 x 1 Schur complement reaches splu
+        A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        sys_ = AssembledSystem(A, np.ones(2), np.arange(2),
                                np.array([], dtype=int), np.array([]), 2)
         with pytest.raises(SolverError) as exc:
             solve_spd(sys_)
@@ -367,6 +385,65 @@ class TestSolver:
         res = np.linalg.norm(sys_.rhs - sys_.matrix @ x) / np.linalg.norm(sys_.rhs)
         assert res <= 1e-11
         assert it == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), structure=st.sampled_from(["random", "diagonal", "ring"]),
+           density=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_condensed_solve_equals_dense_solve(self, n, structure, density, seed):
+        """On random sparse matrices made SPD by diagonal dominance, the
+        eliminated DOFs are pairwise non-adjacent and the condensed solve
+        equals the dense one. A diagonal matrix puts every DOF in the set. On
+        a ring, where every DOF has the same degree, the set is only DOF 0:
+        the least key is always chosen, so it is never empty."""
+        rng = np.random.default_rng(seed)
+        i = np.arange(n)
+        mask = np.zeros((n, n), dtype=bool)
+        if structure == "random":
+            mask = np.triu(rng.random((n, n)) < density, 1)
+        elif structure == "ring":
+            mask[i, (i + 1) % n] = True
+            mask[i, i] = False
+        off = np.where(mask | mask.T, rng.uniform(-1.0, 1.0, (n, n)), 0.0)
+        off = np.triu(off, 1) + np.triu(off, 1).T
+        dense = off + np.diag(np.abs(off).sum(axis=1) + rng.uniform(0.1, 1.0, n))
+        A = sp.csr_matrix(dense)
+        b = rng.standard_normal(n)
+        ind = _independent_set(A)
+        assert np.count_nonzero(dense[np.ix_(ind, ind)]) == ind.sum()
+        if structure == "diagonal":
+            assert ind.all()
+        if structure == "ring":
+            assert np.flatnonzero(ind).tolist() == [0]
+        x, _ = solve_spd(AssembledSystem(A, b, i, np.array([], dtype=int),
+                                         np.array([]), n))
+        ref = np.linalg.solve(dense, b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_indefinite_schur_complement_detected(self):
+        """A has a unit diagonal, so diag(A) and the eliminated block A_II = 1
+        are positive, but S = [[0.5, 0.8], [0.8, 0.5]] is indefinite; the
+        pivots of S find A's one negative eigenvalue."""
+        A = np.array([[1.0, 0.0, 0.5, 0.5],
+                      [0.0, 1.0, 0.5, -0.5],
+                      [0.5, 0.5, 1.0, 0.8],
+                      [0.5, -0.5, 0.8, 1.0]])
+        assert np.linalg.eigvalsh(A)[0] < 0 < np.linalg.eigvalsh(A)[1]
+        assert _independent_set(sp.csr_matrix(A)).tolist() == [True, True, False, False]
+        sys_ = AssembledSystem(sp.csr_matrix(A), np.ones(4), np.arange(4),
+                               np.array([], dtype=int), np.array([]), 4)
+        with pytest.raises(SolverError, match="not SPD"):
+            solve_spd(sys_)
+
+    def test_eliminated_cr_dofs_are_pairwise_non_adjacent(self):
+        """On the right-triangle mesh the eliminated set is the legs away
+        from the interface: about two thirds of the free DOFs, no two of
+        them coupled."""
+        ctx = build_context(example1(10.0, 1000.0), build_uniform_tri(16), "cr")
+        A = assemble(ctx, "new").matrix
+        ind = _independent_set(A)
+        block = A[ind][:, ind]
+        assert block.nnz == ind.sum() and np.all(block.diagonal() > 0)
+        assert 0.5 < ind.mean() < 2.0 / 3.0
 
 
 class TestRotatedBilinearSolve:
@@ -801,3 +878,39 @@ class TestCutQuadrature:
         wts = np.concatenate([np.zeros(0)] + [w for _, w in rules])
         np.testing.assert_array_equal(tab.pts, pts)
         np.testing.assert_array_equal(tab.wts, wts)
+
+
+def full_lu_solve(system: AssembledSystem) -> np.ndarray:
+    """Reference solve: SuperLU on the whole free matrix, with solve_spd's
+    ordering and pivot options but no elimination."""
+    from scipy.sparse.linalg import splu
+
+    lu = splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    return lu.solve(system.rhs)
+
+
+class TestSolverAgreement:
+    """The gate for any change to solve_spd: on every example, element and
+    method, its solution equals the full factorization's and its true
+    residual meets solve_spd's own bound."""
+    PROBLEMS = {"ex1": lambda: example1(10.0, 1000.0), "ex2": example2, "ex3": example3,
+                "ex4": example4, "boundary": boundary_cut_problem}
+
+    @pytest.mark.parametrize("method", ["plain", "new", "ppifem"])
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    @pytest.mark.parametrize("example", list(PROBLEMS))
+    def test_solve_equals_full_factorization(self, example, kind, method):
+        prob = self.PROBLEMS[example]()
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        ctx = build_context(prob, build(16, prob.domain), kind)
+        correction = None if prob.homogeneous_jumps else build_jump_correction(ctx)
+        system = assemble(ctx, method, correction=correction)
+        x, _ = solve_spd(system)
+        ref = full_lu_solve(system)
+        assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+        A, b = system.matrix, system.rhs
+        bnorm = np.linalg.norm(b)
+        residual = np.linalg.norm(b - A @ x) / bnorm
+        floor = np.finfo(float).eps * np.linalg.norm(abs(A) @ np.abs(x)) / bnorm
+        assert residual <= 10.0 * (1e-12 + floor)
