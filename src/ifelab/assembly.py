@@ -90,8 +90,8 @@ class CutTable:
     stacks them. Quadrature point q lies in element ids[owner[q]], in its
     plus (piece[q] = 0) or minus (piece[q] = 1) sub-polygon; each element's
     points are contiguous from starts[row]. The edge terms read the
-    per-element arrays of this table through the EdgeTable of the interface
-    edges.
+    per-element arrays of this table, M among them, through the EdgeTable of
+    the interface edges; the unweighted Gram is not stored.
     """
 
     ids: np.ndarray         # (n_cut,) element ids
@@ -108,8 +108,7 @@ class CutTable:
     beta: np.ndarray        # (nq,) beta+- of each point's piece
     vals: np.ndarray        # (nq, m) values of the owner's basis
     grads: np.ndarray       # (nq, m, 2)
-    M: np.ndarray           # (n_cut, m-1, m-1) weighted Gram of the gradient space
-    G: np.ndarray           # unweighted Gram
+    M: np.ndarray           # (n_cut, m-1, m-1) beta-weighted Gram of the gradient space
     C: np.ndarray           # (m, m-1) gradient-space coefficients of each basis fn
     K: np.ndarray           # (n_cut, m, m) element stiffness = C M C^T
 
@@ -212,10 +211,9 @@ def _build_cut_table(prob, mesh, layout, kind) -> CutTable:
     nw = m - 1  # gradient space: gradients of the first m-1 basis functions
     gram = np.einsum("qkd,qld->qkl", grads[:, :nw], grads[:, :nw])
     M = np.add.reduceat((wts * beta)[:, None, None] * gram, starts, axis=0)
-    G = np.add.reduceat(wts[:, None, None] * gram, starts, axis=0)
     C = np.vstack([np.eye(nw), -np.ones(nw)])  # gradients sum to zero
     return CutTable(ids, row, coef, centers, beta_c, dof_rows, pts, wts,
-                    owner, piece, starts, beta, vals, grads, M, G, C, C @ M @ C.T)
+                    owner, piece, starts, beta, vals, grads, M, C, C @ M @ C.T)
 
 
 def _build_class_ctxs(mesh, ids, sides, kind) -> List[ClassCtx]:
@@ -281,9 +279,11 @@ class EdgeTable:
                 functions, whose slot sums are the jumps [phi_a]
     T_mat[k, a] = int_e {beta w_k . n_e} [phi_a] = psi W jump^T
     J           = int_e [phi_a][phi_b] = jump W jump^T
-    P           = int_e psi_k psi_l = psi W psi^T
-    M, G        = beta-weighted and unweighted int w_k . w_l over the
-                adjacent elements (block diagonal)
+    M           (n, 2, m-1, m-1) beta-weighted Gram int w_k . w_l of each
+                element slot, gathered from the cut table; identity in an
+                empty slot. The Gram over both elements is block diagonal,
+                so solves with it go slot by slot. P = psi W psi^T and the
+                unweighted Gram are not stored (see lifting_stability_ratio).
     C           (m, m-1) coefficients of the w_k in each element's grad(phi_j)
     beta_gamma  max beta+- at the interface crossing, the scale of the
                 default ppifem penalty
@@ -302,9 +302,7 @@ class EdgeTable:
     jump: np.ndarray
     T_mat: np.ndarray
     M: np.ndarray
-    G: np.ndarray
     J: np.ndarray
-    P: np.ndarray
     C: np.ndarray
     length: np.ndarray
     beta_gamma: np.ndarray
@@ -312,15 +310,14 @@ class EdgeTable:
     @property
     def avg(self) -> np.ndarray:
         """Weight of each trace in an edge average: 1/2, or 1 on a boundary edge."""
-        return np.where(self.elems[:, 1] >= 0, 0.5, 1.0)
+        return 1.0 / (self.elems >= 0).sum(axis=1)
 
     def lift(self, moments: np.ndarray) -> np.ndarray:
         """Gradient-space coefficients M^-1 moments (n, dim, k) of the lifted
-        traces, solved in one stack per number of adjacent elements."""
-        out = np.zeros_like(moments)
-        for sel, dim in _groups(self.elems[:, 1] >= 0, self.M.shape[1]):
-            out[sel, :dim] = np.linalg.solve(self.M[sel, :dim, :dim], moments[sel, :dim])
-        return out
+        traces, one solve per element slot. An empty slot's moments are zero
+        and its identity block lifts them to zero."""
+        n, dim, k = moments.shape
+        return np.linalg.solve(self.M, moments.reshape(n, 2, dim // 2, k)).reshape(n, dim, k)
 
     def to_slots(self, x: np.ndarray) -> np.ndarray:
         """D^T x for gradient-space rows x (n, dim, k), with D[k, a] the
@@ -328,11 +325,6 @@ class EdgeTable:
         giving rows over the 2m slots."""
         n, dim, k = x.shape
         return (self.C @ x.reshape(n, 2, dim // 2, k)).reshape(n, 2 * len(self.C), k)
-
-
-def _groups(two: np.ndarray, dim: int):
-    """(mask, Gram size) of the edges with two and with one adjacent element."""
-    return [(sel, d) for sel, d in ((two, dim), (~two, dim // 2)) if sel.any()]
 
 
 def build_edge_table(ctx: Context, eids) -> EdgeTable:
@@ -356,13 +348,13 @@ def build_edge_table(ctx: Context, eids) -> EdgeTable:
     if not known.all():
         raise AssemblyError(f"edge {eids[~known][0]} is not an interface edge")
     elems = mesh.edge_elems[eids]
-    rows = np.where(elems >= 0, tab.row[elems], 0)
-    missing = (elems >= 0) & (tab.row[elems] < 0)
+    present = elems >= 0
+    rows = np.where(present, tab.row[elems], 0)
+    missing = present & (tab.row[elems] < 0)
     if missing.any():
         e, i = np.argwhere(missing)[0]
         raise AssemblyError(f"edge {eids[e]}: element {elems[e, i]} carries no cut data")
-    two = elems[:, 1] >= 0
-    sign = np.where(elems >= 0, [1.0, -1.0], 0.0)
+    sign = np.where(present, [1.0, -1.0], 0.0)
     n_e = mesh.edge_normals[eids]
 
     # quadrature on the sub-segments a -> x_gamma -> b
@@ -383,7 +375,7 @@ def build_edge_table(ctx: Context, eids) -> EdgeTable:
     xs = np.concatenate([pts.reshape(-1, 2), x_gamma])
     bp, bm = ctx.prob.beta_plus(xs), ctx.prob.beta_minus(xs)
     beta = np.where(piece == 0, bp[:n * nq].reshape(n, 1, nq), bm[:n * nq].reshape(n, 1, nq))
-    beta = np.where(elems[:, :, None] >= 0, beta, 0.0)
+    beta = np.where(present[:, :, None], beta, 0.0)
     beta_gamma = np.maximum(bp[n * nq:], bm[n * nq:])
 
     # traces of both elements' bases, element slot by slot
@@ -391,32 +383,28 @@ def build_edge_table(ctx: Context, eids) -> EdgeTable:
     nb = m - 1
     vals, grads = evaluate(tab.coef[rows[:, :, None], :, piece], pts[:, None, :, None, :],
                            tab.centers[rows][:, :, None, None, :], mesh.kappa)
-    avg = np.where(two, 0.5, 1.0)
+    avg = 1.0 / present.sum(axis=1)
     normal = (np.moveaxis(grads[..., :nb, :], 3, 2) @ n_e[:, None, None, :, None])[..., 0]
     psi = ((avg[:, None, None, None] * beta[:, :, None, :]) * normal).reshape(n, 2 * nb, nq)
     jump = (sign[:, :, None, None] * np.moveaxis(vals, 2, 3)).reshape(n, 2 * m, nq)
-    dofs = np.where(elems[:, :, None] >= 0, mesh.elem_edges[elems], -1).reshape(n, 2 * m)
-    M = np.zeros((n, 2 * nb, 2 * nb))
-    G = np.zeros((n, 2 * nb, 2 * nb))
-    for i in (0, 1):
-        present = (elems[:, i, None, None] >= 0).astype(float)
-        blk = slice(i * nb, (i + 1) * nb)
-        M[:, blk, blk] = present * tab.M[rows[:, i]]
-        G[:, blk, blk] = present * tab.G[rows[:, i]]
+    dofs = np.where(present[:, :, None], mesh.elem_edges[elems], -1).reshape(n, 2 * m)
+    M = np.where(present[:, :, None, None], tab.M[rows], np.eye(nb))
 
-    cond = np.zeros(n)
-    for sel, dim in _groups(two, 2 * nb):
-        cond[sel] = np.linalg.cond(M[sel, :dim, :dim])
-    bad = ~(np.isfinite(cond) & (cond <= 1e12))
+    # the condition number of the block-diagonal Gram over the present slots:
+    # its extreme eigenvalues are the extremes over the blocks
+    lam = np.linalg.eigvalsh(M)
+    hi = lam.max(axis=(1, 2), where=present[:, :, None], initial=-np.inf)
+    lo = lam.min(axis=(1, 2), where=present[:, :, None], initial=np.inf)
+    cond = np.divide(hi, lo, out=np.full(n, np.inf), where=lo > 0)
+    bad = ~(cond <= 1e12)
     if bad.any():
         e = int(np.argmax(bad))
         raise AssemblyError(f"lifting Gram matrix ill-conditioned on edge {eids[e]} "
                             f"(cond={cond[e]:.2e})")
-    psi_w = psi * wq[:, None, :]
     jump_t = jump.transpose(0, 2, 1)
     return EdgeTable(eids, elems, rows, sign, dofs, pts, wq, piece, beta,
-                     psi, jump, psi_w @ jump_t, M, G, (jump * wq[:, None, :]) @ jump_t,
-                     psi_w @ psi.transpose(0, 2, 1), tab.C, mesh.edge_lengths[eids],
+                     psi, jump, (psi * wq[:, None, :]) @ jump_t, M,
+                     (jump * wq[:, None, :]) @ jump_t, tab.C, mesh.edge_lengths[eids],
                      beta_gamma)
 
 
@@ -434,24 +422,26 @@ def lift_trace(edges: EdgeTable, trace: Callable) -> np.ndarray:
     return edges.lift(moments)[..., 0]
 
 
-def lifting_stability_ratio(edges: EdgeTable) -> np.ndarray:
+def lifting_stability_ratio(ctx: Context, edges: EdgeTable) -> np.ndarray:
     """sup over traces of ||r_e(phi)|| * |e|^(1/2) / ||phi||_L2(e), per edge.
 
     The supremum is attained inside the span of the moment traces psi_k, so
-    it reduces to a small generalized eigenproblem on the range of P, solved
-    in one stack per number of adjacent elements.
+    it reduces to a small generalized eigenproblem on the range of
+    P = psi W psi^T. P and the unweighted Gram G are formed here, their only
+    reader; an empty slot's zero traces keep its rows of P out of the range.
     """
-    out = np.zeros(len(edges.edge_ids))
-    for sel, dim in _groups(edges.elems[:, 1] >= 0, edges.M.shape[1]):
-        P, M, G = (a[sel, :dim, :dim] for a in (edges.P, edges.M, edges.G))
-        lam, V = np.linalg.eigh(P)
-        keep = lam > 1e-12 * np.maximum(lam.max(axis=1, keepdims=True), 1e-300)
-        V = np.where(keep[:, None], V / np.sqrt(np.where(keep, lam, 1.0))[:, None], 0.0)
-        A = P @ np.linalg.solve(M, G @ np.linalg.solve(M, P))
-        B = V.transpose(0, 2, 1) @ A @ V
-        out[sel] = np.sqrt(np.maximum(np.linalg.eigvalsh(B).max(axis=1), 0.0)
-                           * edges.length[sel])
-    return out
+    tab = ctx.cut_table
+    n, dim, _ = edges.psi.shape
+    nb = dim // 2
+    grads = tab.grads[:, :nb]
+    G = tab.per_element(tab.wts[:, None, None] * np.einsum("qkd,qld->qkl", grads, grads))
+    P = (edges.psi * edges.wq[:, None, :]) @ edges.psi.transpose(0, 2, 1)
+    A = P @ edges.lift((G[edges.rows] @ edges.lift(P).reshape(n, 2, nb, dim)).reshape(P.shape))
+    lam, V = np.linalg.eigh(P)
+    keep = lam > 1e-12 * np.maximum(lam.max(axis=1, keepdims=True), 1e-300)
+    V = np.where(keep[:, None], V / np.sqrt(np.where(keep, lam, 1.0))[:, None], 0.0)
+    B = V.transpose(0, 2, 1) @ A @ V
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(B).max(axis=1), 0.0) * edges.length)
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +537,9 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
     free = np.nonzero(~boundary)[0]
     constrained = np.nonzero(boundary)[0]
     g_c = edge_means(ctx.prob.g_boundary, mesh, ctx.layout, constrained, EDGE_NPTS)
-    rhs = b[free] - A[free][:, constrained] @ g_c
-    return AssembledSystem(A[free][:, free], rhs, free, constrained, g_c, n)
+    A = A[free]  # the free rows, sliced once for both column blocks
+    rhs = b[free] - A[:, constrained] @ g_c
+    return AssembledSystem(A[:, free], rhs, free, constrained, g_c, n)
 
 
 def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,

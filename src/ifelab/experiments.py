@@ -5,7 +5,7 @@ import io
 import time
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -164,10 +164,10 @@ def _build_mesh(kind: str, N: int, box):
     return build_uniform_tri(N, box) if kind == CR else build_uniform_rect(N, box)
 
 
-def run_convergence(prob: ProblemSpec, method: str, kind: str, N_list,
-                    rtol: float = 1e-12, eta: Optional[float] = None,
-                    on_row=None) -> ConvergenceTable:
-    """Solve the problem across a refinement sequence and tabulate errors."""
+def _convergence(prob: ProblemSpec, method: str, kind: str, N_list,
+                 errors: Callable[[Context], Tuple[float, float]]) -> ConvergenceTable:
+    """Tabulate errors(ctx) -> (L2, H1) across a refinement sequence, one
+    timed row per N; an error raised in a row names the example and N."""
     Ns = _check_n_list(N_list)
     _ensure_validated(prob)
     table = ConvergenceTable(meta={"example": prob.name, "method": method,
@@ -176,31 +176,24 @@ def run_convergence(prob: ProblemSpec, method: str, kind: str, N_list,
         t0 = time.perf_counter()
         try:
             mesh = _build_mesh(kind, N, prob.domain)
-            ctx = build_context(prob, mesh, kind)
-            dofs, correction = solve(ctx, method, eta=eta, rtol=rtol)
-            l2, h1 = error_norms(ctx, dofs, correction)
+            l2, h1 = errors(build_context(prob, mesh, kind))
         except Exception as err:
             raise type(err)(f"{prob.name}, N={N}: {err}") from err
         table.add(N, mesh.h, int(mesh.n_edges), l2, h1, time.perf_counter() - t0)
-        if on_row is not None:
-            on_row(table.rows[-1])
     return table
+
+
+def run_convergence(prob: ProblemSpec, method: str, kind: str, N_list,
+                    rtol: float = 1e-12, eta: Optional[float] = None) -> ConvergenceTable:
+    """Solve the problem across a refinement sequence and tabulate errors."""
+    return _convergence(prob, method, kind, N_list, lambda ctx: error_norms(
+        ctx, *solve(ctx, method, eta=eta, rtol=rtol)))
 
 
 def interpolation_convergence(prob: ProblemSpec, kind: str, N_list) -> ConvergenceTable:
     """Errors of the edge-mean interpolant (no solve)."""
-    Ns = _check_n_list(N_list)
-    _ensure_validated(prob)
-    table = ConvergenceTable(meta={"example": prob.name, "method": "interpolation",
-                                   "element": kind})
-    for N in Ns:
-        t0 = time.perf_counter()
-        mesh = _build_mesh(kind, N, prob.domain)
-        ctx = build_context(prob, mesh, kind)
-        dofs = interpolate_ife(prob, mesh, ctx.layout)
-        l2, h1 = error_norms(ctx, dofs)
-        table.add(N, mesh.h, int(mesh.n_edges), l2, h1, time.perf_counter() - t0)
-    return table
+    return _convergence(prob, "interpolation", kind, N_list, lambda ctx: error_norms(
+        ctx, interpolate_ife(prob, ctx.mesh, ctx.layout)))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ class QuadratureRule:
 
     points: np.ndarray  # (n, dim)
     weights: np.ndarray  # (n,)
-    exact_degree: int
 
 
 @lru_cache(maxsize=None)
@@ -30,7 +29,7 @@ def segment_rule(npts: int) -> QuadratureRule:
     if npts < 1:
         raise ValueError("npts must be >= 1")
     x, w = leggauss(npts)
-    return QuadratureRule((x[:, None] + 1.0) / 2.0, w / 2.0, 2 * npts - 1)
+    return QuadratureRule((x[:, None] + 1.0) / 2.0, w / 2.0)
 
 
 @lru_cache(maxsize=None)
@@ -52,7 +51,7 @@ def reference_triangle_rule(degree: int) -> QuadratureRule:
     uu, vv = np.meshgrid(u, v, indexing="ij")
     pts = np.column_stack([uu.ravel(), (vv * (1.0 - uu)).ravel()])
     wts = np.outer(wu, wv).ravel()
-    return QuadratureRule(pts, wts, 2 * n - 1)
+    return QuadratureRule(pts, wts)
 
 
 def _map_triangles(tris: np.ndarray, ref: QuadratureRule):

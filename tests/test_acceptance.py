@@ -180,7 +180,7 @@ def test_criterion_8_lifting_operator():
     for N in (8, 16, 32, 64):
         ctx = build_context(prob, build_uniform_tri(N), "cr")
         edges = build_edge_table(ctx, ctx.layout.interface_edges)
-        maxima[N] = float(lifting_stability_ratio(edges).max())
+        maxima[N] = float(lifting_stability_ratio(ctx, edges).max())
         if N > 32:
             continue  # definitional residual checked at N in {8, 16, 32}
         coeffs = lift_trace(edges, trace)
@@ -193,7 +193,7 @@ def test_criterion_8_lifting_operator():
                 for k in range(nb):
                     w = tab.grads[sel, k]
                     lhs[off + k] = tab.wts[sel] @ (tab.beta[sel] * np.einsum("qi,qi->q", r, w))
-            rhs = M @ c
+            rhs = (M @ c.reshape(2, nb, 1)).ravel()  # per element slot
             worst_def = max(worst_def, float(np.abs(lhs - rhs).max())
                             / max(1.0, float(np.abs(rhs).max())))
     envelope = max(maxima[8], maxima[16], maxima[32])

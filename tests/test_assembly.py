@@ -202,7 +202,7 @@ class TestLifting:
 
     def test_zero_trace_lifts_to_zero(self):
         c = lift_trace(self.edges, lambda p: np.zeros(p.shape[:-1]))
-        assert c.shape == self.edges.M.shape[:2]
+        assert c.shape == self.edges.psi.shape[:2]
         assert np.abs(c).max() == 0.0
 
     def test_definition_residual(self):
@@ -219,7 +219,7 @@ class TestLifting:
                 for k in range(nb):
                     w = tab.grads[sel, k]
                     lhs[off + k] = tab.wts[sel] @ (tab.beta[sel] * np.einsum("qi,qi->q", r, w))
-            rhs = M @ c  # the assembled moments
+            rhs = (M @ c.reshape(2, nb, 1)).ravel()  # the assembled moments, slot by slot
             scale = max(1.0, np.abs(rhs).max())
             assert np.abs(lhs - rhs).max() <= 1e-10 * scale
 
@@ -280,7 +280,7 @@ class TestLifting:
         for N in (8, 16, 32, 64):
             ctx = build_context(self.prob, build_uniform_tri(N), "cr")
             edges = build_edge_table(ctx, ctx.layout.interface_edges)
-            maxima[N] = lifting_stability_ratio(edges).max()
+            maxima[N] = lifting_stability_ratio(ctx, edges).max()
         envelope = max(maxima[8], maxima[16], maxima[32])
         assert maxima[64] <= 1.05 * envelope
         assert max(maxima.values()) <= 25.0
@@ -797,7 +797,7 @@ class TestEdgeTable:
 
     @staticmethod
     def context(example, kind, N=16):
-        prob = {"ex1": lambda: example1(10.0, 1000.0), "ex4": example4,
+        prob = {"ex1": lambda: example1(10.0, 1000.0), "ex3": example3, "ex4": example4,
                 "boundary": boundary_cut_problem}[example]()
         build = build_uniform_tri if kind == "cr" else build_uniform_rect
         return build_context(prob, build(N, prob.domain), kind)
@@ -807,7 +807,8 @@ class TestEdgeTable:
         """Every row of the stacked table, its stacked lifting solve and its
         stability ratio equal those of its edge's table built alone, on
         interior edges and on edges with one adjacent element; the empty
-        element slot of the latter holds no DOF and zero traces."""
+        element slot of the latter holds no DOF, zero traces and an identity
+        Gram block, and lifts to exactly zero."""
         ctx = self.context(example, kind)
         eids = ctx.layout.interface_edges
         edges = build_edge_table(ctx, eids)
@@ -816,15 +817,15 @@ class TestEdgeTable:
         if example == "boundary":
             assert not two.all()
         arrays = ("elems", "rows", "sign", "dofs", "pts", "wq", "piece", "beta", "psi",
-                  "jump", "T_mat", "M", "G", "J", "P", "length", "beta_gamma")
+                  "jump", "T_mat", "M", "J", "length", "beta_gamma")
         lifted = edges.lift(edges.T_mat)
-        ratios = lifting_stability_ratio(edges)
+        ratios = lifting_stability_ratio(ctx, edges)
         for i, eid in enumerate(eids):
             alone = build_lifting_block(ctx, int(eid))
             assert alone.edge_ids.tolist() == [eid]
             ref = alone.lift(alone.T_mat)[0]
             assert np.abs(lifted[i] - ref).max() <= 1e-13 * np.abs(ref).max()
-            assert abs(ratios[i] - lifting_stability_ratio(alone)[0]) <= 1e-13 * ratios[i]
+            assert abs(ratios[i] - lifting_stability_ratio(ctx, alone)[0]) <= 1e-13 * ratios[i]
             for name in arrays:
                 a, b = getattr(edges, name)[i], getattr(alone, name)[0]
                 assert a.shape == b.shape, name
@@ -836,21 +837,40 @@ class TestEdgeTable:
         assert np.all(edges.dofs[one, m:] == -1)
         assert np.all(edges.jump[one, m:] == 0.0)
         assert np.all(edges.psi[one, m - 1:] == 0.0)
-        assert np.all(edges.M[one, m - 1:] == 0.0)
+        assert np.all(edges.M[one, 1] == np.eye(m - 1))
+        assert np.all(lifted[one, m - 1:] == 0.0)
 
     def test_ill_conditioned_gram_names_the_edge(self):
-        """A singular lifting Gram matrix on one element stops the build with
-        an AssemblyError that names an edge of that element."""
-        ctx = self.context("ex1", "cr", N=8)
-        eid = int(ctx.layout.interface_edges[3])
-        t = int(ctx.mesh.edge_elems[eid, 0])
-        ctx.cut_table.M[ctx.cut_table.row[t]] = 0.0
-        with pytest.raises(AssemblyError, match=r"ill-conditioned on edge \d+") as exc:
-            build_edge_table(ctx, ctx.layout.interface_edges)
-        named = int(str(exc.value).split("edge ")[1].split()[0])
-        assert t in ctx.mesh.edge_elems[named]
-        with pytest.raises(AssemblyError, match=f"edge {eid}"):
-            build_lifting_block(ctx, eid)
+        """A singular lifting Gram matrix on one element, or one scaled by
+        1e-13, stops the build with an AssemblyError that names an edge of
+        that element. The scaled block alone stays well conditioned, but the
+        block-diagonal Gram over both elements of an edge does not, and that
+        is the matrix the guard judges."""
+        for scale in (0.0, 1e-13):
+            ctx = self.context("ex1", "cr", N=8)
+            eid = int(ctx.layout.interface_edges[3])
+            t = int(ctx.mesh.edge_elems[eid, 0])
+            assert ctx.mesh.edge_elems[eid, 1] >= 0
+            ctx.cut_table.M[ctx.cut_table.row[t]] *= scale
+            if scale:
+                assert np.linalg.cond(ctx.cut_table.M[ctx.cut_table.row[t]]) <= 1e12
+            with pytest.raises(AssemblyError, match=r"ill-conditioned on edge \d+") as exc:
+                build_edge_table(ctx, ctx.layout.interface_edges)
+            named = int(str(exc.value).split("edge ")[1].split()[0])
+            assert t in ctx.mesh.edge_elems[named]
+            with pytest.raises(AssemblyError, match=f"edge {eid}"):
+                build_lifting_block(ctx, eid)
+
+    def test_no_interface_edges(self):
+        """ex3 on rectangles is cut only along element diagonals, so it has
+        no interface edges; its edge table is empty and lifts to an empty
+        array."""
+        ctx = self.context("ex3", "rq1")
+        assert len(ctx.cut_table.ids) and not len(ctx.layout.interface_edges)
+        edges = build_edge_table(ctx, ctx.layout.interface_edges)
+        lifted = edges.lift(edges.T_mat)
+        assert lifted.shape == (0, 6, 8) and edges.M.shape == (0, 2, 3, 3)
+        assert lifting_stability_ratio(ctx, edges).shape == (0,)
 
     def test_rejects_edges_without_a_crossing(self):
         ctx = self.context("ex1", "cr", N=8)

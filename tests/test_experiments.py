@@ -158,6 +158,26 @@ class TestRunConvergence:
         assert all(r.l2 <= 1e-10 for r in t.rows)
         assert all(r.iters == 0 for r in t.rows)
 
+    @pytest.mark.parametrize("step, study", [
+        ("solve", lambda prob: run_convergence(prob, "new", "cr", [4, 8])),
+        ("interpolate_ife", lambda prob: interpolation_convergence(prob, "cr", [4, 8]))])
+    def test_row_errors_name_example_and_n(self, monkeypatch, step, study):
+        """Both studies share one row loop, so an error raised in any row
+        names the example and the N of that row."""
+        real = getattr(experiments, step)
+        calls = []
+
+        def fail_on_second_row(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ArithmeticError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, step, fail_on_second_row)
+        prob = example3()
+        with pytest.raises(ArithmeticError, match=rf"^{prob.name}, N=8: boom$"):
+            study(prob)
+
     def test_renamed_copy_validated_after_original(self):
         """A spec derived from a validated one keeps its name but not its
         validation: a wrong source term is caught, not solved."""

@@ -262,13 +262,13 @@ class TestBatchedSolve:
         edges = build_edge_table(ctx, ctx.layout.interface_edges)
         trace = lambda p: np.sin(3 * p[..., 0]) + p[..., 1] ** 2
         lifted, moments = lift_trace(edges, trace), edges.lift(edges.T_mat)
-        ratios = lifting_stability_ratio(edges)
+        ratios = lifting_stability_ratio(ctx, edges)
         monkeypatch.setattr(np.linalg, "solve", solve_numpy1)
         for cut, coef in zip(cuts, ref):
             assert np.array_equal(ife_local_basis_direct(cut, CR, 2.0, 1.0).coef, coef)
         assert np.array_equal(lift_trace(edges, trace), lifted)
         assert np.array_equal(edges.lift(edges.T_mat), moments)
-        assert np.array_equal(lifting_stability_ratio(edges), ratios)
+        assert np.array_equal(lifting_stability_ratio(ctx, edges), ratios)
 
 
 class TestEdgeMeans:
