@@ -142,11 +142,19 @@ class ClassCtx:
         """(slice of ids, (e, nq, 2) points) per run of elements holding at
         most BLOCK_POINTS quadrature points. Evaluating problem data block by
         block keeps its temporaries in cache instead of streaming arrays of
-        millions of points through memory."""
-        step = max(1, BLOCK_POINTS // len(self.wts))
+        millions of points through memory.
+
+        Each element's points are one row of 2 nq values, its shift tiled nq
+        times plus the flattened reference points. Those are the sums of the
+        (e, 1, 2) + (1, nq, 2) broadcast, bit for bit, without that
+        broadcast's inner loop of length 2, which costs several times as
+        much per block."""
+        nq = len(self.wts)
+        step = max(1, BLOCK_POINTS // nq)
+        row = self.pts.ravel()
         for start in range(0, len(self.ids), step):
             s = slice(start, start + step)
-            yield s, self.shifts[s, None, :] + self.pts[None, :, :]
+            yield s, (np.tile(self.shifts[s], nq) + row).reshape(-1, nq, 2)
 
     def branch(self, plus: Callable, minus: Callable) -> Callable:
         """The callable of this class's side: plus or minus."""

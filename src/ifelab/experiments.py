@@ -38,9 +38,12 @@ def _ensure_validated(prob: ProblemSpec):
 
 
 def _squared_errors(wts, beta, ue, due, uh, duh):
-    """Weighted squared L2 and energy errors of (uh, duh) against (ue, due)."""
+    """Weighted squared L2 and energy errors of (uh, duh) against (ue, due).
+    The two gradient components are added explicitly: the same sum as
+    .sum(-1), without a reduction over an axis of length 2."""
+    dd = (due - duh) ** 2
     return (float(np.sum(wts * (ue - uh) ** 2)),
-            float(np.sum(wts * beta * ((due - duh) ** 2).sum(-1))))
+            float(np.sum(wts * beta * (dd[..., 0] + dd[..., 1]))))
 
 
 def error_norms(ctx: Context, dofs: np.ndarray, correction: Optional[np.ndarray] = None):

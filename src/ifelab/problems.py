@@ -89,29 +89,31 @@ def example1(beta_p: float = 10.0, beta_m: float = 1000.0) -> ProblemSpec:
     ls = LevelSet(phi=lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 - r0 ** 2,
                   grad=lambda x: 2.0 * np.asarray(x, float))
 
-    def bump(r):
-        """j, j', j'' of the C-infinity bump in the radial variable."""
+    def radial(x, beta, order):
+        """r and the derivatives R, R', ... up to R^(order) of R = j v, where
+        j is the C-infinity bump in the radial variable. Each caller pays
+        only for the derivatives it uses."""
+        r = np.hypot(x[..., 0], x[..., 1])
         w = (r - r0) / eta
         inside = np.abs(w) < 1.0 - 1e-12
         # s = 1 off the support keeps every step finite (and clear of pow's
         # slow path for a negative base); np.where discards those lanes
         s = np.where(inside, 1.0 - w ** 2, 1.0)
         g = np.exp(-1.0 / s)
-        q1 = -2.0 * w / s ** 2
-        q2 = -2.0 / s ** 2 - 8.0 * w ** 2 / s ** 3
-        return (np.where(inside, g, 0.0), np.where(inside, g * q1 / eta, 0.0),
-                np.where(inside, g * (q1 ** 2 + q2) / eta ** 2, 0.0))
-
-    def radial(x, beta):
-        r = np.hypot(x[..., 0], x[..., 1])
-        j, j1, j2 = bump(r)
+        j = np.where(inside, g, 0.0)
         v = 1.0 + (r ** 2 - r0 ** 2) / beta
-        v1 = 2.0 * r / beta
-        v2 = 2.0 / beta
-        R = j * v
-        R1 = j1 * v + j * v1
-        R2 = j2 * v + 2.0 * j1 * v1 + j * v2
-        return r, R, R1, R2
+        out = [r, j * v]
+        if order >= 1:
+            q1 = -2.0 * w / s ** 2
+            j1 = np.where(inside, g * q1 / eta, 0.0)
+            v1 = 2.0 * r / beta
+            out.append(j1 * v + j * v1)
+        if order >= 2:
+            q2 = -2.0 / s ** 2 - 8.0 * w ** 2 / s ** 3
+            j2 = np.where(inside, g * (q1 ** 2 + q2) / eta ** 2, 0.0)
+            v2 = 2.0 / beta
+            out.append(j2 * v + 2.0 * j1 * v1 + j * v2)
+        return out
 
     # the closures divide by r at every point and select with np.where, which
     # drops the 0/0 of r = 0
@@ -120,7 +122,7 @@ def example1(beta_p: float = 10.0, beta_m: float = 1000.0) -> ProblemSpec:
     def make_u(beta):
         def u(x):
             x = np.asarray(x, float)
-            r, R, _, _ = radial(x, beta)
+            r, R = radial(x, beta, 0)
             with np.errstate(**quiet):
                 return np.where(r > 0, R * x[..., 1] / r, 0.0)
         return u
@@ -128,7 +130,7 @@ def example1(beta_p: float = 10.0, beta_m: float = 1000.0) -> ProblemSpec:
     def make_grad(beta):
         def grad(x):
             x = np.asarray(x, float)
-            r, R, R1, _ = radial(x, beta)
+            r, R, R1 = radial(x, beta, 1)
             m = r > 0
             with np.errstate(**quiet):
                 sin = x[..., 1] / r
@@ -141,7 +143,7 @@ def example1(beta_p: float = 10.0, beta_m: float = 1000.0) -> ProblemSpec:
     def make_f(beta):
         def f(x):
             x = np.asarray(x, float)
-            r, R, R1, R2 = radial(x, beta)
+            r, R, R1, R2 = radial(x, beta, 2)
             with np.errstate(**quiet):
                 sin = x[..., 1] / r
                 return np.where(r > 0, -beta * (R2 + R1 / r - R / r ** 2) * sin, 0.0)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifelab.assembly import (
+    BLOCK_POINTS,
     EDGE_NPTS,
     VOLUME_DEGREE,
     AssembledSystem,
@@ -714,6 +715,35 @@ class TestClassBlocks:
         assert abs(A0 - A1).max() == 0.0
         np.testing.assert_array_equal(b0, b1)
         np.testing.assert_allclose(e1, e0, rtol=1e-13)
+
+    @pytest.mark.parametrize("N", [2, 64])
+    @pytest.mark.parametrize("kind, nq", [("cr", 16), ("rq1", 64)])
+    def test_blocks_are_the_broadcast_points_over_ids_in_order(self, kind, nq, N):
+        """Each block's points are shifts[s, None, :] + pts[None] bit for bit,
+        and the slices cover ids exactly once, in order. At N=2 every class
+        is shorter than one block; at N=64 some class spans several blocks
+        and ends on a partial one."""
+        prob = example1(10.0, 1000.0)
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        ctx = build_context(prob, build(N, prob.domain), kind)
+        counts = []
+        for cl in ctx.classes:
+            assert len(cl.wts) == nq
+            blocks = list(cl.blocks())
+            counts.append((len(blocks), len(cl.ids[blocks[-1][0]])))
+            stop = 0
+            for s, pts in blocks:
+                assert s.start == stop
+                stop = min(s.stop, len(cl.ids))
+                want = cl.shifts[s, None, :] + cl.pts[None]
+                assert pts.shape == want.shape == (stop - s.start, nq, 2)
+                assert np.array_equal(pts.view(np.int64), want.view(np.int64))
+            assert stop == len(cl.ids)
+        step = BLOCK_POINTS // nq
+        if N == 2:
+            assert all(n == 1 and last < step for n, last in counts)
+        else:
+            assert any(n > 1 and 0 < last < step for n, last in counts)
 
 
 class TestClassSides:

@@ -67,6 +67,19 @@ class TestErrorNorms:
         assert abs(l2b - 2.0 * l2a) <= 1e-9 * l2a
         assert abs(h1b - 2.0 * h1a) <= 1e-9 * h1a
 
+    @pytest.mark.parametrize("shape", [(37, 16), (1000,)], ids=["block", "cut"])
+    def test_squared_errors_equal_reduction_form_bitwise(self, shape):
+        """Adding the two gradient components explicitly gives the bits of
+        the .sum(-1) reduction, on uncut-block and cut-table shapes."""
+        rng = np.random.default_rng(11)
+        wts = rng.uniform(0.0, 1e-3, shape[-1:])
+        beta, ue, uh = (rng.standard_normal(shape) for _ in range(3))
+        due, duh = (rng.standard_normal(shape + (2,)) for _ in range(2))
+        want = (float(np.sum(wts * (ue - uh) ** 2)),
+                float(np.sum(wts * beta * ((due - duh) ** 2).sum(-1))))
+        got = experiments._squared_errors(wts, beta, ue, due, uh, duh)
+        assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
 
 class TestConvergenceTable:
     def test_rates_from_error_column(self):

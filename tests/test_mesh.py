@@ -80,6 +80,19 @@ def test_tables_match_reference_walk(kind, build, N):
         assert np.array_equal(got, want), name
 
 
+@pytest.mark.parametrize("build", [build_uniform_tri, build_uniform_rect],
+                         ids=["tri", "rect"])
+@pytest.mark.parametrize("N", [7, 64])
+def test_centroids_equal_vertex_mean_bitwise(build, N):
+    """element_centroids sums the vertices one by one; on a box whose
+    coordinates round, it still gives the bits of the (n, nv, 2) mean."""
+    m = build(N, (-0.3, 1.7, 0.1, 2.9))
+    want = m.nodes[m.elements].mean(axis=1)
+    got = m.element_centroids()
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestTriMesh:
     def test_counts_n1(self):
         m = build_uniform_tri(1, (0, 1, 0, 1))

@@ -82,6 +82,26 @@ class TestExample1:
                 assert new.shape == want.shape
                 assert np.array_equal(new.view(np.int64), want.view(np.int64))
 
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    def test_fields_on_class_blocks_match_masked_reference_bitwise(self, kind):
+        """The (e, nq, 2) point blocks that the uncut-element passes build
+        give, through u, grad u and f of both sides, the masked reference's
+        values bit for bit."""
+        from ifelab.assembly import build_context
+        from ifelab.mesh import build_uniform_rect, build_uniform_tri
+
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        ctx = build_context(self.prob, build(32, self.prob.domain), kind)
+        for cl in ctx.classes:
+            for _, pts in cl.blocks():
+                assert pts.ndim == 3
+                for side, b in (("plus", 10.0), ("minus", 1000.0)):
+                    for name, ref in zip(("u_", "grad_u_", "f_"), masked_fields(b)):
+                        got = getattr(self.prob, name + side)(pts)
+                        want = ref(pts)
+                        assert got.shape == want.shape
+                        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
 
 class TestExample2:
     def setup_method(self):
