@@ -3,7 +3,7 @@
 import argparse
 import sys
 
-from ifelab.experiments import emit, interpolation_convergence
+from ifelab.experiments import emit, interpolation_convergence, n_sequence
 from ifelab.problems import get_example
 
 
@@ -16,11 +16,7 @@ def main(argv=None):
     ap.add_argument("--nmax", type=int, default=128)
     args = ap.parse_args(argv)
     prob = get_example(args.example, args.beta_plus, args.beta_minus)
-    Ns = []
-    n = 8
-    while n <= args.nmax:
-        Ns.append(n)
-        n *= 2
+    Ns = n_sequence(8, args.nmax)
     for kind in ("cr", "rq1"):
         print(emit(interpolation_convergence(prob, kind, Ns), "text"))
     return 0

@@ -12,17 +12,8 @@ import pathlib
 import sys
 import time
 
-from ifelab.experiments import emit, run_convergence
+from ifelab.experiments import emit, n_sequence, run_convergence
 from ifelab.problems import get_example
-
-
-def n_seq(nmin, nmax):
-    out = []
-    n = nmin
-    while n <= nmax:
-        out.append(n)
-        n *= 2
-    return out
 
 
 def main(argv=None):
@@ -36,13 +27,13 @@ def main(argv=None):
 
     jobs = [
         ("table1", "ex1", dict(beta_p=10.0, beta_m=1000.0), ["plain", "new"],
-         n_seq(8, args.nmax)),
+         n_sequence(8, args.nmax)),
         ("table2", "ex1", dict(beta_p=1000.0, beta_m=10.0), ["plain", "new"],
-         n_seq(8, args.nmax)),
-        ("table3", "ex3", {}, ["plain", "new"], n_seq(8, min(32, args.nmax))),
+         n_sequence(8, args.nmax)),
+        ("table3", "ex3", {}, ["plain", "new"], n_sequence(8, min(32, args.nmax))),
         ("figure4", "ex2", {}, ["plain", "new", "ppifem"],
-         n_seq(16, min(128, args.nmax))),
-        ("table5", "ex4", {}, ["plain", "new"], n_seq(8, args.nmax)),
+         n_sequence(16, min(128, args.nmax))),
+        ("table5", "ex4", {}, ["plain", "new"], n_sequence(8, args.nmax)),
     ]
     t0 = time.time()
     for label, example, kw, methods, Ns in jobs:

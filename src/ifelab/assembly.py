@@ -48,9 +48,10 @@ if TYPE_CHECKING:
 from .cutting import CutLayout, build_layout
 from .geometry import INTERFACE, INTERIOR_MINUS, INTERIOR_PLUS
 from .ife_space import (
-    CR,
+    EDGE_NPTS,
     _dof_rows,
     _solve_local,
+    check_kind,
     edge_means,
     evaluate,
     jump_corrections,
@@ -62,7 +63,6 @@ from .quadrature import polygon_points_weights, polygons_points_weights, segment
 
 METHODS = ("plain", "new", "ppifem")
 VOLUME_DEGREE = 6  # exact degree of the element and sub-polygon rules
-EDGE_NPTS = 5      # Gauss points per edge segment, chord and boundary edge
 BLOCK_POINTS = 16384  # quadrature points per block of uncut elements
 
 
@@ -163,12 +163,11 @@ class ClassCtx:
 
 @dataclass
 class Context:
-    """Everything assembled forms need for one (problem, mesh, kind) triple."""
+    """Everything assembled forms need for one (problem, mesh) pair."""
 
     prob: object
     mesh: UnfittedMesh
     layout: CutLayout
-    kind: str
     cut_table: CutTable
     classes: List[ClassCtx]
 
@@ -189,7 +188,7 @@ class AssembledSystem:
         return full
 
 
-def _build_cut_table(prob, mesh, layout, kind) -> CutTable:
+def _build_cut_table(prob, mesh, layout) -> CutTable:
     """Bases, quadrature and Gram matrices of all cut elements at once.
 
     beta_plus and beta_minus are each called once on the chord midpoints
@@ -198,11 +197,10 @@ def _build_cut_table(prob, mesh, layout, kind) -> CutTable:
     """
     cuts = layout.cuts
     ids = cuts.ids
-    m = 3 if kind == CR else 4
     mids = 0.5 * (cuts.D + cuts.E)
     beta_c = np.column_stack([prob.beta_plus(mids), prob.beta_minus(mids)]).reshape(-1, 2)
     dof_rows = _dof_rows(cuts, mesh.kappa)
-    coef = _solve_local(cuts, kind, beta_c, mesh.kappa, dof_rows)
+    coef = _solve_local(cuts, beta_c, mesh.kappa, dof_rows)
     centers = cuts.vertices.mean(axis=1)
     row = np.full(mesh.n_elements, -1)
     row[ids] = np.arange(len(ids))
@@ -216,7 +214,7 @@ def _build_cut_table(prob, mesh, layout, kind) -> CutTable:
     vals, grads = evaluate(coef[owner, :, piece], pts[:, None, :],
                            centers[owner][:, None, :], mesh.kappa)
 
-    nw = m - 1  # gradient space: gradients of the first m-1 basis functions
+    nw = coef.shape[1] - 1  # gradient space: gradients of the first m-1 basis fns
     gram = np.einsum("qkd,qld->qkl", grads[:, :nw], grads[:, :nw])
     M = np.add.reduceat((wts * beta)[:, None, None] * gram, starts, axis=0)
     C = np.vstack([np.eye(nw), -np.ones(nw)])  # gradients sum to zero
@@ -224,12 +222,12 @@ def _build_cut_table(prob, mesh, layout, kind) -> CutTable:
                     owner, piece, starts, beta, vals, grads, M, C, C @ M @ C.T)
 
 
-def _build_class_ctxs(mesh, ids, sides, kind) -> List[ClassCtx]:
+def _build_class_ctxs(mesh, ids, sides) -> List[ClassCtx]:
     """The uncut elements ids of one congruence class, split by their sides;
     both parts share the reference data of the class's first element."""
     ref = mesh.element_vertices(int(ids[0]))
     pts, wts = polygon_points_weights(ref, VOLUME_DEGREE)
-    lam = standard_local_basis(ref, kind, mesh.kappa)
+    lam = standard_local_basis(ref, kappa=mesh.kappa)
     vals, grads = evaluate(lam, pts[:, None, :], ref.mean(axis=0), mesh.kappa)
     gouter = np.einsum("qid,qjd->qij", grads, grads)
     parts = [(side, ids[sides == side]) for side in (INTERIOR_PLUS, INTERIOR_MINUS)]
@@ -243,8 +241,10 @@ def build_context(prob, mesh: UnfittedMesh, kind: str,
 
     One batched dense solve builds the immersed bases of every cut element,
     triangles and rectangles alike. The uncut elements of each congruence
-    class are split by their layout side into one ClassCtx per side.
+    class are split by their layout side into one ClassCtx per side. The
+    mesh decides the element; kind is only held against it by check_kind.
     """
+    check_kind(kind, mesh.elements.shape[1])
     if layout is None:
         layout = build_layout(mesh, prob.levelset)
     classes = []
@@ -252,9 +252,8 @@ def build_context(prob, mesh: UnfittedMesh, kind: str,
         sides = layout.classes[ids]
         uncut = sides != INTERFACE
         if uncut.any():
-            classes += _build_class_ctxs(mesh, ids[uncut], sides[uncut], kind)
-    return Context(prob, mesh, layout, kind, _build_cut_table(prob, mesh, layout, kind),
-                   classes)
+            classes += _build_class_ctxs(mesh, ids[uncut], sides[uncut])
+    return Context(prob, mesh, layout, _build_cut_table(prob, mesh, layout), classes)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +543,7 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
     boundary = mesh.boundary_edges
     free = np.nonzero(~boundary)[0]
     constrained = np.nonzero(boundary)[0]
-    g_c = edge_means(ctx.prob.g_boundary, mesh, ctx.layout, constrained, EDGE_NPTS)
+    g_c = edge_means(ctx.prob.g_boundary, mesh, ctx.layout, constrained)
     A = A[free]  # the free rows, sliced once for both column blocks
     rhs = b[free] - A[:, constrained] @ g_c
     return AssembledSystem(A[:, free], rhs, free, constrained, g_c, n)

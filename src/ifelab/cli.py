@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .assembly import AssemblyError, SolverError
-from .experiments import basis_stress_test, emit, run_convergence
+from .experiments import basis_stress_test, emit, n_sequence, run_convergence
 from .geometry import GeometryError
 from .ife_space import UnisolvenceError
 from .problems import ValidationError, get_example, validate
@@ -21,22 +21,11 @@ EXIT_SOLVER = 3
 EXIT_RATES = 4
 
 
-def _n_sequence(nmin: int, nmax: int):
-    if nmin < 1 or nmax < nmin:
-        raise ValueError("need 1 <= nmin <= nmax")
-    out = []
-    n = nmin
-    while n <= nmax:
-        out.append(n)
-        n *= 2
-    return out
-
-
 def _cmd_run(args) -> int:
     prob = get_example(args.example, args.beta_plus, args.beta_minus)
     try:
         table = run_convergence(prob, args.method, args.element,
-                                _n_sequence(args.nmin, args.nmax),
+                                n_sequence(args.nmin, args.nmax),
                                 rtol=args.rtol, eta=args.eta)
     except ValidationError as err:
         print(err, file=sys.stderr)

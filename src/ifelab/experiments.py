@@ -154,6 +154,18 @@ def emit(table: ConvergenceTable, fmt: str = "csv") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+def n_sequence(nmin: int, nmax: int):
+    """Powers-of-two refinement sequence nmin, 2 nmin, ... up to nmax."""
+    if nmin < 1 or nmax < nmin:
+        raise ValueError("need 1 <= nmin <= nmax")
+    out = []
+    n = nmin
+    while n <= nmax:
+        out.append(n)
+        n *= 2
+    return out
+
+
 def _check_n_list(N_list):
     Ns = list(N_list)
     if not Ns or any(n & (n - 1) for n in Ns) or sorted(set(Ns)) != Ns:

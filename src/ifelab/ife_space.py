@@ -2,15 +2,18 @@
 
 Two element families share one edge-mean DOF layout: linear triangles (kind
 'cr') and rotated bilinear rectangles (kind 'rq1', span {1, x1, x2,
-x1^2 - (kappa*x2)^2}). Every local function is a coefficient array over the
-monomials 1, dx, dy, dx^2 - kappa^2 dy^2 about the element centre (the last
-coefficient is zero for 'cr'), and ``evaluate`` is the one function that
-evaluates such arrays at points. An uncut basis is an (m, 4) array; an
-immersed basis is an (m, 2, 4) array, DOF x piece (plus, minus) x monomial,
-with the two pieces glued along the chord: values match at both chord
-endpoints, the rq1 curvature coefficients match, and the weighted normal
-derivative is continuous at the chord midpoint. Basis functions stay dual to
-the edge means, with cut edges integrated piecewise.
+x1^2 - (kappa*x2)^2}), told apart by the vertex count alone: 3 or 4, which is
+also the number of DOFs and of spanning monomials. A kind passed to a public
+entry point is only checked against it (``check_kind``). Every local
+function is a coefficient array over the monomials 1, dx, dy,
+dx^2 - kappa^2 dy^2 about the element centre (the last coefficient is zero
+for 'cr'), and ``evaluate`` is the one function that evaluates such arrays
+at points. An uncut basis is an (m, 4) array; an immersed basis is an
+(m, 2, 4) array, DOF x piece (plus, minus) x monomial, with the two pieces
+glued along the chord: values match at both chord endpoints, the rq1
+curvature coefficients match, and the weighted normal derivative is
+continuous at the chord midpoint. Basis functions stay dual to the edge
+means, with cut edges integrated piecewise.
 
 One batched dense solve (``_solve_local``) builds the immersed bases of all
 cut elements of either kind; ``ife_local_basis_direct`` is its one-element
@@ -32,12 +35,19 @@ CR = "cr"
 RQ1 = "rq1"
 
 _MEAN_NPTS = 4  # exact for the quadratic monomials along any straight edge
+EDGE_NPTS = 5   # Gauss points per edge segment, chord and boundary edge
 # a local system at or above this condition number is singular to roundoff
 COND_MAX = 1.0 / np.finfo(float).eps
 
 
 class UnisolvenceError(RuntimeError):
     """The local DOF system is singular or numerically unreliable."""
+
+
+def check_kind(kind: str, nv: int):
+    """Raise ValueError unless kind is the element kind of nv-vertex elements."""
+    if {CR: 3, RQ1: 4}.get(kind) != nv:
+        raise ValueError(f"element kind {kind!r} does not fit {nv}-vertex elements")
 
 
 def evaluate(coef, x, center, kappa: float = 1.0):
@@ -65,7 +75,7 @@ def _segment_means(p, q, center, kappa):
     return np.einsum("q,...qk->...k", rule.weights, vals)
 
 
-def standard_local_basis(vertices, kind: str, kappa: float = 1.0) -> np.ndarray:
+def standard_local_basis(vertices, *, kappa: float = 1.0) -> np.ndarray:
     """Coefficients (m, 4) of the uncut basis, dual to the edge means.
 
     Triangles come from the closed form 1 - 2*mu with mu the barycentric
@@ -73,24 +83,20 @@ def standard_local_basis(vertices, kind: str, kappa: float = 1.0) -> np.ndarray:
     """
     verts = np.asarray(vertices, float)
     center = verts.mean(axis=0)
-    if kind == CR:
-        if verts.shape[0] != 3:
-            raise ValueError("cr needs a triangle")
+    if len(verts) == 3:
         # barycentric coordinates as affine functions, columns (const, gx, gy)
         mu = np.linalg.solve(np.column_stack([np.ones(3), verts]), np.eye(3))
         c0, gx, gy = mu[:, [2, 0, 1]]  # vertex opposite edge (v_i, v_{i+1})
         g = -2.0 * np.array([gx, gy])
         return np.column_stack([1.0 - 2.0 * c0 + g[0] * center[0] + g[1] * center[1],
                                 g[0], g[1], np.zeros(3)])
-    if kind == RQ1:
-        if verts.shape[0] != 4:
-            raise ValueError("rq1 needs a rectangle")
+    if len(verts) == 4:
         A = _segment_means(verts, np.roll(verts, -1, axis=0), center, kappa)
         try:
             return np.linalg.solve(A, np.eye(4)).T
         except np.linalg.LinAlgError as err:
             raise UnisolvenceError("degenerate rectangle") from err
-    raise ValueError(f"unknown kind {kind!r}")
+    raise ValueError(f"no element has {len(verts)} vertices")
 
 
 @dataclass
@@ -102,7 +108,6 @@ class LocalIFEBasis:
     """
 
     cut: Cuts
-    kind: str
     beta_c_plus: float
     beta_c_minus: float
     coef: np.ndarray
@@ -146,32 +151,31 @@ def _dof_rows(cuts: Cuts, kappa: float) -> np.ndarray:
     return rows
 
 
-def _solve_local(cuts: Cuts, kind, beta, kappa, rows) -> np.ndarray:
+def _solve_local(cuts: Cuts, beta, kappa, rows) -> np.ndarray:
     """Dense solve of the glue conditions and edge-mean duality on the cut
     elements cuts, all in one stack: coefficients (n, m, 2, 4).
 
     beta (n, 2) holds beta+- at the chord midpoints, rows (n, m, 2, 4) the
-    elements' _dof_rows. Raises UnisolvenceError naming the first element
-    whose system is singular to roundoff (condition number at or above
-    COND_MAX), and warns of each element whose system has a condition number
-    above 1e12.
+    elements' _dof_rows. The m = nv DOFs of an nv-vertex element go with its
+    first nv monomials; on rectangles the curvature coefficients glue too.
+    Raises UnisolvenceError naming the first element whose system is
+    singular to roundoff (condition number at or above COND_MAX), and warns
+    of each element whose system has a condition number above 1e12.
     """
-    k = 3 if kind == CR else 4  # monomials spanning the local space
-    n = len(cuts)
+    n, nv = rows.shape[:2]
     beta = np.asarray(beta, float)
     if np.any(beta <= 0):
         raise ValueError("coefficients must be positive")
-    nv = rows.shape[1]
     n_h, D, E = cuts.n_h, cuts.D, cuts.E
     vals, grads = evaluate(np.eye(4), np.stack([D, E, 0.5 * (D + E)], axis=1)[:, :, None],
                            cuts.vertices.mean(axis=1)[:, None, None], kappa)
-    glue = [vals[:, 0, :k], vals[:, 1, :k]]  # values at D and at E
-    if kind == RQ1:
+    glue = [vals[:, 0, :nv], vals[:, 1, :nv]]  # values at D and at E
+    if nv == 4:
         glue.append(np.broadcast_to(np.eye(4)[3], (n, 4)))  # curvature coefficient
-    gn = (grads[:, 2, :k] @ n_h[:, :, None])[..., 0]
+    gn = (grads[:, 2, :nv] @ n_h[:, :, None])[..., 0]
     flux = np.concatenate([beta[:, :1] * gn, -beta[:, 1:] * gn], axis=1)
     A = np.concatenate([np.stack([np.concatenate([r, -r], axis=1) for r in glue] + [flux],
-                                 axis=1), rows[..., :k].reshape(n, nv, 2 * k)], axis=1)
+                                 axis=1), rows[..., :nv].reshape(n, nv, 2 * nv)], axis=1)
     cond = np.linalg.cond(A)
     singular = ~(cond < COND_MAX)  # NaN included
     if singular.any():
@@ -183,7 +187,7 @@ def _solve_local(cuts: Cuts, kind, beta, kappa, rows) -> np.ndarray:
                       f"on element {cuts.ids[i]}", RuntimeWarning, stacklevel=3)
     # unit edge means below the glue rows, one copy per element: NumPy 1.x
     # would read a 2-D b against the stack A as a stack of vectors
-    rhs = np.broadcast_to(np.eye(2 * k, nv, nv - 2 * k), (n, 2 * k, nv))
+    rhs = np.broadcast_to(np.eye(2 * nv, nv, -nv), (n, 2 * nv, nv))
     try:
         sol = np.linalg.solve(A, rhs)
         sol += np.linalg.solve(A, rhs - A @ sol)  # one refinement step
@@ -191,17 +195,18 @@ def _solve_local(cuts: Cuts, kind, beta, kappa, rows) -> np.ndarray:
         worst = cuts.ids[int(np.argmax(cond))]
         raise UnisolvenceError(f"singular local system on element {worst}") from err
     coef = np.zeros((n, nv, 2, 4))
-    coef[..., :k] = sol.transpose(0, 2, 1).reshape(n, nv, 2, k)
+    coef[..., :nv] = sol.transpose(0, 2, 1).reshape(n, nv, 2, nv)
     return coef
 
 
 def ife_local_basis_direct(cut: Cuts, kind: str, beta_c_plus: float,
                            beta_c_minus: float, kappa: float = 1.0) -> LocalIFEBasis:
     """Dense-solve construction of the immersed basis on the element cut, a
-    Cuts batch of one: _solve_local on one element."""
+    Cuts batch of one: _solve_local on one element, after check_kind."""
+    check_kind(kind, cut.vertices.shape[1])
     beta, rows = [[beta_c_plus, beta_c_minus]], _dof_rows(cut, kappa)
-    coef = _solve_local(cut, kind, beta, kappa, rows)[0]
-    return LocalIFEBasis(cut, kind, beta_c_plus, beta_c_minus, coef, kappa)
+    coef = _solve_local(cut, beta, kappa, rows)[0]
+    return LocalIFEBasis(cut, beta_c_plus, beta_c_minus, coef, kappa)
 
 
 def jump_corrections(coef, rows, center, chords, n_h, beta_plus, g_D, g_N) -> np.ndarray:
@@ -268,7 +273,7 @@ def _sm_preamble(cut: Cuts):
     e3 = ({0, 1, 2} - {e1, e2}).pop()
     A3 = verts[_common_vertex(e1, e2, 3)]
 
-    lt = standard_local_basis(verts, CR)[[e1, e2, e3]]
+    lt = standard_local_basis(verts)[[e1, e2, e3]]
     gamma = lt[:2, 1:3] @ n_h  # the gradients of affine functions are constant
     L_A3 = float(n_h @ (A3 - D))
     edge_len = [np.linalg.norm(verts[(i + 1) % 3] - verts[i]) for i in range(3)]
@@ -313,7 +318,7 @@ def ife_local_basis_cr_sm(cut: Cuts, beta_c_plus: float,
     normal = [n_h @ (cut.vertices[0].mean(axis=0) - cut.D[0]), n_h[0], n_h[1], 0.0]
     iso = quad + np.outer(q, normal)
     coef = np.stack([iso, quad] if sigma_iso > 0 else [quad, iso], axis=1)
-    return LocalIFEBasis(cut, CR, beta_c_plus, beta_c_minus, coef)
+    return LocalIFEBasis(cut, beta_c_plus, beta_c_minus, coef)
 
 
 def sm_geometry_checks(cut: Cuts, beta_c_plus: float, beta_c_minus: float):
@@ -331,12 +336,12 @@ def sm_geometry_checks(cut: Cuts, beta_c_plus: float, beta_c_minus: float):
     return gd, k[0] * k[1], margin
 
 
-def edge_means(func: Callable, mesh, layout, ids, npts: int = 5) -> np.ndarray:
+def edge_means(func: Callable, mesh, layout, ids) -> np.ndarray:
     """Means of a scalar function along the mesh edges ids.
 
     An interface edge of layout is integrated as the two sub-segments that
-    meet at its crossing; func is called once, on the points of every
-    sub-segment.
+    meet at its crossing, each by the EDGE_NPTS-point rule; func is called
+    once, on the points of every sub-segment.
     """
     ids = np.asarray(ids, dtype=int)
     a = mesh.nodes[mesh.edges[ids, 0]]
@@ -348,7 +353,7 @@ def edge_means(func: Callable, mesh, layout, ids, npts: int = 5) -> np.ndarray:
     x = layout.crossings[at[cut]].reshape(-1, 2)
     p = np.concatenate([a[whole], a[cut], x])
     q = np.concatenate([b[whole], x, b[cut]])
-    rule = segment_rule(npts)
+    rule = segment_rule(EDGE_NPTS)
     pts = p[:, None, :] + rule.points[None, :, :] * (q - p)[:, None, :]
     seg = np.asarray(func(pts), float) @ rule.weights
     out = np.empty(len(ids))

@@ -68,10 +68,8 @@ def one_element_mesh(verts) -> UnfittedMesh:
     """
     nodes = np.asarray(verts, float)
     elements = np.arange(len(nodes))[None, :]
-    edges, edge_elems, elem_edges, normals, lengths, boundary = _connect(nodes, elements)
     (x0, y0), (x1, y1) = nodes.min(axis=0), nodes.max(axis=0)
-    return UnfittedMesh("tri" if len(nodes) == 3 else "rect", nodes, elements, edges,
-                        edge_elems, elem_edges, normals, lengths, boundary, N=1,
+    return UnfittedMesh(nodes, elements, *_connect(nodes, elements),
                         box=(x0, x1, y0, y1), h=element_size(nodes))
 
 

@@ -72,7 +72,7 @@ class TestVolumeAssembly:
         A = sp.lil_matrix((mesh.n_edges, mesh.n_edges))
         for e in range(mesh.n_elements):
             verts = mesh.element_vertices(e)
-            lam = standard_local_basis(verts, "cr")
+            lam = standard_local_basis(verts)
             area = polygon_area(verts)
             conn = mesh.elem_edges[e]
             _, grads = standard_at(lam, verts, verts.mean(axis=0))
@@ -94,7 +94,7 @@ class TestVolumeAssembly:
         oracle = np.zeros(mesh.n_edges)
         for e in range(mesh.n_elements):
             verts = mesh.element_vertices(e)
-            lam = standard_local_basis(verts, "cr")
+            lam = standard_local_basis(verts)
             pts, wts = polygon_points_weights(verts, 6)
             vals, _ = standard_at(lam, verts, pts)
             for i, conn in enumerate(mesh.elem_edges[e]):
@@ -111,6 +111,18 @@ class TestVolumeAssembly:
         sys_ = assemble(ctx, "plain")
         assert np.all(sys_.rhs == 0.0)
         assert np.all(sys_.constrained_values == 0.0)
+
+
+class TestElementKind:
+    @pytest.mark.parametrize("build, kind", [(build_uniform_tri, "rq1"),
+                                             (build_uniform_rect, "cr")],
+                             ids=["tri-rq1", "rect-cr"])
+    def test_kind_must_fit_the_mesh(self, build, kind):
+        """The mesh decides the element; build_context checks kind against
+        its vertex count before any work."""
+        prob = example4()
+        with pytest.raises(ValueError, match="does not fit"):
+            build_context(prob, build(8, prob.domain), kind)
 
 
 class TestMethodStructure:

@@ -12,12 +12,13 @@ from ifelab.experiments import (
     emit,
     error_norms,
     interpolation_convergence,
+    n_sequence,
     run_convergence,
 )
 from ifelab.geometry import LevelSet
 from ifelab.ife_space import interpolate_ife
 from ifelab.mesh import build_uniform_tri
-from ifelab.problems import ProblemSpec, ValidationError, example1, example3
+from ifelab.problems import ProblemSpec, ValidationError, example1, example3, example4
 
 from conftest import check_monotone
 
@@ -152,7 +153,20 @@ class TestEmit:
             emit(ConvergenceTable())
 
 
+def test_n_sequence_doubles_up_to_nmax():
+    assert n_sequence(8, 64) == [8, 16, 32, 64]
+    assert n_sequence(8, 63) == [8, 16, 32]
+    assert n_sequence(5, 5) == [5]
+    for nmin, nmax in ((0, 8), (16, 8)):
+        with pytest.raises(ValueError):
+            n_sequence(nmin, nmax)
+
+
 class TestRunConvergence:
+    def test_unknown_element_kind_raises(self):
+        with pytest.raises(ValueError, match="'bogus' does not fit"):
+            run_convergence(example4(), "new", "bogus", [8])
+
     def test_exact_case_small(self):
         t = run_convergence(example3(), "new", "cr", [8, 16])
         assert all(r.l2 <= 1e-10 and r.h1 <= 1e-10 for r in t.rows)

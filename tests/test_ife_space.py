@@ -56,14 +56,14 @@ def constraint_residuals(basis):
         out = max(out, abs(val(plus, cut.E) - val(minus, cut.E)))
         out = max(out, abs(basis.beta_c_plus * (grad(plus, cut.x_p) @ cut.n_h)
                            - basis.beta_c_minus * (grad(minus, cut.x_p) @ cut.n_h)))
-        if basis.kind == RQ1:
+        if basis.n_dofs == 4:  # rq1
             out = max(out, abs(plus[3] - minus[3]))
     return out
 
 
 class TestStandardBasis:
     def test_cr_closed_form_on_reference_triangle(self):
-        lam = standard_local_basis(REF_TRI, CR)
+        lam = standard_local_basis(REF_TRI)
         # edge 1 is the hypotenuse (1,0)->(0,1); dual basis is 2(x+y)-1
         pts = np.array([[0.3, 0.1], [0.0, 0.0], [0.5, 0.5]])
         hyp = standard_at(lam, REF_TRI, pts)[0][:, 1]
@@ -74,8 +74,13 @@ class TestStandardBasis:
                 mean = edge_mean_of(lambda p: standard_at(lam, REF_TRI, p)[0][..., i], a, b)
                 assert abs(mean - (i == j)) <= 1e-13
 
+    def test_no_element_with_other_vertex_counts(self):
+        pentagon = np.array([(0.0, 0.0), (1.0, 0.0), (1.5, 0.8), (0.5, 1.4), (-0.5, 0.8)])
+        with pytest.raises(ValueError, match="5 vertices"):
+            standard_local_basis(pentagon)
+
     def test_rq1_partition_of_unity(self):
-        lam = standard_local_basis(UNIT_SQ, RQ1)
+        lam = standard_local_basis(UNIT_SQ)
         pts = np.random.default_rng(0).uniform(0, 1, size=(20, 2))
         total = standard_at(lam, UNIT_SQ, pts)[0].sum(axis=-1)
         assert np.allclose(total, 1.0, atol=1e-13)
@@ -84,7 +89,7 @@ class TestStandardBasis:
         rng = np.random.default_rng(3)
         for _ in range(50):
             tri = random_triangle(rng)
-            lam = standard_local_basis(tri, CR)
+            lam = standard_local_basis(tri)
             for i in range(3):
                 for j in range(3):
                     mean = edge_mean_of(lambda p: standard_at(lam, tri, p)[0][..., i],
@@ -94,7 +99,7 @@ class TestStandardBasis:
             c = rng.uniform(-2, 2, 2)
             w, h = rng.uniform(0.2, 3.0, 2)
             rect = np.array([c, c + (w, 0), c + (w, h), c + (0, h)])
-            lam = standard_local_basis(rect, RQ1, kappa=w / h)
+            lam = standard_local_basis(rect, kappa=w / h)
             for i in range(4):
                 for j in range(4):
                     mean = edge_mean_of(lambda p: standard_at(lam, rect, p, w / h)[0][..., i],
@@ -119,18 +124,25 @@ class TestDFunctional:
 
     def test_linear(self):
         assert abs(self.d_of(np.array([3.0, 2.0, 0.0, 0.0]), 1.0)) <= 1e-14
-        assert np.all(standard_local_basis(REF_TRI, CR)[:, 3] == 0.0)
+        assert np.all(standard_local_basis(REF_TRI)[:, 3] == 0.0)
 
     def test_scaled(self):
         assert abs(self.d_of(np.array([0.0, 0.0, 1.0, 5.0]), 0.7) - 5.0) <= 1e-13
 
 
 class TestDirectBasis:
+    def test_kind_must_fit_the_element(self):
+        """The element's vertex count decides its space; a kind that does
+        not fit it raises instead of being ignored."""
+        cut = cut_from_chord(REF_TRI, ("edge", 0), 0.5, ("edge", 1), 0.5)
+        with pytest.raises(ValueError, match="does not fit"):
+            ife_local_basis_direct(cut, RQ1, 1.0, 2.0)
+
     def test_equal_coefficients_recover_standard_rq1(self):
         cut = cut_from_chord(UNIT_SQ, ("edge", 0), 0.5, ("edge", 2), 0.3,
                              plus_toward=(0.9, 0.9))
         basis = ife_local_basis_direct(cut, RQ1, 2.5, 2.5)
-        lam = standard_local_basis(UNIT_SQ, RQ1)
+        lam = standard_local_basis(UNIT_SQ)
         pts = np.random.default_rng(1).uniform(0, 1, size=(30, 2))
         assert np.allclose(basis_at(basis, pts)[0], standard_at(lam, UNIT_SQ, pts)[0],
                            atol=1e-12)
@@ -216,7 +228,7 @@ class TestBatchedSolve:
         rows = _dof_rows(cuts, 1.0)
         rows[1, 0] = 0.0
         with pytest.raises(UnisolvenceError, match=rf"element {cuts.ids[1]}$"):
-            _solve_local(cuts, CR, np.tile([1.0, 2.0], (len(cuts), 1)), 1.0, rows)
+            _solve_local(cuts, np.tile([1.0, 2.0], (len(cuts), 1)), 1.0, rows)
 
     @pytest.mark.parametrize("kind", [CR, RQ1])
     def test_row_sum_singular_to_roundoff_named(self, kind):
@@ -234,7 +246,7 @@ class TestBatchedSolve:
         rows[1, 0] = rows[1, 1] + rows[1, 2]
         beta = np.tile([1.0, 10.0], (len(cuts), 1))
         with pytest.raises(UnisolvenceError, match=rf"element {cuts.ids[1]}$"):
-            _solve_local(cuts, kind, beta, mesh.kappa, rows)
+            _solve_local(cuts, beta, mesh.kappa, rows)
 
     def test_solve_under_numpy1_rhs_rule(self, circle_ls, monkeypatch):
         """NumPy 1.x reads a right-hand side with one dimension fewer than a
@@ -320,7 +332,7 @@ class TestLinearReproduction:
             if ctx.cut_table.row[e] >= 0:
                 vals = table_basis_at(ctx, e, pts)[0] @ c
             else:
-                vals = standard_at(standard_local_basis(verts, CR), verts, pts)[0] @ c
+                vals = standard_at(standard_local_basis(verts), verts, pts)[0] @ c
             assert np.abs(vals - u(pts)).max() <= 1e-12
 
 
@@ -330,7 +342,7 @@ class TestClosedFormAgainstDense:
         tri = random_triangle(rng)
         cut = random_cut(rng, tri)
         basis = ife_local_basis_cr_sm(cut, 4.0, 4.0)
-        lam = standard_local_basis(tri, CR)
+        lam = standard_local_basis(tri)
         pts = tri.mean(axis=0) + rng.uniform(-0.05, 0.05, size=(20, 2))
         ref = standard_at(lam, tri, pts)[0]
         for piece in range(2):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ifelab.cutting import build_layout
 from ifelab.geometry import INTERFACE, LevelSet
@@ -62,13 +64,8 @@ def reference_connect(nodes, elements):
     return edges, edge_elems, elem_edges, normals, lengths, boundary
 
 
-@pytest.mark.parametrize("kind,build", [("tri", build_uniform_tri),
-                                        ("rect", build_uniform_rect)])
-@pytest.mark.parametrize("N", [1, 2, 3, 7, 16])
-def test_tables_match_reference_walk(kind, build, N):
-    """The vectorised tables equal the element-by-element construction bit
-    for bit: same edge numbering, orientation, adjacency and normals."""
-    m = build(N)
+def assert_tables_match_reference(m, kind, N):
+    """m's element and edge tables equal the reference walk's bit for bit."""
     elements = reference_elements(kind, N)
     assert m.elements.dtype == elements.dtype
     assert np.array_equal(m.elements, elements)
@@ -76,8 +73,42 @@ def test_tables_match_reference_walk(kind, build, N):
              "boundary_edges")
     for name, want in zip(names, reference_connect(m.nodes, elements)):
         got = getattr(m, name)
-        assert got.dtype == want.dtype, name
-        assert np.array_equal(got, want), name
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def assert_normals_out_of_t1(m):
+    """Unit edge normals, orthogonal to their edges, pointing out of T1."""
+    vec = m.nodes[m.edges[:, 1]] - m.nodes[m.edges[:, 0]]
+    dots = np.einsum("ij,ij->i", m.edge_normals, vec)
+    assert np.max(np.abs(dots)) <= 1e-14
+    assert np.allclose(np.linalg.norm(m.edge_normals, axis=1), 1.0, rtol=0, atol=1e-15)
+    c1 = m.nodes[m.elements[m.edge_elems[:, 0]]].mean(axis=1)
+    mid = edge_midpoints(m)
+    assert np.all(np.einsum("ij,ij->i", m.edge_normals, mid - c1) > 0)
+
+
+@pytest.mark.parametrize("kind,build", [("tri", build_uniform_tri),
+                                        ("rect", build_uniform_rect)])
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 16])
+def test_tables_match_reference_walk(kind, build, N):
+    """The vectorised tables equal the element-by-element construction bit
+    for bit: same edge numbering, orientation, adjacency and normals."""
+    assert_tables_match_reference(build(N), kind, N)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["tri", "rect"]), N=st.integers(1, 40),
+       x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0),
+       width=st.floats(0.1, 4.0), height=st.floats(0.1, 4.0))
+def test_tables_match_reference_walk_on_any_box(kind, N, x0, y0, width, height):
+    """On boxes with hx != hy the tables still equal the reference walk bit
+    for bit. The reference flips every normal that points into T1, so equal
+    normals show that the first appearance's orientation needs no flip."""
+    build = build_uniform_tri if kind == "tri" else build_uniform_rect
+    m = build(N, (x0, x0 + width, y0, y0 + height))
+    assume(m.kappa != 1.0)
+    assert_tables_match_reference(m, kind, N)
 
 
 @pytest.mark.parametrize("build", [build_uniform_tri, build_uniform_rect],
@@ -130,14 +161,7 @@ class TestTriMesh:
         assert np.all(m.edge_elems[interior, 0] < m.edge_elems[interior, 1])
 
     def test_edge_normals(self):
-        m = build_uniform_tri(4)
-        vec = m.nodes[m.edges[:, 1]] - m.nodes[m.edges[:, 0]]
-        dots = np.einsum("ij,ij->i", m.edge_normals, vec)
-        assert np.max(np.abs(dots)) <= 1e-14
-        # points out of T1
-        c1 = m.nodes[m.elements[m.edge_elems[:, 0]]].mean(axis=1)
-        mid = edge_midpoints(m)
-        assert np.all(np.einsum("ij,ij->i", m.edge_normals, mid - c1) > 0)
+        assert_normals_out_of_t1(build_uniform_tri(4))
 
     def test_h(self):
         m = build_uniform_tri(8)
@@ -166,6 +190,10 @@ class TestRectMesh:
     def test_uniform_edge_lengths(self):
         m = build_uniform_rect(4)
         assert np.allclose(m.edge_lengths, 0.5)
+
+    @pytest.mark.parametrize("box", [(-1.0, 1.0, -1.0, 1.0), (-0.3, 1.7, 0.1, 2.9)])
+    def test_edge_normals(self, box):
+        assert_normals_out_of_t1(build_uniform_rect(4, box))
 
 
 class TestDofMap:
