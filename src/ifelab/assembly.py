@@ -25,11 +25,16 @@ construction. Jumps are oriented as (trace from T1) - (trace from T2) with
 the edge normal pointing out of T1; boundary edges use the single trace for
 both average and jump.
 
-The SPD solve eliminates a set of pairwise non-adjacent DOFs exactly, by one
-division each, and factors only the Schur complement on the rest with
-SuperLU. On the right-triangle meshes of the CR element the legs couple only
-to the hypotenuses beside them, so away from the interface they form such a
-set: two thirds of the DOFs, which SuperLU then never sees.
+The SPD solve eliminates in rounds. Each round divides out a set of pairwise
+non-adjacent DOFs exactly, by one division each, and passes the Schur
+complement on the rest to the next round; SuperLU factors only what is left.
+On the right-triangle meshes of the CR element the legs couple only to the
+diagonals beside them, so away from the interface the first round takes the
+legs, two thirds of the DOFs. The diagonals left couple as a five-point
+stencil on the grid cells, and the second round, keyed first by the
+checkerboard colour of their cells, takes about half of them. assemble
+leaves the load vector pending, and the solve has it computed on a worker
+thread while SuperLU factors on the calling thread.
 
 scipy is imported inside the function that uses it, so that importing
 ifelab and validating a problem load numpy alone; a test in test_cli.py
@@ -37,6 +42,7 @@ enforces this.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
@@ -64,6 +70,7 @@ from .quadrature import polygon_points_weights, polygons_points_weights, segment
 METHODS = ("plain", "new", "ppifem")
 VOLUME_DEGREE = 6  # exact degree of the element and sub-polygon rules
 BLOCK_POINTS = 16384  # quadrature points per block of uncut elements
+LOAD_WORKER_DOFS = 16384  # least Schur complement that solve_spd factors alongside the load vector
 
 
 class AssemblyError(RuntimeError):
@@ -172,14 +179,46 @@ class Context:
     classes: List[ClassCtx]
 
 
-@dataclass
 class AssembledSystem:
-    matrix: sp.csr_matrix           # symmetric, restricted to free DOFs
-    rhs: np.ndarray
-    free: np.ndarray                # free DOF indices
-    constrained: np.ndarray         # constrained DOF indices
-    constrained_values: np.ndarray  # prescribed edge means on constrained DOFs
-    n_dofs: int
+    """The system of one assembly on its free DOFs.
+
+    matrix              symmetric CSR matrix, restricted to the free DOFs
+    rhs                 load vector on the free DOFs. assemble passes a
+                        zero-argument callable that computes it, the pending
+                        load vector: the first read of rhs calls it and keeps
+                        the result, and solve_spd has it computed while
+                        SuperLU factors
+    free, constrained   DOF indices
+    constrained_values  prescribed edge means on the constrained DOFs
+    n_dofs              number of DOFs, free and constrained
+    colour              (n_free,) 0 or 1, the tie-break of solve_spd's
+                        elimination key: the checkerboard parity of the grid
+                        cell whose interior holds each free DOF's edge
+                        midpoint. 0 by default, which gives the key
+                        (pattern degree, index)
+    """
+
+    def __init__(self, matrix: sp.csr_matrix, rhs, free: np.ndarray,
+                 constrained: np.ndarray, constrained_values: np.ndarray, n_dofs: int,
+                 colour: Optional[np.ndarray] = None):
+        self.matrix = matrix
+        self._rhs = rhs
+        self.free = free
+        self.constrained = constrained
+        self.constrained_values = constrained_values
+        self.n_dofs = n_dofs
+        self.colour = np.zeros(len(free), dtype=np.int64) if colour is None else colour
+
+    @property
+    def pending(self) -> bool:
+        """True while the load vector is not computed yet."""
+        return callable(self._rhs)
+
+    @property
+    def rhs(self) -> np.ndarray:
+        if self.pending:
+            self._rhs = self._rhs()
+        return self._rhs
 
     def expand(self, x_free: np.ndarray) -> np.ndarray:
         full = np.zeros(self.n_dofs)
@@ -538,15 +577,32 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
         raise AssemblyError(f"assembled matrix asymmetric: {asym:.3e} vs scale {scale:.3e}")
     A = 0.5 * (A + A.T)
 
-    b = assemble_rhs(ctx, method, eta=eta, correction=correction, edge_blocks=edges)
-
     boundary = mesh.boundary_edges
     free = np.nonzero(~boundary)[0]
     constrained = np.nonzero(boundary)[0]
     g_c = edge_means(ctx.prob.g_boundary, mesh, ctx.layout, constrained)
     A = A[free]  # the free rows, sliced once for both column blocks
-    rhs = b[free] - A[:, constrained] @ g_c
-    return AssembledSystem(A[:, free], rhs, free, constrained, g_c, n)
+    A_fc = A[:, constrained]
+
+    def rhs():
+        b = assemble_rhs(ctx, method, eta=eta, correction=correction, edge_blocks=edges)
+        return b[free] - A_fc @ g_c
+
+    return AssembledSystem(A[:, free], rhs, free, constrained, g_c, n,
+                           _checkerboard(mesh, free))
+
+
+def _checkerboard(mesh: UnfittedMesh, dofs: np.ndarray) -> np.ndarray:
+    """Parity (0 or 1) of the grid cell whose interior holds each edge's
+    midpoint, and 0 for a midpoint on a grid line, which two cells share. On
+    the triangle mesh the diagonals are the edges inside a cell."""
+    x0, _, y0, _ = mesh.box
+    hy = mesh.h / np.hypot(mesh.kappa, 1.0)
+    twice_mid = mesh.nodes[mesh.edges[dofs, 0]] + mesh.nodes[mesh.edges[dofs, 1]]
+    # half-cell coordinates of the midpoints: odd inside a cell, even on a grid line
+    k = np.rint((twice_mid - (2 * x0, 2 * y0)) / (mesh.kappa * hy, hy)).astype(np.int64)
+    inside = (k % 2 == 1).all(axis=1)
+    return np.where(inside, (k // 2).sum(axis=1) % 2, 0)
 
 
 def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,
@@ -630,98 +686,199 @@ def build_jump_correction(ctx: Context) -> np.ndarray:
                             tab.beta_c[:, 0], g_D, g_N)
 
 
-def _independent_set(A) -> np.ndarray:
-    """Mask of the DOFs whose key (pattern degree, index) is below the key of
-    every neighbour in the pattern of the CSR matrix A.
+def _independent_set(A, colour: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mask of the DOFs whose key (colour, pattern degree, index) is below
+    the key of every neighbour in the pattern of the CSR matrix A; colour
+    is 0 or 1 per DOF, 0 everywhere by default.
 
-    The keys are unique, so no two chosen DOFs are adjacent. Every row holds
-    its positive diagonal, so a row's smallest key is its own exactly when
-    the DOF beats all its neighbours. The DOF with the smallest key is always
-    chosen.
+    The keys are unique, so no two chosen DOFs are adjacent. Every row must
+    hold its positive diagonal, so that a row's smallest key is its own
+    exactly when the DOF beats all its neighbours. The DOF with the smallest
+    key is always chosen.
     """
     n = A.shape[0]
-    key = np.diff(A.indptr).astype(np.int64) * n + np.arange(n)
+    rank = np.diff(A.indptr).astype(np.int64)
+    if colour is not None:
+        rank += (n + 1) * colour  # a degree is at most n, so colour ranks first
+    key = rank * n + np.arange(n)
     return np.minimum.reduceat(key[A.indices], A.indptr[:-1]) == key
+
+
+def _eliminate(A, colour: np.ndarray):
+    """Rounds of exact elimination of the symmetric matrix A, by the key of
+    _independent_set.
+
+    Returns one (I, R, d, A_RI) per round, I and R the eliminated and the
+    remaining rows of that round's matrix and d = diag(A_II), and the Schur
+    complement left on the last R. A round after the first is taken only
+    when it removes at least a quarter of the DOFs it sees, and none follows
+    a round that removed less. Raises SolverError when the diagonal of A,
+    or of a Schur complement, is not positive; this also catches a row that
+    cancels to zero, before _independent_set sees it.
+    """
+    rounds = []
+    share = 1.0  # of the DOFs it saw, the share that the last round removed
+    while True:
+        diag = A.diagonal()
+        if np.any(diag <= 0):
+            after = f" after elimination round {len(rounds)}" if rounds else ""
+            raise SolverError(f"matrix not SPD: nonpositive diagonal{after}", residual=1.0)
+        if not len(diag) or share < 0.25:
+            return rounds, A
+        ind = _independent_set(A, colour)
+        share = ind.mean()
+        if rounds and share < 0.25:
+            return rounds, A
+        I, R = np.flatnonzero(ind), np.flatnonzero(~ind)
+        rows = A[R]
+        A_RI = rows[:, I]
+        W = A_RI.copy()
+        W.data /= np.sqrt(diag[I])[W.indices]
+        A = rows[:, R] - W @ W.T
+        rounds.append((I, R, diag[I], A_RI))
+        colour = colour[R]
+
+
+def _factor(S):
+    """SuperLU factors of the symmetric S. Its RuntimeErrors are raised as
+    SolverError, or SolverMemoryError for an allocation failure. No solution
+    is formed when the factorization fails, so the achieved residual is that
+    of x = 0."""
+    from scipy.sparse.linalg import splu
+
+    try:
+        # S is symmetric, so S.T, a CSC view of the same arrays, is S
+        return splu(S.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+    except RuntimeError as err:
+        # SuperLU reports allocation failures ("SUPERLU_MALLOC fails for ...",
+        # "Not enough memory ...") as RuntimeError, like a singular factor
+        msg = str(err).lower()
+        if "malloc" in msg or "memory" in msg:
+            raise SolverMemoryError(f"out of memory in the factorization: {err}",
+                                    residual=1.0) from err
+        raise SolverError(f"matrix singular: {err}", residual=1.0) from err
+
+
+@contextmanager
+def _load_alongside(system: AssembledSystem, dofs: int):
+    """Compute a pending load vector on a worker thread while the block, a
+    factorization of dofs DOFs, runs, and wait for it when the block ends,
+    however it ends; an error of the load vector is raised as it is. The
+    worker runs in a copy of the caller's context, where numpy keeps its
+    errstate. Below LOAD_WORKER_DOFS the factorization hides too little to
+    pay for the thread's start and its hand-offs of the interpreter lock, so
+    the load vector is computed first, on the calling thread."""
+    if dofs < LOAD_WORKER_DOFS:
+        system.rhs
+    if not system.pending:
+        yield
+        return
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        done = worker.submit(contextvars.copy_context().run, lambda: system.rhs)
+        try:
+            yield
+        finally:
+            done.result()
+
+
+@contextmanager
+def _out_of_memory(step: str, residual: float = 1.0):
+    """Raise an allocation failure in the block as SolverMemoryError with
+    the given achieved residual."""
+    try:
+        yield
+    except MemoryError as err:
+        raise SolverMemoryError(f"out of memory in {step}: {err}", residual=residual) from err
+
+
+def _substitute(rounds, lu, b: np.ndarray) -> np.ndarray:
+    """x solving A x = b, from the elimination rounds of A and the factors
+    lu of the Schur complement left (None when none is left)."""
+    kept = []
+    for I, R, d, A_RI in rounds:
+        kept.append(b[I])
+        b = b[R] - A_RI @ (b[I] / d)
+    x = b if lu is None else lu.solve(b)  # b is empty when nothing is left
+    for (I, R, d, A_RI), b_I in zip(reversed(rounds), reversed(kept)):
+        y = np.empty(len(I) + len(R))
+        y[R] = x
+        y[I] = (b_I - A_RI.T @ x) / d
+        x = y
+    return x
 
 
 def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray, int]:
     """Sparse direct solve of the SPD system; returns (x_free, 0 iterations).
 
-    The DOFs I of ``_independent_set`` are pairwise non-adjacent, so A_II = D
-    is diagonal and is eliminated exactly: with R the remaining DOFs and
-    W = A_RI D^(-1/2), SuperLU factors only the Schur complement
-    S = A_RR - W W^T, and x_I = D^-1 (b_I - A_IR x_R) follows by one division
-    per DOF. On the right-triangle CR mesh I holds the legs away from the
-    interface, two thirds of the DOFs; on rq1 it holds a few DOFs. When every
-    DOF is in I, x = b / diag(A) and nothing is factored.
+    The solve eliminates in rounds. A round takes the DOFs I of
+    ``_independent_set`` on the current matrix, keyed by system.colour,
+    pattern degree and index. They are pairwise non-adjacent, so A_II = D is
+    diagonal and is eliminated exactly: with R the remaining DOFs and
+    W = A_RI D^(-1/2), the next round sees the Schur complement
+    S = A_RR - W W^T. A round after the first is taken only when it removes
+    at least a quarter of the DOFs it sees, and none follows a round that
+    removed less; SuperLU factors the Schur complement left. Back
+    substitution, round by round in reverse, takes x_I = D^-1 (b_I - A_IR x_R),
+    one division per DOF. On the right-triangle
+    CR mesh the first round takes the legs away from the interface, two
+    thirds of the DOFs, and the second the diagonals of one checkerboard
+    colour, about half of the rest; on rq1 one round takes a few DOFs. When a
+    round takes every DOF left, nothing is factored.
 
-    By Haynsworth's inertia additivity, A is SPD exactly when D and S are.
-    D > 0 is checked on the diagonal. SuperLU factors P S P^T = L U with a
-    symmetric minimum-degree ordering and diagonal pivots only, so U = D' L^T
-    and, by Sylvester's law of inertia, S is SPD exactly when no off-diagonal
-    pivot was taken and every pivot is positive. The true residual
-    ||b - Ax|| / ||b|| of the original system must then be at most
-    10 (rtol + eps || |A| |x| || / ||b||), the second term being the rounding
-    floor of evaluating it in float64. Raises SolverError when A is not SPD,
-    is singular or misses that bound, and its subclass SolverMemoryError when
-    the factorization runs out of memory; the error carries the achieved
-    relative residual.
+    By Haynsworth's inertia additivity, a matrix is SPD exactly when D and
+    its Schur complement S are; applied round by round, A is SPD exactly
+    when every round's D and the last Schur complement are. Every round's
+    diagonal is checked positive, which covers its D. SuperLU factors the
+    last Schur complement as P S P^T = L U with a symmetric minimum-degree
+    ordering and diagonal pivots only, so U = D' L^T and, by Sylvester's law
+    of inertia, S is SPD exactly when no off-diagonal pivot was taken and
+    every pivot is positive.
+
+    A pending load vector (see AssembledSystem) is computed on a worker
+    thread while SuperLU factors, which releases the GIL; the factorization
+    stays on the calling thread. The solve waits for the worker before it
+    goes on, and raises the load vector's own error if it fails.
+
+    The true residual ||b - Ax|| / ||b|| of the original system must then be
+    at most 10 (rtol + eps || |A| |x| || / ||b||), the second term being the
+    rounding floor of evaluating it in float64; for b = 0, whose solution
+    x = 0 comes out exactly, ||b|| reads 1. Raises SolverError when A is not
+    SPD, is singular or misses that bound, and its subclass
+    SolverMemoryError when any step runs out of memory; the error carries
+    the achieved relative residual, 1.0 before a solution is formed.
     """
-    from scipy.sparse.linalg import splu
-
-    A = system.matrix
-    b = system.rhs
     if not (0.0 < rtol < 1.0):
         raise ValueError("rtol must be in (0, 1)")
-    n = len(b)
-    diag = A.diagonal()
-    if np.any(diag <= 0):
-        raise SolverError("matrix not SPD: nonpositive diagonal")
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return np.zeros(n), 0
-    ind = _independent_set(A)
-    I, R = np.flatnonzero(ind), np.flatnonzero(~ind)
-    d = diag[I]
-    rows = A[R]
-    A_RI = rows[:, I]
-    W = A_RI.copy()
-    W.data /= np.sqrt(d)[W.indices]
-    S = rows[:, R] - W @ W.T
-    # only S and A_RI live on under the factorization's peak
-    del rows, W
-    x = np.zeros(n)
+    A = system.matrix
+    with _out_of_memory("the elimination"):
+        rounds, S = _eliminate(A, system.colour)
+    lu = None
+    if S.shape[0]:
+        with _load_alongside(system, S.shape[0]), _out_of_memory("the factorization"):
+            lu = _factor(S)
+    # only the rounds' A_RI and the factors live on under the solve
+    del S
+    b = system.rhs
+    bnorm = float(np.linalg.norm(b)) or 1.0
+    with _out_of_memory("the solve"):
+        x = _substitute(rounds, lu, b)
+        residual = float(np.linalg.norm(b - A @ x)) / bnorm
     fault = None  # a pivot that shows S is not SPD
-    if len(R):  # with every DOF in I, A is diagonal and nothing is factored
-        # no solution is formed when the factorization fails, so the achieved
-        # residual is that of x = 0
-        try:
-            # S is symmetric, so S.T, a CSC view of the same arrays, is S
-            lu = splu(S.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
-        except MemoryError as err:
-            raise SolverMemoryError(f"out of memory in the factorization: {err}",
-                                    residual=1.0) from err
-        except RuntimeError as err:
-            # SuperLU reports allocation failures ("SUPERLU_MALLOC fails for ...",
-            # "Not enough memory ...") as RuntimeError, like a singular factor
-            msg = str(err).lower()
-            if "malloc" in msg or "memory" in msg:
-                raise SolverMemoryError(f"out of memory in the factorization: {err}",
-                                        residual=1.0) from err
-            raise SolverError(f"matrix singular: {err}", residual=1.0) from err
-        del S
-        x[R] = lu.solve(b[R] - A_RI @ (b[I] / d))
-        if not np.array_equal(lu.perm_r, lu.perm_c):
-            fault = "off-diagonal pivot"
-        elif np.any(lu.U.diagonal() <= 0):
-            fault = "nonpositive pivot"
+    if lu is not None:
+        with _out_of_memory("the pivot check", residual):
+            if not np.array_equal(lu.perm_r, lu.perm_c):
+                fault = "off-diagonal pivot"
+            elif np.any(lu.U.diagonal() <= 0):
+                fault = "nonpositive pivot"
         del lu
-    x[I] = (b[I] - A_RI.T @ x[R]) / d
-    residual = float(np.linalg.norm(b - A @ x)) / bnorm
     if fault:
         raise SolverError(f"matrix not SPD: {fault}", residual=residual)
-    floor = np.finfo(float).eps * float(np.linalg.norm(abs(A) @ np.abs(x))) / bnorm
+    with _out_of_memory("the residual bound", residual):
+        floor = np.finfo(float).eps * float(np.linalg.norm(abs(A) @ np.abs(x))) / bnorm
     if not residual <= 10.0 * (rtol + floor):
         raise SolverError(f"residual {residual:.3e} exceeds 10 x (rtol + {floor:.1e})",
                           residual=residual)

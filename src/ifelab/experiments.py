@@ -179,10 +179,22 @@ def _build_mesh(kind: str, N: int, box):
     return build_uniform_tri(N, box) if kind == CR else build_uniform_rect(N, box)
 
 
+def _prefix_message(err: BaseException, prefix: str):
+    """Prefix the message of err in place, so that its type and attributes
+    (a SolverError's residual, say) stay. An error whose class builds its
+    message from other attributes, as numpy's _ArrayMemoryError does from a
+    shape and a dtype, gets the prefix as a note instead (Python 3.11+)."""
+    if type(err).__str__ is BaseException.__str__ and len(err.args) <= 1:
+        err.args = (f"{prefix}: {err}",)
+    elif hasattr(err, "add_note"):
+        err.add_note(prefix)
+
+
 def _convergence(prob: ProblemSpec, method: str, kind: str, N_list,
                  errors: Callable[[Context], Tuple[float, float]]) -> ConvergenceTable:
     """Tabulate errors(ctx) -> (L2, H1) across a refinement sequence, one
-    timed row per N; an error raised in a row names the example and N."""
+    timed row per N; an error raised in a row is raised again with its type
+    and attributes, its message naming the example and N."""
     Ns = _check_n_list(N_list)
     _ensure_validated(prob)
     table = ConvergenceTable(meta={"example": prob.name, "method": method,
@@ -193,7 +205,8 @@ def _convergence(prob: ProblemSpec, method: str, kind: str, N_list,
             mesh = _build_mesh(kind, N, prob.domain)
             l2, h1 = errors(build_context(prob, mesh, kind))
         except Exception as err:
-            raise type(err)(f"{prob.name}, N={N}: {err}") from err
+            _prefix_message(err, f"{prob.name}, N={N}")
+            raise
         table.add(N, mesh.h, int(mesh.n_edges), l2, h1, time.perf_counter() - t0)
     return table
 

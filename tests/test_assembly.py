@@ -15,6 +15,7 @@ from ifelab.assembly import (
     AssemblyError,
     SolverError,
     SolverMemoryError,
+    _eliminate,
     _independent_set,
     assemble,
     assemble_rhs,
@@ -380,10 +381,13 @@ class TestSolver:
             raise raised
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu)
-        # a coupled matrix, so that a 1 x 1 Schur complement reaches splu
-        A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        sys_ = AssembledSystem(A, np.ones(2), np.arange(2),
-                               np.array([], dtype=int), np.array([]), 2)
+        # a ring of 8, every DOF of the same degree: one round eliminates
+        # DOF 0 alone (12.5%, under a quarter), so a 7 x 7 Schur complement
+        # reaches splu
+        i = np.arange(8)
+        A = sp.csr_matrix((np.full(8, -1.0), (i, (i + 1) % 8)), shape=(8, 8))
+        A = (A + A.T + 4.0 * sp.identity(8)).tocsr()
+        sys_ = AssembledSystem(A, np.ones(8), i, np.array([], dtype=int), np.array([]), 8)
         with pytest.raises(SolverError) as exc:
             solve_spd(sys_)
         assert isinstance(exc.value, SolverMemoryError) == memory
@@ -457,6 +461,99 @@ class TestSolver:
         block = A[ind][:, ind]
         assert block.nnz == ind.sum() and np.all(block.diagonal() > 0)
         assert 0.5 < ind.mean() < 2.0 / 3.0
+
+    def test_rounds_eliminate_diagonal_blocks(self):
+        """On ex1 new cr each round's set is pairwise non-adjacent in that
+        round's own Schur complement, recomputed here, so its block is the
+        diagonal d. Two rounds are taken: the legs, then, keyed by the
+        checkerboard colour, at least 40% of the diagonals left; a third
+        would take under a quarter."""
+        ctx = build_context(example1(10.0, 1000.0), build_uniform_tri(32), "cr")
+        system = assemble(ctx, "new")
+        rounds, S = _eliminate(system.matrix, system.colour)
+        M = system.matrix
+        removed = []
+        for I, R, d, _ in rounds:
+            scale = abs(M).max()
+            assert np.all(d > 0)
+            assert abs(M[I][:, I] - sp.diags(d)).max() <= 1e-12 * scale
+            removed.append(len(I) / M.shape[0])
+            B = M[R][:, I]
+            M = M[R][:, R] - B @ sp.diags(1.0 / d) @ B.T
+        assert len(rounds) == 2 and removed[0] > 0.6 and removed[1] >= 0.4
+        assert M.shape == S.shape and abs(M - S).max() <= 1e-12 * abs(S).max()
+
+    def test_rq1_runs_one_round(self):
+        """On rq1 almost every DOF has the same degree and every edge
+        midpoint lies on a grid line (colour 0), so the first round takes
+        under a quarter of the DOFs and no second round runs."""
+        prob = example4()
+        ctx = build_context(prob, build_uniform_rect(32, prob.domain), "rq1")
+        system = assemble(ctx, "new")
+        assert not system.colour.any()
+        rounds, S = _eliminate(system.matrix, system.colour)
+        assert len(rounds) == 1
+        assert 0 < len(rounds[0][0]) < 0.25 * system.matrix.shape[0]
+        assert S.shape[0] == len(rounds[0][1])
+
+    def test_cancelled_schur_row_is_not_spd(self, monkeypatch):
+        """The Schur complement of [[1, 1], [1, 1]] on DOF 1 cancels to an
+        empty row. Its zero diagonal raises before the next round's key and
+        before SuperLU, with the residual of x = 0."""
+        import scipy.sparse.linalg
+
+        def no_splu(*args, **kwargs):
+            raise AssertionError("splu called on a cancelled Schur complement")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
+        A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        sys_ = AssembledSystem(A, np.array([1.0, 2.0]), np.arange(2),
+                               np.array([], dtype=int), np.array([]), 2)
+        with pytest.raises(SolverError, match="not SPD") as exc:
+            solve_spd(sys_)
+        assert exc.value.residual == 1.0
+
+    @pytest.mark.parametrize("failing, step", [
+        ("elimination", "the elimination"), ("solve", "the solve"),
+        ("U", "the pivot check")])
+    def test_allocation_failures_are_typed(self, monkeypatch, failing, step):
+        """An allocation failure anywhere in solve_spd raises
+        SolverMemoryError with the achieved residual: 1.0 before a solution
+        is formed, the true residual once it is, as when reading lu.U for
+        the pivot check (it copies the factors) runs out of memory."""
+        import scipy.sparse.linalg
+
+        from ifelab import assembly
+
+        real_splu = scipy.sparse.linalg.splu
+
+        class Factors:
+            def __init__(self, lu):
+                self.lu = lu
+
+            def __getattr__(self, name):
+                if name == failing:
+                    raise MemoryError()
+                return getattr(self.lu, name)
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                            lambda *a, **k: Factors(real_splu(*a, **k)))
+        if failing == "elimination":
+            monkeypatch.setattr(assembly, "_independent_set", no_memory)
+        prob = example4()
+        ctx = build_context(prob, build_uniform_rect(8, prob.domain), "rq1")
+        system = assemble(ctx, "new", correction=build_jump_correction(ctx))
+        with pytest.raises(SolverMemoryError, match=f"out of memory in {step}") as exc:
+            solve_spd(system)
+        if failing == "U":
+            assert 0.0 <= exc.value.residual <= 1e-12
+        else:
+            assert exc.value.residual == 1.0
+        # the load vector is computed at the factorization, after the elimination
+        assert system.pending == (failing == "elimination")
 
 
 class TestRotatedBilinearSolve:
@@ -679,7 +776,8 @@ class TestProblemCalls:
             prob = counting(example4(), calls)
             build = build_uniform_tri if kind == "cr" else build_uniform_rect
             ctx = build_context(prob, build(N, prob.domain), kind)
-            assemble(ctx, "plain", correction=build_jump_correction(ctx))
+            # the load vector is pending until its first read
+            assemble(ctx, "plain", correction=build_jump_correction(ctx)).rhs
             counts.append(calls)
         assert counts[0]["f_plus"] > 0 and counts[0]["g_N"] > 0
         assert counts[0] == counts[1]
@@ -698,7 +796,7 @@ class TestProblemCalls:
             build = build_uniform_tri if kind == "cr" else build_uniform_rect
             ctx = build_context(prob, build(N, prob.domain), kind)
             correction = build_jump_correction(ctx) if corrected else None
-            assemble(ctx, method, correction=correction)
+            assemble(ctx, method, correction=correction).rhs
             counts.append(calls)
         assert counts[0]["beta_plus"] > 0
         assert counts[0] == counts[1]
@@ -976,3 +1074,134 @@ class TestSolverAgreement:
         residual = np.linalg.norm(b - A @ x) / bnorm
         floor = np.finfo(float).eps * np.linalg.norm(abs(A) @ np.abs(x)) / bnorm
         assert residual <= 10.0 * (1e-12 + floor)
+
+
+@pytest.fixture
+def load_worker(monkeypatch):
+    """solve_spd computes the load vector on its worker at every size, not
+    only alongside factorizations of LOAD_WORKER_DOFS DOFs or more."""
+    from ifelab import assembly
+
+    monkeypatch.setattr(assembly, "LOAD_WORKER_DOFS", 0)
+
+
+class TestPendingLoad:
+    """assemble leaves the load vector pending; its first reader, or
+    solve_spd's worker thread while SuperLU factors, computes it."""
+
+    @pytest.mark.parametrize("method", ["plain", "new", "ppifem"])
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    @pytest.mark.parametrize("example", ["ex1", "ex2", "ex3", "ex4"])
+    def test_rhs_is_the_load_vector_with_the_boundary_lift(self, load_worker, example, kind,
+                                                           method):
+        """Read directly or computed by solve_spd's worker, rhs is bit for
+        bit assemble_rhs on the free DOFs minus the lift of the boundary
+        values, A_fc g_c. A_fc comes from the same assembly on the mesh with
+        no boundary edges, where every DOF is free."""
+        prob = TestSolverAgreement.PROBLEMS[example]()
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        mesh = build(16, prob.domain)
+        ctx = build_context(prob, mesh, kind)
+        correction = None if prob.homogeneous_jumps else build_jump_correction(ctx)
+        open_mesh = replace(mesh, boundary_edges=np.zeros_like(mesh.boundary_edges))
+        full = assemble(replace(ctx, mesh=open_mesh), method, correction=correction).matrix
+        read, solved = (assemble(ctx, method, correction=correction) for _ in range(2))
+        assert read.pending and solved.pending
+        solve_spd(solved)
+        assert not solved.pending
+        b = assemble_rhs(ctx, method, correction=correction)
+        free, constrained = read.free, read.constrained
+        want = b[free] - full[free][:, constrained] @ read.constrained_values
+        assert read.rhs.tobytes() == want.tobytes()
+        assert solved.rhs.tobytes() == want.tobytes()
+
+    @staticmethod
+    def armed_source(fail):
+        """ex1 whose source calls fail(x) once armed, after validation,
+        recording whether it ran on the main thread."""
+        import threading
+
+        from ifelab import experiments
+
+        prob = example1(10.0, 1000.0)
+        armed, threads = [], []
+
+        def source(real):
+            def f(x):
+                if armed:
+                    threads.append(threading.current_thread() is threading.main_thread())
+                    return fail(x)
+                return real(x)
+            return f
+
+        prob = replace(prob, f_plus=source(prob.f_plus), f_minus=source(prob.f_minus))
+        experiments._ensure_validated(prob)
+        armed.append(True)
+        return prob, threads
+
+    @pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "calling-thread"])
+    def test_load_error_keeps_its_type_and_names_the_row(self, monkeypatch, on_worker):
+        """An error of the load vector surfaces from run_convergence with its
+        own type, naming the example and N, whether the worker computed it
+        or, for a Schur complement under LOAD_WORKER_DOFS (this one has a
+        few hundred DOFs), the calling thread did."""
+        from ifelab import assembly
+        from ifelab.experiments import run_convergence
+
+        if on_worker:
+            monkeypatch.setattr(assembly, "LOAD_WORKER_DOFS", 0)
+
+        class SourceError(Exception):
+            pass
+
+        def fail(x):
+            raise SourceError("bad source")
+
+        prob, threads = self.armed_source(fail)
+        with pytest.raises(SourceError, match=r"^ex1\(beta\+=10,beta-=1000\), N=8: bad source$"):
+            run_convergence(prob, "new", "cr", [8])
+        assert threads == [not on_worker]
+
+    def test_worker_honours_the_callers_errstate(self, load_worker):
+        """numpy's errstate is context-local, so the worker runs in a copy of
+        the caller's context: a division by zero in the source raises there
+        under divide="raise", as it does when rhs is read serially."""
+        from ifelab.experiments import run_convergence
+
+        prob, threads = self.armed_source(lambda x: np.ones(x.shape[:-1]) / np.zeros(x.shape[:-1]))
+        with np.errstate(divide="raise"):
+            with pytest.raises(FloatingPointError, match=r"N=8: divide by zero"):
+                run_convergence(prob, "new", "cr", [8])
+            assert threads == [False]
+            ctx = build_context(prob, build_uniform_tri(8), "cr")
+            with pytest.raises(FloatingPointError, match="divide by zero"):
+                assemble(ctx, "new").rhs
+        assert threads[1:] == [True]
+
+    def test_load_vector_computed_once_under_frequent_switches(self, load_worker):
+        """With a 10 us switch interval the worker and the calling thread
+        trade the interpreter lock often. The load vector is still computed
+        once per solve, with the callbacks of one serial read, and the
+        solution is bit for bit the serial one."""
+        import sys
+
+        calls = Counter()
+        prob = counting(example4(), calls)
+        ctx = build_context(prob, build_uniform_tri(16, prob.domain), "cr")
+        correction = build_jump_correction(ctx)
+        serial = assemble(ctx, "new", correction=correction)
+        before = calls.copy()
+        serial.rhs
+        per_read = calls - before
+        x_serial, _ = solve_spd(serial)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(5):
+                system = assemble(ctx, "new", correction=correction)
+                before = calls.copy()
+                x, _ = solve_spd(system)
+                assert calls - before == per_read
+                assert x.tobytes() == x_serial.tobytes()
+        finally:
+            sys.setswitchinterval(old)

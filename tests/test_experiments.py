@@ -205,6 +205,45 @@ class TestRunConvergence:
         with pytest.raises(ArithmeticError, match=rf"^{prob.name}, N=8: boom$"):
             study(prob)
 
+    @pytest.mark.parametrize("step, study", [
+        ("solve", lambda prob: run_convergence(prob, "new", "cr", [4, 8])),
+        ("interpolate_ife", lambda prob: interpolation_convergence(prob, "cr", [4, 8]))])
+    @pytest.mark.parametrize("fault", ["array-memory", "solver-residual"])
+    def test_row_errors_keep_type_and_payload(self, monkeypatch, step, study, fault):
+        """A row's error is raised again as the same object. numpy's
+        _ArrayMemoryError, whose constructor needs a shape and a dtype and
+        whose message is built from them, keeps its type and gets the
+        example and N as a note; a SolverError keeps its residual."""
+        from ifelab.assembly import SolverError
+
+        real = getattr(experiments, step)
+        calls, raised = [], []
+
+        def fail_on_second_row(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                try:
+                    if fault == "solver-residual":
+                        raise SolverError("stalled", residual=1e-3)
+                    np.empty(2 ** 62, dtype=np.uint8)  # 4 EiB: the allocation fails at once
+                except Exception as err:
+                    raised.append(err)
+                    raise
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, step, fail_on_second_row)
+        prob = example3()
+        with pytest.raises(Exception) as exc:
+            study(prob)
+        assert exc.value is raised[0]
+        if fault == "solver-residual":
+            assert str(exc.value) == f"{prob.name}, N=8: stalled"
+            assert exc.value.residual == 1e-3
+        else:
+            assert isinstance(exc.value, MemoryError)
+            assert str(exc.value).startswith("Unable to allocate")
+            assert exc.value.__notes__ == [f"{prob.name}, N=8"]
+
     def test_renamed_copy_validated_after_original(self):
         """A spec derived from a validated one keeps its name but not its
         validation: a wrong source term is caught, not solved."""
