@@ -3,6 +3,7 @@
 
     python scripts/bench.py --label baseline          # writes BENCH_baseline.json
     python scripts/bench.py --nmax 64 --runs 1 --out /tmp/BENCH_smoke.json
+    python scripts/bench.py --against HEAD~1 --nmin 256 --runs 5 --label split
 
 Each case runs in a fresh process. It does one small warm-up pass, so that
 whatever the phases import on first use stays out of the timings, and then
@@ -14,16 +15,31 @@ process, the DOF count, nnz and both errors. The ``import`` case starts one
 process per run that imports ifelab and validates ex1, ex2 and ex4, as
 perfbench/setup_probe.py does, and reports its wall time and peak RSS.
 
+The cases run at every N of CASE_NS from --nmin to --nmax; an --nmax below
+--nmin runs them at that N alone.
+
+--against REV compares the working tree with the commit REV, extracted by
+git archive into a temporary directory. Each case alternates one process per
+side, REV's own ``scripts/bench.py --case`` and this one's, in the order
+A B B A ... over --runs pairs, so drift of the host during the comparison
+falls on both sides alike. The file holds, per case and phase, both sides'
+medians and quartiles, the per-pair differences (tree minus REV) and the
+number of pairs each side won, the peak RSS of every process, and each
+side's DOFs, nnz and errors. --require-same exits 1 when these differ.
+
 ifelab is imported from the src/ next to this script, so a copy of an older
 commit benchmarks that commit. BLAS is pinned to one thread, as in perfbench.
 """
 import argparse
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 import time
 from pathlib import Path
 
@@ -49,9 +65,15 @@ CASE_NS = (64, 128, 256, 512)
 EXTRA = [("ex1", "ppifem", "rq1", 512)]
 PHASES = ("mesh", "layout", "context", "correction", "assemble", "solve", "norms")
 IMPORT_PROBLEMS = ("ex1", "ex2", "ex4")
-IMPORT_SCRIPT = (f"import sys; sys.path.insert(0, {str(SRC)!r}); import ifelab\n"
-                 f"for name in {IMPORT_PROBLEMS!r}:\n"
-                 "    ifelab.validate(ifelab.get_example(name))\n")
+SIZES = ("dofs", "nnz", "l2", "h1")
+
+
+def import_script(src):
+    return (f"import sys; sys.path.insert(0, {str(src)!r}); import ifelab\n"
+            f"for name in {IMPORT_PROBLEMS!r}:\n"
+            "    ifelab.validate(ifelab.get_example(name))\n")
+
+
 ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 
 
@@ -115,6 +137,81 @@ def child(cmd):
     return out, wall, usage.ru_maxrss / 1024.0
 
 
+def case_specs(nmin, nmax):
+    """(example, method, kind, N) of every case from nmin to nmax."""
+    sizes = [N for N in CASE_NS if nmin <= N <= nmax] or [nmax]
+    return [c + (N,) for c in CASES for N in sizes] + [e for e in EXTRA if nmin <= e[3] <= nmax]
+
+
+def run_import(src):
+    """Wall seconds and peak RSS of one import-and-validate process."""
+    _, wall, peak = child([sys.executable, "-c", import_script(src)])
+    return wall, peak
+
+
+def run_spec(script, spec, runs):
+    """One case process of a bench.py: its parsed output and peak RSS."""
+    out, _, peak = child([sys.executable, str(script), "--case", spec, "--runs", str(runs)])
+    return json.loads(out), peak
+
+
+def compare(rev_values, tree_values):
+    """Both sides' summaries of paired samples, the per-pair differences
+    (tree minus rev) and the pairs each side won (the lower value wins)."""
+    diffs = [t - r for r, t in zip(rev_values, tree_values)]
+    return {"rev": summary(rev_values), "tree": summary(tree_values), "diff": summary(diffs),
+            "tree_wins": sum(d < 0 for d in diffs), "rev_wins": sum(d > 0 for d in diffs)}
+
+
+def against(args):
+    """Alternate one process per side and case; see the module docstring."""
+    with tempfile.TemporaryDirectory(prefix="ifelab-bench-") as tmp:
+        sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify",
+                              f"{args.against}^{{commit}}"], check=True,
+                             stdout=subprocess.PIPE, text=True).stdout.strip()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", sha],
+                                 check=True, stdout=subprocess.PIPE).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        sides = {"rev": Path(tmp), "tree": ROOT}
+
+        def alternate(measure):
+            """measure(side) per side over the pairs, order A B B A ..."""
+            got = {"rev": [], "tree": []}
+            for i in range(args.runs):
+                for side in (("rev", "tree") if i % 2 == 0 else ("tree", "rev")):
+                    got[side].append(measure(side))
+            return got
+
+        imports = alternate(lambda side: run_import(sides[side] / "src"))
+        cases = [{"case": "import", "problems": list(IMPORT_PROBLEMS),
+                  "wall_s": compare(*([w for w, _ in imports[k]] for k in ("rev", "tree"))),
+                  "peak_rss_mb": compare(*([m for _, m in imports[k]] for k in ("rev", "tree")))}]
+        same = True
+        for example, method, kind, N in case_specs(args.nmin, args.nmax):
+            spec = f"{example}/{method}/{kind}/{N}"
+            got = alternate(lambda side: run_spec(sides[side] / "scripts" / "bench.py", spec, 1))
+            times = {k: [res["times"][0] for res, _ in got[k]] for k in got}
+            phases = {p: compare(*([t[i] for t in times[k]] for k in ("rev", "tree")))
+                      for i, p in enumerate(PHASES)}
+            phases["total"] = compare(*([sum(t) for t in times[k]] for k in ("rev", "tree")))
+            sizes = {k: [{s: res[s] for s in SIZES} for res, _ in got[k]] for k in got}
+            agree = all(r == sizes["rev"][0] for k in got for r in sizes[k])
+            same &= agree
+            cases.append({"case": f"{example}/{method}/{kind}", "N": N, "same": agree,
+                          "sizes": {k: sizes[k][0] for k in got},
+                          "peak_rss_mb": compare(*([m for _, m in got[k]] for k in ("rev", "tree"))),
+                          "phases": phases})
+            tot = phases["total"]
+            print(f"{spec}: total {tot['rev']['median']:.3f} -> {tot['tree']['median']:.3f} s "
+                  f"(tree faster in {tot['tree_wins']}/{args.runs}), "
+                  f"{'same' if agree else 'DIFFERENT'} sizes and errors", file=sys.stderr)
+    doc = {"label": args.label, "command": " ".join(["scripts/bench.py", *sys.argv[1:]]),
+           "against": args.against, "rev_commit": sha, "runs": args.runs,
+           "machine": machine(), "cases": cases}
+    return doc, same
+
+
 def machine():
     cpu = ""
     try:
@@ -133,7 +230,13 @@ def main(argv=None):
     ap.add_argument("--label", default="local", help="names BENCH_<label>.json")
     ap.add_argument("--out", default=None, help="write here instead of the repository root")
     ap.add_argument("--runs", type=int, default=5, help="timed runs per case")
+    ap.add_argument("--nmin", type=int, default=64)
     ap.add_argument("--nmax", type=int, default=512)
+    ap.add_argument("--against", metavar="REV", default=None,
+                    help="compare the working tree with commit REV, process by process")
+    ap.add_argument("--require-same", action="store_true",
+                    help="with --against, exit 1 unless both sides report the same "
+                         "DOFs, nnz and errors")
     ap.add_argument("--case", default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.runs < 1:
@@ -141,24 +244,25 @@ def main(argv=None):
     if args.case:
         run_case(args.case, args.runs)
         return 0
+    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.label}.json"
+    if args.against:
+        doc, same = against(args)
+        out.write_text(json.dumps(doc, indent=1) + "\n")
+        print(f"wrote {out}", file=sys.stderr)
+        return 1 if args.require_same and not same else 0
 
     walls, rss = [], []
     for _ in range(args.runs):
-        _, wall, peak = child([sys.executable, "-c", IMPORT_SCRIPT])
+        wall, peak = run_import(SRC)
         walls.append(wall)
         rss.append(peak)
     cases = [{"case": "import", "problems": list(IMPORT_PROBLEMS),
               "wall_s": summary(walls), "peak_rss_mb": max(rss)}]
     print(f"import: median {cases[0]['wall_s']['median']:.3f} s", file=sys.stderr)
 
-    specs = [c + (N,) for c in CASES for N in CASE_NS] + EXTRA
-    for example, method, kind, N in specs:
-        if N > args.nmax:
-            continue
+    for example, method, kind, N in case_specs(args.nmin, args.nmax):
         name = f"{example}/{method}/{kind}"
-        out, _, peak = child([sys.executable, str(Path(__file__).resolve()),
-                              "--case", f"{name}/{N}", "--runs", str(args.runs)])
-        res = json.loads(out)
+        res, peak = run_spec(Path(__file__).resolve(), f"{name}/{N}", args.runs)
         per_phase = list(zip(*res.pop("times")))
         phases = {p: summary(list(t)) for p, t in zip(PHASES, per_phase)}
         phases["total"] = summary([sum(t) for t in zip(*per_phase)])
@@ -166,7 +270,6 @@ def main(argv=None):
         print(f"{name} N={N}: total median {phases['total']['median']:.3f} s, "
               f"peak RSS {peak:.0f} MB", file=sys.stderr)
 
-    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.label}.json"
     doc = {"label": args.label, "command": f"scripts/bench.py --label {args.label} "
            f"--runs {args.runs} --nmax {args.nmax}", "runs": args.runs,
            "machine": machine(), "cases": cases}

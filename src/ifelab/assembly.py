@@ -36,6 +36,15 @@ checkerboard colour of their cells, takes about half of them. assemble
 leaves the load vector pending, and the solve has it computed on a worker
 thread while SuperLU factors on the calling thread.
 
+The load vector's pass over the uncut elements evaluates f, u and grad u
+once per block of points, and besides the load it projects u and grad u
+onto each element's basis and gradients, orthogonally in the weighted sums
+over the points that the error norms take. The error norms then split
+exactly at those projections (see uncut_pass): the residual sums and the
+projections are the exact solution's alone and are formed in that pass,
+while SuperLU factors, and only a quadratic form per element is left for
+the DOFs.
+
 scipy is imported inside the function that uses it, so that importing
 ifelab and validating a problem load numpy alone; a test in test_cli.py
 enforces this.
@@ -70,7 +79,7 @@ from .quadrature import polygon_points_weights, polygons_points_weights, segment
 METHODS = ("plain", "new", "ppifem")
 VOLUME_DEGREE = 6  # exact degree of the element and sub-polygon rules
 BLOCK_POINTS = 16384  # quadrature points per block of uncut elements
-LOAD_WORKER_DOFS = 16384  # least Schur complement that solve_spd factors alongside the load vector
+LOAD_WORKER_DOFS = 8192  # least Schur complement that solve_spd factors alongside the load vector
 
 
 class AssemblyError(RuntimeError):
@@ -134,6 +143,19 @@ class ClassCtx:
     the layout gives them (its centroid's sign of phi). So the volume form,
     the load vector and the error norms call that branch's callables on
     whole blocks of points, with no level-set evaluation and no gather.
+
+    p, d and G hold, per element, the exact solution's part of the error
+    norms, which no DOF vector enters; uncut_pass fills them (see there):
+
+    p   (n, m) coefficients of Pi u, the w-orthogonal projection of u onto
+        span{phi_i}
+    d   (n, m-1) coefficients of P grad u, the beta w-orthogonal projection
+        of grad u onto span{grad phi_k, k < m-1}
+    G   (n, m-1, m-1) sum over the points of w beta grad phi_k . grad phi_l
+
+    They are allocated with the context, on the thread that builds it, so
+    that the load vector's pass on solve_spd's worker writes into them
+    instead of growing the worker's own heap.
     """
 
     ids: np.ndarray
@@ -144,6 +166,10 @@ class ClassCtx:
     vals: np.ndarray        # (nq, m) basis values
     grads: np.ndarray       # (nq, m, 2)
     gouter: np.ndarray      # (nq, m, m) grad_i . grad_j
+    mass: np.ndarray        # (m, m) sum over the points of w phi_i phi_j
+    p: np.ndarray
+    d: np.ndarray
+    G: np.ndarray
 
     def blocks(self):
         """(slice of ids, (e, nq, 2) points) per run of elements holding at
@@ -170,13 +196,16 @@ class ClassCtx:
 
 @dataclass
 class Context:
-    """Everything assembled forms need for one (problem, mesh) pair."""
+    """Everything assembled forms need for one (problem, mesh) pair.
+    residuals holds the sums (L2, energy) of uncut_pass, which the load
+    vector's pass leaves with the classes' p, d and G; None before it."""
 
     prob: object
     mesh: UnfittedMesh
     layout: CutLayout
     cut_table: CutTable
     classes: List[ClassCtx]
+    residuals: Optional[Tuple[float, float]] = None
 
 
 class AssembledSystem:
@@ -254,11 +283,19 @@ def _build_cut_table(prob, mesh, layout) -> CutTable:
                            centers[owner][:, None, :], mesh.kappa)
 
     nw = coef.shape[1] - 1  # gradient space: gradients of the first m-1 basis fns
-    gram = np.einsum("qkd,qld->qkl", grads[:, :nw], grads[:, :nw])
-    M = np.add.reduceat((wts * beta)[:, None, None] * gram, starts, axis=0)
+    M = np.add.reduceat((wts * beta)[:, None, None] * _gram(grads[:, :nw]), starts, axis=0)
     C = np.vstack([np.eye(nw), -np.ones(nw)])  # gradients sum to zero
     return CutTable(ids, row, coef, centers, beta_c, dof_rows, pts, wts,
                     owner, piece, starts, beta, vals, grads, M, C, C @ M @ C.T)
+
+
+def _gram(g: np.ndarray) -> np.ndarray:
+    """g_k . g_l (q, k, k) of the point rows of gradients g (q, k, 2), the
+    two components multiplied out: the bits of einsum("qkd,qld->qkl"),
+    without its reduction over an axis of length 2, which costs twice as
+    much."""
+    x, y = g[..., 0], g[..., 1]
+    return x[:, :, None] * x[:, None, :] + y[:, :, None] * y[:, None, :]
 
 
 def _build_class_ctxs(mesh, ids, sides) -> List[ClassCtx]:
@@ -268,10 +305,13 @@ def _build_class_ctxs(mesh, ids, sides) -> List[ClassCtx]:
     pts, wts = polygon_points_weights(ref, VOLUME_DEGREE)
     lam = standard_local_basis(ref, kappa=mesh.kappa)
     vals, grads = evaluate(lam, pts[:, None, :], ref.mean(axis=0), mesh.kappa)
-    gouter = np.einsum("qid,qjd->qij", grads, grads)
+    mass = (vals.T * wts) @ vals
+    k = len(lam) - 1
     parts = [(side, ids[sides == side]) for side in (INTERIOR_PLUS, INTERIOR_MINUS)]
     return [ClassCtx(part, side, mesh.nodes[mesh.elements[part, 0]] - ref[0], pts, wts,
-                     vals, grads, gouter) for side, part in parts if part.size]
+                     vals, grads, _gram(grads), mass, np.zeros((len(part), k + 1)),
+                     np.zeros((len(part), k)), np.zeros((len(part), k, k)))
+            for side, part in parts if part.size]
 
 
 def build_context(prob, mesh: UnfittedMesh, kind: str,
@@ -480,7 +520,7 @@ def lifting_stability_ratio(ctx: Context, edges: EdgeTable) -> np.ndarray:
     n, dim, _ = edges.psi.shape
     nb = dim // 2
     grads = tab.grads[:, :nb]
-    G = tab.per_element(tab.wts[:, None, None] * np.einsum("qkd,qld->qkl", grads, grads))
+    G = tab.per_element(tab.wts[:, None, None] * _gram(grads))
     P = (edges.psi * edges.wq[:, None, :]) @ edges.psi.transpose(0, 2, 1)
     A = P @ edges.lift((G[edges.rows] @ edges.lift(P).reshape(n, 2, nb, dim)).reshape(P.shape))
     lam, V = np.linalg.eigh(P)
@@ -599,10 +639,12 @@ def _checkerboard(mesh: UnfittedMesh, dofs: np.ndarray) -> np.ndarray:
     x0, _, y0, _ = mesh.box
     hy = mesh.h / np.hypot(mesh.kappa, 1.0)
     twice_mid = mesh.nodes[mesh.edges[dofs, 0]] + mesh.nodes[mesh.edges[dofs, 1]]
-    # half-cell coordinates of the midpoints: odd inside a cell, even on a grid line
-    k = np.rint((twice_mid - (2 * x0, 2 * y0)) / (mesh.kappa * hy, hy)).astype(np.int64)
-    inside = (k % 2 == 1).all(axis=1)
-    return np.where(inside, (k // 2).sum(axis=1) % 2, 0)
+    # half-cell coordinates of the midpoints: odd inside a cell, even on a grid
+    # line. Inside a cell (bit 0 of kx & ky) the parity is bit 0 of
+    # kx // 2 + ky // 2, which is bit 1 of kx ^ ky
+    kx = np.rint((twice_mid[:, 0] - 2 * x0) / (mesh.kappa * hy)).astype(np.int64)
+    ky = np.rint((twice_mid[:, 1] - 2 * y0) / hy).astype(np.int64)
+    return kx & ky & ((kx ^ ky) >> 1) & 1
 
 
 def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,
@@ -610,7 +652,9 @@ def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,
                  edge_blocks=None) -> np.ndarray:
     """Load vector int f phi_i; for nonhomogeneous flux jumps this includes
     the interface load int_chord g_N phi_i, and the full bilinear action of
-    the supplied jump correction moves to the right-hand side.
+    the supplied jump correction moves to the right-hand side. The pass over
+    the uncut elements also leaves the exact solution's part of the error
+    norms on ctx (see uncut_pass).
 
     edge_blocks may pass the EdgeTable of ctx's interface edges that the
     caller already built; anything else (None, or a list of per-edge
@@ -619,11 +663,7 @@ def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,
     mesh = ctx.mesh
     tab = ctx.cut_table
     b = np.zeros(mesh.n_edges)
-    for cl in ctx.classes:
-        f = cl.branch(ctx.prob.f_plus, ctx.prob.f_minus)
-        for s, pts in cl.blocks():
-            loc = ((f(pts) * cl.wts)[:, None, :] @ cl.vals)[:, 0]
-            np.add.at(b, mesh.elem_edges[cl.ids[s]].ravel(), loc.ravel())
+    ctx.residuals = uncut_pass(ctx, b)
     dofs = mesh.elem_edges[tab.ids]
     np.add.at(b, dofs, tab.per_element(tab.vals * (tab.wts * ctx.prob.f(tab.pts))[:, None]))
 
@@ -642,6 +682,75 @@ def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,
     if correction is not None:
         _subtract_correction_action(ctx, b, method, eta, correction, edge_blocks)
     return b
+
+
+def uncut_pass(ctx: Context, b: Optional[np.ndarray] = None) -> Tuple[float, float]:
+    """One pass over the blocks of uncut elements, with one evaluation of
+    the exact fields (f, u, grad u) per block: adds the load int f phi_i
+    into b when it is given, fills the classes' p, d and G, and returns the
+    residual sums (sum w (u - Pi u)^2, sum w beta |grad u - P grad u|^2).
+
+    Per element, with c its DOFs, u_h = sum c_i phi_i has the gradient
+    sum_k (C^T c)_k grad phi_k over k < m-1, C^T c = c[:m-1] - c[m-1], since
+    the basis sums to one. The projections Pi u = sum p_i phi_i and
+    P grad u = sum d_k grad phi_k are orthogonal in the sums over the points
+    that the norms take, with the weights w and beta w. By Pythagoras, which
+    holds for those sums as for the integrals,
+
+        sum w (u - u_h)^2 = sum w (u - Pi u)^2 + (p - c)^T M (p - c)
+        sum w beta |grad u - grad u_h|^2
+            = sum w beta |grad u - P grad u|^2 + (d - C^T c)^T G (d - C^T c)
+
+    with M the class's mass matrix. The residual sums are taken point by
+    point, so neither side subtracts nearly equal sums."""
+    prob = ctx.prob
+    l2 = h1 = 0.0
+    for cl in ctx.classes:
+        fields = prob.fields(cl.side == INTERIOR_PLUS)
+        beta = cl.branch(prob.beta_plus, prob.beta_minus)
+        nq, m = cl.vals.shape
+        k = m - 1
+        vals = cl.vals.T
+        to_p = np.linalg.solve(cl.mass, vals * cl.wts).T  # (nq, m): p = u @ to_p
+        gx, gy = cl.grads[:, :k, 0], cl.grads[:, :k, 1]
+        gouter = cl.gouter[:, :k, :k].reshape(nq, k * k)
+        for s, pts in cl.blocks():
+            f, u, du = fields(pts)
+            if b is not None:
+                loc = ((f * cl.wts)[:, None, :] @ cl.vals)[:, 0]
+                np.add.at(b, ctx.mesh.elem_edges[cl.ids[s]].ravel(), loc.ravel())
+            p = cl.p[s] = u @ to_p
+            r = u - p @ vals
+            l2 += float(np.sum((r * r) @ cl.wts))
+            # gradient components one at a time: a product broadcast over an
+            # axis of length 2 costs several times as much
+            ux, uy = du[..., 0], du[..., 1]
+            bw = beta(pts) * cl.wts
+            G = cl.G[s] = (bw @ gouter).reshape(-1, k, k)
+            d = cl.d[s] = _solve_spd_small(G, (bw * ux) @ gx + (bw * uy) @ gy)
+            rx, ry = ux - d @ gx.T, uy - d @ gy.T
+            h1 += float(np.vdot(bw, rx * rx + ry * ry))
+    return l2, h1
+
+
+def _solve_spd_small(G: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """x solving G x = g for stacked SPD matrices G (n, k, k) and vectors
+    g (n, k): Gaussian elimination without pivoting, unrolled over the small
+    k and vectorized over n, entry by entry. np.linalg.solve calls LAPACK
+    once per system, which costs about six times as much at k = 2."""
+    k = g.shape[1]
+    A = [[G[:, i, j] for j in range(k)] for i in range(k)]
+    x = [g[:, i] for i in range(k)]
+    for j in range(k):
+        for i in range(j + 1, k):
+            lij = A[i][j] / A[j][j]
+            A[i] = A[i][:j + 1] + [A[i][c] - lij * A[j][c] for c in range(j + 1, k)]
+            x[i] = x[i] - lij * x[j]
+    for j in reversed(range(k)):
+        for c in range(j + 1, k):
+            x[j] = x[j] - A[j][c] * x[c]
+        x[j] = x[j] / A[j][j]
+    return np.stack(x, axis=1)
 
 
 def _subtract_correction_action(ctx: Context, b, method, eta, correction, edge_blocks):
@@ -766,9 +875,13 @@ def _load_alongside(system: AssembledSystem, dofs: int):
     factorization of dofs DOFs, runs, and wait for it when the block ends,
     however it ends; an error of the load vector is raised as it is. The
     worker runs in a copy of the caller's context, where numpy keeps its
-    errstate. Below LOAD_WORKER_DOFS the factorization hides too little to
-    pay for the thread's start and its hand-offs of the interpreter lock, so
-    the load vector is computed first, on the calling thread."""
+    errstate. Below LOAD_WORKER_DOFS the load vector is computed first, on
+    the calling thread. In time alone the worker won, in alternated runs of
+    ex1 and ex4, at every Schur complement from 3,109 DOFs up, and from 669
+    to 2,381 DOFs two sweeps disagreed. But the first worker thread of a
+    process also costs a few MB of peak RSS, its own malloc arena, which the
+    few milliseconds a factorization of under 8,192 DOFs hides do not
+    repay."""
     if dofs < LOAD_WORKER_DOFS:
         system.rhs
     if not system.pending:

@@ -61,10 +61,25 @@ class ProblemSpec:
     # high derivatives blow up in a thin shell (compactly supported bumps)
     fd_sample_filter: Optional[Callable] = None
     fd_step: float = 1e-3
+    # x -> (f, u, grad u) of one side on the same points, for a problem that
+    # shares work between the three; it must agree with the three closures,
+    # which validate checks. None calls the three closures in turn.
+    fields_plus: Optional[Callable] = None
+    fields_minus: Optional[Callable] = None
 
     def u_exact(self, x):
         x = np.asarray(x, float)
         return piecewise(self.levelset.phi(x), self.u_plus, self.u_minus, x)
+
+    def fields(self, plus: bool) -> Callable:
+        """x -> (f, u, grad u) of the plus or the minus side: the side's joint
+        callable, or its three closures in turn."""
+        joint = self.fields_plus if plus else self.fields_minus
+        if joint is not None:
+            return joint
+        f, u, grad = ((self.f_plus, self.u_plus, self.grad_u_plus) if plus
+                      else (self.f_minus, self.u_minus, self.grad_u_minus))
+        return lambda x: (f(x), u(x), grad(x))
 
     def f(self, x):
         """The source at x, each point taking the branch of its own sign of
@@ -98,57 +113,79 @@ def example1(beta_p: float = 10.0, beta_m: float = 1000.0) -> ProblemSpec:
         inside = np.abs(w) < 1.0 - 1e-12
         # s = 1 off the support keeps every step finite (and clear of pow's
         # slow path for a negative base); np.where discards those lanes
-        s = np.where(inside, 1.0 - w ** 2, 1.0)
+        w2 = w ** 2
+        s = np.where(inside, 1.0 - w2, 1.0)
         g = np.exp(-1.0 / s)
         j = np.where(inside, g, 0.0)
         v = 1.0 + (r ** 2 - r0 ** 2) / beta
         out = [r, j * v]
         if order >= 1:
-            q1 = -2.0 * w / s ** 2
+            s2 = s ** 2
+            q1 = -2.0 * w / s2
             j1 = np.where(inside, g * q1 / eta, 0.0)
             v1 = 2.0 * r / beta
             out.append(j1 * v + j * v1)
         if order >= 2:
-            q2 = -2.0 / s ** 2 - 8.0 * w ** 2 / s ** 3
+            q2 = -2.0 / s2 - 8.0 * w2 / s ** 3
             j2 = np.where(inside, g * (q1 ** 2 + q2) / eta ** 2, 0.0)
             v2 = 2.0 / beta
             out.append(j2 * v + 2.0 * j1 * v1 + j * v2)
         return out
 
-    # the closures divide by r at every point and select with np.where, which
-    # drops the 0/0 of r = 0
+    # the closures divide by r at every point and, where r = 0 occurs, select
+    # with np.where, which drops the 0/0 there; the joint callable evaluates
+    # radial, sin and cos once for all three fields and gives each the same
+    # values bit for bit
     quiet = dict(divide="ignore", invalid="ignore")
 
-    def make_u(beta):
+    def off_origin(r):
+        """a -> a where r > 0 and 0 elsewhere; the identity when r > 0 at
+        every point."""
+        m = r > 0
+        return (lambda a: a) if m.all() else (lambda a: np.where(m, a, 0.0))
+
+    def u_of(x, r, R, sel):
+        return sel(R * x[..., 1] / r)
+
+    def grad_of(r, R, R1, sin, cos, sel):
+        Rr = R / r
+        return np.stack([sel(sin * cos * (R1 - Rr)), sel(R1 * sin ** 2 + Rr * cos ** 2)],
+                        axis=-1)
+
+    def f_of(beta, r, R, R1, R2, sin, sel):
+        return sel(-beta * (R2 + R1 / r - R / r ** 2) * sin)
+
+    def make(beta):
         def u(x):
             x = np.asarray(x, float)
             r, R = radial(x, beta, 0)
             with np.errstate(**quiet):
-                return np.where(r > 0, R * x[..., 1] / r, 0.0)
-        return u
+                return u_of(x, r, R, off_origin(r))
 
-    def make_grad(beta):
         def grad(x):
             x = np.asarray(x, float)
             r, R, R1 = radial(x, beta, 1)
-            m = r > 0
             with np.errstate(**quiet):
-                sin = x[..., 1] / r
-                cos = x[..., 0] / r
-                return np.stack([np.where(m, sin * cos * (R1 - R / r), 0.0),
-                                 np.where(m, R1 * sin ** 2 + (R / r) * cos ** 2, 0.0)],
-                                axis=-1)
-        return grad
+                return grad_of(r, R, R1, x[..., 1] / r, x[..., 0] / r, off_origin(r))
 
-    def make_f(beta):
         def f(x):
             x = np.asarray(x, float)
             r, R, R1, R2 = radial(x, beta, 2)
             with np.errstate(**quiet):
-                sin = x[..., 1] / r
-                return np.where(r > 0, -beta * (R2 + R1 / r - R / r ** 2) * sin, 0.0)
-        return f
+                return f_of(beta, r, R, R1, R2, x[..., 1] / r, off_origin(r))
 
+        def fields(x):
+            x = np.asarray(x, float)
+            r, R, R1, R2 = radial(x, beta, 2)
+            sel = off_origin(r)
+            with np.errstate(**quiet):
+                sin = x[..., 1] / r
+                return (f_of(beta, r, R, R1, R2, sin, sel), u_of(x, r, R, sel),
+                        grad_of(r, R, R1, sin, x[..., 0] / r, sel))
+        return u, grad, f, fields
+
+    up, gup, fp, jp = make(beta_p)
+    um, gum, fm, jm = make(beta_m)
     zero = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
     shell = lambda x: np.abs((np.hypot(x[..., 0], x[..., 1]) - r0) / eta)
     return ProblemSpec(
@@ -156,12 +193,10 @@ def example1(beta_p: float = 10.0, beta_m: float = 1000.0) -> ProblemSpec:
         levelset=ls, domain=(-1.0, 1.0, -1.0, 1.0),
         beta_plus=lambda x: np.full(np.asarray(x, float).shape[:-1], float(beta_p)),
         beta_minus=lambda x: np.full(np.asarray(x, float).shape[:-1], float(beta_m)),
-        f_plus=make_f(beta_p), f_minus=make_f(beta_m),
-        u_plus=make_u(beta_p), u_minus=make_u(beta_m),
-        grad_u_plus=make_grad(beta_p), grad_u_minus=make_grad(beta_m),
+        f_plus=fp, f_minus=fm, u_plus=up, u_minus=um, grad_u_plus=gup, grad_u_minus=gum,
         g_D=zero, g_N=zero, g_boundary=zero,
         fd_sample_filter=lambda x: (shell(x) < 0.85) | (shell(x) > 1.05),
-        fd_step=2e-4)
+        fd_step=2e-4, fields_plus=jp, fields_minus=jm)
 
 
 def example2() -> ProblemSpec:
@@ -364,6 +399,7 @@ class ValidationReport:
     jump_value_residual: float = np.nan
     jump_flux_residual: float = np.nan
     source_residual: float = np.nan
+    fields_residual: float = 0.0
     failures: list = field(default_factory=list)
 
     @property
@@ -376,7 +412,8 @@ class ValidationReport:
                  f"  min beta on samples             : {self.beta_min:.3e}",
                  f"  [u] - g_D on interface          : {self.jump_value_residual:.3e}",
                  f"  [beta grad u . n] - g_N         : {self.jump_flux_residual:.3e}",
-                 f"  f vs -div(beta grad u) (FD)     : {self.source_residual:.3e}"]
+                 f"  f vs -div(beta grad u) (FD)     : {self.source_residual:.3e}",
+                 f"  joint fields vs closures        : {self.fields_residual:.3e}"]
         for fmsg in self.failures:
             lines.append("  FAILED: " + fmsg)
         if self.ok:
@@ -428,6 +465,16 @@ def _sample_side(prob: ProblemSpec, side: str, n: int, h: float, rng) -> np.ndar
     return np.array(out[:n])
 
 
+def _relative_gap(got, want) -> float:
+    """Largest |got - want| / max(1, |want|); inf when the shapes differ or a
+    value is NaN."""
+    got, want = np.asarray(got, float), np.asarray(want, float)
+    if got.shape != want.shape:
+        return np.inf
+    gap = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)), initial=0.0)
+    return float(np.nan_to_num(gap, nan=np.inf))
+
+
 def validate(prob: ProblemSpec, n_interface: int = 64, n_source: int = 100,
              seed: int = 0, strict: bool = True) -> ValidationReport:
     """Certify a problem spec; raises ValidationError when strict and a
@@ -467,7 +514,8 @@ def validate(prob: ProblemSpec, n_interface: int = 64, n_source: int = 100,
     if rep.jump_flux_residual > 1e-8:
         rep.failures.append("flux jump does not match g_N on the interface")
 
-    # source consistency, side by side
+    # source consistency, side by side; a joint (f, u, grad u) callable must
+    # give the three closures' values on the same points
     worst = 0.0
     for side in ("+", "-"):
         spts = _sample_side(prob, side, n_source, prob.fd_step, rng)
@@ -476,9 +524,17 @@ def validate(prob: ProblemSpec, n_interface: int = 64, n_source: int = 100,
         fscale = max(1.0, float(np.median(np.abs(f))))
         res = np.abs(fd - f) / np.maximum(fscale, np.abs(f))
         worst = max(worst, float(np.max(res)))
+        joint = prob.fields_plus if side == "+" else prob.fields_minus
+        if joint is not None:
+            u, grad = ((prob.u_plus, prob.grad_u_plus) if side == "+"
+                       else (prob.u_minus, prob.grad_u_minus))
+            for got, want in zip(joint(spts), (f, u(spts), grad(spts))):
+                rep.fields_residual = max(rep.fields_residual, _relative_gap(got, want))
     rep.source_residual = worst
     if rep.source_residual > 1e-5:
         rep.failures.append("source term inconsistent with -div(beta grad u)")
+    if rep.fields_residual > 1e-12:
+        rep.failures.append("joint fields callable disagrees with f, u and grad u")
 
     if strict and not rep.ok:
         raise ValidationError(rep)

@@ -1205,3 +1205,52 @@ class TestPendingLoad:
                 assert x.tobytes() == x_serial.tobytes()
         finally:
             sys.setswitchinterval(old)
+
+
+class TestSmallKernels:
+    """The explicit forms of a few small products and solves."""
+
+    @pytest.mark.parametrize("shape", [(16416, 2, 2), (4000, 3, 2)])
+    def test_gram_is_the_einsum_bitwise(self, shape):
+        """Multiplying the two gradient components out gives the bits of
+        einsum's reduction, on random rows and on a cut table's gradients."""
+        from ifelab.assembly import _gram
+
+        g = np.random.default_rng(4).standard_normal(shape)
+        tab = build_context(example2(), build_uniform_rect(16), "rq1").cut_table
+        for rows in (g, tab.grads[:, :-1]):
+            want = np.einsum("qkd,qld->qkl", rows, rows)
+            assert _gram(rows).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("N", [8, 64, 256])
+    @pytest.mark.parametrize("build", [build_uniform_tri, build_uniform_rect])
+    def test_checkerboard_matches_modular_form(self, build, N):
+        """The bit operations give the parity of the cell holding each
+        midpoint, 0 on a grid line, as the modular arithmetic on the
+        half-cell coordinates does."""
+        from ifelab.assembly import _checkerboard
+
+        for box in ((-1.0, 1.0, -1.0, 1.0), (0.3, 2.3, -5.0, -3.0)):
+            mesh = build(N, box)
+            dofs = np.arange(mesh.n_edges)
+            x0, _, y0, _ = mesh.box
+            hy = mesh.h / np.hypot(mesh.kappa, 1.0)
+            twice_mid = mesh.nodes[mesh.edges[:, 0]] + mesh.nodes[mesh.edges[:, 1]]
+            k = np.rint((twice_mid - (2 * x0, 2 * y0)) / (mesh.kappa * hy, hy)).astype(np.int64)
+            want = np.where((k % 2 == 1).all(axis=1), (k // 2).sum(axis=1) % 2, 0)
+            got = _checkerboard(mesh, dofs)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        if build is build_uniform_tri:
+            assert got.any()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_small_spd_solve(self, k):
+        from ifelab.assembly import _solve_spd_small
+
+        rng = np.random.default_rng(k)
+        B = rng.standard_normal((500, k, k))
+        G = B @ B.transpose(0, 2, 1) + 1e-3 * np.eye(k)
+        g = rng.standard_normal((500, k))
+        x = _solve_spd_small(G, g)
+        np.testing.assert_allclose((G @ x[..., None])[..., 0], g, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(x, np.linalg.solve(G, g[..., None])[..., 0], rtol=1e-8)

@@ -5,7 +5,8 @@ import pytest
 
 from ifelab import experiments
 
-from ifelab.assembly import build_context
+from ifelab import assembly
+from ifelab.assembly import assemble, build_context, build_jump_correction, solve_spd
 from ifelab.experiments import (
     ConvergenceTable,
     basis_stress_test,
@@ -16,9 +17,17 @@ from ifelab.experiments import (
     run_convergence,
 )
 from ifelab.geometry import LevelSet
-from ifelab.ife_space import interpolate_ife
-from ifelab.mesh import build_uniform_tri
-from ifelab.problems import ProblemSpec, ValidationError, example1, example3, example4
+from ifelab.ife_space import evaluate, interpolate_ife
+from ifelab.mesh import build_uniform_rect, build_uniform_tri
+from ifelab.problems import (
+    ProblemSpec,
+    ValidationError,
+    example1,
+    example2,
+    example3,
+    example4,
+    piecewise,
+)
 
 from conftest import check_monotone
 
@@ -80,6 +89,92 @@ class TestErrorNorms:
                 float(np.sum(wts * beta * ((due - duh) ** 2).sum(-1))))
         got = experiments._squared_errors(wts, beta, ue, due, uh, duh)
         assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+def pointwise_error_norms(ctx, dofs, correction=None):
+    """The error norms summed point by point on every element, uncut ones
+    included: error_norms before it split the uncut sums at the projections,
+    kept as its oracle."""
+    mesh, prob = ctx.mesh, ctx.prob
+    l2 = h1 = 0.0
+    for cl in ctx.classes:
+        u, grad, beta = (cl.branch(plus, minus) for plus, minus in (
+            (prob.u_plus, prob.u_minus), (prob.grad_u_plus, prob.grad_u_minus),
+            (prob.beta_plus, prob.beta_minus)))
+        pts = cl.shifts[:, None, :] + cl.pts[None]
+        c = dofs[mesh.elem_edges[cl.ids]]
+        dd = (grad(pts) - np.einsum("em,qmd->eqd", c, cl.grads)) ** 2
+        l2 += float(np.sum(cl.wts * (u(pts) - c @ cl.vals.T) ** 2))
+        h1 += float(np.sum(cl.wts * beta(pts) * (dd[..., 0] + dd[..., 1])))
+    tab = ctx.cut_table
+    c = dofs[mesh.elem_edges[tab.ids]][tab.owner]
+    uh = np.einsum("qm,qm->q", c, tab.vals)
+    duh = np.einsum("qm,qmd->qd", c, tab.grads)
+    if correction is not None:
+        vJ, gJ = evaluate(correction[tab.owner, tab.piece], tab.pts,
+                          tab.centers[tab.owner], mesh.kappa)
+        uh, duh = uh + vJ, duh + gJ
+    sides = 1 - 2 * tab.piece
+    dl2, dh1 = experiments._squared_errors(
+        tab.wts, tab.beta, piecewise(sides, prob.u_plus, prob.u_minus, tab.pts),
+        piecewise(sides, prob.grad_u_plus, prob.grad_u_minus, tab.pts, vector=True), uh, duh)
+    return float(np.sqrt(l2 + dl2)), float(np.sqrt(h1 + dh1))
+
+
+class TestUncutSplit:
+    """error_norms takes the uncut elements' sums from the exact solution's
+    projections (assembly.uncut_pass) and the DOFs' quadratic forms."""
+
+    PROBLEMS = {"ex1": example1, "ex2": example2, "ex3": example3, "ex4": example4}
+
+    @staticmethod
+    def solved(example, kind, N=16, method="new"):
+        prob = TestUncutSplit.PROBLEMS[example]()
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        ctx = build_context(prob, build(N, prob.domain), kind)
+        correction = None if prob.homogeneous_jumps else build_jump_correction(ctx)
+        system = assemble(ctx, method, correction=correction)
+        x, _ = solve_spd(system)
+        return ctx, system.expand(x), correction
+
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    @pytest.mark.parametrize("example", ["ex1", "ex2", "ex3", "ex4"])
+    def test_split_matches_pointwise_sums(self, example, kind):
+        """On the solution and on random DOF vectors, the errors agree with
+        the pointwise sums to 1e-12 relative; ex3's solution, whose error is
+        at roundoff, to 1e-15 absolute."""
+        ctx, x, correction = self.solved(example, kind)
+        got, want = error_norms(ctx, x, correction), pointwise_error_norms(ctx, x, correction)
+        if example == "ex3":
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+        rng = np.random.default_rng(5)
+        for scale in (1.0, 1e-3):
+            y = x + scale * rng.standard_normal(x.shape)
+            np.testing.assert_allclose(error_norms(ctx, y, correction),
+                                       pointwise_error_norms(ctx, y, correction), rtol=1e-12)
+
+    @pytest.mark.parametrize("worker", [True, False], ids=["worker", "serial"])
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    def test_load_pass_leaves_the_standalone_split(self, monkeypatch, kind, worker):
+        """The split that the load vector's pass leaves on the context, on
+        solve_spd's worker or on the calling thread, gives the errors of the
+        split that error_norms computes itself, bit for bit."""
+        monkeypatch.setattr(assembly, "LOAD_WORKER_DOFS", 0 if worker else 10 ** 9)
+        prob = example4()
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        ctx = build_context(prob, build(16, prob.domain), kind)
+        correction = build_jump_correction(ctx)
+        system = assemble(ctx, "new", correction=correction)
+        assert ctx.residuals is None
+        x, _ = solve_spd(system)
+        assert ctx.residuals is not None
+        x = system.expand(x)
+        got = error_norms(ctx, x, correction)
+        fresh = build_context(prob, ctx.mesh, kind, layout=ctx.layout)
+        want = error_norms(fresh, x, correction)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 class TestConvergenceTable:

@@ -56,7 +56,8 @@ class TestExample1:
         """u, grad u and f of both sides, computed at every point and selected
         with np.where, equal the masked evaluation bit for bit (signed zeros
         included) and raise no RuntimeWarning: on 1e5 random points, at r = 0
-        and on both sides of the edges of the bump's support."""
+        and on both sides of the edges of the bump's support. So do the
+        three fields of each side's joint callable."""
         rng = np.random.default_rng(3)
         support = []
         for r in (R0 - ETA * (1.0 - 1e-12), R0 + ETA * (1.0 - 1e-12), R0 - ETA, R0 + ETA):
@@ -77,10 +78,12 @@ class TestExample1:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 got = [getattr(prob, name + side)(pts) for name in ("u_", "grad_u_", "f_")]
-            for new, ref in zip(got, masked_fields(b)):
-                want = ref(pts)
-                assert new.shape == want.shape
-                assert np.array_equal(new.view(np.int64), want.view(np.int64))
+                f, u, grad = getattr(prob, "fields_" + side)(pts)
+            for new in (got, [u, grad, f]):
+                for value, ref in zip(new, masked_fields(b)):
+                    want = ref(pts)
+                    assert value.shape == want.shape
+                    assert np.array_equal(value.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("kind", ["cr", "rq1"])
     def test_fields_on_class_blocks_match_masked_reference_bitwise(self, kind):
@@ -194,6 +197,37 @@ class TestValidateNegativeControl:
         bad = replace(prob, f_plus=lambda x: 1.01 * fp(x))
         with pytest.raises(ValidationError):
             validate(bad)
+
+    def test_disagreeing_joint_fields_fail(self):
+        """A joint (f, u, grad u) callable must give the three closures'
+        values: one off by 1e-9 in u is rejected, and so is the joint
+        callable of ex1 kept beside a replaced u."""
+        prob = example1(10.0, 1000.0)
+        joint = prob.fields_minus
+
+        def off(x):
+            f, u, grad = joint(x)
+            return f, u * (1.0 + 1e-9), grad
+
+        for bad in (replace(prob, fields_minus=off),
+                    replace(prob, u_plus=lambda x: 2.0 * prob.u_plus(x))):
+            rep = validate(bad, strict=False)
+            assert not rep.ok and rep.fields_residual > 1e-12
+            assert "joint fields callable disagrees with f, u and grad u" in rep.failures
+            with pytest.raises(ValidationError):
+                validate(bad)
+        assert validate(prob).fields_residual == 0.0
+
+    def test_fields_default_to_the_closures(self):
+        """Without a joint callable, fields(plus) calls the side's f, u and
+        grad u in turn."""
+        prob = example2()
+        assert prob.fields_plus is None and prob.fields_minus is None
+        x = np.random.default_rng(2).uniform(-1.0, 1.0, (50, 2))
+        for plus, closures in ((True, (prob.f_plus, prob.u_plus, prob.grad_u_plus)),
+                               (False, (prob.f_minus, prob.u_minus, prob.grad_u_minus))):
+            for got, fn in zip(prob.fields(plus)(x), closures):
+                assert got.tobytes() == fn(x).tobytes()
 
     def test_get_example_rejects_unknown(self):
         with pytest.raises(KeyError):
