@@ -706,7 +706,7 @@ def uncut_pass(ctx: Context, b: Optional[np.ndarray] = None) -> Tuple[float, flo
     prob = ctx.prob
     l2 = h1 = 0.0
     for cl in ctx.classes:
-        fields = prob.fields(cl.side == INTERIOR_PLUS)
+        fields = cl.branch(prob.fields_plus, prob.fields_minus)
         beta = cl.branch(prob.beta_plus, prob.beta_minus)
         nq, m = cl.vals.shape
         k = m - 1

@@ -21,7 +21,7 @@ from .ife_space import (
     sm_geometry_checks,
 )
 from .mesh import build_uniform_rect, build_uniform_tri
-from .problems import ProblemSpec, piecewise, validate
+from .problems import ProblemSpec, validate
 
 CSV_HEADER = "N,h,dofs,L2_err,L2_rate,H1_err,H1_rate,cg_iters,seconds"
 
@@ -62,10 +62,10 @@ def error_norms(ctx: Context, dofs: np.ndarray, correction: Optional[np.ndarray]
     Cut elements compare branch against branch, point by point: on each
     chord side the discrete piece is measured against the same-side branch
     of the exact solution (extended smoothly across the chord/interface
-    mismatch strip). With nonzero solution jumps the cross-branch pointwise
-    difference is O(|[u]|) on an O(h^3)-area strip and would otherwise
-    pollute the L2 error at order h^1.5, hiding the method's second-order
-    convergence.
+    mismatch strip), each side's fields called once on its pieces' points.
+    With nonzero solution jumps the cross-branch pointwise difference is
+    O(|[u]|) on an O(h^3)-area strip and would otherwise pollute the L2
+    error at order h^1.5, hiding the method's second-order convergence.
     """
     mesh = ctx.mesh
     prob = ctx.prob
@@ -85,11 +85,11 @@ def error_norms(ctx: Context, dofs: np.ndarray, correction: Optional[np.ndarray]
         vJ, gJ = evaluate(correction[tab.owner, tab.piece], tab.pts,
                           tab.centers[tab.owner], mesh.kappa)
         uh, duh = uh + vJ, duh + gJ
-    sides = 1 - 2 * tab.piece
-    dl2, dh1 = _squared_errors(tab.wts, tab.beta,
-                               piecewise(sides, prob.u_plus, prob.u_minus, tab.pts),
-                               piecewise(sides, prob.grad_u_plus, prob.grad_u_minus, tab.pts,
-                                         vector=True), uh, duh)
+    ue, due = np.empty(len(tab.pts)), np.empty(tab.pts.shape)
+    for m, fields in ((tab.piece == 0, prob.fields_plus), (tab.piece == 1, prob.fields_minus)):
+        if m.any():
+            _, ue[m], due[m] = fields(tab.pts[m])
+    dl2, dh1 = _squared_errors(tab.wts, tab.beta, ue, due, uh, duh)
     return float(np.sqrt(l2 + dl2)), float(np.sqrt(h1 + dh1))
 
 
@@ -187,10 +187,10 @@ def _prefix_message(err: BaseException, prefix: str):
     """Prefix the message of err in place, so that its type and attributes
     (a SolverError's residual, say) stay. An error whose class builds its
     message from other attributes, as numpy's _ArrayMemoryError does from a
-    shape and a dtype, gets the prefix as a note instead (Python 3.11+)."""
+    shape and a dtype, gets the prefix as a note instead."""
     if type(err).__str__ is BaseException.__str__ and len(err.args) <= 1:
         err.args = (f"{prefix}: {err}",)
-    elif hasattr(err, "add_note"):
+    else:
         err.add_note(prefix)
 
 

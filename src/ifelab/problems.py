@@ -1,9 +1,10 @@
 """Built-in interface problems with manufactured solutions.
 
-Each problem packages a level set, piecewise diffusion coefficients, the
-exact solution with its gradient, the hand-derived source, interface jump
-data and Dirichlet boundary data. `validate` certifies a spec before any
-convergence run: the analytic gradient against finite differences, the jump
+Each problem packages a level set, piecewise diffusion coefficients, one
+callable per side that gives the exact fields (f, u, grad u) of that side,
+interface jump data and Dirichlet boundary data. `validate` certifies a spec
+before any convergence run: the shapes and finiteness of each side's fields,
+grad u and the level-set gradient against finite differences, the jump
 conditions at sampled interface points, and the source against a 4th-order
 finite-difference discretization of the flux divergence.
 
@@ -25,14 +26,14 @@ class ValidationError(RuntimeError):
         self.report = report
 
 
-def piecewise(phi_vals, f_plus, f_minus, x, vector=False):
-    """Evaluate f_plus where phi >= 0 and f_minus elsewhere, without calling
-    either callable outside its own subdomain; points all on one side are
-    passed to its callable whole, without a gather."""
+def piecewise(phi_vals, plus_fn, minus_fn, x):
+    """Evaluate the scalar plus_fn where phi >= 0 and minus_fn elsewhere,
+    without calling either callable outside its own subdomain; points all on
+    one side are passed to its callable whole, without a gather."""
     x = np.asarray(x, float)
-    out = np.empty(x.shape[:-1] + ((2,) if vector else ()))
+    out = np.empty(x.shape[:-1])
     plus = np.asarray(phi_vals) >= 0
-    for m, f in ((plus, f_plus), (~plus, f_minus)):
+    for m, f in ((plus, plus_fn), (~plus, minus_fn)):
         if m.size and m.all():
             out[...] = f(x)
         elif m.any():
@@ -42,17 +43,26 @@ def piecewise(phi_vals, f_plus, f_minus, x, vector=False):
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """An interface problem and its manufactured solution.
+
+    fields_plus and fields_minus map points x (..., 2) to the exact fields
+    (f, u, grad u) of their side, of shapes (...), (...) and (..., 2). They
+    are the only description of the solution: the load vector, the error
+    norms, the interpolant and validate all take their component from them.
+    They are called on whole blocks of one side's points and, on the cut
+    elements, a little beyond the interface, where the chord and the
+    interface disagree, so each must extend smoothly across it. g_D and g_N
+    are the jumps [u] and [beta grad u . n] across the interface (plus side
+    minus minus side) and g_boundary the Dirichlet data.
+    """
+
     name: str
     levelset: LevelSet
     domain: tuple
     beta_plus: Callable
     beta_minus: Callable
-    f_plus: Callable
-    f_minus: Callable
-    u_plus: Callable
-    u_minus: Callable
-    grad_u_plus: Callable
-    grad_u_minus: Callable
+    fields_plus: Callable
+    fields_minus: Callable
     g_D: Callable
     g_N: Callable
     g_boundary: Callable
@@ -61,33 +71,22 @@ class ProblemSpec:
     # high derivatives blow up in a thin shell (compactly supported bumps)
     fd_sample_filter: Optional[Callable] = None
     fd_step: float = 1e-3
-    # x -> (f, u, grad u) of one side on the same points, for a problem that
-    # shares work between the three; it must agree with the three closures,
-    # which validate checks. None calls the three closures in turn.
-    fields_plus: Optional[Callable] = None
-    fields_minus: Optional[Callable] = None
+
+    def _component(self, i: int):
+        """Component i of each side's fields, as two callables."""
+        return (lambda x: self.fields_plus(x)[i]), (lambda x: self.fields_minus(x)[i])
 
     def u_exact(self, x):
         x = np.asarray(x, float)
-        return piecewise(self.levelset.phi(x), self.u_plus, self.u_minus, x)
-
-    def fields(self, plus: bool) -> Callable:
-        """x -> (f, u, grad u) of the plus or the minus side: the side's joint
-        callable, or its three closures in turn."""
-        joint = self.fields_plus if plus else self.fields_minus
-        if joint is not None:
-            return joint
-        f, u, grad = ((self.f_plus, self.u_plus, self.grad_u_plus) if plus
-                      else (self.f_minus, self.u_minus, self.grad_u_minus))
-        return lambda x: (f(x), u(x), grad(x))
+        return piecewise(self.levelset.phi(x), *self._component(1), x)
 
     def f(self, x):
         """The source at x, each point taking the branch of its own sign of
         phi. The load vector calls it on the cut elements only, whose
         sub-polygons follow the chord rather than the interface; every uncut
-        element lies on one side and takes f_plus or f_minus whole."""
+        element lies on one side and takes that side's fields whole."""
         x = np.asarray(x, float)
-        return piecewise(self.levelset.phi(x), self.f_plus, self.f_minus, x)
+        return piecewise(self.levelset.phi(x), *self._component(0), x)
 
 
 def example1(beta_p: float = 10.0, beta_m: float = 1000.0) -> ProblemSpec:
@@ -104,10 +103,9 @@ def example1(beta_p: float = 10.0, beta_m: float = 1000.0) -> ProblemSpec:
     ls = LevelSet(phi=lambda x: x[..., 0] ** 2 + x[..., 1] ** 2 - r0 ** 2,
                   grad=lambda x: 2.0 * np.asarray(x, float))
 
-    def radial(x, beta, order):
-        """r and the derivatives R, R', ... up to R^(order) of R = j v, where
-        j is the C-infinity bump in the radial variable. Each caller pays
-        only for the derivatives it uses."""
+    def radial(x, beta):
+        """r and R, R', R'' of R = j v, where j is the C-infinity bump in the
+        radial variable."""
         r = np.hypot(x[..., 0], x[..., 1])
         w = (r - r0) / eta
         inside = np.abs(w) < 1.0 - 1e-12
@@ -118,74 +116,32 @@ def example1(beta_p: float = 10.0, beta_m: float = 1000.0) -> ProblemSpec:
         g = np.exp(-1.0 / s)
         j = np.where(inside, g, 0.0)
         v = 1.0 + (r ** 2 - r0 ** 2) / beta
-        out = [r, j * v]
-        if order >= 1:
-            s2 = s ** 2
-            q1 = -2.0 * w / s2
-            j1 = np.where(inside, g * q1 / eta, 0.0)
-            v1 = 2.0 * r / beta
-            out.append(j1 * v + j * v1)
-        if order >= 2:
-            q2 = -2.0 / s2 - 8.0 * w2 / s ** 3
-            j2 = np.where(inside, g * (q1 ** 2 + q2) / eta ** 2, 0.0)
-            v2 = 2.0 / beta
-            out.append(j2 * v + 2.0 * j1 * v1 + j * v2)
-        return out
-
-    # the closures divide by r at every point and, where r = 0 occurs, select
-    # with np.where, which drops the 0/0 there; the joint callable evaluates
-    # radial, sin and cos once for all three fields and gives each the same
-    # values bit for bit
-    quiet = dict(divide="ignore", invalid="ignore")
-
-    def off_origin(r):
-        """a -> a where r > 0 and 0 elsewhere; the identity when r > 0 at
-        every point."""
-        m = r > 0
-        return (lambda a: a) if m.all() else (lambda a: np.where(m, a, 0.0))
-
-    def u_of(x, r, R, sel):
-        return sel(R * x[..., 1] / r)
-
-    def grad_of(r, R, R1, sin, cos, sel):
-        Rr = R / r
-        return np.stack([sel(sin * cos * (R1 - Rr)), sel(R1 * sin ** 2 + Rr * cos ** 2)],
-                        axis=-1)
-
-    def f_of(beta, r, R, R1, R2, sin, sel):
-        return sel(-beta * (R2 + R1 / r - R / r ** 2) * sin)
+        s2 = s ** 2
+        q1 = -2.0 * w / s2
+        j1 = np.where(inside, g * q1 / eta, 0.0)
+        v1 = 2.0 * r / beta
+        q2 = -2.0 / s2 - 8.0 * w2 / s ** 3
+        j2 = np.where(inside, g * (q1 ** 2 + q2) / eta ** 2, 0.0)
+        v2 = 2.0 / beta
+        return r, j * v, j1 * v + j * v1, j2 * v + 2.0 * j1 * v1 + j * v2
 
     def make(beta):
-        def u(x):
-            x = np.asarray(x, float)
-            r, R = radial(x, beta, 0)
-            with np.errstate(**quiet):
-                return u_of(x, r, R, off_origin(r))
-
-        def grad(x):
-            x = np.asarray(x, float)
-            r, R, R1 = radial(x, beta, 1)
-            with np.errstate(**quiet):
-                return grad_of(r, R, R1, x[..., 1] / r, x[..., 0] / r, off_origin(r))
-
-        def f(x):
-            x = np.asarray(x, float)
-            r, R, R1, R2 = radial(x, beta, 2)
-            with np.errstate(**quiet):
-                return f_of(beta, r, R, R1, R2, x[..., 1] / r, off_origin(r))
-
         def fields(x):
+            """(f, u, grad u) from one evaluation of radial, sin and cos. Every
+            field divides by r at every point and, where r = 0 occurs,
+            selects with np.where, which drops the 0/0 there."""
             x = np.asarray(x, float)
-            r, R, R1, R2 = radial(x, beta, 2)
-            sel = off_origin(r)
-            with np.errstate(**quiet):
-                sin = x[..., 1] / r
-                return (f_of(beta, r, R, R1, R2, sin, sel), u_of(x, r, R, sel),
-                        grad_of(r, R, R1, sin, x[..., 0] / r, sel))
-        return u, grad, f, fields
+            r, R, R1, R2 = radial(x, beta)
+            m = r > 0
+            sel = (lambda a: a) if m.all() else (lambda a: np.where(m, a, 0.0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sin, cos, Rr = x[..., 1] / r, x[..., 0] / r, R / r
+                return (sel(-beta * (R2 + R1 / r - R / r ** 2) * sin),
+                        sel(R * x[..., 1] / r),
+                        np.stack([sel(sin * cos * (R1 - Rr)),
+                                  sel(R1 * sin ** 2 + Rr * cos ** 2)], axis=-1))
+        return fields
 
-    up, gup, fp, jp = make(beta_p)
-    um, gum, fm, jm = make(beta_m)
     zero = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
     shell = lambda x: np.abs((np.hypot(x[..., 0], x[..., 1]) - r0) / eta)
     return ProblemSpec(
@@ -193,10 +149,10 @@ def example1(beta_p: float = 10.0, beta_m: float = 1000.0) -> ProblemSpec:
         levelset=ls, domain=(-1.0, 1.0, -1.0, 1.0),
         beta_plus=lambda x: np.full(np.asarray(x, float).shape[:-1], float(beta_p)),
         beta_minus=lambda x: np.full(np.asarray(x, float).shape[:-1], float(beta_m)),
-        f_plus=fp, f_minus=fm, u_plus=up, u_minus=um, grad_u_plus=gup, grad_u_minus=gum,
+        fields_plus=make(beta_p), fields_minus=make(beta_m),
         g_D=zero, g_N=zero, g_boundary=zero,
         fd_sample_filter=lambda x: (shell(x) < 0.85) | (shell(x) > 1.05),
-        fd_step=2e-4, fields_plus=jp, fields_minus=jm)
+        fd_step=2e-4)
 
 
 def example2() -> ProblemSpec:
@@ -231,27 +187,19 @@ def example2() -> ProblemSpec:
     lbm = lambda x: -72.0 * np.cos(6.0 * (x[..., 0] + x[..., 1]))
 
     def make(beta, gbeta, lbeta):
-        def u(x):
-            return phi(x) / beta(x)
+        def fields(x):
+            """(f, u, grad u), grad u computed once for itself and for f."""
+            b, p, gb = beta(x), phi(x), gbeta(x)
+            gu = grad_phi(x) / b[..., None] - (p / b ** 2)[..., None] * gb
+            u = p / b
+            return -lap_phi(x) + np.einsum("...i,...i->...", gu, gb) + u * lbeta(x), u, gu
+        return fields
 
-        def grad(x):
-            b = beta(x)
-            return grad_phi(x) / b[..., None] - (phi(x) / b ** 2)[..., None] * gbeta(x)
-
-        def f(x):
-            b = beta(x)
-            gu = grad_phi(x) / b[..., None] - (phi(x) / b ** 2)[..., None] * gbeta(x)
-            return -lap_phi(x) + np.einsum("...i,...i->...", gu, gbeta(x)) \
-                + (phi(x) / b) * lbeta(x)
-        return u, grad, f
-
-    up, gup, fp = make(bp, gbp, lbp)
-    um, gum, fm = make(bm, gbm, lbm)
     zero = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
     return ProblemSpec(
         name="ex2", levelset=ls, domain=(-1.0, 1.0, -1.0, 1.0),
-        beta_plus=bp, beta_minus=bm, f_plus=fp, f_minus=fm,
-        u_plus=up, u_minus=um, grad_u_plus=gup, grad_u_minus=gum,
+        beta_plus=bp, beta_minus=bm,
+        fields_plus=make(bp, gbp, lbp), fields_minus=make(bm, gbm, lbm),
         g_D=zero, g_N=zero,
         g_boundary=lambda x: phi(x) / bp(x))
 
@@ -274,13 +222,13 @@ def example3() -> ProblemSpec:
             x = np.asarray(x, float)
             return (x[..., 0] + x[..., 1]) * s + (x[..., 0] - x[..., 1]) * s / beta
 
-        def grad(x):
+        def fields(x):
             x = np.asarray(x, float)
-            return np.broadcast_to(gu, x.shape).copy()
-        return u, grad
+            return np.zeros(x.shape[:-1]), u(x), np.broadcast_to(gu, x.shape).copy()
+        return u, fields
 
-    up, gup = make(bp)
-    um, gum = make(bm)
+    up, fields_plus = make(bp)
+    um, fields_minus = make(bm)
     zero = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
 
     def g_boundary(x):  # the interface reaches the domain boundary
@@ -291,8 +239,7 @@ def example3() -> ProblemSpec:
         name="ex3", levelset=ls, domain=(-1.0, 1.0, -1.0, 1.0),
         beta_plus=lambda x: np.full(np.asarray(x, float).shape[:-1], bp),
         beta_minus=lambda x: np.full(np.asarray(x, float).shape[:-1], bm),
-        f_plus=zero, f_minus=zero,
-        u_plus=up, u_minus=um, grad_u_plus=gup, grad_u_minus=gum,
+        fields_plus=fields_plus, fields_minus=fields_minus,
         g_D=zero, g_N=zero, g_boundary=g_boundary)
 
 
@@ -342,8 +289,9 @@ def example4() -> ProblemSpec:
 
     return ProblemSpec(
         name="ex4", levelset=ls, domain=(-1.0, 1.0, -1.0, 1.0),
-        beta_plus=bp, beta_minus=bm, f_plus=fp, f_minus=fm,
-        u_plus=up, u_minus=um, grad_u_plus=gup, grad_u_minus=gum,
+        beta_plus=bp, beta_minus=bm,
+        fields_plus=lambda x: (fp(x), up(x), gup(x)),
+        fields_minus=lambda x: (fm(x), um(x), gum(x)),
         g_D=g_D, g_N=g_N, g_boundary=up, homogeneous_jumps=False)
 
 
@@ -399,7 +347,7 @@ class ValidationReport:
     jump_value_residual: float = np.nan
     jump_flux_residual: float = np.nan
     source_residual: float = np.nan
-    fields_residual: float = 0.0
+    gradient_residual: float = np.nan
     failures: list = field(default_factory=list)
 
     @property
@@ -413,7 +361,7 @@ class ValidationReport:
                  f"  [u] - g_D on interface          : {self.jump_value_residual:.3e}",
                  f"  [beta grad u . n] - g_N         : {self.jump_flux_residual:.3e}",
                  f"  f vs -div(beta grad u) (FD)     : {self.source_residual:.3e}",
-                 f"  joint fields vs closures        : {self.fields_residual:.3e}"]
+                 f"  grad u vs finite differences    : {self.gradient_residual:.3e}"]
         for fmsg in self.failures:
             lines.append("  FAILED: " + fmsg)
         if self.ok:
@@ -421,25 +369,50 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _fd_source(prob: ProblemSpec, pts: np.ndarray, side: str, h: float) -> np.ndarray:
-    """-div(beta grad u) by 4th-order central differences, one-sided fields."""
-    u = prob.u_plus if side == "+" else prob.u_minus
+def _side_fields(prob: ProblemSpec, side: str) -> Callable:
+    return prob.fields_plus if side == "+" else prob.fields_minus
+
+
+def _fields_failure(out, n: int, side: str) -> Optional[str]:
+    """Why out, one side's fields on n points, is not finite (f, u, grad u)
+    of shapes (n,), (n,) and (n, 2); None when it is."""
+    if not isinstance(out, tuple) or len(out) != 3:
+        return f"fields on side {side} do not return the tuple (f, u, grad u)"
+    for name, value, shape in zip(("f", "u", "grad u"), out, ((n,), (n,), (n, 2))):
+        value = np.asarray(value)
+        if value.shape != shape:
+            return f"{name} on side {side} has shape {value.shape} on {n} points, not {shape}"
+        if not np.all(np.isfinite(value)):
+            return f"{name} on side {side} is not finite at every sample point"
+    return None
+
+
+def _fd_fields(prob: ProblemSpec, pts: np.ndarray, side: str, h: float):
+    """grad u and -div(beta grad u) of one side by 4th-order central
+    differences of that side's u and beta, each called once per stencil
+    point."""
+    fields = _side_fields(prob, side)
+    u = lambda x: fields(x)[1]
     beta = prob.beta_plus if side == "+" else prob.beta_minus
 
-    def dx(f, axis):
+    def stencil(f, axis):
+        """f at pts - 2he, pts - he, pts + he and pts + 2he, e the unit
+        vector of axis."""
         e = np.zeros(2)
         e[axis] = h
-        return (-f(pts + 2 * e) + 8 * f(pts + e) - 8 * f(pts - e) + f(pts - 2 * e)) / (12 * h)
+        return [f(pts + k * e) for k in (-2, -1, 1, 2)]
 
-    def dxx(f, axis):
-        e = np.zeros(2)
-        e[axis] = h
-        return (-f(pts + 2 * e) + 16 * f(pts + e) - 30 * f(pts)
-                + 16 * f(pts - e) - f(pts - 2 * e)) / (12 * h ** 2)
+    def dx(m2, m1, p1, p2):
+        return (-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h)
 
-    div = (dx(beta, 0) * dx(u, 0) + dx(beta, 1) * dx(u, 1)
-           + beta(pts) * (dxx(u, 0) + dxx(u, 1)))
-    return -div
+    def dxx(m2, m1, p1, p2):
+        return (-p2 + 16 * p1 - 30 * u0 + 16 * m1 - m2) / (12 * h ** 2)
+
+    u0 = u(pts)
+    ux, uy = stencil(u, 0), stencil(u, 1)
+    div = (dx(*stencil(beta, 0)) * dx(*ux) + dx(*stencil(beta, 1)) * dx(*uy)
+           + beta(pts) * (dxx(*ux) + dxx(*uy)))
+    return np.stack([dx(*ux), dx(*uy)], axis=-1), -div
 
 
 def _sample_side(prob: ProblemSpec, side: str, n: int, h: float, rng) -> np.ndarray:
@@ -465,20 +438,20 @@ def _sample_side(prob: ProblemSpec, side: str, n: int, h: float, rng) -> np.ndar
     return np.array(out[:n])
 
 
-def _relative_gap(got, want) -> float:
-    """Largest |got - want| / max(1, |want|); inf when the shapes differ or a
-    value is NaN."""
-    got, want = np.asarray(got, float), np.asarray(want, float)
-    if got.shape != want.shape:
-        return np.inf
-    gap = np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)), initial=0.0)
-    return float(np.nan_to_num(gap, nan=np.inf))
+def _relative_residual(got, want) -> float:
+    """Largest |got - want| / max(scale, |want|) over the points, scale the
+    larger of 1 and the median |want|; |.| is the Euclidean norm of a
+    vector field (trailing axis of length 2)."""
+    mag = (lambda a: np.linalg.norm(a, axis=-1)) if np.ndim(want) == 2 else np.abs
+    size = mag(want)
+    scale = max(1.0, float(np.median(size)))
+    return float(np.max(mag(got - want) / np.maximum(scale, size)))
 
 
 def validate(prob: ProblemSpec, n_interface: int = 64, n_source: int = 100,
              seed: int = 0, strict: bool = True) -> ValidationReport:
     """Certify a problem spec; raises ValidationError when strict and a
-    residual exceeds its tolerance."""
+    check fails. A residual that is NaN fails its check."""
     rng = np.random.default_rng(seed)
     rep = ValidationReport(prob.name)
     x0, x1, y0, y1 = prob.domain
@@ -492,7 +465,7 @@ def validate(prob: ProblemSpec, n_interface: int = 64, n_source: int = 100,
     g = np.asarray(prob.levelset.grad(pts), float)
     scale = np.maximum(1.0, np.linalg.norm(g, axis=1))
     rep.grad_phi_residual = float(np.max(np.hypot(g[:, 0] - gx, g[:, 1] - gy) / scale))
-    if rep.grad_phi_residual > 1e-6:
+    if not rep.grad_phi_residual <= 1e-6:
         rep.failures.append("level-set gradient inconsistent with finite differences")
 
     # coefficient bounds
@@ -500,42 +473,44 @@ def validate(prob: ProblemSpec, n_interface: int = 64, n_source: int = 100,
     if not np.isfinite(rep.beta_min) or rep.beta_min <= 0:
         rep.failures.append("beta not bounded below by a positive constant")
 
-    # jump conditions on the interface, with the exact unit normal
-    gpts = interface_points(prob.levelset, prob.domain, n_interface, seed=seed)
-    n = prob.levelset.unit_normal(gpts)
-    ju = prob.u_plus(gpts) - prob.u_minus(gpts) - prob.g_D(gpts)
-    rep.jump_value_residual = float(np.max(np.abs(ju)))
-    flux = (prob.beta_plus(gpts) * np.einsum("ij,ij->i", prob.grad_u_plus(gpts), n)
-            - prob.beta_minus(gpts) * np.einsum("ij,ij->i", prob.grad_u_minus(gpts), n)
-            - prob.g_N(gpts))
-    rep.jump_flux_residual = float(np.max(np.abs(flux)))
-    if rep.jump_value_residual > 1e-8:
-        rep.failures.append("solution jump does not match g_D on the interface")
-    if rep.jump_flux_residual > 1e-8:
-        rep.failures.append("flux jump does not match g_N on the interface")
-
-    # source consistency, side by side; a joint (f, u, grad u) callable must
-    # give the three closures' values on the same points
-    worst = 0.0
-    for side in ("+", "-"):
-        spts = _sample_side(prob, side, n_source, prob.fd_step, rng)
-        fd = _fd_source(prob, spts, side, prob.fd_step)
-        f = prob.f_plus(spts) if side == "+" else prob.f_minus(spts)
-        fscale = max(1.0, float(np.median(np.abs(f))))
-        res = np.abs(fd - f) / np.maximum(fscale, np.abs(f))
-        worst = max(worst, float(np.max(res)))
-        joint = prob.fields_plus if side == "+" else prob.fields_minus
-        if joint is not None:
-            u, grad = ((prob.u_plus, prob.grad_u_plus) if side == "+"
-                       else (prob.u_minus, prob.grad_u_minus))
-            for got, want in zip(joint(spts), (f, u(spts), grad(spts))):
-                rep.fields_residual = max(rep.fields_residual, _relative_gap(got, want))
-    rep.source_residual = worst
-    if rep.source_residual > 1e-5:
-        rep.failures.append("source term inconsistent with -div(beta grad u)")
-    if rep.fields_residual > 1e-12:
-        rep.failures.append("joint fields callable disagrees with f, u and grad u")
-
+    # each side's fields, on points whose FD stencil stays on that side: the
+    # shapes and finiteness first, since every later check reads them
+    sides = {side: _sample_side(prob, side, n_source, prob.fd_step, rng) for side in "+-"}
+    values = {side: _side_fields(prob, side)(spts) for side, spts in sides.items()}
+    broken = [msg for msg in (_fields_failure(values[side], n_source, side) for side in "+-")
+              if msg]
+    rep.failures += broken
+    if not broken:
+        _check_fields(prob, rep, sides, values, n_interface, seed)
     if strict and not rep.ok:
         raise ValidationError(rep)
     return rep
+
+
+def _check_fields(prob: ProblemSpec, rep: ValidationReport, sides: dict, values: dict,
+                  n_interface: int, seed: int):
+    """The jump conditions on the interface, and f and grad u of each side
+    (values, on the points sides) against finite differences of u."""
+    gpts = interface_points(prob.levelset, prob.domain, n_interface, seed=seed)
+    n = prob.levelset.unit_normal(gpts)
+    _, up, gup = prob.fields_plus(gpts)
+    _, um, gum = prob.fields_minus(gpts)
+    rep.jump_value_residual = float(np.max(np.abs(up - um - prob.g_D(gpts))))
+    flux = (prob.beta_plus(gpts) * np.einsum("ij,ij->i", gup, n)
+            - prob.beta_minus(gpts) * np.einsum("ij,ij->i", gum, n) - prob.g_N(gpts))
+    rep.jump_flux_residual = float(np.max(np.abs(flux)))
+    if not rep.jump_value_residual <= 1e-8:
+        rep.failures.append("solution jump does not match g_D on the interface")
+    if not rep.jump_flux_residual <= 1e-8:
+        rep.failures.append("flux jump does not match g_N on the interface")
+
+    rep.source_residual = rep.gradient_residual = 0.0
+    for side, spts in sides.items():
+        f, _, grad = values[side]
+        fd_grad, fd_source = _fd_fields(prob, spts, side, prob.fd_step)
+        rep.source_residual = max(rep.source_residual, _relative_residual(fd_source, f))
+        rep.gradient_residual = max(rep.gradient_residual, _relative_residual(fd_grad, grad))
+    if not rep.source_residual <= 1e-5:
+        rep.failures.append("source term inconsistent with -div(beta grad u)")
+    if not rep.gradient_residual <= 1e-5:
+        rep.failures.append("grad u inconsistent with finite differences of u")

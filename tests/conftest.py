@@ -1,10 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ifelab.geometry import INTERFACE, LevelSet
 from ifelab.ife_space import _dof_rows, evaluate, jump_corrections
 from ifelab.mesh import UnfittedMesh, _connect
-from ifelab.problems import piecewise
 from ifelab.quadrature import segment_rule
 
 from cut_reference import as_element, element_size
@@ -163,11 +164,33 @@ def check_monotone(table, slack: float = 1.05, floor: float = 1e-10) -> bool:
     return True
 
 
+def side_field(prob, plus, x, i: int) -> np.ndarray:
+    """Component i of the exact fields (f, u, grad u) at the points x, from
+    fields_plus where the mask plus holds and fields_minus elsewhere."""
+    x = np.asarray(x, float)
+    out = np.empty(x.shape[:-1] + ((2,) if i == 2 else ()))
+    for m, fields in ((plus, prob.fields_plus), (~plus, prob.fields_minus)):
+        if m.any():
+            out[m] = fields(x[m])[i]
+    return out
+
+
+def corrupted_source(prob, scale: float = 1.0, offset: float = 0.0):
+    """prob with the plus side's source f replaced by scale * f + offset, its
+    u and grad u kept."""
+    fields = prob.fields_plus
+
+    def bad(x):
+        f, u, du = fields(x)
+        return scale * f + offset, u, du
+
+    return replace(prob, fields_plus=bad)
+
+
 def grad_u_exact(prob, x) -> np.ndarray:
     """Gradient of a problem's exact solution, the branch chosen by phi."""
     x = np.asarray(x, float)
-    return piecewise(prob.levelset.phi(x), prob.grad_u_plus, prob.grad_u_minus, x,
-                     vector=True)
+    return side_field(prob, np.asarray(prob.levelset.phi(x)) >= 0, x, 2)
 
 
 def jump_correction_local(basis, g_D, g_N) -> np.ndarray:

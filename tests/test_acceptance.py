@@ -7,7 +7,6 @@ from the published convergence tables of the underlying study.
 import time
 
 import numpy as np
-from dataclasses import replace
 
 from ifelab.assembly import (
     assemble,
@@ -32,7 +31,7 @@ from ifelab.problems import (
 )
 
 import _acceptance_log
-from conftest import lifted_field
+from conftest import corrupted_source, lifted_field
 
 RESULTS = _acceptance_log.RESULTS
 
@@ -225,8 +224,7 @@ def test_criterion_10_problem_self_validation():
         all_ok &= rep.ok
         details.append(f"{prob.name} ok={rep.ok}")
     prob = example1(10, 1000)
-    fp = prob.f_plus
-    corrupted = replace(prob, f_plus=lambda x: 1.01 * fp(x))
+    corrupted = corrupted_source(prob, scale=1.01)
     control_failed = False
     try:
         validate(corrupted)

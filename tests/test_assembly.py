@@ -55,10 +55,10 @@ def poisson_far_problem():
     zero = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
     one = lambda x: np.ones(np.asarray(x, float).shape[:-1])
     gzero = lambda x: np.zeros(np.asarray(x, float).shape)
+    fields = lambda x: (one(x), zero(x), gzero(x))
     return ProblemSpec(
         name="poisson", levelset=far_levelset(), domain=(0.0, 1.0, 0.0, 1.0),
-        beta_plus=one, beta_minus=one, f_plus=one, f_minus=one,
-        u_plus=zero, u_minus=zero, grad_u_plus=gzero, grad_u_minus=gzero,
+        beta_plus=one, beta_minus=one, fields_plus=fields, fields_minus=fields,
         g_D=zero, g_N=zero, g_boundary=zero)
 
 
@@ -106,7 +106,9 @@ class TestVolumeAssembly:
         from dataclasses import replace
         prob = poisson_far_problem()
         zero = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
-        prob = replace(prob, f_plus=zero, f_minus=zero)
+        gzero = lambda x: np.zeros(np.asarray(x, float).shape)
+        fields = lambda x: (zero(x), zero(x), gzero(x))
+        prob = replace(prob, fields_plus=fields, fields_minus=fields)
         mesh = build_uniform_tri(3, prob.domain)
         ctx = build_context(prob, mesh, "cr")
         sys_ = assemble(ctx, "plain")
@@ -584,10 +586,10 @@ def boundary_cut_problem():
     zero = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
     one = lambda x: np.ones(np.asarray(x, float).shape[:-1])
     gzero = lambda x: np.zeros(np.asarray(x, float).shape)
+    fields = lambda x: (one(x), zero(x), gzero(x))
     return ProblemSpec(name="boundary-cut", levelset=ls, domain=(-1, 1, -1, 1),
                        beta_plus=one, beta_minus=lambda x: 7.0 * one(x),
-                       f_plus=one, f_minus=one, u_plus=zero, u_minus=zero,
-                       grad_u_plus=gzero, grad_u_minus=gzero,
+                       fields_plus=fields, fields_minus=fields,
                        g_D=zero, g_N=zero, g_boundary=zero)
 
 
@@ -766,6 +768,31 @@ def counting(prob, calls: Counter):
 
 class TestProblemCalls:
     @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    def test_replaced_fields_reach_uncut_blocks_and_cut_table(self, kind):
+        """A spec made by replacing fields_plus describes the plus side by
+        the new callable alone: the load vector and the error norms each
+        call it on blocks of uncut elements (3-D point arrays) and on the
+        cut table (2-D)."""
+        from ifelab.experiments import error_norms
+
+        prob = example1(10.0, 1000.0)
+        real, ndims = prob.fields_plus, []
+
+        def spy(x):
+            ndims.append(np.ndim(x))
+            return real(x)
+
+        prob = replace(prob, fields_plus=spy)
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        ctx = build_context(prob, build(16, prob.domain), kind)
+        b = assemble_rhs(ctx, "new")
+        assert set(ndims) == {2, 3}
+        ndims.clear()
+        ctx.residuals = None  # recompute the uncut sums, as a standalone call does
+        error_norms(ctx, b)
+        assert set(ndims) == {2, 3}
+
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
     def test_call_counts_independent_of_mesh(self, kind):
         """The context, the jump correction and the assembly call each
         problem callable once per table, not once or twice per cut element,
@@ -779,7 +806,7 @@ class TestProblemCalls:
             # the load vector is pending until its first read
             assemble(ctx, "plain", correction=build_jump_correction(ctx)).rhs
             counts.append(calls)
-        assert counts[0]["f_plus"] > 0 and counts[0]["g_N"] > 0
+        assert counts[0]["fields_plus"] > 0 and counts[0]["g_N"] > 0
         assert counts[0] == counts[1]
 
     @pytest.mark.parametrize("kind", ["cr", "rq1"])
@@ -885,10 +912,10 @@ def interface_problem(ls, beta_minus):
     zero = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
     one = lambda x: np.ones(np.asarray(x, float).shape[:-1])
     gzero = lambda x: np.zeros(np.asarray(x, float).shape)
+    fields = lambda x: (one(x), zero(x), gzero(x))
     return ProblemSpec(name="placement", levelset=ls, domain=(-1.0, 1.0, -1.0, 1.0),
                        beta_plus=one, beta_minus=lambda x: beta_minus * one(x),
-                       f_plus=one, f_minus=one, u_plus=zero, u_minus=zero,
-                       grad_u_plus=gzero, grad_u_minus=gzero,
+                       fields_plus=fields, fields_minus=fields,
                        g_D=zero, g_N=zero, g_boundary=zero)
 
 
@@ -1117,27 +1144,31 @@ class TestPendingLoad:
 
     @staticmethod
     def armed_source(fail):
-        """ex1 whose source calls fail(x) once armed, after validation,
-        recording whether it ran on the main thread."""
+        """ex1 whose fields take their source from fail(x) once armed, after
+        validation, recording whether each such call ran on the main thread
+        and the dimension of its point array: 3 for a block of uncut
+        elements, 2 for the cut table."""
         import threading
 
         from ifelab import experiments
 
         prob = example1(10.0, 1000.0)
-        armed, threads = [], []
+        armed, threads, ndims = [], [], []
 
         def source(real):
-            def f(x):
+            def fields(x):
                 if armed:
                     threads.append(threading.current_thread() is threading.main_thread())
-                    return fail(x)
+                    ndims.append(np.ndim(x))
+                    return (fail(x),) + real(x)[1:]
                 return real(x)
-            return f
+            return fields
 
-        prob = replace(prob, f_plus=source(prob.f_plus), f_minus=source(prob.f_minus))
+        prob = replace(prob, fields_plus=source(prob.fields_plus),
+                       fields_minus=source(prob.fields_minus))
         experiments._ensure_validated(prob)
         armed.append(True)
-        return prob, threads
+        return prob, threads, ndims
 
     @pytest.mark.parametrize("on_worker", [True, False], ids=["worker", "calling-thread"])
     def test_load_error_keeps_its_type_and_names_the_row(self, monkeypatch, on_worker):
@@ -1157,10 +1188,11 @@ class TestPendingLoad:
         def fail(x):
             raise SourceError("bad source")
 
-        prob, threads = self.armed_source(fail)
+        prob, threads, ndims = self.armed_source(fail)
         with pytest.raises(SourceError, match=r"^ex1\(beta\+=10,beta-=1000\), N=8: bad source$"):
             run_convergence(prob, "new", "cr", [8])
         assert threads == [not on_worker]
+        assert ndims == [3]  # the load's uncut blocks read the replaced fields
 
     def test_worker_honours_the_callers_errstate(self, load_worker):
         """numpy's errstate is context-local, so the worker runs in a copy of
@@ -1168,7 +1200,8 @@ class TestPendingLoad:
         under divide="raise", as it does when rhs is read serially."""
         from ifelab.experiments import run_convergence
 
-        prob, threads = self.armed_source(lambda x: np.ones(x.shape[:-1]) / np.zeros(x.shape[:-1]))
+        prob, threads, ndims = self.armed_source(
+            lambda x: np.ones(x.shape[:-1]) / np.zeros(x.shape[:-1]))
         with np.errstate(divide="raise"):
             with pytest.raises(FloatingPointError, match=r"N=8: divide by zero"):
                 run_convergence(prob, "new", "cr", [8])
@@ -1177,6 +1210,7 @@ class TestPendingLoad:
             with pytest.raises(FloatingPointError, match="divide by zero"):
                 assemble(ctx, "new").rhs
         assert threads[1:] == [True]
+        assert ndims == [3, 3]
 
     def test_load_vector_computed_once_under_frequent_switches(self, load_worker):
         """With a 10 us switch interval the worker and the calling thread

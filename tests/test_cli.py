@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +9,8 @@ import pytest
 import ifelab.cli
 import ifelab.experiments
 from ifelab.cli import main
+
+from conftest import corrupted_source
 
 
 class TestRunCommand:
@@ -76,8 +77,8 @@ class TestRunCommand:
         real = ifelab.cli.get_example
 
         def corrupted(*args):
-            prob = real(*args)  # f = 0 is exact on ex3; any offset breaks it
-            return replace(prob, f_plus=lambda x: prob.u_plus(x) * 0 + 1.0)
+            # f = 0 is exact on ex3; any offset breaks it
+            return corrupted_source(real(*args), offset=1.0)
 
         monkeypatch.setattr(ifelab.cli, "get_example", corrupted)
         code = main(["run", "--example", "ex3", "--nmin", "8", "--nmax", "8"])

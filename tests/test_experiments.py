@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -26,10 +24,9 @@ from ifelab.problems import (
     example2,
     example3,
     example4,
-    piecewise,
 )
 
-from conftest import check_monotone
+from conftest import check_monotone, corrupted_source, side_field
 
 
 def quadratic_far_problem():
@@ -40,9 +37,9 @@ def quadratic_far_problem():
     gu = lambda x: np.stack([x[..., 1], x[..., 0]], axis=-1)
     zero = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
     one = lambda x: np.ones(np.asarray(x, float).shape[:-1])
+    fields = lambda x: (zero(x), u(x), gu(x))
     return ProblemSpec(name="quadratic", levelset=ls, domain=(-1, 1, -1, 1),
-                       beta_plus=one, beta_minus=one, f_plus=zero, f_minus=zero,
-                       u_plus=u, u_minus=u, grad_u_plus=gu, grad_u_minus=gu,
+                       beta_plus=one, beta_minus=one, fields_plus=fields, fields_minus=fields,
                        g_D=zero, g_N=zero, g_boundary=u)
 
 
@@ -98,9 +95,9 @@ def pointwise_error_norms(ctx, dofs, correction=None):
     mesh, prob = ctx.mesh, ctx.prob
     l2 = h1 = 0.0
     for cl in ctx.classes:
-        u, grad, beta = (cl.branch(plus, minus) for plus, minus in (
-            (prob.u_plus, prob.u_minus), (prob.grad_u_plus, prob.grad_u_minus),
-            (prob.beta_plus, prob.beta_minus)))
+        fields = cl.branch(prob.fields_plus, prob.fields_minus)
+        u, grad = (lambda x: fields(x)[1]), (lambda x: fields(x)[2])
+        beta = cl.branch(prob.beta_plus, prob.beta_minus)
         pts = cl.shifts[:, None, :] + cl.pts[None]
         c = dofs[mesh.elem_edges[cl.ids]]
         dd = (grad(pts) - np.einsum("em,qmd->eqd", c, cl.grads)) ** 2
@@ -114,10 +111,10 @@ def pointwise_error_norms(ctx, dofs, correction=None):
         vJ, gJ = evaluate(correction[tab.owner, tab.piece], tab.pts,
                           tab.centers[tab.owner], mesh.kappa)
         uh, duh = uh + vJ, duh + gJ
-    sides = 1 - 2 * tab.piece
+    plus = tab.piece == 0
     dl2, dh1 = experiments._squared_errors(
-        tab.wts, tab.beta, piecewise(sides, prob.u_plus, prob.u_minus, tab.pts),
-        piecewise(sides, prob.grad_u_plus, prob.grad_u_minus, tab.pts, vector=True), uh, duh)
+        tab.wts, tab.beta, side_field(prob, plus, tab.pts, 1),
+        side_field(prob, plus, tab.pts, 2), uh, duh)
     return float(np.sqrt(l2 + dl2)), float(np.sqrt(h1 + dh1))
 
 
@@ -344,7 +341,7 @@ class TestRunConvergence:
         validation: a wrong source term is caught, not solved."""
         prob = example1()
         run_convergence(prob, "new", "cr", [8])
-        wrong = dataclasses.replace(prob, f_plus=lambda x: prob.f_plus(x) + 1.0)
+        wrong = corrupted_source(prob, offset=1.0)
         assert wrong.name == prob.name
         with pytest.raises(ValidationError):
             run_convergence(wrong, "new", "cr", [8])

@@ -316,10 +316,10 @@ class TestLinearReproduction:
                                        np.asarray(x, float).shape).copy()
         one = lambda x: np.ones(np.asarray(x, float).shape[:-1])
         zero = lambda x: np.zeros(np.asarray(x, float).shape[:-1])
+        fields = lambda x: (zero(x), u(x), gu(x))
         prob = ProblemSpec(name="linear", levelset=circle_ls, domain=(-1, 1, -1, 1),
-                           beta_plus=one, beta_minus=one, f_plus=zero, f_minus=zero,
-                           u_plus=u, u_minus=u, grad_u_plus=gu, grad_u_minus=gu,
-                           g_D=zero, g_N=zero, g_boundary=u)
+                           beta_plus=one, beta_minus=one, fields_plus=fields,
+                           fields_minus=fields, g_D=zero, g_N=zero, g_boundary=u)
         mesh = build_uniform_tri(8)
         ctx = build_context(prob, mesh, CR)
         dofs = interpolate_ife(prob, mesh, ctx.layout)

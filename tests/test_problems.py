@@ -1,3 +1,4 @@
+import re
 import warnings
 from dataclasses import replace
 
@@ -15,7 +16,7 @@ from ifelab.problems import (
     validate,
 )
 
-from conftest import grad_u_exact
+from conftest import corrupted_source, grad_u_exact
 from ex1_reference import ETA, R0, masked_fields
 
 
@@ -25,7 +26,7 @@ class TestExample1:
 
     def test_continuity_across_interface(self):
         pts = interface_points(self.prob.levelset, self.prob.domain, 64)
-        gap = self.prob.u_plus(pts) - self.prob.u_minus(pts)
+        gap = self.prob.fields_plus(pts)[1] - self.prob.fields_minus(pts)[1]
         assert np.max(np.abs(gap)) <= 1e-10
 
     def test_tangential_derivative_nonzero(self):
@@ -56,8 +57,7 @@ class TestExample1:
         """u, grad u and f of both sides, computed at every point and selected
         with np.where, equal the masked evaluation bit for bit (signed zeros
         included) and raise no RuntimeWarning: on 1e5 random points, at r = 0
-        and on both sides of the edges of the bump's support. So do the
-        three fields of each side's joint callable."""
+        and on both sides of the edges of the bump's support."""
         rng = np.random.default_rng(3)
         support = []
         for r in (R0 - ETA * (1.0 - 1e-12), R0 + ETA * (1.0 - 1e-12), R0 - ETA, R0 + ETA):
@@ -77,19 +77,17 @@ class TestExample1:
         for side, b in (("plus", beta[0]), ("minus", beta[1])):
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                got = [getattr(prob, name + side)(pts) for name in ("u_", "grad_u_", "f_")]
                 f, u, grad = getattr(prob, "fields_" + side)(pts)
-            for new in (got, [u, grad, f]):
-                for value, ref in zip(new, masked_fields(b)):
-                    want = ref(pts)
-                    assert value.shape == want.shape
-                    assert np.array_equal(value.view(np.int64), want.view(np.int64))
+            for value, ref in zip((u, grad, f), masked_fields(b)):
+                want = ref(pts)
+                assert value.shape == want.shape
+                assert np.array_equal(value.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("kind", ["cr", "rq1"])
     def test_fields_on_class_blocks_match_masked_reference_bitwise(self, kind):
         """The (e, nq, 2) point blocks that the uncut-element passes build
-        give, through u, grad u and f of both sides, the masked reference's
-        values bit for bit."""
+        give, through the fields of both sides, the masked reference's u,
+        grad u and f bit for bit."""
         from ifelab.assembly import build_context
         from ifelab.mesh import build_uniform_rect, build_uniform_tri
 
@@ -99,8 +97,8 @@ class TestExample1:
             for _, pts in cl.blocks():
                 assert pts.ndim == 3
                 for side, b in (("plus", 10.0), ("minus", 1000.0)):
-                    for name, ref in zip(("u_", "grad_u_", "f_"), masked_fields(b)):
-                        got = getattr(self.prob, name + side)(pts)
+                    f, u, grad = getattr(self.prob, "fields_" + side)(pts)
+                    for got, ref in zip((u, grad, f), masked_fields(b)):
                         want = ref(pts)
                         assert got.shape == want.shape
                         assert np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -112,8 +110,8 @@ class TestExample2:
 
     def test_u_vanishes_on_interface(self):
         pts = interface_points(self.prob.levelset, self.prob.domain, 64)
-        assert np.max(np.abs(self.prob.u_plus(pts))) <= 1e-10
-        assert np.max(np.abs(self.prob.u_minus(pts))) <= 1e-10
+        assert np.max(np.abs(self.prob.fields_plus(pts)[1])) <= 1e-10
+        assert np.max(np.abs(self.prob.fields_minus(pts)[1])) <= 1e-10
 
     def test_flux_jump_small(self):
         rep = validate(self.prob)
@@ -123,7 +121,7 @@ class TestExample2:
         pts = interface_points(self.prob.levelset, self.prob.domain, 64)
         n = self.prob.levelset.unit_normal(pts)
         t = np.column_stack([-n[:, 1], n[:, 0]])
-        for g in (self.prob.grad_u_plus(pts), self.prob.grad_u_minus(pts)):
+        for g in (self.prob.fields_plus(pts)[2], self.prob.fields_minus(pts)[2]):
             assert np.max(np.abs(np.einsum("ij,ij->i", g, t))) <= 1e-8
 
 
@@ -138,14 +136,15 @@ class TestExample3:
     def test_jump_zero_on_interface(self):
         t = np.linspace(-0.9, 0.9, 33)
         pts = np.column_stack([t, t])
-        assert np.max(np.abs(self.prob.u_plus(pts) - self.prob.u_minus(pts))) <= 1e-14
+        gap = self.prob.fields_plus(pts)[1] - self.prob.fields_minus(pts)[1]
+        assert np.max(np.abs(gap)) <= 1e-14
 
     def test_flux_equals_one_both_sides(self):
         t = np.linspace(-0.9, 0.9, 17)
         pts = np.column_stack([t, t])
         n = self.prob.levelset.unit_normal(pts)
-        fp = self.prob.beta_plus(pts) * np.einsum("ij,ij->i", self.prob.grad_u_plus(pts), n)
-        fm = self.prob.beta_minus(pts) * np.einsum("ij,ij->i", self.prob.grad_u_minus(pts), n)
+        fp = self.prob.beta_plus(pts) * np.einsum("ij,ij->i", self.prob.fields_plus(pts)[2], n)
+        fm = self.prob.beta_minus(pts) * np.einsum("ij,ij->i", self.prob.fields_minus(pts)[2], n)
         assert np.allclose(fp, 1.0, atol=1e-14)
         assert np.allclose(fm, 1.0, atol=1e-14)
 
@@ -174,8 +173,8 @@ class TestExample4:
         pts = interface_points(self.prob.levelset, self.prob.domain, 64)
         n = self.prob.levelset.unit_normal(pts)
         t = np.column_stack([-n[:, 1], n[:, 0]])
-        gt = max(np.max(np.abs(np.einsum("ij,ij->i", g(pts), t)))
-                 for g in (self.prob.grad_u_plus, self.prob.grad_u_minus))
+        gt = max(np.max(np.abs(np.einsum("ij,ij->i", fields(pts)[2], t)))
+                 for fields in (self.prob.fields_plus, self.prob.fields_minus))
         assert gt > 0.1
 
     def test_source_consistency(self):
@@ -185,49 +184,54 @@ class TestExample4:
 
 class TestValidateNegativeControl:
     def test_corrupted_source_fails(self):
-        prob = example3()
-        f_bad = lambda x: prob.u_plus(x) * 0 + 1.0  # f=0 is exact; any offset breaks
-        bad = replace(prob, f_plus=f_bad)
+        bad = corrupted_source(example3(), offset=1.0)  # f=0 is exact; any offset breaks
         with pytest.raises(ValidationError):
             validate(bad)
 
     def test_scaled_source_fails(self):
-        prob = example1(10.0, 1000.0)
-        fp = prob.f_plus
-        bad = replace(prob, f_plus=lambda x: 1.01 * fp(x))
+        bad = corrupted_source(example1(10.0, 1000.0), scale=1.01)
         with pytest.raises(ValidationError):
             validate(bad)
 
-    def test_disagreeing_joint_fields_fail(self):
-        """A joint (f, u, grad u) callable must give the three closures'
-        values: one off by 1e-9 in u is rejected, and so is the joint
-        callable of ex1 kept beside a replaced u."""
-        prob = example1(10.0, 1000.0)
-        joint = prob.fields_minus
+    def test_gradient_shifted_along_the_interface_fails(self):
+        """grad u of ex3's minus side shifted by 1e-3 (1, 1), along the
+        interface tangent: the jumps of u and of the flux still hold and f
+        is unchanged, so only the check of grad u against finite
+        differences of u sees it."""
+        prob = example3()
+        real = prob.fields_minus
 
-        def off(x):
-            f, u, grad = joint(x)
-            return f, u * (1.0 + 1e-9), grad
+        def shifted(x):
+            f, u, grad = real(x)
+            return f, u, grad + 1e-3
 
-        for bad in (replace(prob, fields_minus=off),
-                    replace(prob, u_plus=lambda x: 2.0 * prob.u_plus(x))):
-            rep = validate(bad, strict=False)
-            assert not rep.ok and rep.fields_residual > 1e-12
-            assert "joint fields callable disagrees with f, u and grad u" in rep.failures
-            with pytest.raises(ValidationError):
-                validate(bad)
-        assert validate(prob).fields_residual == 0.0
+        rep = validate(replace(prob, fields_minus=shifted), strict=False)
+        assert rep.failures == ["grad u inconsistent with finite differences of u"]
+        assert rep.gradient_residual > 1e-4
+        assert rep.jump_flux_residual <= 1e-12 and rep.source_residual <= 1e-5
+        assert validate(prob).gradient_residual <= 1e-10
 
-    def test_fields_default_to_the_closures(self):
-        """Without a joint callable, fields(plus) calls the side's f, u and
-        grad u in turn."""
-        prob = example2()
-        assert prob.fields_plus is None and prob.fields_minus is None
-        x = np.random.default_rng(2).uniform(-1.0, 1.0, (50, 2))
-        for plus, closures in ((True, (prob.f_plus, prob.u_plus, prob.grad_u_plus)),
-                               (False, (prob.f_minus, prob.u_minus, prob.grad_u_minus))):
-            for got, fn in zip(prob.fields(plus)(x), closures):
-                assert got.tobytes() == fn(x).tobytes()
+    @pytest.mark.parametrize("case", ["scalar-grad", "scalar-f", "pair", "nan-u"])
+    def test_malformed_fields_are_reported(self, case):
+        """Fields of the wrong shape, not a triple, or not finite on the
+        sample points fail validation with a message naming the side and
+        the field, not with a numpy error in a later check."""
+        prob = example4()
+        real = prob.fields_plus
+
+        def broken(x):
+            f, u, grad = real(x)
+            return {"scalar-grad": (f, u, grad[..., 0]), "scalar-f": (1.0, u, grad),
+                    "pair": (f, u), "nan-u": (f, u * np.nan, grad)}[case]
+
+        rep = validate(replace(prob, fields_plus=broken), strict=False)
+        want = {"scalar-grad": "grad u on side + has shape (100,) on 100 points, not (100, 2)",
+                "scalar-f": "f on side + has shape () on 100 points, not (100,)",
+                "pair": "fields on side + do not return the tuple (f, u, grad u)",
+                "nan-u": "u on side + is not finite at every sample point"}[case]
+        assert rep.failures == [want]
+        with pytest.raises(ValidationError, match="FAILED: " + re.escape(want)):
+            validate(replace(prob, fields_plus=broken))
 
     def test_get_example_rejects_unknown(self):
         with pytest.raises(KeyError):
