@@ -421,8 +421,8 @@ def build_edge_table(ctx: Context, eids) -> EdgeTable:
     beta_plus and beta_minus are each called once on all edge points and
     crossings, and the edge forms, lift_trace and the jump-correction action
     are all products against the stored arrays. Raises AssemblyError naming
-    the first edge that is not an interface edge, touches an element without
-    cut data or has an ill-conditioned lifting Gram matrix.
+    the first edge that is not an interface edge or has an ill-conditioned
+    lifting Gram matrix.
     """
     mesh = ctx.mesh
     layout = ctx.layout
@@ -435,11 +435,8 @@ def build_edge_table(ctx: Context, eids) -> EdgeTable:
         raise AssemblyError(f"edge {eids[~known][0]} is not an interface edge")
     elems = mesh.edge_elems[eids]
     present = elems >= 0
+    # build_layout cuts both neighbours of every interface edge, or raises
     rows = np.where(present, tab.row[elems], 0)
-    missing = present & (tab.row[elems] < 0)
-    if missing.any():
-        e, i = np.argwhere(missing)[0]
-        raise AssemblyError(f"edge {eids[e]}: element {elems[e, i]} carries no cut data")
     sign = np.where(present, [1.0, -1.0], 0.0)
     n_e = mesh.edge_normals[eids]
 
@@ -620,7 +617,7 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
     boundary = mesh.boundary_edges
     free = np.nonzero(~boundary)[0]
     constrained = np.nonzero(boundary)[0]
-    g_c = edge_means(ctx.prob.g_boundary, mesh, ctx.layout, constrained)
+    g_c = edge_means(ctx.prob.u_exact, mesh, ctx.layout, constrained)
     A = A[free]  # the free rows, sliced once for both column blocks
     A_fc = A[:, constrained]
 

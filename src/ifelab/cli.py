@@ -1,8 +1,8 @@
 """Command-line interface: convergence runs, the basis stress check, and
 problem validation.
 
-Exit codes: 0 success, 2 validation failure, 3 assembly/solver failure,
-4 rate assertion failure (with --assert-rates).
+Exit codes: 0 success, 2 validation failure or malformed command line,
+3 assembly/solver failure, 4 rate assertion failure (with --assert-rates).
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from .assembly import AssemblyError, SolverError
-from .experiments import basis_stress_test, emit, n_sequence, run_convergence
+from .experiments import N_MAX, basis_stress_test, emit, n_sequence, run_convergence
 from .geometry import GeometryError
 from .ife_space import UnisolvenceError
 from .problems import ValidationError, get_example, validate
@@ -19,6 +19,24 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_RATES = 4
+
+
+def _number(kind, ok, what: str):
+    """An argparse type: kind(text), a usage error unless ok(value)."""
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
+_mesh_n = _number(int, lambda n: 1 <= n <= N_MAX and not n & (n - 1),
+                 f"a power of two up to {N_MAX}")
+_positive = _number(float, lambda x: x > 0.0, "positive")
+_fraction = _number(float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
+_count = _number(int, lambda n: n >= 1, "at least 1")
 
 
 def _cmd_run(args) -> int:
@@ -81,13 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--example", required=True, choices=["ex1", "ex2", "ex3", "ex4"])
     run.add_argument("--method", default="new", choices=["plain", "new", "ppifem"])
     run.add_argument("--element", default="cr", choices=["cr", "rq1"])
-    run.add_argument("--beta-plus", type=float, default=10.0,
+    run.add_argument("--beta-plus", type=_positive, default=10.0,
                      help="plus-side coefficient (ex1 only)")
-    run.add_argument("--beta-minus", type=float, default=1000.0,
+    run.add_argument("--beta-minus", type=_positive, default=1000.0,
                      help="minus-side coefficient (ex1 only)")
-    run.add_argument("--nmin", type=int, default=8)
-    run.add_argument("--nmax", type=int, default=64)
-    run.add_argument("--rtol", type=float, default=1e-12)
+    run.add_argument("--nmin", type=_mesh_n, default=8)
+    run.add_argument("--nmax", type=_mesh_n, default=64)
+    run.add_argument("--rtol", type=_fraction, default=1e-12)
     run.add_argument("--eta", type=float, default=None,
                      help="penalty strength for ppifem (default: coefficient-based)")
     run.add_argument("--format", default="csv", choices=["csv", "text"])
@@ -99,21 +117,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     bc = sub.add_parser("basis-check", help="randomized unisolvence stress test")
     bc.add_argument("--seed", type=int, default=1)
-    bc.add_argument("--count", type=int, default=1000)
+    bc.add_argument("--count", type=_count, default=1000)
     bc.add_argument("--ratio-max", type=float, default=1e3)
     bc.add_argument("--max-angle", type=float, default=175.0)
     bc.set_defaults(func=_cmd_basis_check)
 
     val = sub.add_parser("validate", help="certify a built-in problem spec")
     val.add_argument("--example", required=True, choices=["ex1", "ex2", "ex3", "ex4"])
-    val.add_argument("--beta-plus", type=float, default=10.0)
-    val.add_argument("--beta-minus", type=float, default=1000.0)
+    val.add_argument("--beta-plus", type=_positive, default=10.0)
+    val.add_argument("--beta-minus", type=_positive, default=1000.0)
     val.set_defaults(func=_cmd_validate)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "run" and args.nmin > args.nmax:
+        parser.error(f"argument --nmax: {args.nmax} is below --nmin {args.nmin}")
     return args.func(args)
 
 

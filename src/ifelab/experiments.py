@@ -170,12 +170,15 @@ def n_sequence(nmin: int, nmax: int):
     return out
 
 
+N_MAX = 512  # the finest mesh a convergence row may use
+
+
 def _check_n_list(N_list):
     Ns = list(N_list)
     if not Ns or any(n & (n - 1) for n in Ns) or sorted(set(Ns)) != Ns:
         raise ValueError("N values must be strictly increasing powers of two")
-    if max(Ns) > 512:
-        raise ValueError("N capped at 512")
+    if max(Ns) > N_MAX:
+        raise ValueError(f"N capped at {N_MAX}")
     return Ns
 
 

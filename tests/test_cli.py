@@ -123,6 +123,42 @@ class TestOtherCommands:
         assert "error" in capsys.readouterr().err
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, option", [
+        (["run", "--example", "ex1", "--nmin", "12"], "--nmin"),
+        (["run", "--example", "ex1", "--nmin", "0"], "--nmin"),
+        (["run", "--example", "ex1", "--nmax", "100"], "--nmax"),
+        (["run", "--example", "ex1", "--nmax", "1024"], "--nmax"),
+        (["run", "--example", "ex1", "--nmin", "32", "--nmax", "16"], "--nmax"),
+        (["run", "--example", "ex1", "--beta-plus", "0"], "--beta-plus"),
+        (["run", "--example", "ex1", "--beta-minus", "-1"], "--beta-minus"),
+        (["run", "--example", "ex1", "--beta-plus", "nan"], "--beta-plus"),
+        (["validate", "--example", "ex1", "--beta-minus", "0"], "--beta-minus"),
+        (["run", "--example", "ex1", "--rtol", "0"], "--rtol"),
+        (["run", "--example", "ex1", "--rtol", "1"], "--rtol"),
+        (["basis-check", "--count", "0"], "--count"),
+    ], ids=["nmin-12", "nmin-0", "nmax-100", "nmax-1024", "nmax-below-nmin", "beta-plus-0",
+            "beta-minus-negative", "beta-plus-nan", "validate-beta-minus-0", "rtol-0",
+            "rtol-1", "count-0"])
+    def test_malformed_number_exits_2_before_any_work(self, capsys, monkeypatch, argv,
+                                                      option):
+        """A malformed number is a usage error: argparse prints the usage and
+        one error line naming the option, and exits 2 before any problem is
+        built or any work starts."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("get_example", "run_convergence", "basis_stress_test", "validate"):
+            monkeypatch.setattr(ifelab.cli, name, no_work)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"error: argument {option}: " in errors[0]
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
 class TestImportPolicy:
     def test_validate_loads_no_scipy(self):
         """A fresh process that imports ifelab and validates problems loads

@@ -39,8 +39,7 @@ def quadratic_far_problem():
     one = lambda x: np.ones(np.asarray(x, float).shape[:-1])
     fields = lambda x: (zero(x), u(x), gu(x))
     return ProblemSpec(name="quadratic", levelset=ls, domain=(-1, 1, -1, 1),
-                       beta_plus=one, beta_minus=one, fields_plus=fields, fields_minus=fields,
-                       g_D=zero, g_N=zero, g_boundary=u)
+                       beta_plus=one, beta_minus=one, fields_plus=fields, fields_minus=fields)
 
 
 class TestErrorNorms:

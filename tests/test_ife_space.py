@@ -319,7 +319,7 @@ class TestLinearReproduction:
         fields = lambda x: (zero(x), u(x), gu(x))
         prob = ProblemSpec(name="linear", levelset=circle_ls, domain=(-1, 1, -1, 1),
                            beta_plus=one, beta_minus=one, fields_plus=fields,
-                           fields_minus=fields, g_D=zero, g_N=zero, g_boundary=u)
+                           fields_minus=fields)
         mesh = build_uniform_tri(8)
         ctx = build_context(prob, mesh, CR)
         dofs = interpolate_ife(prob, mesh, ctx.layout)

@@ -233,6 +233,53 @@ class TestValidateNegativeControl:
         with pytest.raises(ValidationError, match="FAILED: " + re.escape(want)):
             validate(replace(prob, fields_plus=broken))
 
+    def test_false_homogeneous_jumps_declaration_fails(self):
+        """ex4 declared with homogeneous jumps would skip the jump
+        correction and the chord load and solve the wrong problem; validate
+        rejects the declaration, and so run_convergence does not run."""
+        from ifelab.experiments import run_convergence
+
+        prob = replace(example4(), homogeneous_jumps=True)
+        rep = validate(prob, strict=False)
+        assert rep.failures == [
+            "[u] is nonzero on the interface, but homogeneous_jumps is set",
+            "[beta grad u . n] is nonzero on the interface, but homogeneous_jumps is set"]
+        assert rep.jump_value_residual > 1.0 and rep.jump_flux_residual > 1.0
+        with pytest.raises(ValidationError, match="homogeneous_jumps is set"):
+            run_convergence(prob, "new", "cr", [16])
+
     def test_get_example_rejects_unknown(self):
         with pytest.raises(KeyError):
             get_example("ex9")
+
+
+class TestDerivedData:
+    def test_replaced_fields_move_the_jumps_and_the_dirichlet_data(self):
+        """The jumps and the Dirichlet data are traces of the fields, so
+        adding the linear function a . x + c to ex4's plus-side u (and a to
+        its gradient) adds it to g_D, adds beta_plus a . n to g_N and adds
+        its edge means, the values at the edge midpoints, to the
+        constrained values: ex4's boundary lies on the plus side."""
+        from ifelab.assembly import assemble, build_context
+        from ifelab.mesh import build_uniform_tri
+
+        prob = example4()
+        a, c = np.array([0.3, -0.7]), 0.25
+        real = prob.fields_plus
+
+        def shifted(x):
+            f, u, grad = real(x)
+            return f, u + x @ a + c, grad + a
+
+        moved = replace(prob, fields_plus=shifted)
+        pts = interface_points(prob.levelset, prob.domain, 64)
+        n = prob.levelset.unit_normal(pts)
+        np.testing.assert_allclose(moved.g_D(pts) - prob.g_D(pts), pts @ a + c,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(moved.g_N(pts) - prob.g_N(pts),
+                                   prob.beta_plus(pts) * (n @ a), rtol=0, atol=1e-13)
+        mesh = build_uniform_tri(8, prob.domain)
+        old, new = (assemble(build_context(p, mesh, "cr"), "new") for p in (prob, moved))
+        mid = mesh.nodes[mesh.edges[old.constrained]].mean(axis=1)
+        np.testing.assert_allclose(new.constrained_values - old.constrained_values,
+                                   mid @ a + c, rtol=0, atol=1e-13)
