@@ -32,9 +32,15 @@ On the right-triangle meshes of the CR element the legs couple only to the
 diagonals beside them, so away from the interface the first round takes the
 legs, two thirds of the DOFs. The diagonals left couple as a five-point
 stencil on the grid cells, and the second round, keyed first by the
-checkerboard colour of their cells, takes about half of them. assemble
-leaves the load vector pending, and the solve has it computed on a worker
-thread while SuperLU factors on the calling thread.
+checkerboard colour of their cells, takes about half of them. SuperLU then
+factors the Schur complement in a geometric nested-dissection order. Both
+the colour and the order come from one description of the free DOFs that
+assemble records, the half-cell coordinates of their edge midpoints. The
+diagonals left by the colour round lie on a lattice rotated by 45 degrees,
+and the ordering cuts in that frame; on rectangles it cuts along grid
+lines. assemble leaves the load vector pending, and the solve has it
+computed on a worker thread while the calling thread eliminates, orders
+and factors.
 
 The load vector's pass over the uncut elements evaluates f, u and grad u
 once per block of points, and besides the load it projects u and grad u
@@ -42,8 +48,8 @@ onto each element's basis and gradients, orthogonally in the weighted sums
 over the points that the error norms take. The error norms then split
 exactly at those projections (see uncut_pass): the residual sums and the
 projections are the exact solution's alone and are formed in that pass,
-while SuperLU factors, and only a quadratic form per element is left for
-the DOFs.
+while the solve eliminates and factors, and only a quadratic form per
+element is left for the DOFs.
 
 scipy is imported inside the function that uses it, so that importing
 ifelab and validating a problem load numpy alone; a test in test_cli.py
@@ -79,7 +85,8 @@ from .quadrature import polygon_points_weights, polygons_points_weights, segment
 METHODS = ("plain", "new", "ppifem")
 VOLUME_DEGREE = 6  # exact degree of the element and sub-polygon rules
 BLOCK_POINTS = 16384  # quadrature points per block of uncut elements
-LOAD_WORKER_DOFS = 8192  # least Schur complement that solve_spd factors alongside the load vector
+LOAD_WORKER_DOFS = 16384  # least free DOFs that solve_spd solves alongside the load vector
+LEAF_DOFS = 16  # largest domain that the nested-dissection ordering leaves unsplit
 
 
 class AssemblyError(RuntimeError):
@@ -215,28 +222,29 @@ class AssembledSystem:
     rhs                 load vector on the free DOFs. assemble passes a
                         zero-argument callable that computes it, the pending
                         load vector: the first read of rhs calls it and keeps
-                        the result, and solve_spd has it computed while
-                        SuperLU factors
+                        the result, and solve_spd has it computed on a worker
+                        thread while it eliminates and factors
     free, constrained   DOF indices
     constrained_values  prescribed edge means on the constrained DOFs
     n_dofs              number of DOFs, free and constrained
-    colour              (n_free,) 0 or 1, the tie-break of solve_spd's
-                        elimination key: the checkerboard parity of the grid
-                        cell whose interior holds each free DOF's edge
-                        midpoint. 0 by default, which gives the key
-                        (pattern degree, index)
+    coords              (n_free, 2) integer half-cell coordinates of each
+                        free DOF's edge midpoint (see _half_cells), or None.
+                        solve_spd derives both its elimination key's colour
+                        (_checkerboard) and its nested-dissection ordering
+                        from them; without them the colour is 0 and the
+                        Schur complement keeps its index order
     """
 
     def __init__(self, matrix: sp.csr_matrix, rhs, free: np.ndarray,
                  constrained: np.ndarray, constrained_values: np.ndarray, n_dofs: int,
-                 colour: Optional[np.ndarray] = None):
+                 coords: Optional[np.ndarray] = None):
         self.matrix = matrix
         self._rhs = rhs
         self.free = free
         self.constrained = constrained
         self.constrained_values = constrained_values
         self.n_dofs = n_dofs
-        self.colour = np.zeros(len(free), dtype=np.int64) if colour is None else colour
+        self.coords = coords
 
     @property
     def pending(self) -> bool:
@@ -608,11 +616,23 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
     A = sp.coo_matrix((np.concatenate(data),
                        (np.concatenate(rows), np.concatenate(cols))),
                       shape=(n, n)).tocsr()
-    asym = abs(A - A.T).max()
-    scale = abs(A).max()
+    # tocsr leaves A canonical, and the assembly puts every entry's mirror
+    # in the pattern, so the transpose holds its values in the same slots
+    T = A.T.tocsr()
+    if not (np.array_equal(T.indptr, A.indptr) and np.array_equal(T.indices, A.indices)):
+        raise AssemblyError("assembled matrix pattern is not symmetric")
+    gap = np.subtract(A.data, T.data)
+    asym = np.abs(gap, out=gap).max(initial=0.0)
+    scale = max(A.data.max(initial=0.0), -A.data.min(initial=0.0))
     if asym > 1e-12 * scale:
         raise AssemblyError(f"assembled matrix asymmetric: {asym:.3e} vs scale {scale:.3e}")
-    A = 0.5 * (A + A.T)
+    # in place, and the temporaries freed at once: full-size arrays left
+    # in the heap here stay resident under the factorization's peak
+    del gap
+    A.data += T.data
+    A.data *= 0.5
+    del T
+    A.eliminate_zeros()
 
     boundary = mesh.boundary_edges
     free = np.nonzero(~boundary)[0]
@@ -626,21 +646,26 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
         return b[free] - A_fc @ g_c
 
     return AssembledSystem(A[:, free], rhs, free, constrained, g_c, n,
-                           _checkerboard(mesh, free))
+                           _half_cells(mesh, free))
 
 
-def _checkerboard(mesh: UnfittedMesh, dofs: np.ndarray) -> np.ndarray:
-    """Parity (0 or 1) of the grid cell whose interior holds each edge's
-    midpoint, and 0 for a midpoint on a grid line, which two cells share. On
-    the triangle mesh the diagonals are the edges inside a cell."""
+def _half_cells(mesh: UnfittedMesh, dofs: np.ndarray) -> np.ndarray:
+    """Integer coordinates (n, 2) of each edge's midpoint in half cells of
+    the grid from the mesh's lower left corner: odd inside a cell, even on a
+    grid line. On the triangle mesh the diagonals are the edges inside a
+    cell."""
     x0, _, y0, _ = mesh.box
     hy = mesh.h / np.hypot(mesh.kappa, 1.0)
     twice_mid = mesh.nodes[mesh.edges[dofs, 0]] + mesh.nodes[mesh.edges[dofs, 1]]
-    # half-cell coordinates of the midpoints: odd inside a cell, even on a grid
-    # line. Inside a cell (bit 0 of kx & ky) the parity is bit 0 of
-    # kx // 2 + ky // 2, which is bit 1 of kx ^ ky
-    kx = np.rint((twice_mid[:, 0] - 2 * x0) / (mesh.kappa * hy)).astype(np.int64)
-    ky = np.rint((twice_mid[:, 1] - 2 * y0) / hy).astype(np.int64)
+    return np.rint((twice_mid - (2 * x0, 2 * y0)) / (mesh.kappa * hy, hy)).astype(np.int64)
+
+
+def _checkerboard(coords: np.ndarray) -> np.ndarray:
+    """Parity (0 or 1) of the grid cell whose interior holds each half-cell
+    point coords (n, 2), and 0 for a point on a grid line, which two cells
+    share. Inside a cell (bit 0 of kx & ky) the parity is bit 0 of
+    kx // 2 + ky // 2, which is bit 1 of kx ^ ky."""
+    kx, ky = coords[:, 0], coords[:, 1]
     return kx & ky & ((kx ^ ky) >> 1) & 1
 
 
@@ -810,19 +835,22 @@ def _independent_set(A, colour: Optional[np.ndarray] = None) -> np.ndarray:
     return np.minimum.reduceat(key[A.indices], A.indptr[:-1]) == key
 
 
-def _eliminate(A, colour: np.ndarray):
+def _eliminate(A, coords: Optional[np.ndarray]):
     """Rounds of exact elimination of the symmetric matrix A, by the key of
-    _independent_set.
+    _independent_set with the checkerboard colour of the half-cell
+    coordinates coords (n, 2) of A's DOFs, or colour 0 when coords is None.
 
     Returns one (I, R, d, A_RI) per round, I and R the eliminated and the
-    remaining rows of that round's matrix and d = diag(A_II), and the Schur
-    complement left on the last R. A round after the first is taken only
-    when it removes at least a quarter of the DOFs it sees, and none follows
-    a round that removed less. Raises SolverError when the diagonal of A,
-    or of a Schur complement, is not positive; this also catches a row that
-    cancels to zero, before _independent_set sees it.
+    remaining rows of that round's matrix and d = diag(A_II), the Schur
+    complement left on the last R, and the coordinates of its DOFs (None
+    when coords is None). A round after the first is taken only when it
+    removes at least a quarter of the DOFs it sees, and none follows a round
+    that removed less. Raises SolverError when the diagonal of A, or of a
+    Schur complement, is not positive; this also catches a row that cancels
+    to zero, before _independent_set sees it.
     """
     rounds = []
+    colour = None if coords is None else _checkerboard(coords)
     share = 1.0  # of the DOFs it saw, the share that the last round removed
     while True:
         diag = A.diagonal()
@@ -830,11 +858,11 @@ def _eliminate(A, colour: np.ndarray):
             after = f" after elimination round {len(rounds)}" if rounds else ""
             raise SolverError(f"matrix not SPD: nonpositive diagonal{after}", residual=1.0)
         if not len(diag) or share < 0.25:
-            return rounds, A
+            return rounds, A, coords
         ind = _independent_set(A, colour)
         share = ind.mean()
         if rounds and share < 0.25:
-            return rounds, A
+            return rounds, A, coords
         I, R = np.flatnonzero(ind), np.flatnonzero(~ind)
         rows = A[R]
         A_RI = rows[:, I]
@@ -842,19 +870,119 @@ def _eliminate(A, colour: np.ndarray):
         W.data /= np.sqrt(diag[I])[W.indices]
         A = rows[:, R] - W @ W.T
         rounds.append((I, R, diag[I], A_RI))
-        colour = colour[R]
+        if coords is not None:
+            colour, coords = colour[R], coords[R]
+
+
+def _dissection_order(S, coords: np.ndarray) -> np.ndarray:
+    """Nested-dissection permutation p of the symmetric CSR matrix S, whose
+    DOFs sit at the integer lattice points coords (n, 2): S[p][:, p] is S
+    in that order.
+
+    The frame. When most DOFs lie inside grid cells (both coordinates odd),
+    they are the cell diagonals of the triangle mesh that the checkerboard
+    round left, one colour of cells, which couple on a lattice rotated by
+    45 degrees; the ordering then works in (kx + ky, kx - ky) // 2. On grid
+    lines, as on the rectangle mesh, it works in (kx, ky). An axis wider
+    than n lattice points is replaced by the ranks of its coordinates.
+
+    The regions. The bounding box of the shifted coordinates, widened to
+    powers of two, is halved across its longer side (x on ties), level by
+    level, so every region is a box and a DOF's path down the levels is the
+    bits of its code, most significant first. A region holding more than
+    LEAF_DOFS DOFs, those placed in separators above counted too, is split
+    at its cut. Its separator is the smaller of the two one-sided sets of
+    its unplaced DOFs with an unplaced pattern neighbour across the cut
+    (the low side on ties), and is ordered after both halves, in
+    post-order. A region of at most LEAF_DOFS DOFs, or of one lattice
+    point, is a leaf: its DOFs keep code order. DOFs of equal keys keep
+    index order, so coordinates that are all equal give the identity.
+
+    The pattern is read once: an entry (i, j) counts at the level of the
+    cut that first separates i and j, the first bit in which their codes
+    differ, if that cut splits a region. Each level then reads only its own
+    entries and the DOFs they touch.
+    """
+    n = S.shape[0]
+    kx, ky = coords[:, 0], coords[:, 1]
+    if 2 * np.count_nonzero(kx & ky & 1) > n:
+        kx, ky = (kx + ky) >> 1, (kx - ky) >> 1
+    P = []
+    for k in (kx, ky):
+        k = k - k.min()
+        P.append(np.unique(k, return_inverse=True)[1] if k.max() >= n else k)
+    bits = [int(k.max()).bit_length() for k in P]
+    L = sum(bits)  # the number of levels
+    # the code bits of every coordinate value, one table per axis
+    spread = [np.zeros(1 << m, dtype=np.int32 if L < 31 else np.int64) for m in bits]
+    for lv in range(L):
+        a = int(bits[1] > bits[0])
+        bits[a] -= 1
+        spread[a] |= ((np.arange(len(spread[a])) >> bits[a]) & 1) << (L - 1 - lv)
+    code = spread[0][P[0]] | spread[1][P[1]]
+    by_code = np.argsort(code, kind="stable")
+    # The region of level lv around a DOF holds the codes that agree with
+    # its own above bit L - lv. A window of LEAF_DOFS + 1 consecutive codes
+    # lies in every region down to the level of its common prefix, so a
+    # DOF's regions are split down to the deepest such level among the
+    # windows that hold it.
+    deepest = np.full(n, -1)  # per window start, then per position
+    sc = code[by_code]
+    if n > LEAF_DOFS:
+        deepest[:n - LEAF_DOFS] = L - np.frexp(sc[:-LEAF_DOFS] ^ sc[LEAF_DOFS:])[1]
+    width = 1  # the number of window starts up to each position taken in
+    while width <= LEAF_DOFS:
+        step = min(width, LEAF_DOFS + 1 - width)
+        deepest[step:] = np.maximum(deepest[step:], deepest[:-step])
+        width += step
+    split_bit = np.empty(n, dtype=code.dtype)  # the lowest code bit cut in a split region
+    split_bit[by_code] = np.maximum(L - 1 - deepest, 0)
+    rows = np.repeat(np.arange(n, dtype=S.indices.dtype), np.diff(S.indptr))
+    upper = S.indices > rows
+    I, J = rows[upper], S.indices[upper]
+    del rows, upper
+    x = code[I] ^ code[J]
+    split = (x >> split_bit[I]) > 0
+    I, J = I[split], J[split]
+    level = (L - np.frexp(x[split])[1]).astype(np.int8)
+    del x, split
+    by_level = np.argsort(level, kind="stable")
+    bounds = np.searchsorted(level[by_level], np.arange(L + 1))
+
+    key = code.astype(np.int64) * (L + 2)
+    placed = np.zeros(n, dtype=bool)
+    for lv in range(L):
+        e = by_level[bounds[lv]:bounds[lv + 1]]
+        i, j = I[e], J[e]
+        live = ~(placed[i] | placed[j])
+        cross = np.zeros(n, dtype=bool)
+        cross[i[live]] = cross[j[live]] = True
+        dofs = by_code[np.flatnonzero(cross[by_code])]  # in code order
+        # each DOF's region code and side bit; in code order the DOFs of a
+        # region on either side are runs, found by their bounds
+        half = code[dofs].astype(np.int64) >> (L - 1 - lv)
+        low, high, after = np.searchsorted(half, (half & -2) + np.arange(3)[:, None])
+        on = (half & 1) == (after - high < high - low)
+        sep = dofs[on]
+        # a separator sorts after every code of its region and before the
+        # separators of the levels above
+        key[sep] = (((half[on] >> 1) + 1) << (L - lv)) * (L + 2) - 1 - lv
+        placed[sep] = True
+    if ((L + 2) << L) * n < 2 ** 63:
+        return np.argsort(key * n + np.arange(n))
+    return np.argsort(key, kind="stable")
 
 
 def _factor(S):
-    """SuperLU factors of the symmetric S. Its RuntimeErrors are raised as
-    SolverError, or SolverMemoryError for an allocation failure. No solution
-    is formed when the factorization fails, so the achieved residual is that
-    of x = 0."""
+    """SuperLU factors of the symmetric S, in its own order. Its
+    RuntimeErrors are raised as SolverError, or SolverMemoryError for an
+    allocation failure. No solution is formed when the factorization fails,
+    so the achieved residual is that of x = 0."""
     from scipy.sparse.linalg import splu
 
     try:
         # S is symmetric, so S.T, a CSC view of the same arrays, is S
-        return splu(S.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        return splu(S.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True})
     except RuntimeError as err:
         # SuperLU reports allocation failures ("SUPERLU_MALLOC fails for ...",
@@ -866,22 +994,34 @@ def _factor(S):
         raise SolverError(f"matrix singular: {err}", residual=1.0) from err
 
 
+def _permuted(S, p: np.ndarray):
+    """S[p][:, p] of the symmetric CSR matrix S, with sorted indices: the
+    rows gathered in the order p and their columns renumbered."""
+    inv = np.empty_like(p)
+    inv[p] = np.arange(len(p))
+    S = S[p]
+    S.indices = inv[S.indices].astype(S.indices.dtype)
+    S.has_sorted_indices = False
+    S.sort_indices()
+    return S
+
+
 @contextmanager
-def _load_alongside(system: AssembledSystem, dofs: int):
-    """Compute a pending load vector on a worker thread while the block, a
-    factorization of dofs DOFs, runs, and wait for it when the block ends,
-    however it ends; an error of the load vector is raised as it is. The
-    worker runs in a copy of the caller's context, where numpy keeps its
-    errstate. Below LOAD_WORKER_DOFS the load vector is computed first, on
-    the calling thread. In time alone the worker won, in alternated runs of
-    ex1 and ex4, at every Schur complement from 3,109 DOFs up, and from 669
-    to 2,381 DOFs two sweeps disagreed. But the first worker thread of a
-    process also costs a few MB of peak RSS, its own malloc arena, which the
-    few milliseconds a factorization of under 8,192 DOFs hides do not
-    repay."""
-    if dofs < LOAD_WORKER_DOFS:
-        system.rhs
-    if not system.pending:
+def _load_alongside(system: AssembledSystem):
+    """Compute a pending load vector on a worker thread while the block, the
+    elimination and factorization of system.matrix, runs, and wait for it
+    when the block ends, however it ends; an error of the load vector is
+    raised as it is. The worker runs in a copy of the caller's context,
+    where numpy keeps its errstate. A system of fewer than LOAD_WORKER_DOFS
+    free DOFs leaves the load vector pending, for its first reader after
+    the block on the calling thread: the first worker thread of a process
+    costs a few MB of peak RSS, its own malloc arena, which the few
+    milliseconds of a small factorization do not repay. The worker used to
+    start at Schur complements of 8,192 DOFs; 16,384 free DOFs draws the
+    same line on every power-of-two row of ex1 to ex4, both elements and
+    all three methods, from N=32 to 256: serial to N=64, worker from
+    N=128."""
+    if system.matrix.shape[0] < LOAD_WORKER_DOFS or not system.pending:
         yield
         return
     import contextvars
@@ -905,14 +1045,21 @@ def _out_of_memory(step: str, residual: float = 1.0):
         raise SolverMemoryError(f"out of memory in {step}: {err}", residual=residual) from err
 
 
-def _substitute(rounds, lu, b: np.ndarray) -> np.ndarray:
+def _substitute(rounds, lu, p: Optional[np.ndarray], b: np.ndarray) -> np.ndarray:
     """x solving A x = b, from the elimination rounds of A and the factors
-    lu of the Schur complement left (None when none is left)."""
+    lu of the Schur complement left in the order p (None when none is left,
+    or p None for its own order)."""
     kept = []
     for I, R, d, A_RI in rounds:
         kept.append(b[I])
         b = b[R] - A_RI @ (b[I] / d)
-    x = b if lu is None else lu.solve(b)  # b is empty when nothing is left
+    if lu is None:
+        x = b  # b is empty when nothing is left
+    elif p is None:
+        x = lu.solve(b)
+    else:
+        x = np.empty_like(b)
+        x[p] = lu.solve(b[p])
     for (I, R, d, A_RI), b_I in zip(reversed(rounds), reversed(kept)):
         y = np.empty(len(I) + len(R))
         y[R] = x
@@ -925,33 +1072,43 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
     """Sparse direct solve of the SPD system; returns (x_free, 0 iterations).
 
     The solve eliminates in rounds. A round takes the DOFs I of
-    ``_independent_set`` on the current matrix, keyed by system.colour,
-    pattern degree and index. They are pairwise non-adjacent, so A_II = D is
-    diagonal and is eliminated exactly: with R the remaining DOFs and
-    W = A_RI D^(-1/2), the next round sees the Schur complement
-    S = A_RR - W W^T. A round after the first is taken only when it removes
-    at least a quarter of the DOFs it sees, and none follows a round that
-    removed less; SuperLU factors the Schur complement left. Back
-    substitution, round by round in reverse, takes x_I = D^-1 (b_I - A_IR x_R),
-    one division per DOF. On the right-triangle
-    CR mesh the first round takes the legs away from the interface, two
-    thirds of the DOFs, and the second the diagonals of one checkerboard
-    colour, about half of the rest; on rq1 one round takes a few DOFs. When a
-    round takes every DOF left, nothing is factored.
+    ``_independent_set`` on the current matrix, keyed by the checkerboard
+    colour of system.coords, pattern degree and index. They are pairwise
+    non-adjacent, so A_II = D is diagonal and is eliminated exactly: with R
+    the remaining DOFs and W = A_RI D^(-1/2), the next round sees the Schur
+    complement S = A_RR - W W^T. A round after the first is taken only when
+    it removes at least a quarter of the DOFs it sees, and none follows a
+    round that removed less. Back substitution, round by round in reverse,
+    takes x_I = D^-1 (b_I - A_IR x_R), one division per DOF. On the
+    right-triangle CR mesh the first round takes the legs away from the
+    interface, two thirds of the DOFs, and the second the diagonals of one
+    checkerboard colour, about half of the rest; on rq1 one round takes a
+    few DOFs. When a round takes every DOF left, nothing is factored.
+
+    The Schur complement left is put in the nested-dissection order of
+    _dissection_order, from the coordinates of its DOFs, and SuperLU factors
+    it in that order (permc_spec NATURAL). On the uniform grids here nested
+    dissection bounds the fill at O(n log n) (George 1973; Lipton, Rose and
+    Tarjan 1979), where a minimum-degree ordering carries no such bound.
+    Without coordinates S keeps its index order.
 
     By Haynsworth's inertia additivity, a matrix is SPD exactly when D and
     its Schur complement S are; applied round by round, A is SPD exactly
     when every round's D and the last Schur complement are. Every round's
     diagonal is checked positive, which covers its D. SuperLU factors the
-    last Schur complement as P S P^T = L U with a symmetric minimum-degree
-    ordering and diagonal pivots only, so U = D' L^T and, by Sylvester's law
-    of inertia, S is SPD exactly when no off-diagonal pivot was taken and
-    every pivot is positive.
+    permuted S as L U with the natural column order, so perm_c is the
+    identity up to its elimination-tree postorder, and with diagonal pivots
+    only, so perm_r = perm_c and U = D' L^T. By Sylvester's law of inertia,
+    S is SPD exactly when no off-diagonal pivot was taken and every pivot
+    is positive.
 
     A pending load vector (see AssembledSystem) is computed on a worker
-    thread while SuperLU factors, which releases the GIL; the factorization
-    stays on the calling thread. The solve waits for the worker before it
-    goes on, and raises the load vector's own error if it fails.
+    thread from before the elimination to the end of the factorization;
+    SuperLU releases the GIL, and the elimination, the ordering and the
+    factorization stay on the calling thread. The solve waits for the
+    worker before it goes on, and raises the load vector's own error if it
+    fails. Below LOAD_WORKER_DOFS free DOFs the load vector is computed
+    after the factorization, on the calling thread.
 
     The true residual ||b - Ax|| / ||b|| of the original system must then be
     at most 10 (rtol + eps || |A| |x| || / ||b||), the second term being the
@@ -964,18 +1121,24 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
     if not (0.0 < rtol < 1.0):
         raise ValueError("rtol must be in (0, 1)")
     A = system.matrix
-    with _out_of_memory("the elimination"):
-        rounds, S = _eliminate(A, system.colour)
-    lu = None
-    if S.shape[0]:
-        with _load_alongside(system, S.shape[0]), _out_of_memory("the factorization"):
-            lu = _factor(S)
-    # only the rounds' A_RI and the factors live on under the solve
+    lu = p = None
+    with _load_alongside(system):
+        with _out_of_memory("the elimination"):
+            rounds, S, coords = _eliminate(A, system.coords)
+        if S.shape[0]:
+            with _out_of_memory("the factorization"):
+                if coords is not None:
+                    p = _dissection_order(S, coords)
+                    S = _permuted(S, p)
+                lu = _factor(S)
+    # only the rounds' A_RI and the factors live on under the solve, and
+    # only the factors under the pivot check, which copies them
     del S
     b = system.rhs
     bnorm = float(np.linalg.norm(b)) or 1.0
     with _out_of_memory("the solve"):
-        x = _substitute(rounds, lu, b)
+        x = _substitute(rounds, lu, p, b)
+        del rounds
         residual = float(np.linalg.norm(b - A @ x)) / bnorm
     fault = None  # a pivot that shows S is not SPD
     if lu is not None:

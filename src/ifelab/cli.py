@@ -37,6 +37,8 @@ _mesh_n = _number(int, lambda n: 1 <= n <= N_MAX and not n & (n - 1),
 _positive = _number(float, lambda x: x > 0.0, "positive")
 _fraction = _number(float, lambda x: 0.0 < x < 1.0, "in (0, 1)")
 _count = _number(int, lambda n: n >= 1, "at least 1")
+_ratio = _number(float, lambda x: 1.0 <= x < float("inf"), "a finite number of at least 1")
+_apex_angle = _number(float, lambda x: 25.0 < x < 180.0, "in (25, 180) degrees")
 
 
 def _cmd_run(args) -> int:
@@ -106,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--nmin", type=_mesh_n, default=8)
     run.add_argument("--nmax", type=_mesh_n, default=64)
     run.add_argument("--rtol", type=_fraction, default=1e-12)
-    run.add_argument("--eta", type=float, default=None,
+    run.add_argument("--eta", type=_positive, default=None,
                      help="penalty strength for ppifem (default: coefficient-based)")
     run.add_argument("--format", default="csv", choices=["csv", "text"])
     run.add_argument("--out", default=None, help="write the table to this path")
@@ -118,8 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     bc = sub.add_parser("basis-check", help="randomized unisolvence stress test")
     bc.add_argument("--seed", type=int, default=1)
     bc.add_argument("--count", type=_count, default=1000)
-    bc.add_argument("--ratio-max", type=float, default=1e3)
-    bc.add_argument("--max-angle", type=float, default=175.0)
+    bc.add_argument("--ratio-max", type=_ratio, default=1e3)
+    bc.add_argument("--max-angle", type=_apex_angle, default=175.0)
     bc.set_defaults(func=_cmd_basis_check)
 
     val = sub.add_parser("validate", help="certify a built-in problem spec")

@@ -15,6 +15,7 @@ from ifelab.assembly import (
     AssemblyError,
     SolverError,
     SolverMemoryError,
+    _checkerboard,
     _eliminate,
     _independent_set,
     assemble,
@@ -471,7 +472,7 @@ class TestSolver:
         would take under a quarter."""
         ctx = build_context(example1(10.0, 1000.0), build_uniform_tri(32), "cr")
         system = assemble(ctx, "new")
-        rounds, S = _eliminate(system.matrix, system.colour)
+        rounds, S, coords = _eliminate(system.matrix, system.coords)
         M = system.matrix
         removed = []
         for I, R, d, _ in rounds:
@@ -483,6 +484,10 @@ class TestSolver:
             M = M[R][:, R] - B @ sp.diags(1.0 / d) @ B.T
         assert len(rounds) == 2 and removed[0] > 0.6 and removed[1] >= 0.4
         assert M.shape == S.shape and abs(M - S).max() <= 1e-12 * abs(S).max()
+        kept = np.arange(system.matrix.shape[0])
+        for _, R, _, _ in rounds:
+            kept = kept[R]
+        assert np.array_equal(coords, system.coords[kept])
 
     def test_rq1_runs_one_round(self):
         """On rq1 almost every DOF has the same degree and every edge
@@ -491,11 +496,11 @@ class TestSolver:
         prob = example4()
         ctx = build_context(prob, build_uniform_rect(32, prob.domain), "rq1")
         system = assemble(ctx, "new")
-        assert not system.colour.any()
-        rounds, S = _eliminate(system.matrix, system.colour)
+        assert not _checkerboard(system.coords).any()
+        rounds, S, coords = _eliminate(system.matrix, system.coords)
         assert len(rounds) == 1
         assert 0 < len(rounds[0][0]) < 0.25 * system.matrix.shape[0]
-        assert S.shape[0] == len(rounds[0][1])
+        assert S.shape[0] == len(rounds[0][1]) == len(coords)
 
     def test_cancelled_schur_row_is_not_spd(self, monkeypatch):
         """The Schur complement of [[1, 1], [1, 1]] on DOF 1 cancels to an
@@ -555,6 +560,110 @@ class TestSolver:
             assert exc.value.residual == 1.0
         # the load vector is computed at the factorization, after the elimination
         assert system.pending == (failing == "elimination")
+
+
+def random_spd(rng, n, density):
+    """A random sparse symmetric matrix made SPD by diagonal dominance."""
+    mask = np.triu(rng.random((n, n)) < density, 1)
+    off = np.where(mask, rng.uniform(-1.0, 1.0, (n, n)), 0.0)
+    off = off + off.T
+    return off + np.diag(np.abs(off).sum(axis=1) + rng.uniform(0.1, 1.0, n))
+
+
+class TestDissectionOrder:
+    """The nested-dissection ordering of solve_spd's Schur complement."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 60), spread=st.sampled_from([0, 1, 3, 40, 2 ** 40]),
+           density=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+    def test_is_a_permutation_and_solves(self, n, spread, density, seed):
+        """On random coordinates, duplicates among them (spread 0 puts every
+        DOF on one point, 1 on nine), and random patterns, the order is a
+        permutation, all-equal coordinates give the identity, and
+        solve_spd with those coordinates equals the dense solve."""
+        from ifelab.assembly import _dissection_order
+
+        rng = np.random.default_rng(seed)
+        coords = rng.integers(-spread, spread + 1, (n, 2), dtype=np.int64)
+        dense = random_spd(rng, n, density)
+        A = sp.csr_matrix(dense)
+        p = _dissection_order(A, coords)
+        assert np.array_equal(np.sort(p), np.arange(n))
+        if spread == 0:
+            assert np.array_equal(p, np.arange(n))
+        b = rng.standard_normal(n)
+        x, _ = solve_spd(AssembledSystem(A, b, np.arange(n), np.array([], dtype=int),
+                                         np.array([]), n, coords))
+        ref = np.linalg.solve(dense, b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_grid_separators_come_last(self):
+        """On the five-point Laplacian of a 31 x 31 grid the first cut is the
+        middle column: its 31 DOFs are ordered last, after both halves."""
+        from ifelab.assembly import _dissection_order
+
+        m = 31
+        T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+        A = (sp.kron(T, sp.identity(m)) + sp.kron(sp.identity(m), T)).tocsr()
+        ix, iy = np.divmod(np.arange(m * m), m)
+        p = _dissection_order(A, np.column_stack([ix, iy]))
+        assert np.array_equal(np.sort(p), np.arange(m * m))
+        assert set(ix[p[-m:]]) == {15}
+
+    @pytest.mark.parametrize("coords", ["equal", "line", "far"])
+    def test_degenerate_coordinates_stay_small(self, coords):
+        """Coordinates that cannot be split (every DOF on one point or on one
+        line) or that span a huge range order 20,000 DOFs in a process
+        limited to 1 GB of address space."""
+        import resource
+        import subprocess
+        import sys
+        import textwrap
+        from pathlib import Path
+
+        script = textwrap.dedent(f"""
+            import numpy as np, scipy.sparse as sp
+            from ifelab.assembly import _dissection_order
+            n = 20000
+            rng = np.random.default_rng(0)
+            i = rng.integers(0, n, 8 * n)
+            j = rng.integers(0, n, 8 * n)
+            A = sp.csr_matrix((np.ones(16 * n), (np.r_[i, j], np.r_[j, i])), shape=(n, n))
+            coords = {{"equal": np.zeros((n, 2), dtype=np.int64),
+                       "line": np.column_stack([np.zeros(n, dtype=np.int64), np.arange(n) % 7]),
+                       "far": rng.integers(-2 ** 60, 2 ** 60, (n, 2))}}["{coords}"]
+            p = _dissection_order(A, coords)
+            assert np.array_equal(np.sort(p), np.arange(n))
+        """)
+        limit = 2 ** 30
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        res = subprocess.run([sys.executable, "-c", script], env=env, preexec_fn=cap,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("example, kind, N", [("ex1", "cr", 128), ("ex4", "rq1", 64)])
+    def test_fill_below_minimum_degree(self, example, kind, N):
+        """The factors of the Schur complement hold fewer nonzeros in the
+        nested-dissection order than in SuperLU's minimum-degree order."""
+        from scipy.sparse.linalg import splu
+
+        from ifelab.assembly import _dissection_order, _factor, _permuted
+
+        prob = example1(10.0, 1000.0) if example == "ex1" else example4()
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        ctx = build_context(prob, build(N, prob.domain), kind)
+        correction = None if prob.homogeneous_jumps else build_jump_correction(ctx)
+        system = assemble(ctx, "new", correction=correction)
+        _, S, coords = _eliminate(system.matrix, system.coords)
+        nested = _factor(_permuted(S, _dissection_order(S, coords))).nnz
+        mmd = splu(S.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True}).nnz
+        assert nested < mmd
 
 
 class TestRotatedBilinearSolve:
@@ -1073,8 +1182,9 @@ class TestCutQuadrature:
 
 
 def full_lu_solve(system: AssembledSystem) -> np.ndarray:
-    """Reference solve: SuperLU on the whole free matrix, with solve_spd's
-    ordering and pivot options but no elimination."""
+    """Reference solve: SuperLU on the whole free matrix in its own
+    minimum-degree order, with solve_spd's pivot options but no elimination
+    and no nested dissection."""
     from scipy.sparse.linalg import splu
 
     lu = splu(system.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -1111,7 +1221,7 @@ class TestSolverAgreement:
 @pytest.fixture
 def load_worker(monkeypatch):
     """solve_spd computes the load vector on its worker at every size, not
-    only alongside factorizations of LOAD_WORKER_DOFS DOFs or more."""
+    only for systems of LOAD_WORKER_DOFS free DOFs or more."""
     from ifelab import assembly
 
     monkeypatch.setattr(assembly, "LOAD_WORKER_DOFS", 0)
@@ -1182,8 +1292,8 @@ class TestPendingLoad:
     def test_load_error_keeps_its_type_and_names_the_row(self, monkeypatch, on_worker):
         """An error of the load vector surfaces from run_convergence with its
         own type, naming the example and N, whether the worker computed it
-        or, for a Schur complement under LOAD_WORKER_DOFS (this one has a
-        few hundred DOFs), the calling thread did."""
+        or, for a system under LOAD_WORKER_DOFS free DOFs (this one has a
+        few hundred), the calling thread did."""
         from ifelab import assembly
         from ifelab.experiments import run_convergence
 
@@ -1270,7 +1380,7 @@ class TestSmallKernels:
         """The bit operations give the parity of the cell holding each
         midpoint, 0 on a grid line, as the modular arithmetic on the
         half-cell coordinates does."""
-        from ifelab.assembly import _checkerboard
+        from ifelab.assembly import _half_cells
 
         for box in ((-1.0, 1.0, -1.0, 1.0), (0.3, 2.3, -5.0, -3.0)):
             mesh = build(N, box)
@@ -1280,7 +1390,7 @@ class TestSmallKernels:
             twice_mid = mesh.nodes[mesh.edges[:, 0]] + mesh.nodes[mesh.edges[:, 1]]
             k = np.rint((twice_mid - (2 * x0, 2 * y0)) / (mesh.kappa * hy, hy)).astype(np.int64)
             want = np.where((k % 2 == 1).all(axis=1), (k // 2).sum(axis=1) % 2, 0)
-            got = _checkerboard(mesh, dofs)
+            got = _checkerboard(_half_cells(mesh, dofs))
             assert got.dtype == want.dtype and np.array_equal(got, want)
         if build is build_uniform_tri:
             assert got.any()

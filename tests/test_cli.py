@@ -137,9 +137,18 @@ class TestUsageErrors:
         (["run", "--example", "ex1", "--rtol", "0"], "--rtol"),
         (["run", "--example", "ex1", "--rtol", "1"], "--rtol"),
         (["basis-check", "--count", "0"], "--count"),
+        (["basis-check", "--ratio-max", "0"], "--ratio-max"),
+        (["basis-check", "--ratio-max", "0.5"], "--ratio-max"),
+        (["basis-check", "--ratio-max", "inf"], "--ratio-max"),
+        (["basis-check", "--max-angle", "20"], "--max-angle"),
+        (["basis-check", "--max-angle", "25"], "--max-angle"),
+        (["basis-check", "--max-angle", "180"], "--max-angle"),
+        (["run", "--example", "ex1", "--method", "ppifem", "--eta", "0"], "--eta"),
+        (["run", "--example", "ex1", "--method", "ppifem", "--eta", "-5"], "--eta"),
     ], ids=["nmin-12", "nmin-0", "nmax-100", "nmax-1024", "nmax-below-nmin", "beta-plus-0",
             "beta-minus-negative", "beta-plus-nan", "validate-beta-minus-0", "rtol-0",
-            "rtol-1", "count-0"])
+            "rtol-1", "count-0", "ratio-max-0", "ratio-max-below-1", "ratio-max-inf",
+            "max-angle-20", "max-angle-25", "max-angle-180", "eta-0", "eta-negative"])
     def test_malformed_number_exits_2_before_any_work(self, capsys, monkeypatch, argv,
                                                       option):
         """A malformed number is a usage error: argparse prints the usage and
