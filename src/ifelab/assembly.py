@@ -231,8 +231,9 @@ class AssembledSystem:
                         free DOF's edge midpoint (see _half_cells), or None.
                         solve_spd derives both its elimination key's colour
                         (_checkerboard) and its nested-dissection ordering
-                        from them; without them the colour is 0 and the
-                        Schur complement keeps its index order
+                        from them; without them the colour is 0 and
+                        SuperLU orders the Schur complement by minimum
+                        degree
     """
 
     def __init__(self, matrix: sp.csr_matrix, rhs, free: np.ndarray,
@@ -968,21 +969,21 @@ def _dissection_order(S, coords: np.ndarray) -> np.ndarray:
         # separators of the levels above
         key[sep] = (((half[on] >> 1) + 1) << (L - lv)) * (L + 2) - 1 - lv
         placed[sep] = True
-    if ((L + 2) << L) * n < 2 ** 63:
-        return np.argsort(key * n + np.arange(n))
     return np.argsort(key, kind="stable")
 
 
-def _factor(S):
-    """SuperLU factors of the symmetric S, in its own order. Its
-    RuntimeErrors are raised as SolverError, or SolverMemoryError for an
-    allocation failure. No solution is formed when the factorization fails,
+def _factor(S, permc_spec: str):
+    """SuperLU factors of the symmetric S, with diagonal pivots and the
+    column order permc_spec: "NATURAL" for S already in its nested-dissection
+    order, "MMD_AT_PLUS_A" for SuperLU's minimum degree. Its RuntimeErrors
+    are raised as SolverError, or SolverMemoryError for an allocation
+    failure. No solution is formed when the factorization fails,
     so the achieved residual is that of x = 0."""
     from scipy.sparse.linalg import splu
 
     try:
         # S is symmetric, so S.T, a CSC view of the same arrays, is S
-        return splu(S.T, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+        return splu(S.T, permc_spec=permc_spec, diag_pivot_thresh=0.0,
                     options={"SymmetricMode": True})
     except RuntimeError as err:
         # SuperLU reports allocation failures ("SUPERLU_MALLOC fails for ...",
@@ -1090,15 +1091,15 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
     it in that order (permc_spec NATURAL). On the uniform grids here nested
     dissection bounds the fill at O(n log n) (George 1973; Lipton, Rose and
     Tarjan 1979), where a minimum-degree ordering carries no such bound.
-    Without coordinates S keeps its index order.
+    Without coordinates SuperLU orders S itself, by minimum degree
+    (permc_spec MMD_AT_PLUS_A).
 
     By Haynsworth's inertia additivity, a matrix is SPD exactly when D and
     its Schur complement S are; applied round by round, A is SPD exactly
     when every round's D and the last Schur complement are. Every round's
-    diagonal is checked positive, which covers its D. SuperLU factors the
-    permuted S as L U with the natural column order, so perm_c is the
-    identity up to its elimination-tree postorder, and with diagonal pivots
-    only, so perm_r = perm_c and U = D' L^T. By Sylvester's law of inertia,
+    diagonal is checked positive, which covers its D. SuperLU factors S as
+    L U, in either column order, with diagonal pivots only, so
+    perm_r = perm_c and U = D' L^T. By Sylvester's law of inertia,
     S is SPD exactly when no off-diagonal pivot was taken and every pivot
     is positive.
 
@@ -1107,8 +1108,9 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
     SuperLU releases the GIL, and the elimination, the ordering and the
     factorization stay on the calling thread. The solve waits for the
     worker before it goes on, and raises the load vector's own error if it
-    fails. Below LOAD_WORKER_DOFS free DOFs the load vector is computed
-    after the factorization, on the calling thread.
+    fails, also when the elimination or the factorization failed first (that
+    error is then its __context__). Below LOAD_WORKER_DOFS free DOFs the
+    load vector is computed after the factorization, on the calling thread.
 
     The true residual ||b - Ax|| / ||b|| of the original system must then be
     at most 10 (rtol + eps || |A| |x| || / ||b||), the second term being the
@@ -1126,11 +1128,12 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
         with _out_of_memory("the elimination"):
             rounds, S, coords = _eliminate(A, system.coords)
         if S.shape[0]:
-            with _out_of_memory("the factorization"):
-                if coords is not None:
+            if coords is not None:
+                with _out_of_memory("the ordering"):
                     p = _dissection_order(S, coords)
                     S = _permuted(S, p)
-                lu = _factor(S)
+            with _out_of_memory("the factorization"):
+                lu = _factor(S, "MMD_AT_PLUS_A" if p is None else "NATURAL")
     # only the rounds' A_RI and the factors live on under the solve, and
     # only the factors under the pivot check, which copies them
     del S

@@ -520,8 +520,8 @@ class TestSolver:
         assert exc.value.residual == 1.0
 
     @pytest.mark.parametrize("failing, step", [
-        ("elimination", "the elimination"), ("solve", "the solve"),
-        ("U", "the pivot check")])
+        ("elimination", "the elimination"), ("ordering", "the ordering"),
+        ("solve", "the solve"), ("U", "the pivot check")])
     def test_allocation_failures_are_typed(self, monkeypatch, failing, step):
         """An allocation failure anywhere in solve_spd raises
         SolverMemoryError with the achieved residual: 1.0 before a solution
@@ -549,6 +549,8 @@ class TestSolver:
                             lambda *a, **k: Factors(real_splu(*a, **k)))
         if failing == "elimination":
             monkeypatch.setattr(assembly, "_independent_set", no_memory)
+        if failing == "ordering":
+            monkeypatch.setattr(assembly, "_dissection_order", no_memory)
         prob = example4()
         ctx = build_context(prob, build_uniform_rect(8, prob.domain), "rq1")
         system = assemble(ctx, "new", correction=build_jump_correction(ctx))
@@ -558,8 +560,9 @@ class TestSolver:
             assert 0.0 <= exc.value.residual <= 1e-12
         else:
             assert exc.value.residual == 1.0
-        # the load vector is computed at the factorization, after the elimination
-        assert system.pending == (failing == "elimination")
+        # this system is below LOAD_WORKER_DOFS, so the load vector is
+        # computed on the calling thread after the factorization
+        assert system.pending == (failing in ("elimination", "ordering"))
 
 
 def random_spd(rng, n, density):
@@ -660,10 +663,46 @@ class TestDissectionOrder:
         correction = None if prob.homogeneous_jumps else build_jump_correction(ctx)
         system = assemble(ctx, "new", correction=correction)
         _, S, coords = _eliminate(system.matrix, system.coords)
-        nested = _factor(_permuted(S, _dissection_order(S, coords))).nnz
+        nested = _factor(_permuted(S, _dissection_order(S, coords)), "NATURAL").nnz
         mmd = splu(S.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True}).nnz
         assert nested < mmd
+
+    def test_system_without_coordinates_is_ordered_by_minimum_degree(self, monkeypatch):
+        """A system built without coordinates has no dissection order, so
+        SuperLU orders its Schur complement by minimum degree: on the
+        five-point Laplacian of a 63 x 63 grid, numbered at random, the
+        factors hold as many nonzeros as under MMD_AT_PLUS_A and far fewer
+        than in the index order."""
+        from scipy.sparse.linalg import splu
+
+        from ifelab import assembly
+
+        m = 63
+        T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
+        A = (sp.kron(T, sp.identity(m)) + sp.kron(sp.identity(m), T)).tocsr()
+        q = np.random.default_rng(0).permutation(m * m)
+        A = A[q][:, q].tocsr()
+        factored = []
+        real_factor = assembly._factor
+
+        def factor(S, spec):
+            factored.append((S, real_factor(S, spec)))
+            return factored[-1][1]
+
+        monkeypatch.setattr(assembly, "_factor", factor)
+        b = np.ones(m * m)
+        x, _ = solve_spd(AssembledSystem(A, b, np.arange(m * m), np.array([], dtype=int),
+                                         np.array([]), m * m))
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+        (S, lu), = factored
+
+        def fill(spec):
+            return splu(S.T, permc_spec=spec, diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True}).nnz
+
+        assert lu.nnz == fill("MMD_AT_PLUS_A")
+        assert 3 * lu.nnz < fill("NATURAL")
 
 
 class TestRotatedBilinearSolve:
@@ -1311,6 +1350,29 @@ class TestPendingLoad:
             run_convergence(prob, "new", "cr", [8])
         assert threads == [not on_worker]
         assert ndims == [3]  # the load's uncut blocks read the replaced fields
+
+    def test_load_error_wins_over_a_failed_elimination(self, load_worker, monkeypatch):
+        """When the elimination fails while the worker computes a failing
+        load vector, solve_spd waits for the worker and raises the load
+        vector's error, with the solver's error as its context."""
+        from ifelab import assembly
+
+        class SourceError(Exception):
+            pass
+
+        def fail(x):
+            raise SourceError("bad source")
+
+        def not_spd(*args, **kwargs):
+            raise SolverError("matrix not SPD: nonpositive diagonal", residual=1.0)
+
+        prob, threads, _ = self.armed_source(fail)
+        system = assemble(build_context(prob, build_uniform_tri(8), "cr"), "new")
+        monkeypatch.setattr(assembly, "_eliminate", not_spd)
+        with pytest.raises(SourceError, match="bad source") as exc:
+            solve_spd(system)
+        assert isinstance(exc.value.__context__, SolverError)
+        assert threads == [False]
 
     def test_worker_honours_the_callers_errstate(self, load_worker):
         """numpy's errstate is context-local, so the worker runs in a copy of
