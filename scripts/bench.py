@@ -25,7 +25,13 @@ A B B A ... over --runs pairs, so drift of the host during the comparison
 falls on both sides alike. The file holds, per case and phase, both sides'
 medians and quartiles, the per-pair differences (tree minus REV) and the
 number of pairs each side won, the peak RSS of every process, and each
-side's DOFs, nnz and errors. --require-same exits 1 when these differ.
+side's DOFs, nnz and errors. Two verdicts per case read them: whether the
+DOFs and nnz are exactly equal (``same_sizes``), and the largest relative
+gap of the L2 and H1 errors of any process, either side, from those of REV's
+first (``error_gap``, 0 when all are equal bit for bit), which also ends the
+case's line on stderr. ``same`` is
+both at once, sizes and errors equal bit for bit; --require-same exits 1
+unless every case is the same.
 
 ifelab is imported from the src/ next to this script, so a copy of an older
 commit benchmarks that commit. BLAS is pinned to one thread, as in perfbench.
@@ -65,7 +71,8 @@ CASE_NS = (64, 128, 256, 512)
 EXTRA = [("ex1", "ppifem", "rq1", 512)]
 PHASES = ("mesh", "layout", "context", "correction", "assemble", "solve", "norms")
 IMPORT_PROBLEMS = ("ex1", "ex2", "ex4")
-SIZES = ("dofs", "nnz", "l2", "h1")
+SIZES = ("dofs", "nnz")
+ERRORS = ("l2", "h1")
 
 
 def import_script(src):
@@ -163,6 +170,14 @@ def compare(rev_values, tree_values):
             "tree_wins": sum(d < 0 for d in diffs), "rev_wins": sum(d > 0 for d in diffs)}
 
 
+def error_gap(results):
+    """Largest relative gap |a - b| / max(|a|, |b|) of the L2 and H1 errors
+    between results[0] and any other result; 0 when all are equal."""
+    first = results[0]
+    return max((abs(r[k] - first[k]) / max(abs(r[k]), abs(first[k]))
+                for r in results[1:] for k in ERRORS if r[k] != first[k]), default=0.0)
+
+
 def against(args):
     """Alternate one process per side and case; see the module docstring."""
     with tempfile.TemporaryDirectory(prefix="ifelab-bench-") as tmp:
@@ -195,17 +210,22 @@ def against(args):
             phases = {p: compare(*([t[i] for t in times[k]] for k in ("rev", "tree")))
                       for i, p in enumerate(PHASES)}
             phases["total"] = compare(*([sum(t) for t in times[k]] for k in ("rev", "tree")))
-            sizes = {k: [{s: res[s] for s in SIZES} for res, _ in got[k]] for k in got}
-            agree = all(r == sizes["rev"][0] for k in got for r in sizes[k])
+            results = {k: [{s: res[s] for s in SIZES + ERRORS} for res, _ in got[k]] for k in got}
+            every = results["rev"] + results["tree"]
+            same_sizes = all(r[s] == every[0][s] for r in every for s in SIZES)
+            gap = error_gap(every)
+            agree = same_sizes and gap == 0.0
             same &= agree
             cases.append({"case": f"{example}/{method}/{kind}", "N": N, "same": agree,
-                          "sizes": {k: sizes[k][0] for k in got},
+                          "same_sizes": same_sizes, "error_gap": gap,
+                          "sizes": {k: results[k][0] for k in got},
                           "peak_rss_mb": compare(*([m for _, m in got[k]] for k in ("rev", "tree"))),
                           "phases": phases})
             tot = phases["total"]
             print(f"{spec}: total {tot['rev']['median']:.3f} -> {tot['tree']['median']:.3f} s "
                   f"(tree faster in {tot['tree_wins']}/{args.runs}), "
-                  f"{'same' if agree else 'DIFFERENT'} sizes and errors", file=sys.stderr)
+                  f"{'same' if same_sizes else 'DIFFERENT'} DOFs and nnz, "
+                  f"largest error gap {gap:.1e}", file=sys.stderr)
     doc = {"label": args.label, "command": " ".join(["scripts/bench.py", *sys.argv[1:]]),
            "against": args.against, "rev_commit": sha, "runs": args.runs,
            "machine": machine(), "cases": cases}
@@ -236,7 +256,7 @@ def main(argv=None):
                     help="compare the working tree with commit REV, process by process")
     ap.add_argument("--require-same", action="store_true",
                     help="with --against, exit 1 unless both sides report the same "
-                         "DOFs, nnz and errors")
+                         "DOFs and nnz and the same errors bit for bit")
     ap.add_argument("--case", default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.runs < 1:

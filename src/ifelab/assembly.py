@@ -38,8 +38,9 @@ the colour and the order come from one description of the free DOFs that
 assemble records, the half-cell coordinates of their edge midpoints. The
 diagonals left by the colour round lie on a lattice rotated by 45 degrees,
 and the ordering cuts in that frame; on rectangles it cuts along grid
-lines. assemble leaves the load vector pending, and the solve has it
-computed on a worker thread while the calling thread eliminates, orders
+lines. assemble leaves the load vector pending. On a large system it
+starts the load's pass over the uncut elements on a worker thread first,
+which then runs while the calling thread assembles, eliminates, orders
 and factors.
 
 The load vector's pass over the uncut elements evaluates f, u and grad u
@@ -48,7 +49,7 @@ onto each element's basis and gradients, orthogonally in the weighted sums
 over the points that the error norms take. The error norms then split
 exactly at those projections (see uncut_pass): the residual sums and the
 projections are the exact solution's alone and are formed in that pass,
-while the solve eliminates and factors, and only a quadratic form per
+while the assembly and the solve go on, and only a quadratic form per
 element is left for the DOFs.
 
 scipy is imported inside the function that uses it, so that importing
@@ -85,7 +86,7 @@ from .quadrature import polygon_points_weights, polygons_points_weights, segment
 METHODS = ("plain", "new", "ppifem")
 VOLUME_DEGREE = 6  # exact degree of the element and sub-polygon rules
 BLOCK_POINTS = 16384  # quadrature points per block of uncut elements
-LOAD_WORKER_DOFS = 16384  # least free DOFs that solve_spd solves alongside the load vector
+LOAD_WORKER_DOFS = 16384  # least free DOFs for which assemble starts the uncut pass on a worker
 LEAF_DOFS = 16  # largest domain that the nested-dissection ordering leaves unsplit
 
 
@@ -161,7 +162,7 @@ class ClassCtx:
     G   (n, m-1, m-1) sum over the points of w beta grad phi_k . grad phi_l
 
     They are allocated with the context, on the thread that builds it, so
-    that the load vector's pass on solve_spd's worker writes into them
+    that the load vector's pass on assemble's worker writes into them
     instead of growing the worker's own heap.
     """
 
@@ -205,7 +206,9 @@ class ClassCtx:
 class Context:
     """Everything assembled forms need for one (problem, mesh) pair.
     residuals holds the sums (L2, energy) of uncut_pass, which the load
-    vector's pass leaves with the classes' p, d and G; None before it."""
+    vector's pass leaves with the classes' p, d and G; None before it. On
+    a large system that pass runs on assemble's worker thread from the
+    start of assemble (see AssembledSystem)."""
 
     prob: object
     mesh: UnfittedMesh
@@ -222,8 +225,15 @@ class AssembledSystem:
     rhs                 load vector on the free DOFs. assemble passes a
                         zero-argument callable that computes it, the pending
                         load vector: the first read of rhs calls it and keeps
-                        the result, and solve_spd has it computed on a worker
-                        thread while it eliminates and factors
+                        the result
+    worker              None, or the wait of the worker thread that assemble
+                        started on the load's pass over the uncut elements:
+                        a call joins the thread and returns the pass's
+                        partial load vector, or raises its error. The
+                        pending rhs waits for it and adds the rest of the
+                        load on the reading thread. A system whose rhs is
+                        never read leaves the worker to run to its end on
+                        its own; its error surfaces at the first read
     free, constrained   DOF indices
     constrained_values  prescribed edge means on the constrained DOFs
     n_dofs              number of DOFs, free and constrained
@@ -238,9 +248,10 @@ class AssembledSystem:
 
     def __init__(self, matrix: sp.csr_matrix, rhs, free: np.ndarray,
                  constrained: np.ndarray, constrained_values: np.ndarray, n_dofs: int,
-                 coords: Optional[np.ndarray] = None):
+                 coords: Optional[np.ndarray] = None, worker: Optional[Callable] = None):
         self.matrix = matrix
         self._rhs = rhs
+        self.worker = worker
         self.free = free
         self.constrained = constrained
         self.constrained_values = constrained_values
@@ -256,6 +267,8 @@ class AssembledSystem:
     def rhs(self) -> np.ndarray:
         if self.pending:
             self._rhs = self._rhs()
+            # the worker holds the pass's partial load vector over all DOFs
+            self.worker = None
         return self._rhs
 
     def expand(self, x_free: np.ndarray) -> np.ndarray:
@@ -593,9 +606,81 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
     correction holds the (n_cut, 2, 4) coefficients of the piecewise fields
     absorbing nonhomogeneous interface jumps, rows as in ctx.cut_table; their
     full bilinear-form action moves to the right-hand side.
+
+    The load vector is left pending (see AssembledSystem). A system of
+    LOAD_WORKER_DOFS free DOFs or more first starts the load's pass over the
+    uncut elements on a worker thread, which then runs while the calling
+    thread assembles and, in solve_spd, eliminates, orders and factors; the
+    pending rhs adds the rest of the load, the cut elements' part, when it
+    is read (7% of the pass's time on ex1 at N=128, 11% with ex4's jump
+    correction). The worker runs in a copy of the caller's context, where
+    numpy keeps its errstate. Smaller systems leave the whole load vector to its
+    first reader: the first worker thread of a process costs a few MB of
+    peak RSS, its own malloc arena, which the few milliseconds of a small
+    system do not repay. 16,384 free DOFs draws the line on every
+    power-of-two row of ex1 to ex4, both elements and all three methods,
+    from N=32 to 256: serial to N=64, worker from N=128. When assemble
+    raises after the start, it waits for the worker first, and a failing
+    pass raises its own error, with assemble's as its __context__.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    boundary = ctx.mesh.boundary_edges
+    free = np.nonzero(~boundary)[0]
+    constrained = np.nonzero(boundary)[0]
+    worker = None
+    if len(free) >= LOAD_WORKER_DOFS:
+        worker = _start(lambda: _uncut_load(ctx))
+    try:
+        A, A_fc, g_c, edges = _assemble_matrix(ctx, method, eta, free, constrained)
+        coords = _half_cells(ctx.mesh, free)
+    except BaseException:
+        if worker is not None:
+            worker()
+        raise
+
+    def rhs():
+        # a copy of the worker's part, which a read that fails midway leaves
+        # intact for the next read
+        b = _uncut_load(ctx) if worker is None else worker().copy()
+        b = _finish_load(ctx, b, method, eta, correction, edges)
+        return b[free] - A_fc @ g_c
+
+    return AssembledSystem(A, rhs, free, constrained, g_c, ctx.mesh.n_edges, coords, worker)
+
+
+def _start(fn: Callable) -> Callable:
+    """Start fn() on a worker thread, in a copy of the caller's context.
+    Returns its wait: every call joins the thread and returns fn's result,
+    or raises its error."""
+    import contextvars
+    import threading
+    from concurrent.futures import Future
+
+    done = Future()
+    run = contextvars.copy_context().run
+
+    def work():
+        try:
+            done.set_result(run(fn))
+        except BaseException as err:
+            done.set_exception(err)
+
+    thread = threading.Thread(target=work, name="ifelab-load")
+    thread.start()
+
+    def wait():
+        thread.join()
+        return done.result()
+    return wait
+
+
+def _assemble_matrix(ctx: Context, method: str, eta: Optional[float], free: np.ndarray,
+                     constrained: np.ndarray):
+    """The blocks of assemble's symmetric matrix on the free rows, (A_ff,
+    A_fc, g_c, edges): g_c the prescribed edge means on the constrained DOFs
+    and edges the EdgeTable of the interface edges (None for 'plain').
+    Raises AssemblyError when the matrix is not symmetric."""
     mesh = ctx.mesh
     n = mesh.n_edges
     rows, cols, data = _volume_triplets(ctx)
@@ -635,19 +720,9 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
     del T
     A.eliminate_zeros()
 
-    boundary = mesh.boundary_edges
-    free = np.nonzero(~boundary)[0]
-    constrained = np.nonzero(boundary)[0]
     g_c = edge_means(ctx.prob.u_exact, mesh, ctx.layout, constrained)
     A = A[free]  # the free rows, sliced once for both column blocks
-    A_fc = A[:, constrained]
-
-    def rhs():
-        b = assemble_rhs(ctx, method, eta=eta, correction=correction, edge_blocks=edges)
-        return b[free] - A_fc @ g_c
-
-    return AssembledSystem(A[:, free], rhs, free, constrained, g_c, n,
-                           _half_cells(mesh, free))
+    return A[:, free], A[:, constrained], g_c, edges
 
 
 def _half_cells(mesh: UnfittedMesh, dofs: np.ndarray) -> np.ndarray:
@@ -683,10 +758,24 @@ def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,
     caller already built; anything else (None, or a list of per-edge
     tables) makes the correction action build its own.
     """
+    return _finish_load(ctx, _uncut_load(ctx), method, eta, correction, edge_blocks)
+
+
+def _uncut_load(ctx: Context) -> np.ndarray:
+    """The uncut elements' part of the load vector, in a fresh array over
+    all DOFs; leaves the residual sums on ctx (see uncut_pass)."""
+    b = np.zeros(ctx.mesh.n_edges)
+    ctx.residuals = uncut_pass(ctx, b)
+    return b
+
+
+def _finish_load(ctx: Context, b: np.ndarray, method: str, eta, correction,
+                 edge_blocks) -> np.ndarray:
+    """Add the rest of assemble_rhs's load vector to the uncut elements'
+    part b: the cut elements' load, the chord load and the correction's
+    action, in that order. Returns b."""
     mesh = ctx.mesh
     tab = ctx.cut_table
-    b = np.zeros(mesh.n_edges)
-    ctx.residuals = uncut_pass(ctx, b)
     dofs = mesh.elem_edges[tab.ids]
     np.add.at(b, dofs, tab.per_element(tab.vals * (tab.wts * ctx.prob.f(tab.pts))[:, None]))
 
@@ -1009,31 +1098,14 @@ def _permuted(S, p: np.ndarray):
 
 @contextmanager
 def _load_alongside(system: AssembledSystem):
-    """Compute a pending load vector on a worker thread while the block, the
-    elimination and factorization of system.matrix, runs, and wait for it
-    when the block ends, however it ends; an error of the load vector is
-    raised as it is. The worker runs in a copy of the caller's context,
-    where numpy keeps its errstate. A system of fewer than LOAD_WORKER_DOFS
-    free DOFs leaves the load vector pending, for its first reader after
-    the block on the calling thread: the first worker thread of a process
-    costs a few MB of peak RSS, its own malloc arena, which the few
-    milliseconds of a small factorization do not repay. The worker used to
-    start at Schur complements of 8,192 DOFs; 16,384 free DOFs draws the
-    same line on every power-of-two row of ex1 to ex4, both elements and
-    all three methods, from N=32 to 256: serial to N=64, worker from
-    N=128."""
-    if system.matrix.shape[0] < LOAD_WORKER_DOFS or not system.pending:
+    """Wait for the worker that assemble started on system's load vector,
+    if any, when the block ends, however it ends; an error of the worker is
+    raised as it is, with the block's own error as its __context__."""
+    try:
         yield
-        return
-    import contextvars
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        done = worker.submit(contextvars.copy_context().run, lambda: system.rhs)
-        try:
-            yield
-        finally:
-            done.result()
+    finally:
+        if system.worker is not None:
+            system.worker()
 
 
 @contextmanager
@@ -1103,14 +1175,15 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
     S is SPD exactly when no off-diagonal pivot was taken and every pivot
     is positive.
 
-    A pending load vector (see AssembledSystem) is computed on a worker
-    thread from before the elimination to the end of the factorization;
-    SuperLU releases the GIL, and the elimination, the ordering and the
-    factorization stay on the calling thread. The solve waits for the
-    worker before it goes on, and raises the load vector's own error if it
-    fails, also when the elimination or the factorization failed first (that
-    error is then its __context__). Below LOAD_WORKER_DOFS free DOFs the
-    load vector is computed after the factorization, on the calling thread.
+    The load vector is read after the factorization. When assemble started
+    the load's uncut pass on a worker thread (see assemble), that pass runs
+    beside the elimination, the ordering and the factorization, which stay
+    on the calling thread; SuperLU releases the GIL. The solve waits for the
+    worker when they end, however they end, and raises the pass's own error
+    if it fails, also when the elimination or the factorization failed
+    first (that error is then its __context__). Below LOAD_WORKER_DOFS free
+    DOFs the whole load vector is computed after the factorization, on the
+    calling thread.
 
     The true residual ||b - Ax|| / ||b|| of the original system must then be
     at most 10 (rtol + eps || |A| |x| || / ||b||), the second term being the

@@ -901,10 +901,17 @@ class TestEdgeMatrices:
 
 
 def counting(prob, calls: Counter):
-    """Copy of prob whose callable fields count their calls in calls[name]."""
+    """Copy of prob whose callable fields count their calls in calls[name],
+    under a lock: assemble's worker and the calling thread may count the
+    same name at once."""
+    import threading
+
+    lock = threading.Lock()
+
     def wrap(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            with lock:
+                calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -1259,24 +1266,25 @@ class TestSolverAgreement:
 
 @pytest.fixture
 def load_worker(monkeypatch):
-    """solve_spd computes the load vector on its worker at every size, not
-    only for systems of LOAD_WORKER_DOFS free DOFs or more."""
+    """assemble starts the load's uncut pass on its worker at every size,
+    not only for systems of LOAD_WORKER_DOFS free DOFs or more."""
     from ifelab import assembly
 
     monkeypatch.setattr(assembly, "LOAD_WORKER_DOFS", 0)
 
 
 class TestPendingLoad:
-    """assemble leaves the load vector pending; its first reader, or
-    solve_spd's worker thread while SuperLU factors, computes it."""
+    """assemble leaves the load vector pending; its first reader computes
+    it, after the uncut pass that assemble's worker thread runs from its
+    start on a large system."""
 
     @pytest.mark.parametrize("method", ["plain", "new", "ppifem"])
     @pytest.mark.parametrize("kind", ["cr", "rq1"])
     @pytest.mark.parametrize("example", ["ex1", "ex2", "ex3", "ex4"])
     def test_rhs_is_the_load_vector_with_the_boundary_lift(self, load_worker, example, kind,
                                                            method):
-        """Read directly or computed by solve_spd's worker, rhs is bit for
-        bit assemble_rhs on the free DOFs minus the lift of the boundary
+        """Read directly or after solve_spd, its uncut pass on assemble's
+        worker, rhs is bit for bit assemble_rhs on the free DOFs minus the lift of the boundary
         values, A_fc g_c. A_fc comes from the same assembly on the mesh with
         no boundary edges, where every DOF is free."""
         prob = TestSolverAgreement.PROBLEMS[example]()
@@ -1351,6 +1359,104 @@ class TestPendingLoad:
         assert threads == [not on_worker]
         assert ndims == [3]  # the load's uncut blocks read the replaced fields
 
+    def test_uncut_pass_starts_before_the_volume_assembly(self, load_worker, monkeypatch):
+        """assemble starts the worker's uncut pass before its volume form:
+        the volume assembly waits, with a timeout so that a late start
+        cannot deadlock, for the source call of the worker's first block."""
+        import threading
+
+        from ifelab import assembly
+
+        started = threading.Event()
+
+        def source(x):
+            started.set()
+            return np.zeros(x.shape[:-1])
+
+        volume = assembly._volume_triplets
+        waited = []
+
+        def after_the_start(ctx):
+            waited.append(started.wait(timeout=30.0))
+            return volume(ctx)
+
+        prob, threads, ndims = self.armed_source(source)
+        monkeypatch.setattr(assembly, "_volume_triplets", after_the_start)
+        system = assemble(build_context(prob, build_uniform_tri(8), "cr"), "new")
+        system.worker()
+        assert waited == [True]
+        assert threads and not any(threads) and set(ndims) == {3}
+
+    @pytest.mark.parametrize("failing", [True, False], ids=["failing-load", "load"])
+    def test_failed_assembly_waits_for_the_worker(self, load_worker, monkeypatch, failing):
+        """When the symmetry check fails while the worker still runs the
+        uncut pass, assemble waits for the worker before it raises, so no
+        thread it started outlives it. A failing pass raises its own error,
+        with the AssemblyError as its context; otherwise the AssemblyError
+        is raised."""
+        import threading
+
+        from ifelab import assembly
+
+        class SourceError(Exception):
+            pass
+
+        checked = threading.Event()
+
+        def source(x):
+            checked.wait(timeout=30.0)  # hold the pass until the check runs
+            if failing:
+                raise SourceError("bad source")
+            return np.zeros(x.shape[:-1])
+
+        edge_matrices = assembly._edge_matrices
+
+        def skewed(*args, **kwargs):
+            mats = edge_matrices(*args, **kwargs)
+            mats[:, 0, 1] += 1.0
+            checked.set()
+            return mats
+
+        prob, threads, _ = self.armed_source(source)
+        ctx = build_context(prob, build_uniform_tri(8), "cr")
+        monkeypatch.setattr(assembly, "_edge_matrices", skewed)
+        before = set(threading.enumerate())
+        with pytest.raises(SourceError if failing else AssemblyError) as exc:
+            assemble(ctx, "new")
+        assert not set(threading.enumerate()) - before
+        if failing:
+            assert isinstance(exc.value.__context__, AssemblyError)
+            assert threads == [False]
+        else:
+            assert "asymmetric" in str(exc.value)
+            assert threads and not any(threads)
+
+    def test_read_after_a_failed_read(self, load_worker, monkeypatch):
+        """A read of rhs that fails after the cut elements' load was added
+        leaves the worker's part intact: the next read gives the serial
+        load vector bit for bit."""
+        from ifelab import assembly
+
+        prob = example4()
+        ctx = build_context(prob, build_uniform_tri(16, prob.domain), "cr")
+        correction = build_jump_correction(ctx)
+        want = assemble(ctx, "new", correction=correction).rhs
+        action = assembly._subtract_correction_action
+        failures = [MemoryError()]
+
+        def fails_once(*args):
+            if failures:
+                raise failures.pop()
+            return action(*args)
+
+        monkeypatch.setattr(assembly, "_subtract_correction_action", fails_once)
+        system = assemble(ctx, "new", correction=correction)
+        with pytest.raises(MemoryError):
+            system.rhs
+        assert system.pending and system.worker is not None
+        assert system.rhs.tobytes() == want.tobytes()
+        assert system.worker is None
+
     def test_load_error_wins_over_a_failed_elimination(self, load_worker, monkeypatch):
         """When the elimination fails while the worker computes a failing
         load vector, solve_spd waits for the worker and raises the load
@@ -1374,10 +1480,11 @@ class TestPendingLoad:
         assert isinstance(exc.value.__context__, SolverError)
         assert threads == [False]
 
-    def test_worker_honours_the_callers_errstate(self, load_worker):
+    def test_worker_honours_the_callers_errstate(self, load_worker, monkeypatch):
         """numpy's errstate is context-local, so the worker runs in a copy of
         the caller's context: a division by zero in the source raises there
         under divide="raise", as it does when rhs is read serially."""
+        from ifelab import assembly
         from ifelab.experiments import run_convergence
 
         prob, threads, ndims = self.armed_source(
@@ -1386,36 +1493,40 @@ class TestPendingLoad:
             with pytest.raises(FloatingPointError, match=r"N=8: divide by zero"):
                 run_convergence(prob, "new", "cr", [8])
             assert threads == [False]
+            monkeypatch.setattr(assembly, "LOAD_WORKER_DOFS", 10 ** 9)
             ctx = build_context(prob, build_uniform_tri(8), "cr")
             with pytest.raises(FloatingPointError, match="divide by zero"):
                 assemble(ctx, "new").rhs
         assert threads[1:] == [True]
         assert ndims == [3, 3]
 
-    def test_load_vector_computed_once_under_frequent_switches(self, load_worker):
+    def test_load_vector_computed_once_under_frequent_switches(self, monkeypatch):
         """With a 10 us switch interval the worker and the calling thread
-        trade the interpreter lock often. The load vector is still computed
-        once per solve, with the callbacks of one serial read, and the
-        solution is bit for bit the serial one."""
+        trade the interpreter lock often. An assembly and solve with the
+        worker still make the callbacks of a serial one, so the load vector
+        is computed once, and the solution is bit for bit the serial one."""
         import sys
+
+        from ifelab import assembly
 
         calls = Counter()
         prob = counting(example4(), calls)
         ctx = build_context(prob, build_uniform_tri(16, prob.domain), "cr")
         correction = build_jump_correction(ctx)
-        serial = assemble(ctx, "new", correction=correction)
+        monkeypatch.setattr(assembly, "LOAD_WORKER_DOFS", 10 ** 9)
         before = calls.copy()
-        serial.rhs
-        per_read = calls - before
-        x_serial, _ = solve_spd(serial)
+        x_serial, _ = solve_spd(assemble(ctx, "new", correction=correction))
+        per_solve = calls - before
+        monkeypatch.setattr(assembly, "LOAD_WORKER_DOFS", 0)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for _ in range(5):
-                system = assemble(ctx, "new", correction=correction)
                 before = calls.copy()
+                system = assemble(ctx, "new", correction=correction)
+                assert system.worker is not None
                 x, _ = solve_spd(system)
-                assert calls - before == per_read
+                assert calls - before == per_solve
                 assert x.tobytes() == x_serial.tobytes()
         finally:
             sys.setswitchinterval(old)

@@ -26,6 +26,15 @@ def test_compare_pairs_samples():
     assert got["rev"]["median"] == 2.5 and got["tree"]["median"] == 2.75
 
 
+def test_error_gap_is_the_largest_relative_gap():
+    bench = load_bench()
+    rev = {"l2": 1.0, "h1": 2.0}
+    assert bench.error_gap([rev, dict(rev), dict(rev)]) == 0.0
+    got = bench.error_gap([rev, {"l2": 1.0 + 1e-9, "h1": 2.0}, {"l2": 1.0, "h1": 2.0 - 4e-9}])
+    assert got == pytest.approx(2e-9, rel=1e-6)
+    assert bench.error_gap([{"l2": 0.0, "h1": 1.0}, {"l2": 1e-300, "h1": 1.0}]) == 1.0
+
+
 def test_case_specs_follow_nmin_and_nmax():
     bench = load_bench()
     assert {N for *_, N in bench.case_specs(64, 512)} == {64, 128, 256, 512}
@@ -54,8 +63,11 @@ def test_against_head(tmp_path):
     for c in cases:
         rev, tree = c["sizes"]["rev"], c["sizes"]["tree"]
         assert (rev["dofs"], rev["nnz"]) == (tree["dofs"], tree["nnz"])
+        assert c["same_sizes"]
         for key in ("l2", "h1"):
             assert tree[key] == pytest.approx(rev[key], rel=1e-10)
+        assert 0.0 <= c["error_gap"] <= 1e-10
+        assert c["same"] == (c["error_gap"] == 0.0)
         assert set(c["phases"]) == {*load_bench().PHASES, "total"}
         for stats in c["phases"].values():
             assert stats["tree_wins"] + stats["rev_wins"] <= 1

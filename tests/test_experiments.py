@@ -155,7 +155,7 @@ class TestUncutSplit:
     @pytest.mark.parametrize("kind", ["cr", "rq1"])
     def test_load_pass_leaves_the_standalone_split(self, monkeypatch, kind, worker):
         """The split that the load vector's pass leaves on the context, on
-        solve_spd's worker or on the calling thread, gives the errors of the
+        assemble's worker or on the calling thread, gives the errors of the
         split that error_norms computes itself, bit for bit."""
         monkeypatch.setattr(assembly, "LOAD_WORKER_DOFS", 0 if worker else 10 ** 9)
         prob = example4()
@@ -163,7 +163,8 @@ class TestUncutSplit:
         ctx = build_context(prob, build(16, prob.domain), kind)
         correction = build_jump_correction(ctx)
         system = assemble(ctx, "new", correction=correction)
-        assert ctx.residuals is None
+        if not worker:
+            assert ctx.residuals is None  # the pass waits for the first read
         x, _ = solve_spd(system)
         assert ctx.residuals is not None
         x = system.expand(x)
