@@ -16,7 +16,8 @@ process per run that imports ifelab and validates ex1, ex2 and ex4, as
 perfbench/setup_probe.py does, and reports its wall time and peak RSS.
 
 The cases run at every N of CASE_NS from --nmin to --nmax; an --nmax below
---nmin runs them at that N alone.
+--nmin runs them at that N alone. Both must lie in 1 to N_MAX, the finest
+mesh of a convergence row.
 
 --against REV compares the working tree with the commit REV, extracted by
 git archive into a temporary directory. Each case alternates one process per
@@ -32,6 +33,10 @@ first (``error_gap``, 0 when all are equal bit for bit), which also ends the
 case's line on stderr. ``same`` is
 both at once, sizes and errors equal bit for bit; --require-same exits 1
 unless every case is the same.
+
+Before the first timed process, each side's src/ is compiled to bytecode
+(compileall), so that no process of either side times the compilation of
+ifelab, also when PYTHONDONTWRITEBYTECODE keeps imports from writing it.
 
 ifelab is imported from the src/ next to this script, so a copy of an older
 commit benchmarks that commit. BLAS is pinned to one thread, as in perfbench.
@@ -63,7 +68,7 @@ from ifelab.assembly import (  # noqa: E402
     solve_spd,
 )
 from ifelab.cutting import build_layout  # noqa: E402
-from ifelab.experiments import _build_mesh, error_norms  # noqa: E402
+from ifelab.experiments import N_MAX, _build_mesh, error_norms  # noqa: E402
 from ifelab.problems import get_example  # noqa: E402
 
 CASES = [("ex1", "new", "cr"), ("ex4", "new", "rq1")]
@@ -150,6 +155,12 @@ def case_specs(nmin, nmax):
     return [c + (N,) for c in CASES for N in sizes] + [e for e in EXTRA if nmin <= e[3] <= nmax]
 
 
+def compile_src(src):
+    """Write the bytecode of every module under src, whatever
+    PYTHONDONTWRITEBYTECODE says."""
+    subprocess.run([sys.executable, "-m", "compileall", "-q", str(src)], env=ENV, check=True)
+
+
 def run_import(src):
     """Wall seconds and peak RSS of one import-and-validate process."""
     _, wall, peak = child([sys.executable, "-c", import_script(src)])
@@ -189,6 +200,8 @@ def against(args):
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
         sides = {"rev": Path(tmp), "tree": ROOT}
+        for side in sides.values():
+            compile_src(side / "src")
 
         def alternate(measure):
             """measure(side) per side over the pairs, order A B B A ..."""
@@ -261,6 +274,9 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.runs < 1:
         ap.error("--runs must be at least 1")
+    for name in ("nmin", "nmax"):
+        if not 1 <= getattr(args, name) <= N_MAX:
+            ap.error(f"--{name} must be in 1 to {N_MAX}")
     if args.case:
         run_case(args.case, args.runs)
         return 0
@@ -271,6 +287,7 @@ def main(argv=None):
         print(f"wrote {out}", file=sys.stderr)
         return 1 if args.require_same and not same else 0
 
+    compile_src(SRC)
     walls, rss = [], []
     for _ in range(args.runs):
         wall, peak = run_import(SRC)

@@ -12,16 +12,21 @@ import pathlib
 import sys
 import time
 
-from ifelab.experiments import emit, n_sequence, run_convergence
+from ifelab.experiments import N_MAX, emit, n_sequence, run_convergence
 from ifelab.problems import get_example
+
+LEAST_NMAX = 16  # figure4's refinement starts at N=16
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="results", help="output directory")
-    ap.add_argument("--nmax", type=int, default=256)
+    ap.add_argument("--nmax", type=int, default=256,
+                    help=f"finest mesh, from {LEAST_NMAX} to {N_MAX}")
     ap.add_argument("--rtol", type=float, default=1e-12)
     args = ap.parse_args(argv)
+    if not LEAST_NMAX <= args.nmax <= N_MAX:
+        ap.error(f"--nmax must be in {LEAST_NMAX} to {N_MAX}")
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -27,21 +27,23 @@ both average and jump.
 
 The SPD solve eliminates in rounds. Each round divides out a set of pairwise
 non-adjacent DOFs exactly, by one division each, and passes the Schur
-complement on the rest to the next round; SuperLU factors only what is left.
+complement on the rest to the next round; a round runs only when it removes
+at least a quarter of the DOFs it sees, and SuperLU factors what is left.
 On the right-triangle meshes of the CR element the legs couple only to the
 diagonals beside them, so away from the interface the first round takes the
 legs, two thirds of the DOFs. The diagonals left couple as a five-point
 stencil on the grid cells, and the second round, keyed first by the
-checkerboard colour of their cells, takes about half of them. SuperLU then
-factors the Schur complement in a geometric nested-dissection order. Both
-the colour and the order come from one description of the free DOFs that
-assemble records, the half-cell coordinates of their edge midpoints. The
-diagonals left by the colour round lie on a lattice rotated by 45 degrees,
-and the ordering cuts in that frame; on rectangles it cuts along grid
-lines. assemble leaves the load vector pending. On a large system it
-starts the load's pass over the uncut elements on a worker thread first,
-which then runs while the calling thread assembles, eliminates, orders
-and factors.
+checkerboard colour of their cells, takes about half of them. On rq1 no
+round removes a quarter, and SuperLU factors the whole matrix. It factors
+in a geometric nested-dissection order. Both the colour and the order come
+from one description of the free DOFs that assemble records, the half-cell
+coordinates of their edge midpoints. The diagonals left by the colour round
+lie on a lattice rotated by 45 degrees, and the ordering cuts in that frame;
+on rectangles it cuts along grid lines. assemble leaves the load vector
+pending, and the solve reads it in one place, after the factorization. On
+a large system assemble first starts the load's pass over the uncut
+elements on a worker thread, which then runs while the calling thread
+assembles, eliminates, orders and factors.
 
 The load vector's pass over the uncut elements evaluates f, u and grad u
 once per block of points, and besides the load it projects u and grad u
@@ -225,33 +227,29 @@ class AssembledSystem:
     rhs                 load vector on the free DOFs. assemble passes a
                         zero-argument callable that computes it, the pending
                         load vector: the first read of rhs calls it and keeps
-                        the result
-    worker              None, or the wait of the worker thread that assemble
-                        started on the load's pass over the uncut elements:
-                        a call joins the thread and returns the pass's
-                        partial load vector, or raises its error. The
-                        pending rhs waits for it and adds the rest of the
-                        load on the reading thread. A system whose rhs is
-                        never read leaves the worker to run to its end on
-                        its own; its error surfaces at the first read
+                        the result. When assemble started the load's pass
+                        over the uncut elements on a worker thread, that read
+                        joins the worker and raises its error, if any
     free, constrained   DOF indices
     constrained_values  prescribed edge means on the constrained DOFs
     n_dofs              number of DOFs, free and constrained
-    coords              (n_free, 2) integer half-cell coordinates of each
-                        free DOF's edge midpoint (see _half_cells), or None.
+    coords              (n_free, 2) signed integer half-cell coordinates of
+                        each free DOF's edge midpoint (see _half_cells).
                         solve_spd derives both its elimination key's colour
                         (_checkerboard) and its nested-dissection ordering
-                        from them; without them the colour is 0 and
-                        SuperLU orders the Schur complement by minimum
-                        degree
+                        from them. Raises ValueError when they have another
+                        shape or dtype
     """
 
     def __init__(self, matrix: sp.csr_matrix, rhs, free: np.ndarray,
                  constrained: np.ndarray, constrained_values: np.ndarray, n_dofs: int,
-                 coords: Optional[np.ndarray] = None, worker: Optional[Callable] = None):
+                 coords: np.ndarray):
+        if not (isinstance(coords, np.ndarray) and coords.dtype.kind == "i"
+                and coords.shape == (len(free), 2)):
+            raise ValueError(f"coords must be a signed integer array of shape "
+                             f"({len(free)}, 2), one row per free DOF")
         self.matrix = matrix
         self._rhs = rhs
-        self.worker = worker
         self.free = free
         self.constrained = constrained
         self.constrained_values = constrained_values
@@ -267,8 +265,6 @@ class AssembledSystem:
     def rhs(self) -> np.ndarray:
         if self.pending:
             self._rhs = self._rhs()
-            # the worker holds the pass's partial load vector over all DOFs
-            self.worker = None
         return self._rhs
 
     def expand(self, x_free: np.ndarray) -> np.ndarray:
@@ -614,12 +610,11 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
     pending rhs adds the rest of the load, the cut elements' part, when it
     is read (7% of the pass's time on ex1 at N=128, 11% with ex4's jump
     correction). The worker runs in a copy of the caller's context, where
-    numpy keeps its errstate. Smaller systems leave the whole load vector to its
-    first reader: the first worker thread of a process costs a few MB of
-    peak RSS, its own malloc arena, which the few milliseconds of a small
-    system do not repay. 16,384 free DOFs draws the line on every
+    numpy keeps its errstate. The first worker thread of a process costs a
+    few MB of peak RSS, its own malloc arena, which the few milliseconds of
+    a small system do not repay: 16,384 free DOFs draws the line on every
     power-of-two row of ex1 to ex4, both elements and all three methods,
-    from N=32 to 256: serial to N=64, worker from N=128. When assemble
+    from N=32 to 256, serial to N=64 and worker from N=128. When assemble
     raises after the start, it waits for the worker first, and a failing
     pass raises its own error, with assemble's as its __context__.
     """
@@ -646,7 +641,7 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
         b = _finish_load(ctx, b, method, eta, correction, edges)
         return b[free] - A_fc @ g_c
 
-    return AssembledSystem(A, rhs, free, constrained, g_c, ctx.mesh.n_edges, coords, worker)
+    return AssembledSystem(A, rhs, free, constrained, g_c, ctx.mesh.n_edges, coords)
 
 
 def _start(fn: Callable) -> Callable:
@@ -907,10 +902,10 @@ def build_jump_correction(ctx: Context) -> np.ndarray:
                             tab.beta_c[:, 0], g_D, g_N)
 
 
-def _independent_set(A, colour: Optional[np.ndarray] = None) -> np.ndarray:
+def _independent_set(A, colour: np.ndarray) -> np.ndarray:
     """Mask of the DOFs whose key (colour, pattern degree, index) is below
     the key of every neighbour in the pattern of the CSR matrix A; colour
-    is 0 or 1 per DOF, 0 everywhere by default.
+    is 0 or 1 per DOF.
 
     The keys are unique, so no two chosen DOFs are adjacent. Every row must
     hold its positive diagonal, so that a row's smallest key is its own
@@ -919,39 +914,36 @@ def _independent_set(A, colour: Optional[np.ndarray] = None) -> np.ndarray:
     """
     n = A.shape[0]
     rank = np.diff(A.indptr).astype(np.int64)
-    if colour is not None:
-        rank += (n + 1) * colour  # a degree is at most n, so colour ranks first
+    rank += (n + 1) * colour  # a degree is at most n, so colour ranks first
     key = rank * n + np.arange(n)
     return np.minimum.reduceat(key[A.indices], A.indptr[:-1]) == key
 
 
-def _eliminate(A, coords: Optional[np.ndarray]):
+def _eliminate(A, coords: np.ndarray):
     """Rounds of exact elimination of the symmetric matrix A, by the key of
     _independent_set with the checkerboard colour of the half-cell
-    coordinates coords (n, 2) of A's DOFs, or colour 0 when coords is None.
+    coordinates coords (n, 2) of A's DOFs.
 
     Returns one (I, R, d, A_RI) per round, I and R the eliminated and the
     remaining rows of that round's matrix and d = diag(A_II), the Schur
-    complement left on the last R, and the coordinates of its DOFs (None
-    when coords is None). A round after the first is taken only when it
-    removes at least a quarter of the DOFs it sees, and none follows a round
-    that removed less. Raises SolverError when the diagonal of A, or of a
-    Schur complement, is not positive; this also catches a row that cancels
-    to zero, before _independent_set sees it.
+    complement left on the last R, and the coordinates of its DOFs. A round
+    is taken only when it removes at least a quarter of the DOFs it sees;
+    the first that would remove less ends the elimination. Raises
+    SolverError when the diagonal of A, or of a Schur complement, is not
+    positive; this also catches a row that cancels to zero, before
+    _independent_set sees it.
     """
     rounds = []
-    colour = None if coords is None else _checkerboard(coords)
-    share = 1.0  # of the DOFs it saw, the share that the last round removed
+    colour = _checkerboard(coords)
     while True:
         diag = A.diagonal()
         if np.any(diag <= 0):
             after = f" after elimination round {len(rounds)}" if rounds else ""
             raise SolverError(f"matrix not SPD: nonpositive diagonal{after}", residual=1.0)
-        if not len(diag) or share < 0.25:
+        if not len(diag):
             return rounds, A, coords
         ind = _independent_set(A, colour)
-        share = ind.mean()
-        if rounds and share < 0.25:
+        if ind.mean() < 0.25:
             return rounds, A, coords
         I, R = np.flatnonzero(ind), np.flatnonzero(~ind)
         rows = A[R]
@@ -960,8 +952,7 @@ def _eliminate(A, coords: Optional[np.ndarray]):
         W.data /= np.sqrt(diag[I])[W.indices]
         A = rows[:, R] - W @ W.T
         rounds.append((I, R, diag[I], A_RI))
-        if coords is not None:
-            colour, coords = colour[R], coords[R]
+        colour, coords = colour[R], coords[R]
 
 
 def _dissection_order(S, coords: np.ndarray) -> np.ndarray:
@@ -1061,19 +1052,18 @@ def _dissection_order(S, coords: np.ndarray) -> np.ndarray:
     return np.argsort(key, kind="stable")
 
 
-def _factor(S, permc_spec: str):
-    """SuperLU factors of the symmetric S, with diagonal pivots and the
-    column order permc_spec: "NATURAL" for S already in its nested-dissection
-    order, "MMD_AT_PLUS_A" for SuperLU's minimum degree. Its RuntimeErrors
-    are raised as SolverError, or SolverMemoryError for an allocation
-    failure. No solution is formed when the factorization fails,
+def _factor(S):
+    """SuperLU factors of the symmetric S, already in its nested-dissection
+    order, so in the column order NATURAL, with diagonal pivots. Its
+    RuntimeErrors are raised as SolverError, or SolverMemoryError for an
+    allocation failure. No solution is formed when the factorization fails,
     so the achieved residual is that of x = 0."""
     from scipy.sparse.linalg import splu
 
     try:
         # S is symmetric, so S.T, a CSC view of the same arrays, is S
-        return splu(S.T, permc_spec=permc_spec, diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True})
+        return splu(S.T, options={"ColPerm": "NATURAL", "DiagPivotThresh": 0.0,
+                                  "SymmetricMode": True})
     except RuntimeError as err:
         # SuperLU reports allocation failures ("SUPERLU_MALLOC fails for ...",
         # "Not enough memory ...") as RuntimeError, like a singular factor
@@ -1097,18 +1087,6 @@ def _permuted(S, p: np.ndarray):
 
 
 @contextmanager
-def _load_alongside(system: AssembledSystem):
-    """Wait for the worker that assemble started on system's load vector,
-    if any, when the block ends, however it ends; an error of the worker is
-    raised as it is, with the block's own error as its __context__."""
-    try:
-        yield
-    finally:
-        if system.worker is not None:
-            system.worker()
-
-
-@contextmanager
 def _out_of_memory(step: str, residual: float = 1.0):
     """Raise an allocation failure in the block as SolverMemoryError with
     the given achieved residual."""
@@ -1120,16 +1098,14 @@ def _out_of_memory(step: str, residual: float = 1.0):
 
 def _substitute(rounds, lu, p: Optional[np.ndarray], b: np.ndarray) -> np.ndarray:
     """x solving A x = b, from the elimination rounds of A and the factors
-    lu of the Schur complement left in the order p (None when none is left,
-    or p None for its own order)."""
+    lu of the Schur complement left in the order p (both None when none is
+    left)."""
     kept = []
     for I, R, d, A_RI in rounds:
         kept.append(b[I])
         b = b[R] - A_RI @ (b[I] / d)
     if lu is None:
         x = b  # b is empty when nothing is left
-    elif p is None:
-        x = lu.solve(b)
     else:
         x = np.empty_like(b)
         x[p] = lu.solve(b[p])
@@ -1149,41 +1125,36 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
     colour of system.coords, pattern degree and index. They are pairwise
     non-adjacent, so A_II = D is diagonal and is eliminated exactly: with R
     the remaining DOFs and W = A_RI D^(-1/2), the next round sees the Schur
-    complement S = A_RR - W W^T. A round after the first is taken only when
-    it removes at least a quarter of the DOFs it sees, and none follows a
-    round that removed less. Back substitution, round by round in reverse,
-    takes x_I = D^-1 (b_I - A_IR x_R), one division per DOF. On the
-    right-triangle CR mesh the first round takes the legs away from the
-    interface, two thirds of the DOFs, and the second the diagonals of one
-    checkerboard colour, about half of the rest; on rq1 one round takes a
-    few DOFs. When a round takes every DOF left, nothing is factored.
+    complement S = A_RR - W W^T. A round is taken only when it removes at
+    least a quarter of the DOFs it sees (see _eliminate). Back substitution,
+    round by round in reverse, takes x_I = D^-1 (b_I - A_IR x_R), one
+    division per DOF. On the right-triangle CR mesh the first round takes
+    the legs away from the interface, two thirds of the DOFs, and the second
+    the diagonals of one checkerboard colour, about half of the rest; on rq1
+    no round is taken. When a round takes every DOF left, nothing is
+    factored.
 
     The Schur complement left is put in the nested-dissection order of
     _dissection_order, from the coordinates of its DOFs, and SuperLU factors
-    it in that order (permc_spec NATURAL). On the uniform grids here nested
-    dissection bounds the fill at O(n log n) (George 1973; Lipton, Rose and
-    Tarjan 1979), where a minimum-degree ordering carries no such bound.
-    Without coordinates SuperLU orders S itself, by minimum degree
-    (permc_spec MMD_AT_PLUS_A).
+    it in that order. On the uniform grids here nested dissection bounds the
+    fill at O(n log n) (George 1973; Lipton, Rose and Tarjan 1979), where a
+    minimum-degree ordering carries no such bound.
 
     By Haynsworth's inertia additivity, a matrix is SPD exactly when D and
     its Schur complement S are; applied round by round, A is SPD exactly
     when every round's D and the last Schur complement are. Every round's
     diagonal is checked positive, which covers its D. SuperLU factors S as
-    L U, in either column order, with diagonal pivots only, so
-    perm_r = perm_c and U = D' L^T. By Sylvester's law of inertia,
-    S is SPD exactly when no off-diagonal pivot was taken and every pivot
-    is positive.
+    L U with diagonal pivots only, so perm_r = perm_c and U = D' L^T. By
+    Sylvester's law of inertia, S is SPD exactly when no off-diagonal pivot
+    was taken and every pivot is positive.
 
-    The load vector is read after the factorization. When assemble started
-    the load's uncut pass on a worker thread (see assemble), that pass runs
-    beside the elimination, the ordering and the factorization, which stay
-    on the calling thread; SuperLU releases the GIL. The solve waits for the
-    worker when they end, however they end, and raises the pass's own error
-    if it fails, also when the elimination or the factorization failed
-    first (that error is then its __context__). Below LOAD_WORKER_DOFS free
-    DOFs the whole load vector is computed after the factorization, on the
-    calling thread.
+    The load vector is read in one place, when the elimination, the
+    ordering and the factorization end, however they end. When assemble
+    started the load's uncut pass on a worker thread (see assemble), that
+    pass runs beside them, which stay on the calling thread (SuperLU
+    releases the GIL), and the read joins the worker. A failing load vector
+    raises its own error, also when the solve failed first (that error is
+    then its __context__).
 
     The true residual ||b - Ax|| / ||b|| of the original system must then be
     at most 10 (rtol + eps || |A| |x| || / ||b||), the second term being the
@@ -1197,20 +1168,20 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
         raise ValueError("rtol must be in (0, 1)")
     A = system.matrix
     lu = p = None
-    with _load_alongside(system):
+    try:
         with _out_of_memory("the elimination"):
             rounds, S, coords = _eliminate(A, system.coords)
         if S.shape[0]:
-            if coords is not None:
-                with _out_of_memory("the ordering"):
-                    p = _dissection_order(S, coords)
-                    S = _permuted(S, p)
+            with _out_of_memory("the ordering"):
+                p = _dissection_order(S, coords)
+                S = _permuted(S, p)
             with _out_of_memory("the factorization"):
-                lu = _factor(S, "MMD_AT_PLUS_A" if p is None else "NATURAL")
-    # only the rounds' A_RI and the factors live on under the solve, and
-    # only the factors under the pivot check, which copies them
-    del S
-    b = system.rhs
+                lu = _factor(S)
+        # only the rounds' A_RI and the factors live on under the solve, and
+        # only the factors under the pivot check, which copies them
+        del S
+    finally:
+        b = system.rhs
     bnorm = float(np.linalg.norm(b)) or 1.0
     with _out_of_memory("the solve"):
         x = _substitute(rounds, lu, p, b)

@@ -261,10 +261,12 @@ def random_triangle(rng, max_angle_deg: float = 175.0) -> np.ndarray:
     return tri @ rot.T + rng.uniform(-1, 1, 2)
 
 
-def random_cut(rng, tri: np.ndarray, lo: float = 0.05, hi: float = 0.95):
+def random_cut(rng, tri: np.ndarray):
+    """The cut of tri by a chord between two of its edges, drawn at random,
+    each crossed at a uniform parameter in [0.05, 0.95]."""
     i, j = rng.choice(3, size=2, replace=False)
-    return cut_from_chord(tri, ("edge", int(i)), rng.uniform(lo, hi),
-                          ("edge", int(j)), rng.uniform(lo, hi))
+    return cut_from_chord(tri, ("edge", int(i)), rng.uniform(0.05, 0.95),
+                          ("edge", int(j)), rng.uniform(0.05, 0.95))
 
 
 @dataclass

@@ -269,6 +269,11 @@ def example4() -> ProblemSpec:
 
 EXAMPLES = {"ex1": example1, "ex2": example2, "ex3": example3, "ex4": example4}
 
+VALIDATION_SEED = 0  # of every random draw of validate
+N_INTERFACE = 64     # interface points on which validate checks the jumps
+INTERFACE_GRID = 256  # cells per side of the grid that locates them
+N_SOURCE = 100       # points per side on which validate checks the fields
+
 
 def get_example(name: str, beta_p: float = 10.0, beta_m: float = 1000.0) -> ProblemSpec:
     if name not in EXAMPLES:
@@ -278,12 +283,12 @@ def get_example(name: str, beta_p: float = 10.0, beta_m: float = 1000.0) -> Prob
     return EXAMPLES[name]()
 
 
-def interface_points(ls: LevelSet, domain, n: int = 64, grid: int = 256,
-                     seed: int = 0) -> np.ndarray:
-    """n points on the zero level set, located by bisection on a fine grid."""
+def interface_points(ls: LevelSet, domain) -> np.ndarray:
+    """N_INTERFACE points on the zero level set, located by bisection on an
+    INTERFACE_GRID x INTERFACE_GRID grid of the domain."""
     x0, x1, y0, y1 = domain
-    xs = np.linspace(x0, x1, grid + 1)
-    ys = np.linspace(y0, y1, grid + 1)
+    xs = np.linspace(x0, x1, INTERFACE_GRID + 1)
+    ys = np.linspace(y0, y1, INTERFACE_GRID + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([X, Y], axis=-1)
     vals = np.asarray(ls.phi(pts), float)
@@ -306,8 +311,8 @@ def interface_points(ls: LevelSet, domain, n: int = 64, grid: int = 256,
     roots = np.vstack(roots)
     if len(roots) == 0:
         raise ValueError("no interface found in the domain")
-    rng = np.random.default_rng(seed)
-    idx = rng.permutation(len(roots))[:n]
+    rng = np.random.default_rng(VALIDATION_SEED)
+    idx = rng.permutation(len(roots))[:N_INTERFACE]
     return roots[idx]
 
 
@@ -420,11 +425,10 @@ def _relative_residual(got, want) -> float:
     return float(np.max(mag(got - want) / np.maximum(scale, size)))
 
 
-def validate(prob: ProblemSpec, n_interface: int = 64, n_source: int = 100,
-             seed: int = 0, strict: bool = True) -> ValidationReport:
+def validate(prob: ProblemSpec, strict: bool = True) -> ValidationReport:
     """Certify a problem spec; raises ValidationError when strict and a
     check fails. A residual that is NaN fails its check."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VALIDATION_SEED)
     rep = ValidationReport(prob.name)
     x0, x1, y0, y1 = prob.domain
 
@@ -447,25 +451,24 @@ def validate(prob: ProblemSpec, n_interface: int = 64, n_source: int = 100,
 
     # each side's fields, on points whose FD stencil stays on that side: the
     # shapes and finiteness first, since every later check reads them
-    sides = {side: _sample_side(prob, side, n_source, prob.fd_step, rng) for side in "+-"}
+    sides = {side: _sample_side(prob, side, N_SOURCE, prob.fd_step, rng) for side in "+-"}
     values = {side: _side_fields(prob, side)(spts) for side, spts in sides.items()}
-    broken = [msg for msg in (_fields_failure(values[side], n_source, side) for side in "+-")
+    broken = [msg for msg in (_fields_failure(values[side], N_SOURCE, side) for side in "+-")
               if msg]
     rep.failures += broken
     if not broken:
-        _check_fields(prob, rep, sides, values, n_interface, seed)
+        _check_fields(prob, rep, sides, values)
     if strict and not rep.ok:
         raise ValidationError(rep)
     return rep
 
 
-def _check_fields(prob: ProblemSpec, rep: ValidationReport, sides: dict, values: dict,
-                  n_interface: int, seed: int):
+def _check_fields(prob: ProblemSpec, rep: ValidationReport, sides: dict, values: dict):
     """The largest jumps of u and of the flux over sampled interface points,
     which must vanish when the spec declares homogeneous jumps, and f and
     grad u of each side (values, on the points sides) against finite
     differences of u."""
-    gpts = interface_points(prob.levelset, prob.domain, n_interface, seed=seed)
+    gpts = interface_points(prob.levelset, prob.domain)
     rep.jump_value_residual = float(np.max(np.abs(prob.g_D(gpts))))
     rep.jump_flux_residual = float(np.max(np.abs(prob.g_N(gpts))))
     if prob.homogeneous_jumps:

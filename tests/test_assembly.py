@@ -308,7 +308,7 @@ class TestSolver:
         b = np.arange(1.0, n + 1)
         sys_ = AssembledSystem(sp.identity(n, format="csr"), b,
                                np.arange(n), np.array([], dtype=int),
-                               np.array([]), n)
+                               np.array([]), n, np.zeros((n, 2), np.int64))
         x, it = solve_spd(sys_)
         assert it == 0
         assert np.allclose(x, b, atol=1e-15)
@@ -324,21 +324,24 @@ class TestSolver:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
         d = np.array([2.0, 4.0, 0.5])
         sys_ = AssembledSystem(sp.diags(d, format="csr"), np.ones(3), np.arange(3),
-                               np.array([], dtype=int), np.array([]), 3)
+                               np.array([], dtype=int), np.array([]), 3,
+                               np.zeros((3, 2), np.int64))
         x, _ = solve_spd(sys_)
         np.testing.assert_array_equal(x, 1.0 / d)
 
     def test_two_by_two_analytic(self):
         A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
         sys_ = AssembledSystem(A, np.array([3.0, 3.0]), np.arange(2),
-                               np.array([], dtype=int), np.array([]), 2)
+                               np.array([], dtype=int), np.array([]), 2,
+                               np.zeros((2, 2), np.int64))
         x, _ = solve_spd(sys_)
         assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
     def test_indefinite_detected(self):
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
         sys_ = AssembledSystem(A, np.array([1.0, -1.0]), np.arange(2),
-                               np.array([], dtype=int), np.array([]), 2)
+                               np.array([], dtype=int), np.array([]), 2,
+                               np.zeros((2, 2), np.int64))
         with pytest.raises(SolverError, match="not SPD"):
             solve_spd(sys_)
 
@@ -347,14 +350,16 @@ class TestSolver:
         the solve would notice; the pivot signs do."""
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         sys_ = AssembledSystem(A, np.array([3.0, 3.0]), np.arange(2),
-                               np.array([], dtype=int), np.array([]), 2)
+                               np.array([], dtype=int), np.array([]), 2,
+                               np.zeros((2, 2), np.int64))
         with pytest.raises(SolverError, match="not SPD"):
             solve_spd(sys_)
 
     def test_rtol_validation(self):
         A = sp.identity(2, format="csr")
         sys_ = AssembledSystem(A, np.ones(2), np.arange(2),
-                               np.array([], dtype=int), np.array([]), 2)
+                               np.array([], dtype=int), np.array([]), 2,
+                               np.zeros((2, 2), np.int64))
         with pytest.raises(ValueError):
             solve_spd(sys_, rtol=0.0)
 
@@ -363,7 +368,8 @@ class TestSolver:
         carrying a residual, not the factorization's bare RuntimeError."""
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         sys_ = AssembledSystem(A, np.array([1.0, 2.0]), np.arange(2),
-                               np.array([], dtype=int), np.array([]), 2)
+                               np.array([], dtype=int), np.array([]), 2,
+                               np.zeros((2, 2), np.int64))
         with pytest.raises(SolverError) as exc:
             solve_spd(sys_)
         assert exc.value.residual is not None and exc.value.residual > 0
@@ -383,13 +389,14 @@ class TestSolver:
             raise raised
 
         monkeypatch.setattr(scipy.sparse.linalg, "splu", failing_splu)
-        # a ring of 8, every DOF of the same degree: one round eliminates
-        # DOF 0 alone (12.5%, under a quarter), so a 7 x 7 Schur complement
-        # reaches splu
+        # a ring of 8, every DOF of the same degree: a round would eliminate
+        # DOF 0 alone (12.5%, under a quarter), so none is taken and the
+        # whole matrix reaches splu
         i = np.arange(8)
         A = sp.csr_matrix((np.full(8, -1.0), (i, (i + 1) % 8)), shape=(8, 8))
         A = (A + A.T + 4.0 * sp.identity(8)).tocsr()
-        sys_ = AssembledSystem(A, np.ones(8), i, np.array([], dtype=int), np.array([]), 8)
+        sys_ = AssembledSystem(A, np.ones(8), i, np.array([], dtype=int), np.array([]), 8,
+                               np.zeros((8, 2), np.int64))
         with pytest.raises(SolverError) as exc:
             solve_spd(sys_)
         assert isinstance(exc.value, SolverMemoryError) == memory
@@ -427,14 +434,14 @@ class TestSolver:
         dense = off + np.diag(np.abs(off).sum(axis=1) + rng.uniform(0.1, 1.0, n))
         A = sp.csr_matrix(dense)
         b = rng.standard_normal(n)
-        ind = _independent_set(A)
+        ind = _independent_set(A, np.zeros(n, np.int64))
         assert np.count_nonzero(dense[np.ix_(ind, ind)]) == ind.sum()
         if structure == "diagonal":
             assert ind.all()
         if structure == "ring":
             assert np.flatnonzero(ind).tolist() == [0]
         x, _ = solve_spd(AssembledSystem(A, b, i, np.array([], dtype=int),
-                                         np.array([]), n))
+                                         np.array([]), n, np.zeros((n, 2), np.int64)))
         ref = np.linalg.solve(dense, b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -447,9 +454,11 @@ class TestSolver:
                       [0.5, 0.5, 1.0, 0.8],
                       [0.5, -0.5, 0.8, 1.0]])
         assert np.linalg.eigvalsh(A)[0] < 0 < np.linalg.eigvalsh(A)[1]
-        assert _independent_set(sp.csr_matrix(A)).tolist() == [True, True, False, False]
+        colour = np.zeros(4, np.int64)
+        assert _independent_set(sp.csr_matrix(A), colour).tolist() == [True, True, False, False]
         sys_ = AssembledSystem(sp.csr_matrix(A), np.ones(4), np.arange(4),
-                               np.array([], dtype=int), np.array([]), 4)
+                               np.array([], dtype=int), np.array([]), 4,
+                               np.zeros((4, 2), np.int64))
         with pytest.raises(SolverError, match="not SPD"):
             solve_spd(sys_)
 
@@ -458,8 +467,9 @@ class TestSolver:
         from the interface: about two thirds of the free DOFs, no two of
         them coupled."""
         ctx = build_context(example1(10.0, 1000.0), build_uniform_tri(16), "cr")
-        A = assemble(ctx, "new").matrix
-        ind = _independent_set(A)
+        system = assemble(ctx, "new")
+        A = system.matrix
+        ind = _independent_set(A, _checkerboard(system.coords))
         block = A[ind][:, ind]
         assert block.nnz == ind.sum() and np.all(block.diagonal() > 0)
         assert 0.5 < ind.mean() < 2.0 / 3.0
@@ -489,18 +499,41 @@ class TestSolver:
             kept = kept[R]
         assert np.array_equal(coords, system.coords[kept])
 
-    def test_rq1_runs_one_round(self):
-        """On rq1 almost every DOF has the same degree and every edge
-        midpoint lies on a grid line (colour 0), so the first round takes
-        under a quarter of the DOFs and no second round runs."""
-        prob = example4()
-        ctx = build_context(prob, build_uniform_rect(32, prob.domain), "rq1")
-        system = assemble(ctx, "new")
-        assert not _checkerboard(system.coords).any()
-        rounds, S, coords = _eliminate(system.matrix, system.coords)
-        assert len(rounds) == 1
-        assert 0 < len(rounds[0][0]) < 0.25 * system.matrix.shape[0]
-        assert S.shape[0] == len(rounds[0][1]) == len(coords)
+    @pytest.mark.parametrize("method", ["plain", "new", "ppifem"])
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    @pytest.mark.parametrize("example", ["ex1", "ex2", "ex3", "ex4"])
+    def test_every_round_removes_a_quarter(self, example, kind, method):
+        """Every round removes at least a quarter of the DOFs it sees, and
+        the round that would follow the last removes less. cr takes at least
+        two rounds, the legs and then the diagonals of one colour, and from
+        N=16 exactly two; at N=8 ex3's plain form takes a third that removes
+        exactly a quarter. On rq1 almost every DOF has the same degree and
+        every edge midpoint lies on a grid line (colour 0), so no round is
+        taken."""
+        prob = TestSolverAgreement.PROBLEMS[example]()
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        for N in (8, 16, 32, 64):
+            ctx = build_context(prob, build(N, prob.domain), kind)
+            correction = None if prob.homogeneous_jumps else build_jump_correction(ctx)
+            system = assemble(ctx, method, correction=correction)
+            rounds, S, coords = _eliminate(system.matrix, system.coords)
+            for I, R, _, _ in rounds:
+                assert len(I) >= 0.25 * (len(I) + len(R))
+            assert _independent_set(S, _checkerboard(coords)).mean() < 0.25
+            if kind == "rq1":
+                assert not _checkerboard(system.coords).any()
+                assert not rounds
+            else:
+                assert len(rounds) >= 2 and (N == 8 or len(rounds) == 2)
+
+    @pytest.mark.parametrize("coords", [np.zeros((3, 2)), np.zeros((3, 2), np.uint64),
+                                        np.zeros((2, 2), np.int64), np.zeros((3, 3), np.int64),
+                                        np.zeros(6, np.int64), [[0, 0]] * 3],
+                             ids=["float", "unsigned", "rows", "columns", "flat", "list"])
+    def test_coordinates_of_the_wrong_shape_or_dtype_are_rejected(self, coords):
+        with pytest.raises(ValueError, match="coords must be"):
+            AssembledSystem(sp.identity(3, format="csr"), np.ones(3), np.arange(3),
+                            np.array([], dtype=int), np.array([]), 3, coords)
 
     def test_cancelled_schur_row_is_not_spd(self, monkeypatch):
         """The Schur complement of [[1, 1], [1, 1]] on DOF 1 cancels to an
@@ -514,7 +547,8 @@ class TestSolver:
         monkeypatch.setattr(scipy.sparse.linalg, "splu", no_splu)
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
         sys_ = AssembledSystem(A, np.array([1.0, 2.0]), np.arange(2),
-                               np.array([], dtype=int), np.array([]), 2)
+                               np.array([], dtype=int), np.array([]), 2,
+                               np.zeros((2, 2), np.int64))
         with pytest.raises(SolverError, match="not SPD") as exc:
             solve_spd(sys_)
         assert exc.value.residual == 1.0
@@ -560,9 +594,8 @@ class TestSolver:
             assert 0.0 <= exc.value.residual <= 1e-12
         else:
             assert exc.value.residual == 1.0
-        # this system is below LOAD_WORKER_DOFS, so the load vector is
-        # computed on the calling thread after the factorization
-        assert system.pending == (failing in ("elimination", "ordering"))
+        # the load vector is read however the solve ends
+        assert not system.pending
 
 
 def random_spd(rng, n, density):
@@ -663,46 +696,10 @@ class TestDissectionOrder:
         correction = None if prob.homogeneous_jumps else build_jump_correction(ctx)
         system = assemble(ctx, "new", correction=correction)
         _, S, coords = _eliminate(system.matrix, system.coords)
-        nested = _factor(_permuted(S, _dissection_order(S, coords)), "NATURAL").nnz
+        nested = _factor(_permuted(S, _dissection_order(S, coords))).nnz
         mmd = splu(S.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                    options={"SymmetricMode": True}).nnz
         assert nested < mmd
-
-    def test_system_without_coordinates_is_ordered_by_minimum_degree(self, monkeypatch):
-        """A system built without coordinates has no dissection order, so
-        SuperLU orders its Schur complement by minimum degree: on the
-        five-point Laplacian of a 63 x 63 grid, numbered at random, the
-        factors hold as many nonzeros as under MMD_AT_PLUS_A and far fewer
-        than in the index order."""
-        from scipy.sparse.linalg import splu
-
-        from ifelab import assembly
-
-        m = 63
-        T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
-        A = (sp.kron(T, sp.identity(m)) + sp.kron(sp.identity(m), T)).tocsr()
-        q = np.random.default_rng(0).permutation(m * m)
-        A = A[q][:, q].tocsr()
-        factored = []
-        real_factor = assembly._factor
-
-        def factor(S, spec):
-            factored.append((S, real_factor(S, spec)))
-            return factored[-1][1]
-
-        monkeypatch.setattr(assembly, "_factor", factor)
-        b = np.ones(m * m)
-        x, _ = solve_spd(AssembledSystem(A, b, np.arange(m * m), np.array([], dtype=int),
-                                         np.array([]), m * m))
-        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
-        (S, lu), = factored
-
-        def fill(spec):
-            return splu(S.T, permc_spec=spec, diag_pivot_thresh=0.0,
-                        options={"SymmetricMode": True}).nnz
-
-        assert lu.nnz == fill("MMD_AT_PLUS_A")
-        assert 3 * lu.nnz < fill("NATURAL")
 
 
 class TestRotatedBilinearSolve:
@@ -1382,8 +1379,10 @@ class TestPendingLoad:
 
         prob, threads, ndims = self.armed_source(source)
         monkeypatch.setattr(assembly, "_volume_triplets", after_the_start)
-        system = assemble(build_context(prob, build_uniform_tri(8), "cr"), "new")
-        system.worker()
+        assemble(build_context(prob, build_uniform_tri(8), "cr"), "new")
+        for thread in threading.enumerate():
+            if thread.name == "ifelab-load":
+                thread.join()
         assert waited == [True]
         assert threads and not any(threads) and set(ndims) == {3}
 
@@ -1435,6 +1434,8 @@ class TestPendingLoad:
         """A read of rhs that fails after the cut elements' load was added
         leaves the worker's part intact: the next read gives the serial
         load vector bit for bit."""
+        import threading
+
         from ifelab import assembly
 
         prob = example4()
@@ -1453,9 +1454,9 @@ class TestPendingLoad:
         system = assemble(ctx, "new", correction=correction)
         with pytest.raises(MemoryError):
             system.rhs
-        assert system.pending and system.worker is not None
+        assert system.pending
+        assert "ifelab-load" not in {t.name for t in threading.enumerate()}
         assert system.rhs.tobytes() == want.tobytes()
-        assert system.worker is None
 
     def test_load_error_wins_over_a_failed_elimination(self, load_worker, monkeypatch):
         """When the elimination fails while the worker computes a failing
@@ -1479,6 +1480,35 @@ class TestPendingLoad:
             solve_spd(system)
         assert isinstance(exc.value.__context__, SolverError)
         assert threads == [False]
+
+    def test_serial_load_error_wins_over_a_failed_factorization(self, monkeypatch):
+        """A system under LOAD_WORKER_DOFS free DOFs (this one has a few
+        hundred) computes its load vector on the calling thread; when the
+        factorization fails, solve_spd still reads it, and a failing load
+        vector raises its own error, with the solver's error as its context.
+        No worker thread is left."""
+        import threading
+
+        import scipy.sparse.linalg
+
+        class SourceError(Exception):
+            pass
+
+        def fail(x):
+            raise SourceError("bad source")
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        prob, threads, _ = self.armed_source(fail)
+        system = assemble(build_context(prob, build_uniform_tri(8), "cr"), "new")
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+        with pytest.raises(SourceError, match="bad source") as exc:
+            solve_spd(system)
+        assert isinstance(exc.value.__context__, SolverError)
+        assert "matrix singular" in str(exc.value.__context__)
+        assert threads == [True]
+        assert "ifelab-load" not in {t.name for t in threading.enumerate()}
 
     def test_worker_honours_the_callers_errstate(self, load_worker, monkeypatch):
         """numpy's errstate is context-local, so the worker runs in a copy of
@@ -1506,8 +1536,18 @@ class TestPendingLoad:
         worker still make the callbacks of a serial one, so the load vector
         is computed once, and the solution is bit for bit the serial one."""
         import sys
+        import threading
 
         from ifelab import assembly
+
+        uncut_load = assembly._uncut_load
+        loaded_on = []
+
+        def recorded(ctx):
+            loaded_on.append(threading.current_thread().name)
+            return uncut_load(ctx)
+
+        monkeypatch.setattr(assembly, "_uncut_load", recorded)
 
         calls = Counter()
         prob = counting(example4(), calls)
@@ -1523,9 +1563,9 @@ class TestPendingLoad:
         try:
             for _ in range(5):
                 before = calls.copy()
-                system = assemble(ctx, "new", correction=correction)
-                assert system.worker is not None
-                x, _ = solve_spd(system)
+                del loaded_on[:]
+                x, _ = solve_spd(assemble(ctx, "new", correction=correction))
+                assert loaded_on == ["ifelab-load"]
                 assert calls - before == per_solve
                 assert x.tobytes() == x_serial.tobytes()
         finally:

@@ -42,6 +42,19 @@ def test_case_specs_follow_nmin_and_nmax():
     assert [spec[3] for spec in bench.case_specs(64, 16)] == [16, 16]
 
 
+@pytest.mark.parametrize("argv", [["--nmax", "0"], ["--nmin", "0", "--nmax", "16"],
+                                  ["--nmax", "1024"]])
+def test_out_of_range_n_is_a_usage_error(capsys, tmp_path, argv):
+    """An N outside 1 to N_MAX exits 2 with a usage message, before any
+    process starts or any file is written."""
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        load_bench().main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "must be in 1 to 512" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_against_head(tmp_path):
     """--against HEAD runs both sides at N=16 and reports, for each, the
     same DOFs and nnz and errors that agree to rounding (a working tree

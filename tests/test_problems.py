@@ -25,12 +25,12 @@ class TestExample1:
         self.prob = example1(10.0, 1000.0)
 
     def test_continuity_across_interface(self):
-        pts = interface_points(self.prob.levelset, self.prob.domain, 64)
+        pts = interface_points(self.prob.levelset, self.prob.domain)
         gap = self.prob.fields_plus(pts)[1] - self.prob.fields_minus(pts)[1]
         assert np.max(np.abs(gap)) <= 1e-10
 
     def test_tangential_derivative_nonzero(self):
-        pts = interface_points(self.prob.levelset, self.prob.domain, 64)
+        pts = interface_points(self.prob.levelset, self.prob.domain)
         n = self.prob.levelset.unit_normal(pts)
         t = np.column_stack([-n[:, 1], n[:, 0]])
         gt = np.einsum("ij,ij->i", grad_u_exact(self.prob, pts), t)
@@ -109,7 +109,7 @@ class TestExample2:
         self.prob = example2()
 
     def test_u_vanishes_on_interface(self):
-        pts = interface_points(self.prob.levelset, self.prob.domain, 64)
+        pts = interface_points(self.prob.levelset, self.prob.domain)
         assert np.max(np.abs(self.prob.fields_plus(pts)[1])) <= 1e-10
         assert np.max(np.abs(self.prob.fields_minus(pts)[1])) <= 1e-10
 
@@ -118,7 +118,7 @@ class TestExample2:
         assert rep.jump_flux_residual <= 1e-8
 
     def test_tangential_derivative_zero(self):
-        pts = interface_points(self.prob.levelset, self.prob.domain, 64)
+        pts = interface_points(self.prob.levelset, self.prob.domain)
         n = self.prob.levelset.unit_normal(pts)
         t = np.column_stack([-n[:, 1], n[:, 0]])
         for g in (self.prob.fields_plus(pts)[2], self.prob.fields_minus(pts)[2]):
@@ -164,13 +164,13 @@ class TestExample4:
         assert abs(val - (np.log(0.25) - np.sin(0.5))) <= 1e-14
 
     def test_flux_jump_nonzero(self):
-        pts = interface_points(self.prob.levelset, self.prob.domain, 64)
+        pts = interface_points(self.prob.levelset, self.prob.domain)
         assert np.min(np.abs(self.prob.g_N(pts))) > 1e-3
 
     def test_tangential_derivative_nonzero(self):
         # the log branch is radial (zero tangential derivative); the sine
         # branch carries the suboptimality trigger
-        pts = interface_points(self.prob.levelset, self.prob.domain, 64)
+        pts = interface_points(self.prob.levelset, self.prob.domain)
         n = self.prob.levelset.unit_normal(pts)
         t = np.column_stack([-n[:, 1], n[:, 0]])
         gt = max(np.max(np.abs(np.einsum("ij,ij->i", fields(pts)[2], t)))
@@ -272,7 +272,7 @@ class TestDerivedData:
             return f, u + x @ a + c, grad + a
 
         moved = replace(prob, fields_plus=shifted)
-        pts = interface_points(prob.levelset, prob.domain, 64)
+        pts = interface_points(prob.levelset, prob.domain)
         n = prob.levelset.unit_normal(pts)
         np.testing.assert_allclose(moved.g_D(pts) - prob.g_D(pts), pts @ a + c,
                                    rtol=0, atol=1e-13)
