@@ -11,7 +11,11 @@ whatever the phases import on first use stays out of the timings, and then
 build_jump_correction (ex4 only), assemble, solve_spd and error_norms in
 turn, as run_convergence does. Per case the file holds the median and
 quartiles of each phase and of their sum, the peak RSS of the case's
-process, the DOF count, nnz and both errors. The ``import`` case starts one
+process, the DOF count, nnz and both errors. build_context starts the
+exact solution's pass over the uncut elements, so the ``context`` phase
+holds that whole pass below LOAD_WORKER_DOFS free DOFs and only its start
+above, where it runs on a worker thread beside the later phases until the
+solve reads the load vector. The ``import`` case starts one
 process per run that imports ifelab and validates ex1, ex2 and ex4, as
 perfbench/setup_probe.py does, and reports its wall time and peak RSS.
 

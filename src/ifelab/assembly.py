@@ -40,19 +40,17 @@ from one description of the free DOFs that assemble records, the half-cell
 coordinates of their edge midpoints. The diagonals left by the colour round
 lie on a lattice rotated by 45 degrees, and the ordering cuts in that frame;
 on rectangles it cuts along grid lines. assemble leaves the load vector
-pending, and the solve reads it in one place, after the factorization. On
-a large system assemble first starts the load's pass over the uncut
-elements on a worker thread, which then runs while the calling thread
-assembles, eliminates, orders and factors.
+pending, and the solve reads it in one place, after the factorization.
 
-The load vector's pass over the uncut elements evaluates f, u and grad u
-once per block of points, and besides the load it projects u and grad u
-onto each element's basis and gradients, orthogonally in the weighted sums
-over the points that the error norms take. The error norms then split
-exactly at those projections (see uncut_pass): the residual sums and the
-projections are the exact solution's alone and are formed in that pass,
-while the assembly and the solve go on, and only a quadratic form per
-element is left for the DOFs.
+build_context starts the exact solution's one pass over the uncut elements
+(uncut_pass), on a large mesh on a worker thread that runs while the
+calling thread builds the cut table, assembles, eliminates, orders and
+factors. The pass evaluates f, u and grad u once per block of points, and
+besides the uncut elements' load it projects u and grad u onto each
+element's basis and gradients, orthogonally in the weighted sums over the
+points that the error norms take. The error norms then split exactly at
+those projections (see uncut_pass), and only a quadratic form per element
+is left for the DOFs.
 
 scipy is imported inside the function that uses it, so that importing
 ifelab and validating a problem load numpy alone; a test in test_cli.py
@@ -88,7 +86,7 @@ from .quadrature import polygon_points_weights, polygons_points_weights, segment
 METHODS = ("plain", "new", "ppifem")
 VOLUME_DEGREE = 6  # exact degree of the element and sub-polygon rules
 BLOCK_POINTS = 16384  # quadrature points per block of uncut elements
-LOAD_WORKER_DOFS = 16384  # least free DOFs for which assemble starts the uncut pass on a worker
+LOAD_WORKER_DOFS = 16384  # least free DOFs for which build_context starts the uncut pass on a worker
 LEAF_DOFS = 16  # largest domain that the nested-dissection ordering leaves unsplit
 
 
@@ -164,8 +162,8 @@ class ClassCtx:
     G   (n, m-1, m-1) sum over the points of w beta grad phi_k . grad phi_l
 
     They are allocated with the context, on the thread that builds it, so
-    that the load vector's pass on assemble's worker writes into them
-    instead of growing the worker's own heap.
+    that the pass on build_context's worker writes into them instead of
+    growing the worker's own heap.
     """
 
     ids: np.ndarray
@@ -207,17 +205,18 @@ class ClassCtx:
 @dataclass
 class Context:
     """Everything assembled forms need for one (problem, mesh) pair.
-    residuals holds the sums (L2, energy) of uncut_pass, which the load
-    vector's pass leaves with the classes' p, d and G; None before it. On
-    a large system that pass runs on assemble's worker thread from the
-    start of assemble (see AssembledSystem)."""
+    uncut() joins the uncut_pass that build_context started and returns its
+    (load, sums): the uncut elements' load over all DOFs, which readers copy
+    before they add to it, and the residual sums (L2, energy). Every call
+    returns the same pair or raises the pass's error. The pass also fills
+    the classes' p, d and G."""
 
     prob: object
     mesh: UnfittedMesh
     layout: CutLayout
     cut_table: CutTable
     classes: List[ClassCtx]
-    residuals: Optional[Tuple[float, float]] = None
+    uncut: Callable[[], Tuple[np.ndarray, Tuple[float, float]]]
 
 
 class AssembledSystem:
@@ -227,9 +226,8 @@ class AssembledSystem:
     rhs                 load vector on the free DOFs. assemble passes a
                         zero-argument callable that computes it, the pending
                         load vector: the first read of rhs calls it and keeps
-                        the result. When assemble started the load's pass
-                        over the uncut elements on a worker thread, that read
-                        joins the worker and raises its error, if any
+                        the result. That read joins the context's uncut
+                        pass (Context.uncut) and raises its error, if any
     free, constrained   DOF indices
     constrained_values  prescribed edge means on the constrained DOFs
     n_dofs              number of DOFs, free and constrained
@@ -340,6 +338,17 @@ def build_context(prob, mesh: UnfittedMesh, kind: str,
     triangles and rectangles alike. The uncut elements of each congruence
     class are split by their layout side into one ClassCtx per side. The
     mesh decides the element; kind is only held against it by check_kind.
+
+    Before the cut table it starts uncut_pass, the context's one pass over
+    the uncut elements (see Context). With LOAD_WORKER_DOFS free DOFs or
+    more the pass runs on a worker thread, in a copy of the caller's context
+    (numpy keeps its errstate there), beside the cut table, the assembly
+    and solve_spd's elimination, ordering and factorization. A smaller mesh
+    runs it here: a process's first worker thread costs a few MB of peak
+    RSS, its malloc arena, which a small mesh does not repay (on ex1 to ex4,
+    serial pays to N=64 and the worker from N=128). When the cut table
+    raises, the worker is joined first, and a failing pass's error wins,
+    with the cut table's as its __context__.
     """
     check_kind(kind, mesh.elements.shape[1])
     if layout is None:
@@ -350,7 +359,19 @@ def build_context(prob, mesh: UnfittedMesh, kind: str,
         uncut = sides != INTERFACE
         if uncut.any():
             classes += _build_class_ctxs(mesh, ids[uncut], sides[uncut])
-    return Context(prob, mesh, layout, _build_cut_table(prob, mesh, layout), classes)
+    if np.count_nonzero(~mesh.boundary_edges) >= LOAD_WORKER_DOFS:
+        wait = _start(lambda: uncut_pass(prob, mesh, classes))
+    else:
+        done = uncut_pass(prob, mesh, classes)
+
+        def wait():
+            return done
+    try:
+        tab = _build_cut_table(prob, mesh, layout)
+    except BaseException:
+        wait()
+        raise
+    return Context(prob, mesh, layout, tab, classes, wait)
 
 
 # ---------------------------------------------------------------------------
@@ -603,43 +624,21 @@ def assemble(ctx: Context, method: str, eta: Optional[float] = None,
     absorbing nonhomogeneous interface jumps, rows as in ctx.cut_table; their
     full bilinear-form action moves to the right-hand side.
 
-    The load vector is left pending (see AssembledSystem). A system of
-    LOAD_WORKER_DOFS free DOFs or more first starts the load's pass over the
-    uncut elements on a worker thread, which then runs while the calling
-    thread assembles and, in solve_spd, eliminates, orders and factors; the
-    pending rhs adds the rest of the load, the cut elements' part, when it
-    is read (7% of the pass's time on ex1 at N=128, 11% with ex4's jump
-    correction). The worker runs in a copy of the caller's context, where
-    numpy keeps its errstate. The first worker thread of a process costs a
-    few MB of peak RSS, its own malloc arena, which the few milliseconds of
-    a small system do not repay: 16,384 free DOFs draws the line on every
-    power-of-two row of ex1 to ex4, both elements and all three methods,
-    from N=32 to 256, serial to N=64 and worker from N=128. When assemble
-    raises after the start, it waits for the worker first, and a failing
-    pass raises its own error, with assemble's as its __context__.
+    The load vector is left pending (see AssembledSystem): its read joins
+    the context's uncut pass, which build_context started, and adds the
+    rest of the load, the cut elements' part (7% of the pass's time on ex1
+    at N=128, 11% with ex4's jump correction).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
     boundary = ctx.mesh.boundary_edges
     free = np.nonzero(~boundary)[0]
     constrained = np.nonzero(boundary)[0]
-    worker = None
-    if len(free) >= LOAD_WORKER_DOFS:
-        worker = _start(lambda: _uncut_load(ctx))
-    try:
-        A, A_fc, g_c, edges = _assemble_matrix(ctx, method, eta, free, constrained)
-        coords = _half_cells(ctx.mesh, free)
-    except BaseException:
-        if worker is not None:
-            worker()
-        raise
+    A, A_fc, g_c, edges = _assemble_matrix(ctx, method, eta, free, constrained)
+    coords = _half_cells(ctx.mesh, free)
 
     def rhs():
-        # a copy of the worker's part, which a read that fails midway leaves
-        # intact for the next read
-        b = _uncut_load(ctx) if worker is None else worker().copy()
-        b = _finish_load(ctx, b, method, eta, correction, edges)
-        return b[free] - A_fc @ g_c
+        return assemble_rhs(ctx, method, eta, correction, edges)[free] - A_fc @ g_c
 
     return AssembledSystem(A, rhs, free, constrained, g_c, ctx.mesh.n_edges, coords)
 
@@ -745,30 +744,17 @@ def assemble_rhs(ctx: Context, method: str, eta: Optional[float] = None,
                  edge_blocks=None) -> np.ndarray:
     """Load vector int f phi_i; for nonhomogeneous flux jumps this includes
     the interface load int_chord g_N phi_i, and the full bilinear action of
-    the supplied jump correction moves to the right-hand side. The pass over
-    the uncut elements also leaves the exact solution's part of the error
-    norms on ctx (see uncut_pass).
+    the supplied jump correction moves to the right-hand side. The uncut
+    elements' part is the context's (Context.uncut), which build_context
+    started; this call adds the cut elements' load, the chord load and the
+    correction's action, in that order, to a copy of it, which leaves the
+    context's part intact for other reads and after a read that fails.
 
     edge_blocks may pass the EdgeTable of ctx's interface edges that the
     caller already built; anything else (None, or a list of per-edge
     tables) makes the correction action build its own.
     """
-    return _finish_load(ctx, _uncut_load(ctx), method, eta, correction, edge_blocks)
-
-
-def _uncut_load(ctx: Context) -> np.ndarray:
-    """The uncut elements' part of the load vector, in a fresh array over
-    all DOFs; leaves the residual sums on ctx (see uncut_pass)."""
-    b = np.zeros(ctx.mesh.n_edges)
-    ctx.residuals = uncut_pass(ctx, b)
-    return b
-
-
-def _finish_load(ctx: Context, b: np.ndarray, method: str, eta, correction,
-                 edge_blocks) -> np.ndarray:
-    """Add the rest of assemble_rhs's load vector to the uncut elements'
-    part b: the cut elements' load, the chord load and the correction's
-    action, in that order. Returns b."""
+    b = ctx.uncut()[0].copy()
     mesh = ctx.mesh
     tab = ctx.cut_table
     dofs = mesh.elem_edges[tab.ids]
@@ -791,11 +777,11 @@ def _finish_load(ctx: Context, b: np.ndarray, method: str, eta, correction,
     return b
 
 
-def uncut_pass(ctx: Context, b: Optional[np.ndarray] = None) -> Tuple[float, float]:
+def uncut_pass(prob, mesh, classes) -> Tuple[np.ndarray, Tuple[float, float]]:
     """One pass over the blocks of uncut elements, with one evaluation of
-    the exact fields (f, u, grad u) per block: adds the load int f phi_i
-    into b when it is given, fills the classes' p, d and G, and returns the
-    residual sums (sum w (u - Pi u)^2, sum w beta |grad u - P grad u|^2).
+    the exact fields (f, u, grad u) per block: fills the classes' p, d and
+    G, and returns the load int f phi_i over all DOFs and the residual sums
+    (sum w (u - Pi u)^2, sum w beta |grad u - P grad u|^2).
 
     Per element, with c its DOFs, u_h = sum c_i phi_i has the gradient
     sum_k (C^T c)_k grad phi_k over k < m-1, C^T c = c[:m-1] - c[m-1], since
@@ -810,9 +796,9 @@ def uncut_pass(ctx: Context, b: Optional[np.ndarray] = None) -> Tuple[float, flo
 
     with M the class's mass matrix. The residual sums are taken point by
     point, so neither side subtracts nearly equal sums."""
-    prob = ctx.prob
+    b = np.zeros(mesh.n_edges)
     l2 = h1 = 0.0
-    for cl in ctx.classes:
+    for cl in classes:
         fields = cl.branch(prob.fields_plus, prob.fields_minus)
         beta = cl.branch(prob.beta_plus, prob.beta_minus)
         nq, m = cl.vals.shape
@@ -823,9 +809,8 @@ def uncut_pass(ctx: Context, b: Optional[np.ndarray] = None) -> Tuple[float, flo
         gouter = cl.gouter[:, :k, :k].reshape(nq, k * k)
         for s, pts in cl.blocks():
             f, u, du = fields(pts)
-            if b is not None:
-                loc = ((f * cl.wts)[:, None, :] @ cl.vals)[:, 0]
-                np.add.at(b, ctx.mesh.elem_edges[cl.ids[s]].ravel(), loc.ravel())
+            loc = ((f * cl.wts)[:, None, :] @ cl.vals)[:, 0]
+            np.add.at(b, mesh.elem_edges[cl.ids[s]].ravel(), loc.ravel())
             p = cl.p[s] = u @ to_p
             r = u - p @ vals
             l2 += float(np.sum((r * r) @ cl.wts))
@@ -837,7 +822,7 @@ def uncut_pass(ctx: Context, b: Optional[np.ndarray] = None) -> Tuple[float, flo
             d = cl.d[s] = _solve_spd_small(G, (bw * ux) @ gx + (bw * uy) @ gy)
             rx, ry = ux - d @ gx.T, uy - d @ gy.T
             h1 += float(np.vdot(bw, rx * rx + ry * ry))
-    return l2, h1
+    return b, (l2, h1)
 
 
 def _solve_spd_small(G: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -1149,12 +1134,12 @@ def solve_spd(system: AssembledSystem, rtol: float = 1e-12) -> Tuple[np.ndarray,
     was taken and every pivot is positive.
 
     The load vector is read in one place, when the elimination, the
-    ordering and the factorization end, however they end. When assemble
-    started the load's uncut pass on a worker thread (see assemble), that
-    pass runs beside them, which stay on the calling thread (SuperLU
-    releases the GIL), and the read joins the worker. A failing load vector
-    raises its own error, also when the solve failed first (that error is
-    then its __context__).
+    ordering and the factorization end, however they end. When
+    build_context started the uncut pass on a worker thread, that pass runs
+    beside them, which stay on the calling thread (SuperLU releases the
+    GIL), and the read joins it. A failing load vector raises its own
+    error, also when the solve failed first (that error is then its
+    __context__).
 
     The true residual ||b - Ax|| / ||b|| of the original system must then be
     at most 10 (rtol + eps || |A| |x| || / ||b||), the second term being the

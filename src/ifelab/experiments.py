@@ -9,7 +9,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .assembly import Context, build_context, solve, uncut_pass
+from .assembly import Context, build_context, solve
 from .geometry import cut_from_chord
 from .ife_space import (
     CR,
@@ -51,13 +51,13 @@ def error_norms(ctx: Context, dofs: np.ndarray, correction: Optional[np.ndarray]
 
     Both are sums over the quadrature points of every element. On an uncut
     element the sum splits exactly at the element's projections of u and
-    grad u, orthogonal in the same weighted sums (see assembly.uncut_pass):
+    grad u, orthogonal in the same weighted sums (see ifelab.assembly):
     sum w (u - u_h)^2 = sum w (u - Pi u)^2 + (p - c)^T M (p - c), and alike
     for the energy with the weights w beta. Only the quadratic forms depend
-    on the DOFs c. The residual sums and the projections come from the load
-    vector's pass, which leaves them on ctx, so that work runs while the
-    factorization does; without it (an interpolant, a standalone call) the
-    same pass computes them here.
+    on the DOFs c. The residual sums and the projections come from the
+    context's uncut pass, which build_context started and the load vector
+    shares, so on a large mesh that work runs while the assembly and the
+    factorization do; ctx.uncut() joins it.
 
     Cut elements compare branch against branch, point by point: on each
     chord side the discrete piece is measured against the same-side branch
@@ -69,7 +69,7 @@ def error_norms(ctx: Context, dofs: np.ndarray, correction: Optional[np.ndarray]
     """
     mesh = ctx.mesh
     prob = ctx.prob
-    l2, h1 = ctx.residuals if ctx.residuals is not None else uncut_pass(ctx)
+    l2, h1 = ctx.uncut()[1]
     for cl in ctx.classes:
         c = dofs[mesh.elem_edges[cl.ids]]
         e = cl.p - c
@@ -201,7 +201,9 @@ def _convergence(prob: ProblemSpec, method: str, kind: str, N_list,
                  errors: Callable[[Context], Tuple[float, float]]) -> ConvergenceTable:
     """Tabulate errors(ctx) -> (L2, H1) across a refinement sequence, one
     timed row per N; an error raised in a row is raised again with its type
-    and attributes, its message naming the example and N."""
+    and attributes, its message naming the example and N. A row joins its
+    context's uncut pass before it ends, so no worker outlives it, and a
+    failing pass's error wins, with the row's as its __context__."""
     Ns = _check_n_list(N_list)
     _ensure_validated(prob)
     table = ConvergenceTable(meta={"example": prob.name, "method": method,
@@ -210,7 +212,12 @@ def _convergence(prob: ProblemSpec, method: str, kind: str, N_list,
         t0 = time.perf_counter()
         try:
             mesh = _build_mesh(kind, N, prob.domain)
-            l2, h1 = errors(build_context(prob, mesh, kind))
+            ctx = build_context(prob, mesh, kind)
+            try:
+                l2, h1 = errors(ctx)
+            finally:
+                ctx.uncut()
+            del ctx  # freed before the next row builds its own, which lowers the peak
         except Exception as err:
             _prefix_message(err, f"{prob.name}, N={N}")
             raise

@@ -920,9 +920,9 @@ class TestProblemCalls:
     @pytest.mark.parametrize("kind", ["cr", "rq1"])
     def test_replaced_fields_reach_uncut_blocks_and_cut_table(self, kind):
         """A spec made by replacing fields_plus describes the plus side by
-        the new callable alone: the load vector and the error norms each
-        call it on blocks of uncut elements (3-D point arrays) and on the
-        cut table (2-D)."""
+        the new callable alone: the context's pass calls it on blocks of
+        uncut elements (3-D point arrays), and the load vector and the
+        error norms each call it on the cut table (2-D)."""
         from ifelab.experiments import error_norms
 
         prob = example1(10.0, 1000.0)
@@ -935,12 +935,13 @@ class TestProblemCalls:
         prob = replace(prob, fields_plus=spy)
         build = build_uniform_tri if kind == "cr" else build_uniform_rect
         ctx = build_context(prob, build(16, prob.domain), kind)
-        b = assemble_rhs(ctx, "new")
-        assert set(ndims) == {2, 3}
+        assert set(ndims) == {3}
         ndims.clear()
-        ctx.residuals = None  # recompute the uncut sums, as a standalone call does
+        b = assemble_rhs(ctx, "new")
+        assert set(ndims) == {2}
+        ndims.clear()
         error_norms(ctx, b)
-        assert set(ndims) == {2, 3}
+        assert set(ndims) == {2}
 
     @pytest.mark.parametrize("kind", ["cr", "rq1"])
     def test_call_counts_independent_of_mesh(self, monkeypatch, kind):
@@ -1263,8 +1264,8 @@ class TestSolverAgreement:
 
 @pytest.fixture
 def load_worker(monkeypatch):
-    """assemble starts the load's uncut pass on its worker at every size,
-    not only for systems of LOAD_WORKER_DOFS free DOFs or more."""
+    """build_context starts the uncut pass on its worker at every size, not
+    only for meshes of LOAD_WORKER_DOFS free DOFs or more."""
     from ifelab import assembly
 
     monkeypatch.setattr(assembly, "LOAD_WORKER_DOFS", 0)
@@ -1272,15 +1273,15 @@ def load_worker(monkeypatch):
 
 class TestPendingLoad:
     """assemble leaves the load vector pending; its first reader computes
-    it, after the uncut pass that assemble's worker thread runs from its
-    start on a large system."""
+    it from the context's uncut pass, which build_context starts, on a
+    worker thread for a large mesh."""
 
     @pytest.mark.parametrize("method", ["plain", "new", "ppifem"])
     @pytest.mark.parametrize("kind", ["cr", "rq1"])
     @pytest.mark.parametrize("example", ["ex1", "ex2", "ex3", "ex4"])
     def test_rhs_is_the_load_vector_with_the_boundary_lift(self, load_worker, example, kind,
                                                            method):
-        """Read directly or after solve_spd, its uncut pass on assemble's
+        """Read directly or after solve_spd, its uncut pass on build_context's
         worker, rhs is bit for bit assemble_rhs on the free DOFs minus the lift of the boundary
         values, A_fc g_c. A_fc comes from the same assembly on the mesh with
         no boundary edges, where every DOF is free."""
@@ -1290,7 +1291,9 @@ class TestPendingLoad:
         ctx = build_context(prob, mesh, kind)
         correction = None if prob.homogeneous_jumps else build_jump_correction(ctx)
         open_mesh = replace(mesh, boundary_edges=np.zeros_like(mesh.boundary_edges))
-        full = assemble(replace(ctx, mesh=open_mesh), method, correction=correction).matrix
+        # a fresh context: one replaced from ctx would carry ctx's uncut pass
+        open_ctx = build_context(prob, open_mesh, kind, layout=ctx.layout)
+        full = assemble(open_ctx, method, correction=correction).matrix
         read, solved = (assemble(ctx, method, correction=correction) for _ in range(2))
         assert read.pending and solved.pending
         solve_spd(solved)
@@ -1357,9 +1360,10 @@ class TestPendingLoad:
         assert ndims == [3]  # the load's uncut blocks read the replaced fields
 
     def test_uncut_pass_starts_before_the_volume_assembly(self, load_worker, monkeypatch):
-        """assemble starts the worker's uncut pass before its volume form:
-        the volume assembly waits, with a timeout so that a late start
-        cannot deadlock, for the source call of the worker's first block."""
+        """build_context starts the worker's uncut pass before the cut
+        table, and so before assemble's volume form: both wait, with a
+        timeout so that a late start cannot deadlock, for the source call
+        of the worker's first block."""
         import threading
 
         from ifelab import assembly
@@ -1370,44 +1374,58 @@ class TestPendingLoad:
             started.set()
             return np.zeros(x.shape[:-1])
 
-        volume = assembly._volume_triplets
         waited = []
 
-        def after_the_start(ctx):
-            waited.append(started.wait(timeout=30.0))
-            return volume(ctx)
+        def after_the_start(fn):
+            def wrapped(*args):
+                waited.append(started.wait(timeout=30.0))
+                return fn(*args)
+            return wrapped
 
         prob, threads, ndims = self.armed_source(source)
-        monkeypatch.setattr(assembly, "_volume_triplets", after_the_start)
-        assemble(build_context(prob, build_uniform_tri(8), "cr"), "new")
-        for thread in threading.enumerate():
-            if thread.name == "ifelab-load":
-                thread.join()
-        assert waited == [True]
+        for name in ("_build_cut_table", "_volume_triplets"):
+            monkeypatch.setattr(assembly, name, after_the_start(getattr(assembly, name)))
+        ctx = build_context(prob, build_uniform_tri(8), "cr")
+        assemble(ctx, "new")
+        ctx.uncut()
+        assert waited == [True, True]
         assert threads and not any(threads) and set(ndims) == {3}
 
-    @pytest.mark.parametrize("failing", [True, False], ids=["failing-load", "load"])
-    def test_failed_assembly_waits_for_the_worker(self, load_worker, monkeypatch, failing):
-        """When the symmetry check fails while the worker still runs the
-        uncut pass, assemble waits for the worker before it raises, so no
-        thread it started outlives it. A failing pass raises its own error,
-        with the AssemblyError as its context; otherwise the AssemblyError
-        is raised."""
+    @staticmethod
+    def held_source(failing):
+        """The source of armed_source that holds the worker's pass until
+        check is set, then fails with SourceError when failing, else gives
+        zeros. Returns (prob, threads, check, SourceError)."""
         import threading
-
-        from ifelab import assembly
 
         class SourceError(Exception):
             pass
 
-        checked = threading.Event()
+        check = threading.Event()
 
         def source(x):
-            checked.wait(timeout=30.0)  # hold the pass until the check runs
+            check.wait(timeout=30.0)  # hold the pass until the check runs
             if failing:
                 raise SourceError("bad source")
             return np.zeros(x.shape[:-1])
 
+        prob, threads, _ = TestPendingLoad.armed_source(source)
+        return prob, threads, check, SourceError
+
+    @pytest.mark.parametrize("failing", [True, False], ids=["failing-load", "load"])
+    def test_failed_row_waits_for_the_worker(self, load_worker, monkeypatch, failing):
+        """When the symmetry check of a run_convergence row fails while the
+        worker still runs the context's uncut pass, the row waits for the
+        worker before the error leaves run_convergence, so no worker
+        outlives it. A failing pass raises its own error, with the
+        AssemblyError as its context; otherwise the AssemblyError is
+        raised. Either names the row."""
+        import threading
+
+        from ifelab import assembly
+        from ifelab.experiments import run_convergence
+
+        prob, threads, checked, SourceError = self.held_source(failing)
         edge_matrices = assembly._edge_matrices
 
         def skewed(*args, **kwargs):
@@ -1416,18 +1434,44 @@ class TestPendingLoad:
             checked.set()
             return mats
 
-        prob, threads, _ = self.armed_source(source)
-        ctx = build_context(prob, build_uniform_tri(8), "cr")
         monkeypatch.setattr(assembly, "_edge_matrices", skewed)
-        before = set(threading.enumerate())
-        with pytest.raises(SourceError if failing else AssemblyError) as exc:
-            assemble(ctx, "new")
-        assert not set(threading.enumerate()) - before
+        with pytest.raises(SourceError if failing else AssemblyError,
+                           match=r"^ex1\(beta\+=10,beta-=1000\), N=8: ") as exc:
+            run_convergence(prob, "new", "cr", [8])
+        assert "ifelab-load" not in {t.name for t in threading.enumerate()}
         if failing:
             assert isinstance(exc.value.__context__, AssemblyError)
             assert threads == [False]
         else:
             assert "asymmetric" in str(exc.value)
+            assert threads and not any(threads)
+
+    @pytest.mark.parametrize("failing", [True, False], ids=["failing-load", "load"])
+    def test_failed_cut_table_waits_for_the_worker(self, load_worker, monkeypatch, failing):
+        """When the cut table raises while the worker still runs the uncut
+        pass, build_context waits for the worker before it raises, so no
+        worker outlives it. A failing pass raises its own error, with the
+        cut table's as its context; otherwise the cut table's error is
+        raised."""
+        import threading
+
+        from ifelab import assembly
+
+        prob, threads, checked, SourceError = self.held_source(failing)
+
+        def broken(*args):
+            checked.set()
+            raise AssemblyError("no cut table")
+
+        monkeypatch.setattr(assembly, "_build_cut_table", broken)
+        with pytest.raises(SourceError if failing else AssemblyError) as exc:
+            build_context(prob, build_uniform_tri(8), "cr")
+        assert "ifelab-load" not in {t.name for t in threading.enumerate()}
+        if failing:
+            assert isinstance(exc.value.__context__, AssemblyError)
+            assert threads == [False]
+        else:
+            assert str(exc.value) == "no cut table"
             assert threads and not any(threads)
 
     def test_read_after_a_failed_read(self, load_worker, monkeypatch):
@@ -1482,11 +1526,12 @@ class TestPendingLoad:
         assert threads == [False]
 
     def test_serial_load_error_wins_over_a_failed_factorization(self, monkeypatch):
-        """A system under LOAD_WORKER_DOFS free DOFs (this one has a few
-        hundred) computes its load vector on the calling thread; when the
+        """A mesh under LOAD_WORKER_DOFS free DOFs (this one has a few
+        hundred) runs its uncut pass in build_context on the calling thread,
+        and the read of rhs adds the cut elements' load there; when the
         factorization fails, solve_spd still reads it, and a failing load
-        vector raises its own error, with the solver's error as its context.
-        No worker thread is left."""
+        vector (here its cut-table part) raises its own error, with the
+        solver's error as its context. No worker thread is left."""
         import threading
 
         import scipy.sparse.linalg
@@ -1495,7 +1540,9 @@ class TestPendingLoad:
             pass
 
         def fail(x):
-            raise SourceError("bad source")
+            if np.ndim(x) == 2:  # the cut table's points
+                raise SourceError("bad source")
+            return np.zeros(x.shape[:-1])
 
         def singular(*args, **kwargs):
             raise RuntimeError("Factor is exactly singular")
@@ -1507,13 +1554,14 @@ class TestPendingLoad:
             solve_spd(system)
         assert isinstance(exc.value.__context__, SolverError)
         assert "matrix singular" in str(exc.value.__context__)
-        assert threads == [True]
+        assert threads and all(threads)
         assert "ifelab-load" not in {t.name for t in threading.enumerate()}
 
     def test_worker_honours_the_callers_errstate(self, load_worker, monkeypatch):
         """numpy's errstate is context-local, so the worker runs in a copy of
         the caller's context: a division by zero in the source raises there
-        under divide="raise", as it does when rhs is read serially."""
+        under divide="raise", as it does when build_context runs the pass
+        serially."""
         from ifelab import assembly
         from ifelab.experiments import run_convergence
 
@@ -1524,52 +1572,98 @@ class TestPendingLoad:
                 run_convergence(prob, "new", "cr", [8])
             assert threads == [False]
             monkeypatch.setattr(assembly, "LOAD_WORKER_DOFS", 10 ** 9)
-            ctx = build_context(prob, build_uniform_tri(8), "cr")
             with pytest.raises(FloatingPointError, match="divide by zero"):
-                assemble(ctx, "new").rhs
+                build_context(prob, build_uniform_tri(8), "cr")
         assert threads[1:] == [True]
         assert ndims == [3, 3]
 
     def test_load_vector_computed_once_under_frequent_switches(self, monkeypatch):
         """With a 10 us switch interval the worker and the calling thread
-        trade the interpreter lock often. An assembly and solve with the
-        worker still make the callbacks of a serial one, so the load vector
-        is computed once, and the solution is bit for bit the serial one."""
+        trade the interpreter lock often. A context, assembly and solve
+        with the worker still make the callbacks of a serial one, so the
+        uncut pass runs once, and the solution is bit for bit the serial
+        one."""
         import sys
         import threading
 
         from ifelab import assembly
 
-        uncut_load = assembly._uncut_load
-        loaded_on = []
+        uncut_pass = assembly.uncut_pass
+        passed_on = []
 
-        def recorded(ctx):
-            loaded_on.append(threading.current_thread().name)
-            return uncut_load(ctx)
+        def recorded(*args):
+            passed_on.append(threading.current_thread().name)
+            return uncut_pass(*args)
 
-        monkeypatch.setattr(assembly, "_uncut_load", recorded)
+        monkeypatch.setattr(assembly, "uncut_pass", recorded)
 
         calls = Counter()
         prob = counting(example4(), calls)
-        ctx = build_context(prob, build_uniform_tri(16, prob.domain), "cr")
-        correction = build_jump_correction(ctx)
+        mesh = build_uniform_tri(16, prob.domain)
+
+        def solved():
+            ctx = build_context(prob, mesh, "cr")
+            x, _ = solve_spd(assemble(ctx, "new", correction=build_jump_correction(ctx)))
+            return x
+
         monkeypatch.setattr(assembly, "LOAD_WORKER_DOFS", 10 ** 9)
-        before = calls.copy()
-        x_serial, _ = solve_spd(assemble(ctx, "new", correction=correction))
-        per_solve = calls - before
+        x_serial = solved()
+        per_solve = calls.copy()
+        assert passed_on == ["MainThread"]
         monkeypatch.setattr(assembly, "LOAD_WORKER_DOFS", 0)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for _ in range(5):
                 before = calls.copy()
-                del loaded_on[:]
-                x, _ = solve_spd(assemble(ctx, "new", correction=correction))
-                assert loaded_on == ["ifelab-load"]
+                del passed_on[:]
+                x = solved()
+                assert passed_on == ["ifelab-load"]
                 assert calls - before == per_solve
                 assert x.tobytes() == x_serial.tobytes()
         finally:
             sys.setswitchinterval(old)
+
+    @pytest.mark.parametrize("worker", [True, False], ids=["worker", "serial"])
+    def test_one_context_runs_the_uncut_pass_once(self, monkeypatch, worker):
+        """Every reader of one context shares its one uncut pass: the load
+        vectors of plain, new and ppifem (one read through solve_spd),
+        assemble_rhs and error_norms call the side callables on no block
+        of uncut points after build_context, which calls them once per
+        block, on the worker or on the calling thread."""
+        from ifelab import assembly
+        from ifelab.experiments import error_norms
+
+        monkeypatch.setattr(assembly, "LOAD_WORKER_DOFS", 0 if worker else 10 ** 9)
+        prob = example4()
+        shapes = []
+
+        def counted(real):
+            def fields(x):
+                shapes.append(np.shape(x))
+                return real(x)
+            return fields
+
+        prob = replace(prob, fields_plus=counted(prob.fields_plus),
+                       fields_minus=counted(prob.fields_minus))
+        ctx = build_context(prob, build_uniform_tri(16, prob.domain), "cr")
+        ctx.uncut()
+        want = sorted(pts.shape for cl in ctx.classes for _, pts in cl.blocks())
+
+        def uncut_blocks():
+            # a block of e uncut elements holds (e, nq, 2) points
+            return sorted(x for x in shapes if x[1:] == want[0][1:])
+
+        assert uncut_blocks() == want
+        assert sum(e for e, _, _ in want) == sum(len(cl.ids) for cl in ctx.classes)
+        correction = build_jump_correction(ctx)
+        for method in ("plain", "ppifem"):
+            assemble(ctx, method, correction=correction).rhs
+        system = assemble(ctx, "new", correction=correction)
+        x, _ = solve_spd(system)
+        assemble_rhs(ctx, "new", correction=correction)
+        error_norms(ctx, system.expand(x), correction)
+        assert uncut_blocks() == want
 
 
 class TestSmallKernels:
