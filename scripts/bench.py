@@ -21,7 +21,7 @@ perfbench/setup_probe.py does, and reports its wall time and peak RSS.
 
 The cases run at every N of CASE_NS from --nmin to --nmax; an --nmax below
 --nmin runs them at that N alone. Both must lie in 1 to N_MAX, the finest
-mesh of a convergence row.
+mesh of a convergence row, so N=1024 runs only with --nmax 1024.
 
 --against REV compares the working tree with the commit REV, extracted by
 git archive into a temporary directory. Each case alternates one process per
@@ -33,10 +33,11 @@ number of pairs each side won, the peak RSS of every process, and each
 side's DOFs, nnz and errors. Two verdicts per case read them: whether the
 DOFs and nnz are exactly equal (``same_sizes``), and the largest relative
 gap of the L2 and H1 errors of any process, either side, from those of REV's
-first (``error_gap``, 0 when all are equal bit for bit), which also ends the
-case's line on stderr. ``same`` is
-both at once, sizes and errors equal bit for bit; --require-same exits 1
-unless every case is the same.
+first (``error_gap``, 0 when all are equal bit for bit). ``same`` is both at
+once, sizes and errors equal bit for bit; --require-same exits 1 unless
+every case is the same. Each case prints one line on stderr: the median
+total time and the median peak RSS, REV -> tree, each with the pairs the
+tree won, then the sizes' verdict and the error gap.
 
 Before the first timed process, each side's src/ is compiled to bytecode
 (compileall), so that no process of either side times the compilation of
@@ -76,7 +77,7 @@ from ifelab.experiments import N_MAX, _build_mesh, error_norms  # noqa: E402
 from ifelab.problems import get_example  # noqa: E402
 
 CASES = [("ex1", "new", "cr"), ("ex4", "new", "rq1")]
-CASE_NS = (64, 128, 256, 512)
+CASE_NS = (64, 128, 256, 512, 1024)
 EXTRA = [("ex1", "ppifem", "rq1", 512)]
 PHASES = ("mesh", "layout", "context", "correction", "assemble", "solve", "norms")
 IMPORT_PROBLEMS = ("ex1", "ex2", "ex4")
@@ -233,14 +234,16 @@ def against(args):
             gap = error_gap(every)
             agree = same_sizes and gap == 0.0
             same &= agree
+            rss = compare(*([m for _, m in got[k]] for k in ("rev", "tree")))
             cases.append({"case": f"{example}/{method}/{kind}", "N": N, "same": agree,
                           "same_sizes": same_sizes, "error_gap": gap,
                           "sizes": {k: results[k][0] for k in got},
-                          "peak_rss_mb": compare(*([m for _, m in got[k]] for k in ("rev", "tree"))),
-                          "phases": phases})
+                          "peak_rss_mb": rss, "phases": phases})
             tot = phases["total"]
             print(f"{spec}: total {tot['rev']['median']:.3f} -> {tot['tree']['median']:.3f} s "
                   f"(tree faster in {tot['tree_wins']}/{args.runs}), "
+                  f"peak RSS {rss['rev']['median']:.0f} -> {rss['tree']['median']:.0f} MB "
+                  f"(tree lower in {rss['tree_wins']}/{args.runs}), "
                   f"{'same' if same_sizes else 'DIFFERENT'} DOFs and nnz, "
                   f"largest error gap {gap:.1e}", file=sys.stderr)
     doc = {"label": args.label, "command": " ".join(["scripts/bench.py", *sys.argv[1:]]),

@@ -58,6 +58,7 @@ enforces this.
 """
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
@@ -570,24 +571,38 @@ def lifting_stability_ratio(ctx: Context, edges: EdgeTable) -> np.ndarray:
 # global assembly
 
 
-def _volume_triplets(ctx: Context):
+def _volume_triplets(ctx: Context, rows: np.ndarray, cols: np.ndarray,
+                     data: np.ndarray) -> None:
+    """Write the volume form's triplets into rows, cols and data, which hold
+    exactly m^2 entries per element: each uncut class, then the cut table,
+    each element's m x m block row by row. The local matrices are formed in
+    place in data."""
     mesh = ctx.mesh
-    blocks = []
+    start = 0
     for cl in ctx.classes:
         beta = cl.branch(ctx.prob.beta_plus, ctx.prob.beta_minus)
         nq, m = cl.vals.shape
         gouter = cl.gouter.reshape(nq, m * m)
-        K = np.empty((len(cl.ids), m, m))
+        end = start + len(cl.ids) * m * m
+        K = data[start:end].reshape(-1, m, m)
         for s, pts in cl.blocks():
             # one product per element: a stacked matmul rounds each row alike
             # whatever the block size, where one GEMM over the block need not
             bw = beta(pts) * cl.wts
             K[s] = (bw[:, None, :] @ gouter).reshape(-1, m, m)
-        blocks.append((mesh.elem_edges[cl.ids], K))
-    blocks.append((mesh.elem_edges[ctx.cut_table.ids], ctx.cut_table.K))
-    rows = [np.repeat(conn, conn.shape[1], axis=1).ravel() for conn, _ in blocks]
-    cols = [np.tile(conn, (1, conn.shape[1])).ravel() for conn, _ in blocks]
-    return rows, cols, [K.ravel() for _, K in blocks]
+        _block_pattern(mesh.elem_edges[cl.ids], rows[start:end], cols[start:end])
+        start = end
+    tab = ctx.cut_table
+    data[start:] = tab.K.ravel()
+    _block_pattern(mesh.elem_edges[tab.ids], rows[start:], cols[start:])
+
+
+def _block_pattern(conn: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> None:
+    """Row and column of every entry of the dense blocks of the DOFs conn
+    (n, k), block by block and row by row, written into rows and cols."""
+    n, k = conn.shape
+    rows.reshape(n, k, k)[...] = conn[:, :, None]
+    cols.reshape(n, k, k)[...] = conn[:, None, :]
 
 
 def _edge_form(edges: EdgeTable, method: str, eta: Optional[float],
@@ -674,28 +689,45 @@ def _assemble_matrix(ctx: Context, method: str, eta: Optional[float], free: np.n
     """The blocks of assemble's symmetric matrix on the free rows, (A_ff,
     A_fc, g_c, edges): g_c the prescribed edge means on the constrained DOFs
     and edges the EdgeTable of the interface edges (None for 'plain').
-    Raises AssemblyError when the matrix is not symmetric."""
+    Raises AssemblyError when the matrix is not symmetric.
+
+    The triplets of every block are counted first and written into one
+    buffer, which is freed as soon as the CSR matrix is formed. Heap freed
+    here stays resident under the factorization that follows, so every
+    transient of the assembly raises the solve's peak."""
     mesh = ctx.mesh
     n = mesh.n_edges
-    rows, cols, data = _volume_triplets(ctx)
     edges = None
+    n_vol = sum(len(cl.ids) * cl.vals.shape[1] ** 2 for cl in ctx.classes) + ctx.cut_table.K.size
+    n_edge = 0
     if method in ("new", "ppifem"):
         edges = build_edge_table(ctx, ctx.layout.interface_edges)
         mats = _edge_matrices(edges, method, eta)
         # empty slots hold no DOF and are dropped; tocsr sums the two slots
         # of each edge's own DOF
+        keep = (edges.dofs[:, :, None] >= 0) & (edges.dofs[:, None, :] >= 0)
+        n_edge = int(np.count_nonzero(keep))
+
+    # filled block by block, volume classes, cut table, then edges, the
+    # order in which tocsr sums duplicates. Edge ids stay below 2^31 up to
+    # N_MAX, so rows and cols are int32, the CSR matrix's index type, which
+    # coo_matrix takes without a copy
+    rows = np.empty(n_vol + n_edge, np.int32)
+    cols = np.empty_like(rows)
+    data = np.empty(len(rows))
+    _volume_triplets(ctx, rows[:n_vol], cols[:n_vol], data[:n_vol])
+    if n_edge:
         r = np.broadcast_to(edges.dofs[:, :, None], mats.shape)
         c = np.broadcast_to(edges.dofs[:, None, :], mats.shape)
-        keep = (r >= 0) & (c >= 0)
-        rows.append(r[keep])
-        cols.append(c[keep])
-        data.append(mats[keep])
+        rows[n_vol:] = r[keep]
+        cols[n_vol:] = c[keep]
+        data[n_vol:] = mats[keep]
 
     import scipy.sparse as sp
 
-    A = sp.coo_matrix((np.concatenate(data),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
+    A = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    # freed before the transpose, which reuses their heap
+    del rows, cols, data
     # tocsr leaves A canonical, and the assembly puts every entry's mirror
     # in the pattern, so the transpose holds its values in the same slots
     T = A.T.tocsr()
@@ -723,11 +755,10 @@ def _half_cells(mesh: UnfittedMesh, dofs: np.ndarray) -> np.ndarray:
     """Integer coordinates (n, 2) of each edge's midpoint in half cells of
     the grid from the mesh's lower left corner: odd inside a cell, even on a
     grid line. On the triangle mesh the diagonals are the edges inside a
-    cell."""
-    x0, _, y0, _ = mesh.box
-    hy = mesh.h / np.hypot(mesh.kappa, 1.0)
-    twice_mid = mesh.nodes[mesh.edges[dofs, 0]] + mesh.nodes[mesh.edges[dofs, 1]]
-    return np.rint((twice_mid - (2 * x0, 2 * y0)) / (mesh.kappa * hy, hy)).astype(np.int64)
+    cell. The grid numbers its (N+1)^2 nodes row by row, so each coordinate
+    is the sum of the ends' grid indices."""
+    j, i = np.divmod(mesh.edges[dofs], math.isqrt(len(mesh.nodes)))
+    return np.column_stack([i[:, 0] + i[:, 1], j[:, 0] + j[:, 1]])
 
 
 def _checkerboard(coords: np.ndarray) -> np.ndarray:

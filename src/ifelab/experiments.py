@@ -170,7 +170,7 @@ def n_sequence(nmin: int, nmax: int):
     return out
 
 
-N_MAX = 512  # the finest mesh a convergence row may use
+N_MAX = 1024  # the finest mesh a convergence row may use
 
 
 def _check_n_list(N_list):

@@ -116,6 +116,122 @@ class TestVolumeAssembly:
         assert np.all(sys_.constrained_values == 0.0)
 
 
+def reference_matrix(ctx, method, free, constrained):
+    """(A_ff, A_fc) built as separate per-block int64 triplet lists, joined
+    by np.concatenate and converted by coo_matrix(...).tocsr(), then
+    symmetrized and sliced as the assembly does: the volume classes, the cut
+    table and the kept edge slots, in that order."""
+    from ifelab.assembly import _edge_matrices
+
+    mesh = ctx.mesh
+    blocks = []
+    for cl in ctx.classes:
+        beta = cl.branch(ctx.prob.beta_plus, ctx.prob.beta_minus)
+        nq, m = cl.vals.shape
+        K = np.empty((len(cl.ids), m, m))
+        for s, pts in cl.blocks():
+            bw = beta(pts) * cl.wts
+            K[s] = (bw[:, None, :] @ cl.gouter.reshape(nq, m * m)).reshape(-1, m, m)
+        blocks.append((mesh.elem_edges[cl.ids], K))
+    blocks.append((mesh.elem_edges[ctx.cut_table.ids], ctx.cut_table.K))
+    rows = [np.repeat(conn, conn.shape[1], axis=1).ravel() for conn, _ in blocks]
+    cols = [np.tile(conn, (1, conn.shape[1])).ravel() for conn, _ in blocks]
+    data = [K.ravel() for _, K in blocks]
+    if method != "plain":
+        edges = build_edge_table(ctx, ctx.layout.interface_edges)
+        mats = _edge_matrices(edges, method, None)
+        r = np.broadcast_to(edges.dofs[:, :, None], mats.shape)
+        c = np.broadcast_to(edges.dofs[:, None, :], mats.shape)
+        keep = (r >= 0) & (c >= 0)
+        rows.append(r[keep].astype(np.int64))
+        cols.append(c[keep].astype(np.int64))
+        data.append(mats[keep])
+    n = mesh.n_edges
+    A = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
+    T = A.T.tocsr()
+    A.data += T.data
+    A.data *= 0.5
+    A.eliminate_zeros()
+    A = A[free]
+    return A[:, free], A[:, constrained]
+
+
+def matrix_bits(A):
+    return [(a.dtype, a.tobytes()) for a in (A.data, A.indices, A.indptr)] + [A.shape]
+
+
+class TestMatrixAssembly:
+    """_assemble_matrix fills one int32 triplet buffer block by block."""
+
+    @pytest.mark.parametrize("method", ["plain", "new", "ppifem"])
+    @pytest.mark.parametrize("kind", ["cr", "rq1"])
+    @pytest.mark.parametrize("example", ["ex1", "ex2", "ex3", "ex4"])
+    def test_equals_the_concatenated_triplets(self, example, kind, method):
+        """A_ff, A_fc and g_c equal, bit for bit, those of the matrix built
+        from per-block int64 triplet lists (reference_matrix): the buffer
+        holds the same entries in the same order, so the conversion sums
+        every duplicate in the same order."""
+        from ifelab.assembly import _assemble_matrix
+        from ifelab.ife_space import edge_means
+
+        prob = TestSolverAgreement.PROBLEMS[example]()
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        ctx = build_context(prob, build(16, prob.domain), kind)
+        boundary = ctx.mesh.boundary_edges
+        free, constrained = np.nonzero(~boundary)[0], np.nonzero(boundary)[0]
+        A_ff, A_fc, g_c, _ = _assemble_matrix(ctx, method, None, free, constrained)
+        want_ff, want_fc = reference_matrix(ctx, method, free, constrained)
+        assert matrix_bits(A_ff) == matrix_bits(want_ff)
+        assert matrix_bits(A_fc) == matrix_bits(want_fc)
+        want_g = edge_means(prob.u_exact, ctx.mesh, ctx.layout, constrained)
+        assert g_c.tobytes() == want_g.tobytes()
+
+    def test_unmirrored_triplet_fails_the_pattern_check(self, monkeypatch):
+        """One volume triplet moved to a column that its row does not
+        couple to leaves the pattern without that entry's mirror, and the
+        assembly raises before it compares any values."""
+        from ifelab import assembly
+
+        volume_triplets = assembly._volume_triplets
+
+        def unmirrored(ctx, rows, cols, data):
+            volume_triplets(ctx, rows, cols, data)
+            coupled = set(cols[rows == rows[0]].tolist())
+            cols[0] = next(j for j in range(ctx.mesh.n_edges) if j not in coupled)
+
+        monkeypatch.setattr(assembly, "_volume_triplets", unmirrored)
+        prob = example1()
+        ctx = build_context(prob, build_uniform_tri(8, prob.domain), "cr")
+        with pytest.raises(AssemblyError, match="pattern is not symmetric"):
+            assemble(ctx, "new")
+
+    @pytest.mark.parametrize("example, kind", [("ex1", "cr"), ("ex4", "rq1")])
+    def test_peak_heap_is_a_few_matrices(self, example, kind):
+        """The traced heap peak inside assemble stays within 5 times the
+        bytes of the matrix it returns; per-block triplet lists and their
+        concatenated copies took 7.8 (ex1) and 5.8 (ex4) times. The
+        context's uncut pass is joined first, so that only the calling
+        thread allocates."""
+        import tracemalloc
+
+        prob = TestSolverAgreement.PROBLEMS[example]()
+        build = build_uniform_tri if kind == "cr" else build_uniform_rect
+        correction = None
+        for N in (4, 128):  # the first assembly imports what it uses
+            ctx = build_context(prob, build(N, prob.domain), kind)
+            ctx.uncut()
+            if not prob.homogeneous_jumps:
+                correction = build_jump_correction(ctx)
+            tracemalloc.start()
+            try:
+                A = assemble(ctx, "new", correction=correction).matrix
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 5 * (A.data.nbytes + A.indices.nbytes + A.indptr.nbytes)
+
+
 class TestElementKind:
     @pytest.mark.parametrize("build, kind", [(build_uniform_tri, "rq1"),
                                              (build_uniform_rect, "cr")],

@@ -40,10 +40,11 @@ def test_case_specs_follow_nmin_and_nmax():
     assert {N for *_, N in bench.case_specs(64, 512)} == {64, 128, 256, 512}
     assert [spec[3] for spec in bench.case_specs(256, 256)] == [256, 256]
     assert [spec[3] for spec in bench.case_specs(64, 16)] == [16, 16]
+    assert [spec[3] for spec in bench.case_specs(1024, 1024)] == [1024, 1024]
 
 
 @pytest.mark.parametrize("argv", [["--nmax", "0"], ["--nmin", "0", "--nmax", "16"],
-                                  ["--nmax", "1024"]])
+                                  ["--nmax", "2048"]])
 def test_out_of_range_n_is_a_usage_error(capsys, tmp_path, argv):
     """An N outside 1 to N_MAX exits 2 with a usage message, before any
     process starts or any file is written."""
@@ -51,7 +52,7 @@ def test_out_of_range_n_is_a_usage_error(capsys, tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         load_bench().main([*argv, "--out", str(out)])
     assert exc.value.code == 2
-    assert "must be in 1 to 512" in capsys.readouterr().err
+    assert "must be in 1 to 1024" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -66,8 +67,9 @@ def test_against_head(tmp_path):
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode:
         pytest.skip("needs git and a repository with a HEAD commit")
     out = tmp_path / "against.json"
-    subprocess.run([sys.executable, str(SCRIPT), "--against", "HEAD", "--nmax", "16",
-                    "--runs", "1", "--out", str(out)], check=True, stderr=subprocess.DEVNULL)
+    err = subprocess.run([sys.executable, str(SCRIPT), "--against", "HEAD", "--nmax", "16",
+                          "--runs", "1", "--out", str(out)], check=True,
+                         stderr=subprocess.PIPE, text=True).stderr
     doc = json.loads(out.read_text())
     assert doc["against"] == "HEAD" and len(doc["rev_commit"]) == 40
     assert doc["cases"][0]["case"] == "import"
@@ -85,3 +87,8 @@ def test_against_head(tmp_path):
         for stats in c["phases"].values():
             assert stats["tree_wins"] + stats["rev_wins"] <= 1
             assert len(stats["rev"]["runs"]) == len(stats["tree"]["runs"]) == 1
+        # the case's stderr line carries both sides' peak RSS and the tree's wins
+        rss = c["peak_rss_mb"]
+        line = next(x for x in err.splitlines() if x.startswith(f"{c['case']}/{c['N']}: "))
+        assert (f"peak RSS {rss['rev']['median']:.0f} -> {rss['tree']['median']:.0f} MB "
+                f"(tree lower in {rss['tree_wins']}/1)") in line

@@ -128,7 +128,7 @@ class TestUsageErrors:
         (["run", "--example", "ex1", "--nmin", "12"], "--nmin"),
         (["run", "--example", "ex1", "--nmin", "0"], "--nmin"),
         (["run", "--example", "ex1", "--nmax", "100"], "--nmax"),
-        (["run", "--example", "ex1", "--nmax", "1024"], "--nmax"),
+        (["run", "--example", "ex1", "--nmax", "2048"], "--nmax"),
         (["run", "--example", "ex1", "--nmin", "32", "--nmax", "16"], "--nmax"),
         (["run", "--example", "ex1", "--beta-plus", "0"], "--beta-plus"),
         (["run", "--example", "ex1", "--beta-minus", "-1"], "--beta-minus"),
@@ -145,7 +145,7 @@ class TestUsageErrors:
         (["basis-check", "--max-angle", "180"], "--max-angle"),
         (["run", "--example", "ex1", "--method", "ppifem", "--eta", "0"], "--eta"),
         (["run", "--example", "ex1", "--method", "ppifem", "--eta", "-5"], "--eta"),
-    ], ids=["nmin-12", "nmin-0", "nmax-100", "nmax-1024", "nmax-below-nmin", "beta-plus-0",
+    ], ids=["nmin-12", "nmin-0", "nmax-100", "nmax-2048", "nmax-below-nmin", "beta-plus-0",
             "beta-minus-negative", "beta-plus-nan", "validate-beta-minus-0", "rtol-0",
             "rtol-1", "count-0", "ratio-max-0", "ratio-max-below-1", "ratio-max-inf",
             "max-angle-20", "max-angle-25", "max-angle-180", "eta-0", "eta-negative"])

@@ -196,7 +196,7 @@ class TestConvergenceTable:
         with pytest.raises(ValueError):
             run_convergence(example3(), "new", "cr", [8, 12])
         with pytest.raises(ValueError):
-            run_convergence(example3(), "new", "cr", [1024])
+            run_convergence(example3(), "new", "cr", [2048])
 
 
 class TestEmit:
